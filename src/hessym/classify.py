@@ -52,7 +52,7 @@ from .expr import (
     sym,
     to_text,
 )
-from .fields import LieBasis, P4, VectorField, decompose
+from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
 from .jets import SPATIAL, SymmetryCheck, check_symmetry, hessian2, jet_indices
 from .normalize import (
     DEFAULT_SEED,
@@ -418,7 +418,7 @@ def verify_principal(n: int = 50, tol: float = 1e-8,
         span = LieBasis("solved", fields)
         for v in principal.fields:
             decompose(v, span)
-    except Exception:
+    except NotInSpanError:
         both_ways = False
 
     conditioned = determining_system(with_condition=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -162,6 +163,10 @@ def cmd_reduce(args) -> int:
         coeffs = [float(v) for v in args.coeffs.replace(";", ",").split(",")]
     except ValueError:
         print(f"error: could not read coefficients from {args.coeffs!r}",
+              file=sys.stderr)
+        return 2
+    if not all(math.isfinite(c) for c in coeffs):
+        print(f"error: coefficients must be finite numbers, got {args.coeffs!r}",
               file=sys.stderr)
         return 2
     trace = reduce_to_optimal(coeffs)

@@ -30,7 +30,7 @@ __all__ = [
     "ELEMENTARY", "ExprError", "EvalError", "EvalDomainError",
     "diff", "substitute", "substitute_opaque", "free_symbols",
     "opaque_names", "eval_numeric", "eval_with_scale", "OpaqueBinding",
-    "compile_evaluator", "to_text", "is_rational_const", "as_fraction_const",
+    "compile_evaluator", "to_text",
 ]
 
 
@@ -248,16 +248,6 @@ def opaque(fn: str, *args: Expr) -> Opaque:
 
 def deriv(target: Opaque, slots: Sequence[int]) -> Deriv:
     return Deriv(target, tuple(sorted(slots)))
-
-
-def is_rational_const(e: Expr) -> bool:
-    return isinstance(e, Num)
-
-
-def as_fraction_const(e: Expr) -> Fraction:
-    if not isinstance(e, Num):
-        raise ExprError(f"not a rational constant: {to_text(e)}")
-    return e.value
 
 
 # ---------------------------------------------------------------------------

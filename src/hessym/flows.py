@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -118,29 +119,35 @@ class AffineFlow:
 
     L: tuple[tuple[Fraction, ...], ...]
 
-    def matrix(self, t: float) -> np.ndarray:
-        """exp(t L): exact polynomial series when L is nilpotent, scipy's
-        matrix exponential otherwise."""
+    @cached_property
+    def _float_L(self) -> np.ndarray:
+        return np.array([[float(v) for v in row] for row in self.L])
+
+    @cached_property
+    def _series(self) -> tuple[np.ndarray, ...] | None:
+        """Float powers L^0 .. L^(k-1) when L^k = 0 (exactly), else None."""
         n = len(self.L)
         powers = [_frac_eye(n)]
-        nilpotent = False
         for _ in range(n):
             nxt = _frac_matmul(powers[-1], self.L)
             if all(all(v == 0 for v in row) for row in nxt):
-                nilpotent = True
-                break
+                return tuple(np.array([[float(v) for v in row] for row in P])
+                             for P in powers)
             powers.append(nxt)
-        if nilpotent:
-            out = np.zeros((n, n))
-            fact = 1
-            for k, P in enumerate(powers):
-                if k:
-                    fact *= k
-                out += (float(t) ** k / fact) * np.array(
-                    [[float(v) for v in row] for row in P])
-            return out
-        return scipy.linalg.expm(t * np.array(
-            [[float(v) for v in row] for row in self.L]))
+        return None
+
+    def matrix(self, t: float) -> np.ndarray:
+        """exp(t L): exact polynomial series when L is nilpotent, scipy's
+        matrix exponential otherwise.  Always a fresh array."""
+        if self._series is None:
+            return scipy.linalg.expm(t * self._float_L)
+        out = np.zeros((len(self.L),) * 2)
+        fact = 1
+        for k, P in enumerate(self._series):
+            if k:
+                fact *= k
+            out += (float(t) ** k / fact) * P
+        return out
 
     def spatial_preimage(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(B, c) with x_source = B @ x_target + c, from the inverse flow."""

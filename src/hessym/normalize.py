@@ -11,7 +11,11 @@ equal as rational functions in these atoms.
 The denominator is reduced against the numerator (common polynomial
 factors cancelled, content and sign normalized), which makes the form
 canonical: two expressions equal as rational functions in the atoms
-produce structurally identical trees.
+produce structurally identical trees.  The gcd needs no general
+algorithm in the common cases: a single-term numerator shares only a
+monomial with the denominator, and a denominator of total degree 1 is
+irreducible, so one trial division decides whether it cancels.  Only
+the remaining denominators go to sympy's gcd, imported on first use.
 
 Monomial order: generators sort by their printed text; monomials compare
 as sorted (generator, exponent) tuples.  This gives the deterministic
@@ -332,6 +336,47 @@ def _sympy_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     return from_sym(pn.exquo(g)), from_sym(pd.exquo(g))
 
 
+def _mono_gcd(monos: Sequence[Monomial]) -> Monomial:
+    """Greatest common monomial divisor."""
+    g = dict(monos[0])
+    for m in monos[1:]:
+        if not g:
+            break
+        md = dict(m)
+        g = {v: min(k, md[v]) for v, k in g.items() if v in md}
+    return tuple(sorted(g.items()))
+
+
+def _mono_div(m: Monomial, g: Monomial) -> Monomial:
+    gd = dict(g)
+    return tuple((v, k - gd.get(v, 0)) for v, k in m if k != gd.get(v, 0))
+
+
+def _mono_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Divide n and d by the largest monomial that divides all their terms."""
+    g = _mono_gcd([*d, *n])
+    if not g:
+        return n, d
+    return ({_mono_div(m, g): c for m, c in n.items()},
+            {_mono_div(m, g): c for m, c in d.items()})
+
+
+def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """Divide n and d (d not a monomial) by their gcd, up to a constant.
+
+    Two exact rules avoid a general gcd: the divisors of a single term are
+    monomials, so its gcd with d is a monomial gcd; and a polynomial of
+    total degree 1 is irreducible, so its gcd with n is d or 1, which one
+    trial division decides.  Anything else falls back to sympy.
+    """
+    if len(n) == 1:
+        return _mono_cancel(n, d)
+    if max(sum(k for _, k in m) for m in d) == 1:
+        q = _poly_div(n, d)
+        return (n, d) if q is None else (q, dict(_PONE))
+    return _sympy_cancel(n, d)
+
+
 def _reduce(n: Poly, d: Poly) -> Frac:
     if not n:
         return {}, dict(_PONE)
@@ -339,21 +384,10 @@ def _reduce(n: Poly, d: Poly) -> Frac:
         c = d[_ONE_M]
         return (n if c == 1 else _pscale(n, _F1 / c)), dict(_PONE)
     if len(d) == 1:
+        n, d = _mono_cancel(n, d)
         [(dm, dc)] = d.items()
-        n = _pscale(n, _F1 / dc)
-        keep: list[tuple[str, int]] = []
-        for g, k in dm:
-            low = min(dict(m).get(g, 0) for m in n)
-            t = min(k, low)
-            if t:
-                n = {tuple((gg, kk - t) if gg == g else (gg, kk) for gg, kk in m if not (gg == g and kk == t)): c
-                     for m, c in n.items()}
-            if k - t:
-                keep.append((g, k - t))
-        if not keep:
-            return n, dict(_PONE)
-        return n, {tuple(keep): _F1}
-    n, d = _sympy_cancel(n, d)
+        return _pscale(n, _F1 / dc), ({dm: _F1} if dm else dict(_PONE))
+    n, d = _cancel(n, d)
     if len(d) == 1:
         return _reduce(n, d)  # gcd exposed a monomial denominator
     scale = _content_and_sign(d)

@@ -108,6 +108,15 @@ def test_reduce_garbage_errors(capsys):
     assert "could not read" in err
 
 
+@pytest.mark.parametrize("coeffs", ["nan,1,1,1,1,1,1,1", "1,1,1,1,1,1,inf,1",
+                                    "1,1,1,1,1,1,1,-inf"])
+def test_reduce_non_finite_errors(capsys, coeffs):
+    code, out, err = run(capsys, "reduce", coeffs)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # check-symmetry
 
@@ -123,6 +132,18 @@ def test_check_symmetry_principal_on_zero_rhs(capsys):
     code, out, _ = run(capsys, "check-symmetry", "--f", "0",
                        "--vf", "0;0;0;x", "--points", "30")
     assert code == 0
+
+
+@pytest.mark.parametrize("f,field", [("sqrt(x)", "0;0;0;1"),
+                                     ("ln(y)", "1;0;0;0")])
+def test_check_symmetry_restricted_domain_rhs(capsys, f, field):
+    # points where f is undefined are redrawn, not reported as an error
+    code, out, _ = run(capsys, "check-symmetry", "--f", f, "--vf", field,
+                       "--points", "30", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "pass"
+    assert obj["n_points"] == 30
 
 
 def test_check_symmetry_fail_reports_witness(capsys):

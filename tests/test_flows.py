@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hessym.classify import s2_of
 from hessym.expr import ExprError, OpaqueBinding, ZERO, compile_evaluator, num, sub
@@ -120,6 +121,52 @@ def test_matrix_at_zero_is_identity():
     for cid in (1, 8):
         M = flow_of(case_by_id(cid).field({"a1": Fraction(1)} if cid == 8 else None)).matrix(0.0)
         assert np.max(np.abs(M - np.eye(5))) < 1e-15
+
+
+def _reference_matrix(L, t):
+    """exp(t L) recomputed on every call, nothing cached: the Fraction power
+    series while it terminates within five terms, scipy's expm otherwise."""
+    n = len(L)
+    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    terms = []
+    for _ in range(n):
+        terms.append(P)
+        P = [[sum((P[i][k] * L[k][j] for k in range(n)), Fraction(0))
+              for j in range(n)] for i in range(n)]
+        if not any(any(row) for row in P):
+            out = np.zeros((n, n))
+            for k, T in enumerate(terms):
+                out += (float(t) ** k / math.factorial(k)) * np.array(T, dtype=float)
+            return out
+    return scipy.linalg.expm(t * np.array(L, dtype=float))
+
+
+def _case_flows():
+    for case in flow_cases():
+        values = {p: Fraction(3, 2) for p in case.params}
+        for sign in ((1, -1) if case.sign_param else (1,)):
+            if case.sign_param:
+                values[case.sign_param] = Fraction(sign)
+            yield case.case_id, flow_of(case.field(values))
+
+
+@pytest.mark.parametrize("t", [-1.5, 0.0, 0.7])
+def test_matrix_matches_uncached_route(t):
+    seen = set()
+    for cid, flw in _case_flows():
+        seen.add(cid)
+        for _ in range(2):  # the second call reads the cached powers
+            assert np.array_equal(flw.matrix(t), _reference_matrix(flw.L, t)), cid
+    assert seen == set(CASE_IDS)
+
+
+@pytest.mark.parametrize("cid", [2, 14])  # nilpotent series, expm
+def test_matrix_returns_a_fresh_array(cid):
+    flw = flow_of(case_by_id(cid).field())
+    M = flw.matrix(0.7)
+    M[:] = 99.0
+    assert np.array_equal(flw.matrix(0.7), _reference_matrix(flw.L, 0.7))
+    assert flw.matrix(0.7) is not flw.matrix(0.7)
 
 
 def test_spatial_preimage_inverts_the_flow():

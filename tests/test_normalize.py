@@ -1,10 +1,17 @@
 """Canonical forms and the three-way zero test."""
 
+import importlib
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessym
 from hessym.expr import (
     ZERO, OpaqueBinding, add, mul, num, pow_, sub, sym, to_text,
 )
@@ -15,6 +22,9 @@ from hessym.normalize import (
 from hessym.parse import parse
 
 from _gen import random_expr
+
+# the module, not the function that the package re-exports under its name
+nz = importlib.import_module("hessym.normalize")
 
 
 class TestNormalize:
@@ -71,6 +81,104 @@ class TestNormalize:
         assert p == {(): -3, (("x", 1), ("y", 1)): 2}
         with pytest.raises(NormalizeError):
             as_polynomial(parse("1/(x + y)"))
+
+
+GENS = ("a", "b", "c", "u_xx", "u_zz")
+
+
+def _coeff(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _monomial(rng, max_deg=2):
+    exps = {g: rng.randint(0, max_deg) for g in rng.sample(GENS, 2)}
+    return tuple(sorted((g, k) for g, k in exps.items() if k))
+
+
+def _poly(rng, terms):
+    out = {}
+    while len(out) < terms:
+        out[_monomial(rng)] = _coeff(rng)
+    return out
+
+
+def _linear(rng, offset):
+    d = {((g, 1),): _coeff(rng) for g in rng.sample(GENS, rng.randint(1, 3))}
+    if offset or len(d) == 1:
+        d[()] = _coeff(rng)
+    return d
+
+
+def _scaled(f):
+    """(n, d) divided by the content and sign of d: the pair up to the
+    constant that a gcd leaves free."""
+    n, d = f
+    s = nz._content_and_sign(d)
+    return nz._pscale(n, 1 / s), nz._pscale(d, 1 / s)
+
+
+class TestCancel:
+    """The exact cancellation rules against sympy's gcd."""
+
+    def _agree(self, n, d):
+        got = nz._cancel(n, d)
+        assert _scaled(got) == _scaled(nz._sympy_cancel(n, d))
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_denominator_divisible(self, seed):
+        rng = random.Random(9100 + seed)
+        for _ in range(20):
+            d = _linear(rng, offset=rng.random() < 0.5)
+            n = nz._pmul(d, _poly(rng, rng.randint(1, 4)))
+            _, one = self._agree(n, d)
+            assert one == {(): 1}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_linear_denominator_not_divisible(self, seed):
+        rng = random.Random(9200 + seed)
+        for _ in range(20):
+            d = _linear(rng, offset=rng.random() < 0.5)
+            n = nz._padd(nz._pmul(d, _poly(rng, 2)), _poly(rng, rng.randint(2, 3)))
+            if len(n) < 2:
+                continue
+            self._agree(n, d)
+
+    def test_negative_leading_coefficient(self):
+        d = {(("a", 1),): Fraction(-2), (("b", 1),): Fraction(3)}
+        n = nz._pmul(d, {(("c", 2),): Fraction(5), (): Fraction(-1)})
+        assert self._agree(n, d)[1] == {(): 1}
+        self._agree({(("c", 1),): Fraction(1), (): Fraction(1)}, d)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_monomial_numerator(self, seed):
+        rng = random.Random(9300 + seed)
+        for _ in range(20):
+            content = _monomial(rng)
+            d = nz._pmul({content: Fraction(1)}, _poly(rng, rng.randint(2, 4)))
+            if len(d) < 2:
+                continue
+            self._agree({_monomial(rng, 3): _coeff(rng)}, d)
+
+    def test_constant_numerator_keeps_denominator(self):
+        d = {(("a", 2),): Fraction(1), (("b", 2),): Fraction(1)}
+        assert self._agree({(): Fraction(3)}, d) == ({(): Fraction(3)}, d)
+
+
+def test_suites_with_coprime_denominators_never_import_sympy():
+    # the determining residuals have the linear pivot u_xx + u_zz as
+    # denominator; equivalence and invariants cancel only monomials
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import os, sys\n"
+            "from hessym.cli import main\n"
+            "for suite in ('determining', 'equivalence', 'invariants'):\n"
+            "    assert main(['verify', suite, '--out', os.devnull]) == 0\n"
+            "print('sympy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestRoundTrip:
