@@ -390,11 +390,15 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
 @dataclass(frozen=True)
 class PrincipalCheck:
     dimension: int
-    matches_principal: bool
     family_dimension: int
     symmetry_max_residual: float
     n_points: int
     tol: float
+    span_mismatch: str | None = None  # why the spans differ, when they do
+
+    @property
+    def matches_principal(self) -> bool:
+        return self.span_mismatch is None
 
     @property
     def passed(self) -> bool:
@@ -411,15 +415,15 @@ def verify_principal(n: int = 50, tol: float = 1e-8,
     unconditioned = determining_system(with_condition=False)
     fields = unconditioned.fields()
     principal = principal_basis()
-    both_ways = True
+    span_mismatch = None
     try:
         for v in fields:
             decompose(v, principal)
         span = LieBasis("solved", fields)
         for v in principal.fields:
             decompose(v, span)
-    except NotInSpanError:
-        both_ways = False
+    except NotInSpanError as exc:
+        span_mismatch = f"{exc}: {v} leaves residual {exc.residual}"
 
     conditioned = determining_system(with_condition=True)
 
@@ -430,5 +434,5 @@ def verify_principal(n: int = 50, tol: float = 1e-8,
         chk = check_symmetry(v, generic_f, n=n, tol=tol, seed=seed)
         worst = max(worst, chk.max_residual)
         total += chk.n_points
-    return PrincipalCheck(unconditioned.dim, both_ways, conditioned.dim,
-                          worst, total, tol)
+    return PrincipalCheck(unconditioned.dim, conditioned.dim, worst, total,
+                          tol, span_mismatch)

@@ -697,12 +697,36 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
 # ---------------------------------------------------------------------------
 # compiled evaluation (same semantics as eval_numeric, much faster in loops)
 
+def _guarded_ln(a: float) -> float:
+    if not a > 0.0:
+        raise EvalDomainError(f"ln of non-positive value {a!r}")
+    return math.log(a)
+
+
+def _guarded_sqrt(a: float) -> float:
+    if not a >= 0.0:
+        raise EvalDomainError(f"sqrt of negative value {a!r}")
+    return math.sqrt(a)
+
+
+def _guarded_pow(b: float, x: float) -> float:
+    """b**x for an exponent that is not an integer constant: never complex."""
+    if not b >= 0.0:
+        raise EvalDomainError(f"negative base {b!r} with non-integer exponent")
+    if b == 0.0 and x <= 0.0:
+        raise EvalDomainError("0 raised to a non-positive power")
+    return b ** x
+
+
 def compile_evaluator(e: Expr, var_order: Sequence[str],
                       bindings: Mapping[str, OpaqueBinding] | None = None) -> Callable[..., float]:
     """Compile to a Python callable taking floats in ``var_order`` order.
 
     Used for sampling loops (hundreds of points on large residuals); the
-    recursive evaluator stays the reference semantics.
+    recursive evaluator stays the reference semantics.  ln, sqrt and powers
+    with a non-integer exponent raise EvalDomainError where the reference
+    does, so a result is never complex; integer powers and the other calls
+    stay inline.
     """
     b = bindings or {}
     names = {v: f"_v{i}" for i, v in enumerate(var_order)}
@@ -722,10 +746,11 @@ def compile_evaluator(e: Expr, var_order: Sequence[str],
         if isinstance(n, Mul):
             return "(" + "*".join(emit(f) for f in n.factors) + ")"
         if isinstance(n, Pow):
-            return "(" + emit(n.base) + "**" + emit(n.exponent) + ")"
+            if isinstance(n.exponent, Num) and _is_int(n.exponent.value):
+                return "(" + emit(n.base) + "**" + emit(n.exponent) + ")"
+            return f"_pow({emit(n.base)},{emit(n.exponent)})"
         if isinstance(n, Call):
-            fn = {"ln": "_log"}.get(n.fn, "_" + n.fn)
-            return f"{fn}({emit(n.arg)})"
+            return f"_{n.fn}({emit(n.arg)})"
         if isinstance(n, (Opaque, Deriv)):
             target = n.target if isinstance(n, Deriv) else n
             if target.fn not in b:
@@ -739,8 +764,9 @@ def compile_evaluator(e: Expr, var_order: Sequence[str],
 
     body = emit(e)
     glob = {
-        "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos,
-        "_tan": math.tan, "_atan": math.atan, "_sqrt": math.sqrt,
+        "_exp": math.exp, "_ln": _guarded_ln, "_sin": math.sin, "_cos": math.cos,
+        "_tan": math.tan, "_atan": math.atan, "_sqrt": _guarded_sqrt,
+        "_pow": _guarded_pow,
     }
     for i, f in enumerate(fns):
         glob[f"_f{i}"] = f

@@ -491,18 +491,19 @@ def adjoint(table: StructureTable, i: int, eps_name: str = "eps",
 
     Computed from the Lie series sum_m (-eps)^m/m! ad_i^m; each entry's
     exact coefficient sequence is classified as terminating, geometric or
-    sin/cos.  Invariants (identity at eps=0, inverse at -eps) are cheap to
-    check numerically via eval_at.
+    sin/cos.  The powers of -ad_i are exact Fraction products taken over
+    the nonzeros of each row only (an ad matrix is very sparse).
+    Invariants (identity at eps=0, inverse at -eps) are cheap to check
+    numerically via eval_at.
     """
     n = table.dim
-    ad = table.ad_matrix(i)
-    neg_ad = [[-ad[r][c] for c in range(n)] for r in range(n)]
+    neg_ad = [[(t, -v) for t, v in enumerate(row) if v] for row in table.ad_matrix(i)]
     powers: list[list[list[Fraction]]] = [[[Fraction(int(r == c)) for c in range(n)]
                                            for r in range(n)]]
     for _ in range(window):
         prev = powers[-1]
-        powers.append([[sum((neg_ad[r][t] * prev[t][c] for t in range(n)), Fraction(0))
-                        for c in range(n)] for r in range(n)])
+        powers.append([[sum((v * prev[t][c] for t, v in row), Fraction(0))
+                        for c in range(n)] for row in neg_ad])
     eps = sym(eps_name)
     entries = tuple(
         tuple(_closed_form([powers[m][k][j] for m in range(window + 1)], eps)

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .catalog import principal_basis, row_by_id
 from .expr import (
@@ -140,6 +139,8 @@ class AffineFlow:
         """exp(t L): exact polynomial series when L is nilpotent, scipy's
         matrix exponential otherwise.  Always a fresh array."""
         if self._series is None:
+            import scipy.linalg  # only non-nilpotent flows need it
+
             return scipy.linalg.expm(t * self._float_L)
         out = np.zeros((len(self.L),) * 2)
         fact = 1

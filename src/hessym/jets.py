@@ -215,7 +215,7 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
             continue
         try:
             fv = f_at(pt["x"], pt["y"], pt["z"])
-        except (ArithmeticError, EvalDomainError, ValueError):
+        except (ArithmeticError, EvalDomainError):
             continue  # f undefined here (sqrt, ln): draw another point
         pt["u_yy"] = (fv - pt["u_xx"] * pt["u_zz"] + pt["u_xy"] ** 2
                       + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])

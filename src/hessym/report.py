@@ -258,7 +258,8 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
         f"generic right-hand side leaves a {pr.dimension}-dimensional span "
         f"matching the principal algebra; conditioned family has dimension "
         f"{pr.family_dimension}; worst on-variety residual "
-        f"{pr.symmetry_max_residual:.2e} over {pr.n_points} points",
+        f"{pr.symmetry_max_residual:.2e} over {pr.n_points} points"
+        + (f"; span mismatch: {pr.span_mismatch}" if pr.span_mismatch else ""),
         "principal-algebra"))
     return SuiteReport("determining", seed, tuple(records))
 

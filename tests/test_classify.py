@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from hessym import classify
 from hessym.catalog import classification_rows, row_by_id
 from hessym.classify import (
     H_INSTANCES,
@@ -20,9 +21,11 @@ from hessym.classify import (
     verify_row,
 )
 from hessym.expr import free_symbols, num, substitute
+from hessym.fields import E4, LieBasis, vf
 from hessym.jets import check_symmetry
 from hessym.normalize import NonZero, NumericallyZero, ProvedZero, is_zero
 from hessym.parse import parse
+from hessym.report import run_suite
 
 ROWS_NEEDING_NUMERIC_ANSATZ = {"A7", "A9b"}
 ROWS_NEEDING_LIFTED_V5 = {"A11b", "A12b"}
@@ -165,3 +168,20 @@ def test_principal_algebra():
     assert p.matches_principal
     assert p.family_dimension == 12
     assert p.symmetry_max_residual <= p.tol
+    assert p.span_mismatch is None
+
+
+def test_principal_span_mismatch_is_recorded(monkeypatch):
+    # a tampered principal basis (z*d_u replaced by x^2*d_u) fails the span
+    # check, and the record says which field fell outside which span
+    tampered = LieBasis("principal", (vf(E4, u="1"), vf(E4, u="x"),
+                                      vf(E4, u="y"), vf(E4, u="x^2")))
+    monkeypatch.setattr(classify, "principal_basis", lambda: tampered)
+    p = verify_principal(n=5)
+    assert not p.matches_principal and not p.passed
+    assert p.span_mismatch == ("field is not in the span of basis 'principal': "
+                               "(z)*d_u leaves residual (z)*d_u")
+    rec = next(r for r in run_suite("determining").records
+               if r.check_id == "principal-span")
+    assert rec.status == "fail"
+    assert rec.details.endswith("; span mismatch: " + p.span_mismatch)

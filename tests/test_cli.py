@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hessym
 from hessym.cli import main
 
 
@@ -135,7 +140,8 @@ def test_check_symmetry_principal_on_zero_rhs(capsys):
 
 
 @pytest.mark.parametrize("f,field", [("sqrt(x)", "0;0;0;1"),
-                                     ("ln(y)", "1;0;0;0")])
+                                     ("ln(y)", "1;0;0;0"),
+                                     ("x^(1/2)", "0;0;0;1")])
 def test_check_symmetry_restricted_domain_rhs(capsys, f, field):
     # points where f is undefined are redrawn, not reported as an error
     code, out, _ = run(capsys, "check-symmetry", "--f", f, "--vf", field,
@@ -144,6 +150,15 @@ def test_check_symmetry_restricted_domain_rhs(capsys, f, field):
     obj = json.loads(out)
     assert obj["verdict"] == "pass"
     assert obj["n_points"] == 30
+
+
+def test_check_symmetry_complex_valued_field_exits_2(capsys):
+    # the residual of y^(1/2)*d_x has no real value at y < 0
+    code, out, err = run(capsys, "check-symmetry", "--f", "x^(1/2)",
+                         "--vf", "y^(1/2);0;0;0", "--points", "30")
+    assert code == 2
+    assert out == ""
+    assert "negative base" in err
 
 
 def test_check_symmetry_fail_reports_witness(capsys):
@@ -240,3 +255,32 @@ def test_invariants_all(capsys):
     code, out, _ = run(capsys, "invariants")
     assert code == 0
     assert "invariants[A3]" in out and "invariants[A1]" in out
+
+
+# ---------------------------------------------------------------------------
+# import cost
+
+def test_one_shot_commands_never_import_scipy():
+    # scipy serves only the adjoint suite's expm oracle and non-nilpotent
+    # flows; every other command runs in a process that never loads it
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import os, sys\n"
+            "import hessym\n"
+            "from hessym.cli import main\n"
+            "commands = [\n"
+            "    ['tables', 'g8'],\n"
+            "    ['reduce', '1,2,3,4,5,6,7,8'],\n"
+            "    ['check-symmetry', '--f', 'y^2 + z^2', '--vf', '1;0;0;0',\n"
+            "     '--points', '20'],\n"
+            "    ['invariants', 'A3'],\n"
+            "    ['transform', '--case', '2', '--t', '0.3', '--u', 'fixture:1,2,3'],\n"
+            "] + [['verify', s] for s in ('commutators', 'optimal', 'determining',\n"
+            "                             'equivalence', 'classification', 'invariants')]\n"
+            "for argv in commands:\n"
+            "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+            "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

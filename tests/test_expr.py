@@ -261,6 +261,56 @@ class TestEval:
                 got = fn(*[env[n] for n in names])
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("text,x,y", [("x^(1/2) + ln(y)", -1.0, 2.0),
+                                          ("x^(1/2) + ln(y)", 1.0, -2.0),
+                                          ("sqrt(x)", -0.5, 2.0),
+                                          ("ln(x)", 0.0, 2.0),
+                                          ("x^(-1/2)", 0.0, 2.0),
+                                          ("x^(3/2)", -4.0, 2.0),
+                                          ("x^y", -2.0, 2.0)])
+    def test_compiled_domain_errors_match_reference(self, text, x, y):
+        # ln of a non-positive value, sqrt of a negative one and a negative
+        # base under a non-integer power raise EvalDomainError on both
+        # routes; the compiled code never returns a complex value
+        e = parse(text)
+        with pytest.raises(EvalDomainError):
+            eval_numeric(e, {"x": x, "y": y})
+        with pytest.raises(EvalDomainError):
+            compile_evaluator(e, ["x", "y"])(x, y)
+
+    def test_compiled_restricted_calls_inside_their_domain(self):
+        fn = compile_evaluator(parse("x^(1/2) + sqrt(y) + ln(x) + x^(-3/2)"),
+                               ["x", "y"])
+        got = fn(4.0, 0.0)
+        assert isinstance(got, float)
+        assert got == pytest.approx(2.0 + math.log(4.0) + 0.125, rel=1e-15)
+        assert compile_evaluator(parse("x^(1/2)"), ["x"])(0.0) == 0.0
+
+    def test_compiled_matches_recursive_on_both_signs(self):
+        # points of either sign reach ln and sqrt of negative values: the
+        # compiled code raises where the reference does and is never complex
+        rng = random.Random(5000)
+        nrng = np.random.default_rng(6000)
+        H = OpaqueBinding.from_expr(("a", "b"), parse("a^2 + b^2 + 1"))
+        names = ["x", "y", "z", "u"]
+        raised = 0
+        for _ in range(1000):
+            e = random_expr(rng, 3)
+            fn = compile_evaluator(e, names, {"H": H})
+            for _ in range(3):
+                env = {n: float(nrng.uniform(-1.3, 1.3)) for n in names}
+                try:
+                    ref = eval_numeric(e, env, {"H": H})
+                except EvalDomainError:
+                    raised += 1
+                    with pytest.raises(EvalDomainError):
+                        fn(*[env[n] for n in names])
+                    continue
+                got = fn(*[env[n] for n in names])
+                assert not isinstance(got, complex)
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert raised > 0
+
     def test_float_constants_rejected(self):
         with pytest.raises(ExprError):
             num(0.5)  # type: ignore[arg-type]

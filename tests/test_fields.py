@@ -8,13 +8,13 @@ import pytest
 import scipy.linalg
 
 from hessym.catalog import (
-    Z_NAMES, classification_rows, equivalence_basis, lift_reduced,
-    principal_basis, reduced_basis,
+    V_NAMES, Y_NAMES, Z_NAMES, classification_rows, equivalence_basis,
+    lift_reduced, principal_basis, reduced_basis,
 )
 from hessym.expr import ExprError, num, sym
 from hessym.fields import (
-    E4, E5, P4, NotInSpanError, VectorField, adjoint, commutator, decompose,
-    format_combination, project, structure_table, vf,
+    E4, E5, P4, NotInSpanError, VectorField, _closed_form, adjoint, commutator,
+    decompose, format_combination, project, structure_table, vf,
 )
 from hessym.normalize import normalize
 from hessym.parse import parse
@@ -187,6 +187,28 @@ class TestAdjoint:
             lhs = M @ reduced_table.bracket_vector(a, b)
             rhs = reduced_table.bracket_vector(M @ a, M @ b)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("basis,names", [(reduced_basis, Z_NAMES),
+                                             (equivalence_basis, Y_NAMES),
+                                             (principal_basis, V_NAMES)],
+                             ids=["g8", "g12", "principal"])
+    def test_sparse_series_equals_dense_reference(self, basis, names):
+        # every generator of the three tables the CLI prints: the entries
+        # are identical Exprs to those of the dense Fraction Lie series
+        table = structure_table(basis(), names)
+        n, window = table.dim, 16
+        for i in range(n):
+            ad = table.ad_matrix(i)
+            P = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+            powers = [P]
+            for _ in range(window):
+                P = [[sum((-ad[r][t] * P[t][c] for t in range(n)), Fraction(0))
+                      for c in range(n)] for r in range(n)]
+                powers.append(P)
+            dense = tuple(tuple(_closed_form([powers[m][k][j] for m in range(window + 1)],
+                                             sym("eps"))
+                                for j in range(n)) for k in range(n))
+            assert adjoint(table, i, window=window).entries == dense, names[i]
 
     def test_scaling_direction_never_moves(self, reduced_table):
         # coefficients of Z7 and Z8 are invariant under every adjoint map

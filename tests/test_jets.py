@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hessym.expr import (
-    OpaqueBinding, ZERO, add, diff, eval_numeric, mul, neg, num, substitute,
+    EvalDomainError, OpaqueBinding, ZERO, add, diff, eval_numeric, mul, neg, num, substitute,
     sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
@@ -197,6 +197,12 @@ class TestCheckSymmetry:
     def test_rejects_unbound_parameters(self):
         with pytest.raises(Exception, match="parameters"):
             check_symmetry(vf(E4, x="g1", params=("g1",)), parse("y"), n=5)
+
+    def test_complex_valued_field_is_a_domain_error(self):
+        # y^(1/2) at a negative y has no real value: the residual raises
+        # instead of turning complex
+        with pytest.raises(EvalDomainError, match="negative base"):
+            check_symmetry(vf(E4, x="y^(1/2)"), parse("x^(1/2)"), n=20)
 
     def test_negative_control(self):
         # d/dx is not a symmetry when f depends on x
