@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,7 +87,9 @@ H_INSTANCES: tuple[tuple[str, str], ...] = (
 PARAM_VALUES: tuple[float, ...] = (1.0, -1.5)
 
 
+@lru_cache(maxsize=None)
 def _h_binding(body: str) -> OpaqueBinding:
+    """One binding per profile body, so that each derivative compiles once."""
     return OpaqueBinding.from_expr(("a", "b"), parse(body))
 
 

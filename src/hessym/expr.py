@@ -551,53 +551,64 @@ def opaque_names(e: Expr) -> frozenset[str]:
 # numeric evaluation
 
 class OpaqueBinding:
-    """Concrete evaluator for an opaque symbol and its formal derivatives."""
+    """Numeric evaluator for an opaque symbol and its formal derivatives.
 
-    def __init__(self, arity: int, fn: Callable[..., float],
+    Built either from callables (``fn`` for the value, ``derivs`` keyed by
+    sorted slot tuples) or, by ``from_expr``, from a closed-form body over
+    ``params``.  An expression binding differentiates its body and compiles
+    it with ``compile_evaluator`` (through ``inner`` for the profiles the
+    body itself applies) on the first use of each slot tuple, and keeps the
+    compiled function; ``fn`` is the slot tuple ().
+    """
+
+    def __init__(self, arity: int, fn: Callable[..., float] | None = None,
                  derivs: Mapping[tuple[int, ...], Callable[..., float]] | None = None):
         self.arity = arity
-        self.fn = fn
-        self._derivs = dict(derivs or {})
+        self._derivs: dict[tuple[int, ...], Callable[..., float]] = dict(derivs or {})
+        if fn is not None:
+            self._derivs[()] = fn
+        self.params: tuple[str, ...] = ()
+        self.bodies: dict[tuple[int, ...], Expr] = {}  # slots -> differentiated body
+        self.inner: dict[str, OpaqueBinding] = {}
 
     @classmethod
     def from_expr(cls, params: Sequence[str], body: Expr,
                   inner: Mapping[str, "OpaqueBinding"] | None = None) -> "OpaqueBinding":
-        """Build the evaluator family by differentiating a closed-form body."""
-        params = tuple(params)
-        inner = dict(inner or {})
-        cache: dict[tuple[int, ...], Expr] = {(): body}
-
-        def body_for(slots: tuple[int, ...]) -> Expr:
-            if slots not in cache:
-                parent = body_for(slots[:-1])
-                cache[slots] = _diff(parent, params[slots[-1] - 1])
-            return cache[slots]
-
-        b = cls(len(params), lambda *a: eval_numeric(body, dict(zip(params, a)), inner))
-        b._expr_params = params  # type: ignore[attr-defined]
-        b._expr_body_for = body_for  # type: ignore[attr-defined]
-        b._expr_inner = inner  # type: ignore[attr-defined]
+        """Evaluator family of a closed-form body, compiled on first use."""
+        b = cls(len(params))
+        b.params = tuple(params)
+        b.bodies[()] = body
+        b.inner = dict(inner or {})
         return b
+
+    @property
+    def fn(self) -> Callable[..., float]:
+        return self.deriv(())
+
+    def body_for(self, slots: tuple[int, ...]) -> Expr:
+        if slots not in self.bodies:
+            parent = self.body_for(slots[:-1])
+            self.bodies[slots] = _diff(parent, self.params[slots[-1] - 1])
+        return self.bodies[slots]
 
     def deriv(self, slots: tuple[int, ...]) -> Callable[..., float]:
         slots = tuple(sorted(slots))
         if slots in self._derivs:
             return self._derivs[slots]
-        body_for = getattr(self, "_expr_body_for", None)
-        if body_for is None:
+        if not self.bodies:
             raise EvalError(f"no derivative evaluator bound for slots {slots}")
-        params = self._expr_params  # type: ignore[attr-defined]
-        inner = self._expr_inner  # type: ignore[attr-defined]
-        body = body_for(slots)
-        fn = lambda *a: eval_numeric(body, dict(zip(params, a)), inner)  # noqa: E731
+        fn = compile_evaluator(self.body_for(slots), self.params, self.inner)
         self._derivs[slots] = fn
         return fn
+
+
+_NONFINITE = "evaluation overflowed or produced NaN"
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
                  bindings: Mapping[str, OpaqueBinding] | None = None) -> float:
     """Evaluate at a float assignment; raises EvalError family on problems."""
-    return _eval(e, env, bindings or {})[0]
+    return _eval_checked(e, env, bindings or {})[0]
 
 
 def eval_with_scale(e: Expr, env: Mapping[str, float],
@@ -607,12 +618,20 @@ def eval_with_scale(e: Expr, env: Mapping[str, float],
     The scale feeds relative-tolerance zero tests: massive cancellation shows
     up as |value| << scale.
     """
-    return _eval(e, env, bindings or {})
+    return _eval_checked(e, env, bindings or {})
+
+
+def _eval_checked(e: Expr, env: Mapping[str, float],
+                  b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
+    try:
+        return _eval(e, env, b)
+    except OverflowError as exc:  # a float power or an fsum past the range
+        raise EvalDomainError(_NONFINITE) from exc
 
 
 def _check(x: float) -> float:
     if math.isnan(x) or math.isinf(x):
-        raise EvalDomainError("evaluation overflowed or produced NaN")
+        raise EvalDomainError(_NONFINITE)
     return x
 
 
@@ -695,7 +714,13 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation (same semantics as eval_numeric, much faster in loops)
+# compiled evaluation (the semantics of eval_numeric, much faster in loops)
+
+def _guarded_exp(a: float) -> float:
+    if not a < 700.0:  # the reference's overflow guard; NaN fails it too
+        raise EvalDomainError(_NONFINITE)
+    return math.exp(a)
+
 
 def _guarded_ln(a: float) -> float:
     if not a > 0.0:
@@ -718,15 +743,41 @@ def _guarded_pow(b: float, x: float) -> float:
     return b ** x
 
 
-def compile_evaluator(e: Expr, var_order: Sequence[str],
-                      bindings: Mapping[str, OpaqueBinding] | None = None) -> Callable[..., float]:
+def _domain_error(exc: ArithmeticError | ValueError) -> EvalDomainError:
+    """What the reference raises where compiled arithmetic raised ``exc``:
+    0.0 ** -n, a float power past the range, a math call at inf."""
+    return EvalDomainError("division by zero" if isinstance(exc, ZeroDivisionError)
+                           else _NONFINITE)
+
+
+_COMPILED_GLOBALS = {
+    "_exp": _guarded_exp, "_ln": _guarded_ln, "_sin": math.sin, "_cos": math.cos,
+    "_tan": math.tan, "_atan": math.atan, "_sqrt": _guarded_sqrt,
+    "_pow": _guarded_pow, "_domain_error": _domain_error,
+    "_EvalDomainError": EvalDomainError, "_NONFINITE": _NONFINITE,
+    "_all": all, "_map": map, "_sum": sum, "_isfinite": math.isfinite,
+}
+
+
+def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
+                      bindings: Mapping[str, OpaqueBinding] | None = None,
+                      ) -> Callable[..., float] | Callable[..., tuple[float, ...]]:
     """Compile to a Python callable taking floats in ``var_order`` order.
 
     Used for sampling loops (hundreds of points on large residuals); the
-    recursive evaluator stays the reference semantics.  ln, sqrt and powers
-    with a non-integer exponent raise EvalDomainError where the reference
-    does, so a result is never complex; integer powers and the other calls
-    stay inline.
+    recursive evaluator stays the reference semantics and the test oracle.
+    A tuple of expressions compiles to one callable returning the tuple of
+    their values, each emitted exactly as it would be on its own.
+
+    Domain errors and overflow raise EvalDomainError where the reference
+    does: ln, sqrt and non-integer powers are guarded, exp keeps the
+    reference's guard at 700, ``0.0 ** -n``, a power past the float range
+    and sin/cos/tan of inf are mapped to EvalDomainError, and a non-finite
+    result is rejected, so a result is never complex, inf or NaN.  An inf
+    that a later operation makes finite again (``1/(x*y)`` at x = y =
+    1e200) is not seen, where the reference checks every node.  Sums use
+    ``+`` where the reference uses ``math.fsum``, so the two agree to
+    rounding, not to the bit.
     """
     b = bindings or {}
     names = {v: f"_v{i}" for i, v in enumerate(var_order)}
@@ -762,15 +813,25 @@ def compile_evaluator(e: Expr, var_order: Sequence[str],
             return f"_f{len(fns) - 1}({args})"
         raise ExprError(f"unknown node {n!r}")
 
-    body = emit(e)
-    glob = {
-        "_exp": math.exp, "_ln": _guarded_ln, "_sin": math.sin, "_cos": math.cos,
-        "_tan": math.tan, "_atan": math.atan, "_sqrt": _guarded_sqrt,
-        "_pow": _guarded_pow,
-    }
+    if isinstance(e, Expr):
+        # x - x is 0 for a finite x and NaN, which is truthy, for inf and NaN
+        body, nonfinite = emit(e), "_r - _r"
+    else:
+        body = "(" + "".join(emit(x) + "," for x in e) + ")"
+        # a finite sum has finite terms; only an inf or NaN sum (or an
+        # overflowing one) needs the entry-by-entry test
+        nonfinite = "not _isfinite(_sum(_r)) and not _all(_map(_isfinite, _r))"
+    glob = dict(_COMPILED_GLOBALS)
     for i, f in enumerate(fns):
         glob[f"_f{i}"] = f
-    src = f"def _compiled({', '.join(names[v] for v in var_order)}):\n    return {body}\n"
+    src = (f"def _compiled({', '.join(names[v] for v in var_order)}):\n"
+           f"    try:\n"
+           f"        _r = {body}\n"
+           f"    except (OverflowError, ZeroDivisionError, ValueError) as exc:\n"
+           f"        raise _domain_error(exc) from exc\n"
+           f"    if {nonfinite}:\n"
+           f"        raise _EvalDomainError(_NONFINITE)\n"
+           f"    return _r\n")
     ns: dict = {}
     exec(compile(src, "<expr>", "exec"), glob, ns)  # noqa: S102 - generated from our own AST
     return ns["_compiled"]

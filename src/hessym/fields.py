@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -379,21 +380,14 @@ class AdjointMatrix:
     eps_name: str = "eps"
 
     def eval_at(self, eps: float) -> np.ndarray:
-        fns = self._compiled()
         n = len(self.names)
-        out = np.empty((n, n))
-        for k in range(n):
-            for j in range(n):
-                out[k, j] = fns[k][j](eps)
-        return out
+        return np.array(self._compiled(eps), dtype=float).reshape(n, n)
 
+    @cached_property
     def _compiled(self):
-        cache = getattr(self, "_fn_cache", None)
-        if cache is None:
-            cache = [[compile_evaluator(e, [self.eps_name]) for e in row]
-                     for row in self.entries]
-            object.__setattr__(self, "_fn_cache", cache)
-        return cache
+        """All n*n entries, row by row, as one compiled function of eps."""
+        return compile_evaluator(tuple(e for row in self.entries for e in row),
+                                 [self.eps_name])
 
     def column(self, j: int) -> tuple[Expr, ...]:
         return tuple(self.entries[k][j] for k in range(len(self.names)))

@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -341,7 +341,9 @@ class CaseCheck:
                 and self.field_consistent)
 
 
+@lru_cache(maxsize=None)
 def _bindings() -> dict[str, OpaqueBinding]:
+    """The W profile, shared so that its compiled evaluators are built once."""
     return {"W": OpaqueBinding.from_expr(("a", "b", "c"), parse(W_BODY))}
 
 

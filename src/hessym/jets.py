@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
@@ -43,6 +44,7 @@ class JetOrderError(ExprError):
     pass
 
 
+@lru_cache(maxsize=None)
 def jet_indices(order: int) -> tuple[str, ...]:
     """Sorted index strings of a given order: ('xx','xy','xz','yy','yz','zz')."""
     if order == 0:
@@ -269,7 +271,7 @@ def check_symmetry(v: VectorField, f_expr: Expr,
 
     var_order = ["x", "y", "z", "u"] + [f"u_{idx}" for idx in jet_indices(1) + jet_indices(2)]
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
-    fns = [compile_evaluator(p, var_order, {"f": binding}) for p in pieces]
+    pieces_at = compile_evaluator(tuple(pieces), var_order, {"f": binding})
 
     rng = rng or random.Random(seed)
     worst = 0.0
@@ -277,7 +279,7 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     for _ in range(n):
         pt = sample_on_variety(rng, binding.fn)
         args = [pt[name] for name in var_order]
-        vals = [fn(*args) for fn in fns]
+        vals = pieces_at(*args)
         resid = abs(math.fsum(vals))
         scale = max((abs(x) for x in vals), default=0.0)
         rel = resid / (1.0 + scale)

@@ -44,7 +44,11 @@ def arccot(x: float) -> float:
 def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> np.ndarray:
     """Action of Ad(exp(eps*Z_gen)) on coefficient vectors, transcribed
     entry by entry from the printed adjoint table (1-based gen)."""
-    a1, a2, a3, a4, a5, a6, a7, a8 = (float(v) for v in a)
+    return np.array(_published_adjoint(gen, tuple(float(v) for v in a), eps))
+
+
+def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[float, ...]:
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
     c, s = math.cos(eps), math.sin(eps)
     if gen == 1:
         out = (a1 - eps * a8, a2 + eps * a5, a3 + eps * a4, a4, a5, a6, a7, a8)
@@ -68,7 +72,7 @@ def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> np.nda
         out = (a1 * e, a2 * e, a3 * e, a4, a5, a6, a7, a8)
     else:
         raise ReductionError(f"no generator Z{gen}")
-    return np.array(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,16 @@ class ReductionStep:
     note: str
 
     def apply_published(self, a: np.ndarray) -> np.ndarray:
+        return np.array(self.apply(tuple(float(v) for v in a)))
+
+    def apply(self, a: tuple[float, ...]) -> tuple[float, ...]:
+        """``apply_published`` on a tuple of floats (the reduction loop)."""
         if self.kind == "adjoint":
-            return published_adjoint_vector(self.generator, a, self.value)
+            return _published_adjoint(self.generator, a, self.value)
         if self.kind == "scale":
-            return a * self.value
+            return tuple(v * self.value for v in a)
         if self.kind == "reflect":
-            return -a
+            return tuple(-v for v in a)
         raise ReductionError(f"unknown step kind {self.kind!r}")
 
 
@@ -116,8 +124,8 @@ def _fmt_vec(a) -> str:
 
 def classify_vector(a: Sequence[float], tol: float = 1e-9) -> tuple[str, int | None, dict]:
     """Match a reduced vector against the normal-form patterns."""
-    a = np.asarray(a, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))))
+    a = tuple(float(v) for v in a)
+    scale = max(1.0, *map(abs, a))
     for pid, spec in OPTIMAL_PATTERNS.items():
         sign: int | None = None
         params: dict[str, float] = {}
@@ -153,11 +161,14 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     scaling.  Both coefficients vanishing is outside the classified region
     and raises ReductionError.
     """
-    a0 = np.asarray(a, dtype=float)
-    if a0.shape != (8,):
+    arr = np.asarray(a, dtype=float)
+    if arr.shape != (8,):
         raise ReductionError("expected 8 coefficients over Z1..Z8")
-    a = a0.copy()
-    norm = float(np.max(np.abs(a)))
+    a0 = tuple(arr.tolist())  # plain floats: the loop below is scalar work
+    a = a0
+    if not all(map(math.isfinite, a)):
+        raise ReductionError("coefficients must be finite numbers")
+    norm = max(map(abs, a))
     if norm == 0.0:
         raise ReductionError("the zero element spans no subalgebra")
     cut = tol * norm
@@ -166,7 +177,7 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     def emit(kind: str, gen: int | None, value: float, note: str) -> None:
         nonlocal a
         st = ReductionStep(kind, gen, value, note)
-        a = st.apply_published(a)
+        a = st.apply(a)
         steps.append(st)
 
     def adj(gen: int, eps: float, note: str) -> None:
@@ -234,8 +245,7 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
                 adj(8, math.log(1.0 / abs(a[2])), "set |a3| = 1")
 
     pattern, sign, params = classify_vector(a, tol=max(tol, 1e-12) * 100)
-    return ReductionTrace(tuple(a0), tuple(steps), tuple(float(v) for v in a),
-                          pattern, sign, params)
+    return ReductionTrace(a0, tuple(steps), a, pattern, sign, params)
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,12 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
         "determining-system"))
 
     pr = verify_principal(seed=seed)
+    span = ("matching the principal algebra" if pr.matches_principal
+            else "that differs from the principal algebra")
     records.append(CheckRecord(
         "principal-span", _status(pr.passed), pr.symmetry_max_residual,
         f"generic right-hand side leaves a {pr.dimension}-dimensional span "
-        f"matching the principal algebra; conditioned family has dimension "
+        f"{span}; conditioned family has dimension "
         f"{pr.family_dimension}; worst on-variety residual "
         f"{pr.symmetry_max_residual:.2e} over {pr.n_points} points"
         + (f"; span mismatch: {pr.span_mismatch}" if pr.span_mismatch else ""),

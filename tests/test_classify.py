@@ -185,3 +185,5 @@ def test_principal_span_mismatch_is_recorded(monkeypatch):
                if r.check_id == "principal-span")
     assert rec.status == "fail"
     assert rec.details.endswith("; span mismatch: " + p.span_mismatch)
+    assert "matching the principal algebra" not in rec.details
+    assert "4-dimensional span that differs from the principal algebra" in rec.details

@@ -101,6 +101,54 @@ def test_reduce_json(capsys):
                for st in obj["steps"])
 
 
+# `reduce --format json` as recorded before the reduction loop moved from
+# numpy scalars to plain floats, one vector per branch of the tree: a8 != 0,
+# a8 = 0 with a5 != 0 (through a reflection, hence the -0.0), and a8 = a5 = 0
+# with a4 and a6 nonzero
+REDUCE_GOLDEN = {
+    "0.3,-1.2,0.5,0.7,0.1,-0.4,0.9,1.5":
+        '{"final":[-1.5853939104183669e-16,1.0,-9.743471988520454e-17,'
+        '-0.44199906868366556,-0.31300184762410843,0.0,0.6,1.0],'
+        '"input":[0.3,-1.2,0.5,0.7,0.1,-0.4,0.9,1.5],'
+        '"parameters":{"a":-0.44199906868366556,"b":-0.31300184762410843,"g":0.6},'
+        '"pattern":"A12","replay_deviation":0.0,"sign":1,"steps":['
+        '{"generator":null,"kind":"scale","note":"set a8 = 1","value":0.6666666666666666},'
+        '{"generator":1,"kind":"adjoint","note":"kill a1","value":0.19999999999999998},'
+        '{"generator":6,"kind":"adjoint","note":"kill a3","value":2.6446240487107397},'
+        '{"generator":4,"kind":"adjoint","note":"kill a6","value":-2.1218655759714715},'
+        '{"generator":8,"kind":"adjoint","note":"set |a2| = 1","value":0.11101652851509142}]}',
+    "1.1,-0.6,0.25,0.8,-1.7,0.4,-1.3,0":
+        '{"final":[5.541818665329771e-16,0.0,1.0,-0.6880209161537815,'
+        '1.3076923076923075,0.0,1.0,-0.0],'
+        '"input":[1.1,-0.6,0.25,0.8,-1.7,0.4,-1.3,0.0],'
+        '"parameters":{"a":-0.6880209161537815,"b":1.3076923076923075},'
+        '"pattern":"A10","replay_deviation":1.4420234035736994e-16,"sign":1,"steps":['
+        '{"generator":null,"kind":"reflect","note":"orient a7 > 0","value":-1.0},'
+        '{"generator":null,"kind":"scale","note":"set a7 = 1","value":0.7692307692307692},'
+        '{"generator":1,"kind":"adjoint","note":"kill a2","value":-0.3529411764705882},'
+        '{"generator":2,"kind":"adjoint","note":"kill a1","value":-0.6470588235294119},'
+        '{"generator":5,"kind":"adjoint","note":"kill a6","value":0.4636476090008061},'
+        '{"generator":8,"kind":"adjoint","note":"set |a3| = 1","value":1.496190031943108}]}',
+    "0.9,-0.35,1.4,-0.6,0,0.75,2.2,0":
+        '{"final":[1.0,0.0,0.0,-0.2727272727272727,0.0,0.3409090909090909,1.0,0.0],'
+        '"input":[0.9,-0.35,1.4,-0.6,0.0,0.75,2.2,0.0],'
+        '"parameters":{"a":-0.2727272727272727,"g":0.3409090909090909},'
+        '"pattern":"A8","replay_deviation":2.3875763970433477e-17,"sign":1,"steps":['
+        '{"generator":null,"kind":"scale","note":"set a7 = 1","value":0.45454545454545453},'
+        '{"generator":1,"kind":"adjoint","note":"kill a3","value":2.3333333333333335},'
+        '{"generator":3,"kind":"adjoint","note":"kill a2","value":-0.4666666666666667},'
+        '{"generator":8,"kind":"adjoint","note":"set |a1| = 1","value":1.26649316130727}]}',
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(REDUCE_GOLDEN))
+def test_reduce_json_matches_golden(capsys, coeffs):
+    # float reprs round-trip, so every value is compared to the bit
+    code, out, _ = run(capsys, "reduce", coeffs, "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), separators=(",", ":")) == REDUCE_GOLDEN[coeffs]
+
+
 def test_reduce_zero_vector_errors(capsys):
     code, _, err = run(capsys, "reduce", "0,0,0,0,0,0,0,0")
     assert code == 2

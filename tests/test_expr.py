@@ -267,16 +267,32 @@ class TestEval:
                                           ("ln(x)", 0.0, 2.0),
                                           ("x^(-1/2)", 0.0, 2.0),
                                           ("x^(3/2)", -4.0, 2.0),
-                                          ("x^y", -2.0, 2.0)])
+                                          ("x^y", -2.0, 2.0),
+                                          ("exp(x)", 800.0, 2.0),
+                                          ("exp(x)", 705.0, 2.0),
+                                          ("x*y", 1e200, 1e200),
+                                          ("1/x", 0.0, 2.0),
+                                          ("x^2", 1e200, 2.0),
+                                          ("sin(x*y)", 1e200, 1e200)])
     def test_compiled_domain_errors_match_reference(self, text, x, y):
-        # ln of a non-positive value, sqrt of a negative one and a negative
-        # base under a non-integer power raise EvalDomainError on both
-        # routes; the compiled code never returns a complex value
+        # ln of a non-positive value, sqrt of a negative one, a negative
+        # base under a non-integer power, exp past the guard at 700, 0^-1
+        # and overflow raise EvalDomainError on both routes; the compiled
+        # code never returns a complex, infinite or NaN value
         e = parse(text)
         with pytest.raises(EvalDomainError):
             eval_numeric(e, {"x": x, "y": y})
         with pytest.raises(EvalDomainError):
             compile_evaluator(e, ["x", "y"])(x, y)
+        with pytest.raises(EvalDomainError):
+            compile_evaluator((parse("x + y"), e), ["x", "y"])(x, y)
+
+    def test_compiled_tuple_is_each_entry_compiled_alone(self):
+        exprs = tuple(parse(t) for t in ("x + y/3", "exp(x)*sin(y)", "7", "x^(-2)"))
+        together = compile_evaluator(exprs, ["x", "y"])
+        for x, y in ((0.3, -1.7), (-2.5, 0.125)):
+            assert together(x, y) == tuple(compile_evaluator(e, ["x", "y"])(x, y)
+                                           for e in exprs)
 
     def test_compiled_restricted_calls_inside_their_domain(self):
         fn = compile_evaluator(parse("x^(1/2) + sqrt(y) + ln(x) + x^(-3/2)"),
@@ -311,9 +327,49 @@ class TestEval:
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
         assert raised > 0
 
+    def test_compiled_bindings_match_recursive(self):
+        # expression bindings over (a, b, c) compile their value and each
+        # derivative slot, through a nested profile H; the reference
+        # evaluates the differentiated bodies recursively, with H and its
+        # derivatives behind recursive evaluators as well
+        h_params, h_body = ("p", "q"), parse("p^2*q + sin(q) + 1")
+        H = OpaqueBinding.from_expr(h_params, h_body)
+        h_ref = OpaqueBinding(2, lambda p, q: eval_numeric(h_body, {"p": p, "q": q}), {
+            slots: (lambda d: lambda p, q: eval_numeric(d, {"p": p, "q": q}))(
+                _diff_slots(h_body, h_params, slots))
+            for slots in ((1,), (2,), (1, 1), (1, 2), (2, 2))})
+        rng = random.Random(7000)
+        nrng = np.random.default_rng(8000)
+        rename = {"x": sym("a"), "y": sym("b"), "z": sym("c"), "u": sym("a")}
+        params = ("a", "b", "c")
+        raised = compared = 0
+        for _ in range(500):
+            body = substitute(random_expr(rng, 3), rename)
+            W = OpaqueBinding.from_expr(params, body, inner={"H": H})
+            for slots in ((), (1,), (2,), (1, 2)):
+                ref_body = _diff_slots(body, params, slots)
+                for _ in range(2):
+                    pt = [float(v) for v in nrng.uniform(-1.3, 1.3, 3)]
+                    try:
+                        ref = eval_numeric(ref_body, dict(zip(params, pt)), {"H": h_ref})
+                    except EvalDomainError:
+                        raised += 1
+                        with pytest.raises(EvalDomainError):
+                            W.deriv(slots)(*pt)
+                        continue
+                    compared += 1
+                    assert W.deriv(slots)(*pt) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert raised > 0 and compared > 2000
+
     def test_float_constants_rejected(self):
         with pytest.raises(ExprError):
             num(0.5)  # type: ignore[arg-type]
+
+
+def _diff_slots(body, params, slots):
+    for s in slots:
+        body = diff(body, params[s - 1])
+    return body
 
 
 def test_free_symbols():

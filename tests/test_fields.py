@@ -11,7 +11,7 @@ from hessym.catalog import (
     V_NAMES, Y_NAMES, Z_NAMES, classification_rows, equivalence_basis,
     lift_reduced, principal_basis, reduced_basis,
 )
-from hessym.expr import ExprError, num, sym
+from hessym.expr import ExprError, compile_evaluator, num, sym
 from hessym.fields import (
     E4, E5, P4, NotInSpanError, VectorField, _closed_form, adjoint, commutator,
     decompose, format_combination, project, structure_table, vf,
@@ -177,6 +177,16 @@ class TestAdjoint:
         assert np.max(np.abs(ad.eval_at(0.0) - np.eye(8))) < 1e-14
         prod = ad.eval_at(0.6) @ ad.eval_at(-0.6)
         assert np.max(np.abs(prod - np.eye(8))) < 1e-12
+
+    @pytest.mark.parametrize("gen", range(1, 9))
+    def test_batched_eval_equals_entry_by_entry(self, reduced_table, gen):
+        # one compiled call for the whole matrix gives the same bits as
+        # compiling and evaluating each entry on its own
+        ad = adjoint(reduced_table, gen - 1)
+        for eps in (-1.3, 0.0, 0.4, 2.0):
+            want = np.array([[compile_evaluator(e, ["eps"])(eps) for e in row]
+                             for row in ad.entries])
+            assert np.array_equal(ad.eval_at(eps), want), eps
 
     def test_adjoint_is_a_bracket_automorphism(self, reduced_table):
         # Ad[a, b] = [Ad a, Ad b] for coefficient vectors
