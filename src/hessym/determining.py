@@ -28,7 +28,7 @@ from .expr import (
     Expr, ExprError, OpaqueBinding, ZERO, add, compile_evaluator, deriv,
     diff, free_symbols, mul, neg, num, opaque, substitute, sym,
 )
-from .fields import E4, E5, VectorField, vf
+from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
     SPATIAL, Prolongation, S2_JET_DERIVATIVES, invariance_residual,
     jet_indices, prolong2, sample_on_variety, solve_uyy, transport_term,
@@ -234,30 +234,14 @@ def free_symbols_of_poly(p) -> set[str]:
 
 
 def _nullspace(mat: list[list[Fraction]], n: int) -> list[tuple[Fraction, ...]]:
-    """Exact nullspace basis via Gauss-Jordan; free variables set to 1."""
-    m = [row[:] for row in mat]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Exact nullspace basis from the reduced rows; free variables set to 1."""
+    rows, pivots = rref(mat, n)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
         basis.append(tuple(vec))
     return basis
 

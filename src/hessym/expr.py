@@ -717,9 +717,21 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
 # compiled evaluation (the semantics of eval_numeric, much faster in loops)
 
 def _guarded_exp(a: float) -> float:
-    if not a < 700.0:  # the reference's overflow guard; NaN fails it too
+    # the reference's overflow guard at 700; an argument of -inf (exp would
+    # make it 0.0) or NaN fails it too
+    if not -math.inf < a < 700.0:
         raise EvalDomainError(_NONFINITE)
     return math.exp(a)
+
+
+def _guarded_atan(a: float) -> float:
+    if not -math.inf < a < math.inf:  # atan would make an inf finite
+        raise EvalDomainError(_NONFINITE)
+    return math.atan(a)
+
+
+def _nonfinite() -> float:
+    raise EvalDomainError(_NONFINITE)
 
 
 def _guarded_ln(a: float) -> float:
@@ -740,6 +752,8 @@ def _guarded_pow(b: float, x: float) -> float:
         raise EvalDomainError(f"negative base {b!r} with non-integer exponent")
     if b == 0.0 and x <= 0.0:
         raise EvalDomainError("0 raised to a non-positive power")
+    if b == math.inf or not -math.inf < x < math.inf:  # inf ** -x, b ** -inf
+        raise EvalDomainError(_NONFINITE)
     return b ** x
 
 
@@ -752,8 +766,8 @@ def _domain_error(exc: ArithmeticError | ValueError) -> EvalDomainError:
 
 _COMPILED_GLOBALS = {
     "_exp": _guarded_exp, "_ln": _guarded_ln, "_sin": math.sin, "_cos": math.cos,
-    "_tan": math.tan, "_atan": math.atan, "_sqrt": _guarded_sqrt,
-    "_pow": _guarded_pow, "_domain_error": _domain_error,
+    "_tan": math.tan, "_atan": _guarded_atan, "_sqrt": _guarded_sqrt,
+    "_pow": _guarded_pow, "_nonfinite": _nonfinite, "_domain_error": _domain_error,
     "_EvalDomainError": EvalDomainError, "_NONFINITE": _NONFINITE,
     "_all": all, "_map": map, "_sum": sum, "_isfinite": math.isfinite,
 }
@@ -773,11 +787,13 @@ def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
     does: ln, sqrt and non-integer powers are guarded, exp keeps the
     reference's guard at 700, ``0.0 ** -n``, a power past the float range
     and sin/cos/tan of inf are mapped to EvalDomainError, and a non-finite
-    result is rejected, so a result is never complex, inf or NaN.  An inf
-    that a later operation makes finite again (``1/(x*y)`` at x = y =
-    1e200) is not seen, where the reference checks every node.  Sums use
-    ``+`` where the reference uses ``math.fsum``, so the two agree to
-    rounding, not to the bit.
+    result is rejected, so a result is never complex, inf or NaN.  The
+    reference checks every node; the compiled code checks only the nodes
+    that would turn an intermediate inf into a finite value (the argument
+    of exp and atan, the base of a negative power), so ``1/(x*y)`` at
+    x = y = 1e200 raises on both routes.  Sums use ``+`` where the
+    reference uses ``math.fsum``, so the two agree to rounding, not to the
+    bit.
     """
     b = bindings or {}
     names = {v: f"_v{i}" for i, v in enumerate(var_order)}
@@ -798,7 +814,10 @@ def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
             return "(" + "*".join(emit(f) for f in n.factors) + ")"
         if isinstance(n, Pow):
             if isinstance(n.exponent, Num) and _is_int(n.exponent.value):
-                return "(" + emit(n.base) + "**" + emit(n.exponent) + ")"
+                base = emit(n.base)
+                if n.exponent.value < 0:  # inf ** -k is 0.0: reject the inf
+                    base = f"(_g if (_g := {base}) - _g == 0.0 else _nonfinite())"
+                return "(" + base + "**" + emit(n.exponent) + ")"
             return f"_pow({emit(n.base)},{emit(n.exponent)})"
         if isinstance(n, Call):
             return f"_{n.fn}({emit(n.arg)})"

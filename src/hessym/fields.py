@@ -1,10 +1,12 @@
 """Vector fields with polynomial coefficients and their Lie algebra.
 
-Provides commutators, exact decomposition in a basis, structure-constant
-tables and closed-form adjoint matrices Ad(exp(eps*B_i)) computed from the
-Lie series sum_m (-eps)^m/m! ad_i^m.  Everything is exact rational
-arithmetic; numeric evaluation of adjoint matrices compiles the detected
-closed forms.
+Provides commutators, exact decomposition in a basis (one exact
+Gauss-Jordan, ``rref``), structure-constant tables and closed-form adjoint
+matrices Ad(exp(eps*B_i)) computed from the Lie series
+sum_m (-eps)^m/m! ad_i^m.  The same closed-form exponential
+(``exp_closed_form``) gives the affine flows of ``flows``.  Everything is
+exact rational arithmetic; numeric evaluation compiles the detected closed
+forms.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .parse import parse
 __all__ = [
     "BaseSpace", "E4", "E5", "P4", "VectorField", "LieBasis",
     "StructureTable", "AdjointMatrix", "NotInSpanError", "vf",
-    "commutator", "decompose", "structure_table", "adjoint", "project",
-    "format_combination",
+    "commutator", "decompose", "structure_table", "adjoint", "exp_closed_form",
+    "project", "format_combination", "rref",
 ]
 
 
@@ -137,35 +139,44 @@ def _field_vector(v: VectorField) -> dict[_CoeffKey, Fraction]:
     return out
 
 
+def rref(rows: Sequence[Sequence[Fraction]],
+         ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact Gauss-Jordan elimination over the first ``ncols`` columns.
+
+    Returns the reduced rows, pivot rows first with each pivot scaled to 1
+    and cleared from every other row, and the pivot columns.  Columns past
+    ``ncols`` (an augmented right-hand side) are carried along unpivoted.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = pr = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+        pivots.append(c)
+    return m, pivots
+
+
 def _solve_exact(columns: Sequence[dict[_CoeffKey, Fraction]],
                  target: dict[_CoeffKey, Fraction]) -> tuple[Fraction, ...] | None:
     """Solve sum_j c_j * col_j = target exactly; None if inconsistent."""
     keys = sorted({k for col in columns for k in col} | set(target))
     n = len(columns)
-    rows = [[col.get(k, Fraction(0)) for col in columns] + [target.get(k, Fraction(0))]
-            for k in keys]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = Fraction(1) / pr[c]
-        rows[r] = pr = [x * inv for x in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None
+    rows, pivots = rref([[col.get(k, Fraction(0)) for col in columns]
+                         + [target.get(k, Fraction(0))] for k in keys], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None
     sol = [Fraction(0)] * n
-    for i, c in enumerate(pivot_cols):
-        sol[c] = rows[i][n]
+    for row, c in zip(rows, pivots):
+        sol[c] = row[n]
     return tuple(sol)
 
 
@@ -183,7 +194,7 @@ class LieBasis:
         cols = [_field_vector(f) for f in self.fields]
         keys = sorted({k for col in cols for k in col})
         mat = [[col.get(k, Fraction(0)) for col in cols] for k in keys]
-        if _rank(mat) != len(self.fields):
+        if len(rref(mat, len(cols))[1]) != len(self.fields):
             raise ExprError(f"basis {self.name!r} is linearly dependent")
 
     @property
@@ -193,26 +204,6 @@ class LieBasis:
     @property
     def dim(self) -> int:
         return len(self.fields)
-
-
-def _rank(mat: list[list[Fraction]]) -> int:
-    m = [row[:] for row in mat]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        inv = Fraction(1) / pr[c]
-        pr[:] = [x * inv for x in pr]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-    return rank
 
 
 def decompose(v: VectorField, basis: LieBasis) -> tuple[Fraction, ...]:
@@ -416,7 +407,7 @@ def _closed_form(seq: list[Fraction], eps: Expr) -> Expr:
     Detects terminating, geometric (e^{c*eps}) and second-order
     w'' = -c*w (sin/cos) patterns, allowing one off-pattern leading term.
     The window length is long enough that, combined with Cayley-Hamilton
-    for the ad matrix, agreement on the window is a proof.
+    for the matrix, agreement on the window is a proof.
     """
     L = len(seq) - 1
     last = max((m for m, s in enumerate(seq) if s != 0), default=-1)
@@ -479,31 +470,41 @@ def _div_frac(s: Fraction, omega: Expr) -> Expr:
     return div(num(s), omega)
 
 
-def adjoint(table: StructureTable, i: int, eps_name: str = "eps",
-            window: int = 16) -> AdjointMatrix:
-    """Closed-form matrix of Ad(exp(eps*B_i)) on basis coordinates.
+def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr,
+                    window: int = 16) -> tuple[tuple[Expr, ...], ...]:
+    """Closed-form entries of exp(eps*M) for an exact square matrix M.
 
-    Computed from the Lie series sum_m (-eps)^m/m! ad_i^m; each entry's
-    exact coefficient sequence is classified as terminating, geometric or
-    sin/cos.  The powers of -ad_i are exact Fraction products taken over
-    the nonzeros of each row only (an ad matrix is very sparse).
-    Invariants (identity at eps=0, inverse at -eps) are cheap to check
-    numerically via eval_at.
+    The powers M^0 .. M^window are exact Fraction products taken over the
+    nonzeros of each row of M only (ad and flow generators are very
+    sparse), and each entry's sequence sum_m M^m[k][j]/m! * eps^m is
+    classified by ``_closed_form`` as terminating, geometric or sin/cos.
     """
-    n = table.dim
-    neg_ad = [[(t, -v) for t, v in enumerate(row) if v] for row in table.ad_matrix(i)]
+    n = len(M)
+    sparse = [[(t, v) for t, v in enumerate(row) if v] for row in M]
     powers: list[list[list[Fraction]]] = [[[Fraction(int(r == c)) for c in range(n)]
                                            for r in range(n)]]
     for _ in range(window):
         prev = powers[-1]
         powers.append([[sum((v * prev[t][c] for t, v in row), Fraction(0))
-                        for c in range(n)] for row in neg_ad])
-    eps = sym(eps_name)
-    entries = tuple(
+                        for c in range(n)] for row in sparse])
+    return tuple(
         tuple(_closed_form([powers[m][k][j] for m in range(window + 1)], eps)
               for j in range(n))
         for k in range(n)
     )
+
+
+def adjoint(table: StructureTable, i: int, eps_name: str = "eps",
+            window: int = 16) -> AdjointMatrix:
+    """Closed-form matrix of Ad(exp(eps*B_i)) on basis coordinates.
+
+    The Lie series sum_m (-eps)^m/m! ad_i^m is exp(eps*(-ad_i)), so the
+    entries come from ``exp_closed_form`` of -ad_i, the route the affine
+    flows take too.  Invariants (identity at eps=0, inverse at -eps) are
+    cheap to check numerically via eval_at.
+    """
+    neg_ad = [[-v for v in row] for row in table.ad_matrix(i)]
+    entries = exp_closed_form(neg_ad, sym(eps_name), window)
     return AdjointMatrix(i, table.names, entries, eps_name)
 
 

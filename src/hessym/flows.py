@@ -1,7 +1,8 @@
 """Finite one-parameter transforms of local solutions.
 
 Every tabulated generator is affine in (x, y, z, u), so its flow is the
-matrix exponential of a 5x5 generator matrix acting on (x, y, z, u, 1).
+matrix exponential of a 5x5 generator matrix acting on (x, y, z, u, 1),
+taken in closed form from the exact power series of that matrix.
 The module rebuilds each printed solution transform from that flow and
 compares it with the printed formula under four readings: the group
 orientation (push forward by +t or -t) times the interpretation of the
@@ -43,7 +44,7 @@ from .expr import (
     sym,
     to_text,
 )
-from .fields import E4, VectorField, vf
+from .fields import E4, VectorField, exp_closed_form, vf
 from .jets import SPATIAL
 from .normalize import DEFAULT_SEED, is_zero, normalize
 from .parse import parse
@@ -114,56 +115,33 @@ def _as_fraction(e: Expr) -> Fraction:
 
 @dataclass(frozen=True)
 class AffineFlow:
-    """Flow matrices of an affine generator."""
+    """Flow matrices exp(t L) of an affine generator.
+
+    ``entries`` holds exp(t L) as exact closed forms in t (polynomial,
+    exponential or sin/cos), from the exact power series of L by
+    ``fields.exp_closed_form``, the route the adjoint matrices take.  They
+    are compiled once into one evaluator of all 25 entries.
+    """
 
     L: tuple[tuple[Fraction, ...], ...]
 
     @cached_property
-    def _float_L(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.L])
+    def entries(self) -> tuple[tuple[Expr, ...], ...]:
+        return exp_closed_form(self.L, sym("t"))
 
     @cached_property
-    def _series(self) -> tuple[np.ndarray, ...] | None:
-        """Float powers L^0 .. L^(k-1) when L^k = 0 (exactly), else None."""
-        n = len(self.L)
-        powers = [_frac_eye(n)]
-        for _ in range(n):
-            nxt = _frac_matmul(powers[-1], self.L)
-            if all(all(v == 0 for v in row) for row in nxt):
-                return tuple(np.array([[float(v) for v in row] for row in P])
-                             for P in powers)
-            powers.append(nxt)
-        return None
+    def _compiled(self):
+        return compile_evaluator(tuple(e for row in self.entries for e in row), ["t"])
 
     def matrix(self, t: float) -> np.ndarray:
-        """exp(t L): exact polynomial series when L is nilpotent, scipy's
-        matrix exponential otherwise.  Always a fresh array."""
-        if self._series is None:
-            import scipy.linalg  # only non-nilpotent flows need it
-
-            return scipy.linalg.expm(t * self._float_L)
-        out = np.zeros((len(self.L),) * 2)
-        fact = 1
-        for k, P in enumerate(self._series):
-            if k:
-                fact *= k
-            out += (float(t) ** k / fact) * P
-        return out
+        """exp(t L) evaluated from the closed forms.  Always a fresh array."""
+        n = len(self.L)
+        return np.array(self._compiled(t), dtype=float).reshape(n, n)
 
     def spatial_preimage(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(B, c) with x_source = B @ x_target + c, from the inverse flow."""
         M = self.matrix(-t)
         return M[:3, :3], M[:3, 4]
-
-
-def _frac_eye(n):
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-
-
-def _frac_matmul(A, B):
-    n = len(A)
-    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)), Fraction(0))
-                       for j in range(n)) for i in range(n))
 
 
 def flow_of(v: VectorField) -> AffineFlow:

@@ -242,6 +242,21 @@ class SymmetryCheck:
         return self.max_residual <= self.tol
 
 
+@lru_cache(maxsize=4)
+def _symmetry_pieces(v: VectorField) -> tuple[Expr, ...]:
+    """The terms of pr V (S2[u] - f) with f left opaque: the prolonged
+    second-order coefficients times dS2/du_J, and minus the transport of f.
+    A classification row checks its printed field and its lift against
+    each profile in turn, so the last few fields are all that is kept."""
+    prl = prolong2(v, "u", families=("u",))
+    pieces = [mul(prl.coeff(idx), S2_JET_DERIVATIVES[idx]) for idx in jet_indices(2)]
+    fop = opaque("f", sym("x"), sym("y"), sym("z"))
+    for i, s in enumerate(SPATIAL):
+        if v.coeff(s) != ZERO:
+            pieces.append(neg(mul(v.coeff(s), deriv(fop, (i + 1,)))))
+    return tuple(pieces)
+
+
 def check_symmetry(v: VectorField, f_expr: Expr,
                    inner: Mapping[str, OpaqueBinding] | None = None,
                    n: int = 100, tol: float = 1e-8,
@@ -262,16 +277,9 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     if extra:
         raise ExprError(f"right-hand side has free symbols {sorted(extra)}")
 
-    prl = prolong2(v, "u", families=("u",))
-    pieces = [mul(prl.coeff(idx), S2_JET_DERIVATIVES[idx]) for idx in jet_indices(2)]
-    fop = opaque("f", sym("x"), sym("y"), sym("z"))
-    for i, s in enumerate(SPATIAL):
-        if v.coeff(s) != ZERO:
-            pieces.append(neg(mul(v.coeff(s), deriv(fop, (i + 1,)))))
-
     var_order = ["x", "y", "z", "u"] + [f"u_{idx}" for idx in jet_indices(1) + jet_indices(2)]
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
-    pieces_at = compile_evaluator(tuple(pieces), var_order, {"f": binding})
+    pieces_at = compile_evaluator(_symmetry_pieces(v), var_order, {"f": binding})
 
     rng = rng or random.Random(seed)
     worst = 0.0

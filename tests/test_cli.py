@@ -309,8 +309,9 @@ def test_invariants_all(capsys):
 # import cost
 
 def test_one_shot_commands_never_import_scipy():
-    # scipy serves only the adjoint suite's expm oracle and non-nilpotent
-    # flows; every other command runs in a process that never loads it
+    # scipy serves only the adjoint suite's expm oracle; every other
+    # command, flows and transforms included, runs in a process that
+    # never loads it
     src = str(Path(hessym.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -324,6 +325,8 @@ def test_one_shot_commands_never_import_scipy():
             "     '--points', '20'],\n"
             "    ['invariants', 'A3'],\n"
             "    ['transform', '--case', '2', '--t', '0.3', '--u', 'fixture:1,2,3'],\n"
+            "    ['transform', '--case', '7', '--t', '0.3', '--u', 'fixture:1,2,3'],\n"
+            "    ['verify', 'flows', '--points', '4'],\n"
             "] + [['verify', s] for s in ('commutators', 'optimal', 'determining',\n"
             "                             'equivalence', 'classification', 'invariants')]\n"
             "for argv in commands:\n"

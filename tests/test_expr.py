@@ -273,12 +273,17 @@ class TestEval:
                                           ("x*y", 1e200, 1e200),
                                           ("1/x", 0.0, 2.0),
                                           ("x^2", 1e200, 2.0),
-                                          ("sin(x*y)", 1e200, 1e200)])
+                                          ("sin(x*y)", 1e200, 1e200),
+                                          ("1/(x*y)", 1e200, 1e200),
+                                          ("atan(x*y)", 1e200, 1e200),
+                                          ("exp(-(x*y))", 1e200, 1e200)])
     def test_compiled_domain_errors_match_reference(self, text, x, y):
         # ln of a non-positive value, sqrt of a negative one, a negative
         # base under a non-integer power, exp past the guard at 700, 0^-1
-        # and overflow raise EvalDomainError on both routes; the compiled
-        # code never returns a complex, infinite or NaN value
+        # and overflow raise EvalDomainError on both routes, also where a
+        # later node (1/., atan, exp of a negative) would make an inf finite
+        # again; the compiled code never returns a complex, infinite or NaN
+        # value
         e = parse(text)
         with pytest.raises(EvalDomainError):
             eval_numeric(e, {"x": x, "y": y})

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from hessym.classify import s2_of
-from hessym.expr import ExprError, OpaqueBinding, ZERO, compile_evaluator, num, sub
+from hessym.expr import (
+    ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub, sym,
+)
 from hessym.fields import E4, vf
 from hessym.flows import (
     AffineFlow,
@@ -123,31 +124,57 @@ def test_matrix_at_zero_is_identity():
         assert np.max(np.abs(M - np.eye(5))) < 1e-15
 
 
-def _reference_matrix(L, t):
-    """exp(t L) recomputed on every call, nothing cached: the Fraction power
-    series while it terminates within five terms, scipy's expm otherwise."""
+def _case_flows(params=(Fraction(3, 2),)):
+    for case in flow_cases():
+        for pval in params:
+            values = {p: pval for p in case.params}
+            for sign in ((1, -1) if case.sign_param else (1,)):
+                if case.sign_param:
+                    values[case.sign_param] = Fraction(sign)
+                yield case.case_id, flow_of(case.field(values))
+
+
+def _fraction_powers(L):
+    """L^0, L^1, ... while nonzero, or None when L^5 != 0 (not nilpotent)."""
     n = len(L)
     P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    terms = []
+    powers = []
     for _ in range(n):
-        terms.append(P)
+        powers.append(P)
         P = [[sum((P[i][k] * L[k][j] for k in range(n)), Fraction(0))
               for j in range(n)] for i in range(n)]
         if not any(any(row) for row in P):
-            out = np.zeros((n, n))
-            for k, T in enumerate(terms):
-                out += (float(t) ** k / math.factorial(k)) * np.array(T, dtype=float)
-            return out
-    return scipy.linalg.expm(t * np.array(L, dtype=float))
+            return powers
+    return None
 
 
-def _case_flows():
-    for case in flow_cases():
-        values = {p: Fraction(3, 2) for p in case.params}
-        for sign in ((1, -1) if case.sign_param else (1,)):
-            if case.sign_param:
-                values[case.sign_param] = Fraction(sign)
-            yield case.case_id, flow_of(case.field(values))
+def test_nilpotent_closed_forms_are_the_exact_series():
+    t = sym("t")
+    nilpotent = set()
+    for cid, flw in _case_flows((Fraction(3, 2), Fraction(2, 3))):
+        powers = _fraction_powers(flw.L)
+        if powers is None:
+            continue
+        nilpotent.add(cid)
+        for i in range(5):
+            for j in range(5):
+                series = add(*[mul(num(P[i][j] / math.factorial(m)), pow_(t, num(m)))
+                               for m, P in enumerate(powers)])
+                assert normalize(flw.entries[i][j]) == normalize(series), (cid, i, j)
+    assert nilpotent == PRINCIPAL
+
+
+@pytest.mark.parametrize("t", [-1.5, 0.0, 0.7])
+def test_closed_forms_match_expm(t):
+    import scipy.linalg  # the independent oracle; hessym's flows never load it
+
+    seen = set()
+    for cid, flw in _case_flows((Fraction(3, 2), Fraction(2, 3))):
+        seen.add(cid)
+        want = scipy.linalg.expm(t * np.array(flw.L, dtype=float))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(flw.matrix(t) - want)) <= 1e-14 * scale, (cid, t)
+    assert seen == set(CASE_IDS)
 
 
 @pytest.mark.parametrize("t", [-1.5, 0.0, 0.7])
@@ -155,17 +182,17 @@ def test_matrix_matches_uncached_route(t):
     seen = set()
     for cid, flw in _case_flows():
         seen.add(cid)
-        for _ in range(2):  # the second call reads the cached powers
-            assert np.array_equal(flw.matrix(t), _reference_matrix(flw.L, t)), cid
+        for _ in range(2):  # the second call reads the cached evaluator
+            assert np.array_equal(flw.matrix(t), AffineFlow(flw.L).matrix(t)), cid
     assert seen == set(CASE_IDS)
 
 
-@pytest.mark.parametrize("cid", [2, 14])  # nilpotent series, expm
+@pytest.mark.parametrize("cid", [2, 14])  # polynomial and exponential entries
 def test_matrix_returns_a_fresh_array(cid):
     flw = flow_of(case_by_id(cid).field())
     M = flw.matrix(0.7)
     M[:] = 99.0
-    assert np.array_equal(flw.matrix(0.7), _reference_matrix(flw.L, 0.7))
+    assert np.array_equal(flw.matrix(0.7), AffineFlow(flw.L).matrix(0.7))
     assert flw.matrix(0.7) is not flw.matrix(0.7)
 
 
