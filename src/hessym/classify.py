@@ -21,7 +21,6 @@ import numpy as np
 
 from .catalog import (
     ClassificationRow,
-    InvariantDataset,
     Y_NAMES,
     classification_rows,
     equivalence_basis,
@@ -54,10 +53,9 @@ from .expr import (
     to_text,
 )
 from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
-from .jets import SPATIAL, SymmetryCheck, check_symmetry, hessian2, jet_indices
+from .jets import SPATIAL, check_symmetry, hessian2, jet_indices
 from .normalize import (
     DEFAULT_SEED,
-    NonZero,
     Verdict,
     is_zero,
     normalize,

@@ -17,24 +17,22 @@ family (transport condition allowed).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    Expr, ExprError, OpaqueBinding, ZERO, add, compile_evaluator, deriv,
-    diff, free_symbols, mul, neg, num, opaque, substitute, sym,
+    Expr, ExprError, OpaqueBinding, add, compile_evaluator, diff,
+    free_symbols, mul, neg, num, opaque, substitute, sym,
 )
 from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
-    SPATIAL, Prolongation, S2_JET_DERIVATIVES, invariance_residual,
-    jet_indices, prolong2, sample_on_variety, solve_uyy, transport_term,
+    SPATIAL, invariance_residual, jet_indices, prolong2, sample_on_variety,
+    solve_uyy, transport_term,
 )
 from .normalize import (
-    DEFAULT_SEED, Monomial, NormalizeError, as_rational, is_zero, normalize,
+    DEFAULT_SEED, Monomial, NormalizeError, as_rational, normalize,
 )
 from .parse import parse
 

@@ -46,7 +46,7 @@ from .expr import (
 )
 from .fields import E4, VectorField, exp_closed_form, vf
 from .jets import SPATIAL
-from .normalize import DEFAULT_SEED, is_zero, normalize
+from .normalize import DEFAULT_SEED, normalize
 from .parse import parse
 
 __all__ = [

@@ -14,8 +14,11 @@ canonical: two expressions equal as rational functions in the atoms
 produce structurally identical trees.  The gcd needs no general
 algorithm in the common cases: a single-term numerator shares only a
 monomial with the denominator, and a denominator of total degree 1 is
-irreducible, so one trial division decides whether it cancels.  Only
-the remaining denominators go to sympy's gcd, imported on first use.
+irreducible, so one trial division decides whether it cancels.  The
+remaining denominators go to a heuristic gcd over the integers whose
+every answer is checked by exact division; where it gives up, the
+fraction is left unreduced, which costs canonicity but never
+correctness, since the zero test looks at the numerator alone.
 
 Monomial order: generators sort by their printed text; monomials compare
 as sorted (generator, exponent) tuples.  This gives the deterministic
@@ -25,6 +28,7 @@ term order the printer relies on ("y^2 + z^2", constants first).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expr import (
-    MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, Expr,
+    MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
     ExprError, Mul, Num, Opaque, OpaqueBinding, Pow, Sym, add,
     eval_with_scale, free_symbols, mul, num, pow_, to_text,
 )
@@ -47,6 +51,10 @@ DEFAULT_SEED = 20240229
 
 Monomial = tuple[tuple[str, int], ...]
 Poly = dict[Monomial, Fraction]
+# the same polynomials over exponent vectors of fixed generators, with
+# Fraction or (inside the gcd) int coefficients
+Vec = tuple[int, ...]
+VPoly = dict[Vec, Fraction] | dict[Vec, int]
 
 _ONE_M: Monomial = ()
 _F0 = Fraction(0)
@@ -140,8 +148,60 @@ def _content_and_sign(p: Poly) -> Fraction:
     return scale if lead > 0 else -scale
 
 
+def _coding(*polys: Poly):
+    """Maps between monomials and exponent vectors over the sorted
+    generators of polys."""
+    gens = sorted({g for p in polys for m in p for g, _ in m})
+    gi = {g: i for i, g in enumerate(gens)}
+
+    def vec(m: Monomial) -> Vec:
+        v = [0] * len(gens)
+        for g, k in m:
+            v[gi[g]] = k
+        return tuple(v)
+
+    def unvec(v: Vec) -> Monomial:
+        return tuple((gens[i], k) for i, k in enumerate(v) if k)
+
+    return vec, unvec
+
+
 # exact sparse division (single divisor).  Uses plain lex order on exponent
 # vectors, which is multiplicative; the canonical display order is not.
+
+def _vdiv(a: VPoly, b: VPoly, quo) -> VPoly | None:
+    """Exact quotient a/b over exponent vectors, or None if b does not
+    divide a.  quo(c, lc) divides a coefficient by the leading coefficient
+    of b, returning None when that is not exact."""
+    bl = max(b)
+    blc = b[bl]
+    # if b divides a, each generator's degree in a/b is its degree in a
+    # minus its degree in b; a quotient term past that bound ends the search
+    room = [max(v[i] for v in a) - max(v[i] for v in b) for i in range(len(bl))]
+    if any(x < 0 for x in room):
+        return None
+    r = dict(a)
+    q = {}
+    # leading-term cancellation; divisibility fails as soon as lt(r) is not
+    # a multiple of lt(b)
+    while r:
+        rl = max(r)
+        qv = tuple(x - y for x, y in zip(rl, bl))
+        if any(x < 0 or x > m for x, m in zip(qv, room)):
+            return None
+        qc = quo(r[rl], blc)
+        if qc is None:
+            return None
+        q[qv] = qc
+        for mv, c in b.items():
+            m = tuple(x + y for x, y in zip(qv, mv))
+            s = r.get(m, 0) - qc * c
+            if s:
+                r[m] = s
+            else:
+                r.pop(m, None)
+    return q
+
 
 def _poly_div(a: Poly, b: Poly) -> Poly | None:
     """Exact quotient a/b, or None if b does not divide a."""
@@ -151,40 +211,10 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
         return {}
     if len(b) == 1 and _ONE_M in b:
         return _pscale(a, _F1 / b[_ONE_M])
-    gens = sorted({g for m in list(a) + list(b) for g, _ in m})
-    gi = {g: i for i, g in enumerate(gens)}
-
-    def vec(m: Monomial) -> tuple[int, ...]:
-        v = [0] * len(gens)
-        for g, k in m:
-            v[gi[g]] = k
-        return tuple(v)
-
-    def unvec(v: Sequence[int]) -> Monomial:
-        return tuple((gens[i], k) for i, k in enumerate(v) if k)
-
-    bv = {vec(m): c for m, c in b.items()}
-    bl = max(bv)
-    blc = bv[bl]
-    r = {vec(m): c for m, c in a.items()}
-    q: dict[tuple[int, ...], Fraction] = {}
-    # leading-term cancellation; divisibility fails as soon as lt(r) is not
-    # a multiple of lt(b)
-    while r:
-        rl = max(r)
-        qv = tuple(x - y for x, y in zip(rl, bl))
-        if any(x < 0 for x in qv):
-            return None
-        qc = r[rl] / blc
-        q[qv] = qc
-        for mv, c in bv.items():
-            m = tuple(x + y for x, y in zip(qv, mv))
-            s = r.get(m, _F0) - qc * c
-            if s:
-                r[m] = s
-            else:
-                r.pop(m, None)
-    return {unvec(v): c for v, c in q.items()}
+    vec, unvec = _coding(a, b)
+    q = _vdiv({vec(m): c for m, c in a.items()}, {vec(m): c for m, c in b.items()},
+              operator.truediv)
+    return None if q is None else {unvec(v): c for v, c in q.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +333,12 @@ def _atom(node: Expr, reg: dict[str, Expr]) -> Frac:
 # reduction
 
 def _sympy_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
+    """n and d divided by their gcd as sympy computes it.
+
+    Nothing in hessym calls this: it is the oracle that the tests hold
+    `_cancel` against, and the hook that perfbench's tracer wraps to
+    count sympy gcd calls.  sympy is imported only here.
+    """
     import sympy
 
     gens = sorted({g for m in list(n) + list(d) for g, _ in m})
@@ -361,20 +397,124 @@ def _mono_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
             {_mono_div(m, g): c for m, c in d.items()})
 
 
+# heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989) over
+# integer polynomials keyed by exponent vectors.  Each level evaluates the
+# last generator at an integer xi, takes the gcd of the images one level
+# down and lifts it back by xi-adic interpolation.  A lifted candidate is
+# accepted only when exact division shows it divides both inputs.
+
+_HEU_RETRIES = 6  # values of xi tried per level before giving up
+
+
+def _zquo(a: int, b: int) -> int | None:
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _eval_last(p: dict[Vec, int], xi: int) -> dict[Vec, int]:
+    """p with its last generator set to xi."""
+    out: dict[Vec, int] = {}
+    for m, c in p.items():
+        key = m[:-1]
+        s = out.get(key, 0) + c * xi ** m[-1]
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _interpolate(p: dict[Vec, int], xi: int) -> dict[Vec, int]:
+    """The polynomial in one more generator whose coefficients are the
+    symmetric base-xi digits of p's: its value at xi is p."""
+    out: dict[Vec, int] = {}
+    half = xi // 2
+    for m, c in p.items():
+        e = 0
+        while c:
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[m + (e,)] = r
+            c = (c - r) // xi
+            e += 1
+    return out
+
+
+def _divides_both(f: dict[Vec, int], g: dict[Vec, int], h: dict[Vec, int] | None):
+    """(h, f/h, g/h) when h divides both f and g exactly, else None."""
+    if h is None:
+        return None
+    qf = _vdiv(f, h, _zquo)
+    qg = None if qf is None else _vdiv(g, h, _zquo)
+    return None if qg is None else (h, qf, qg)
+
+
+def _heu_gcd(f: dict[Vec, int], g: dict[Vec, int]):
+    """(h, f/h, g/h) with h = gcd(f, g) for nonzero integer polynomials,
+    or None when the heuristic gives up."""
+    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+    c = math.gcd(cf, cg)
+    if not next(iter(f)):  # no generators left: integers
+        return {(): c}, {(): f[()] // c}, {(): g[()] // c}
+    f = {m: v // cf for m, v in f.items()}
+    g = {m: v // cg for m, v in g.items()}
+    nf = max(abs(v) for v in f.values())
+    ng = max(abs(v) for v in g.values())
+    # an exactly dividing candidate is the gcd when xi >= 2 min(|f|, |g|) + 2
+    xi = 2 * min(nf, ng) + 29
+    for _ in range(_HEU_RETRIES):
+        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
+        if ff and gg:
+            sub = _heu_gcd(ff, gg)
+            if sub is None:
+                return None
+            h, hf, hg = sub
+            lifted = _interpolate(h, xi)
+            hc = math.gcd(*lifted.values())
+            found = _divides_both(f, g, {m: v // hc for m, v in lifted.items()})
+            # the lifted cofactors can succeed where the lifted gcd does not
+            if found is None:
+                found = _divides_both(f, g, _vdiv(f, _interpolate(hf, xi), _zquo))
+            if found is None:
+                found = _divides_both(f, g, _vdiv(g, _interpolate(hg, xi), _zquo))
+            if found is not None:
+                h, qf, qg = found
+                return ({m: c * v for m, v in h.items()},
+                        {m: cf // c * v for m, v in qf.items()},
+                        {m: cg // c * v for m, v in qg.items()})
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
 def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Divide n and d (d not a monomial) by their gcd, up to a constant.
 
     Two exact rules avoid a general gcd: the divisors of a single term are
     monomials, so its gcd with d is a monomial gcd; and a polynomial of
     total degree 1 is irreducible, so its gcd with n is d or 1, which one
-    trial division decides.  Anything else falls back to sympy.
+    trial division decides.  Anything else goes to the heuristic gcd on
+    n and d scaled to integer coefficients; if it gives up, n/d is
+    returned unreduced.
     """
     if len(n) == 1:
         return _mono_cancel(n, d)
     if max(sum(k for _, k in m) for m in d) == 1:
         q = _poly_div(n, d)
         return (n, d) if q is None else (q, dict(_PONE))
-    return _sympy_cancel(n, d)
+    vec, unvec = _coding(n, d)
+    ln = math.lcm(*(c.denominator for c in n.values()))
+    ld = math.lcm(*(c.denominator for c in d.values()))
+    found = _heu_gcd({vec(m): c.numerator * (ln // c.denominator) for m, c in n.items()},
+                     {vec(m): c.numerator * (ld // c.denominator) for m, c in d.items()})
+    if found is None:
+        return n, d
+    _, qn, qd = found
+    # n/d = (qn/ln)/(qd/ld)
+    s = Fraction(ld, ln)
+    return ({unvec(v): c * s for v, c in qn.items()},
+            {unvec(v): Fraction(c) for v, c in qd.items()})
 
 
 def _reduce(n: Poly, d: Poly) -> Frac:

@@ -335,3 +335,30 @@ def test_one_shot_commands_never_import_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_no_command_loads_scipy_or_sympy():
+    # numpy is the only runtime dependency: `verify all` (which runs each
+    # of the 8 suites through the same run_suites as `verify <suite>`)
+    # and every one-shot command run without scipy or sympy
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import os, sys\n"
+            "from hessym.cli import main\n"
+            "commands = [\n"
+            "    ['tables', 'g8'],\n"
+            "    ['reduce', '1,2,3,4,5,6,7,8'],\n"
+            "    ['check-symmetry', '--f', 'y^2 + z^2', '--vf', '1;0;0;0',\n"
+            "     '--points', '20'],\n"
+            "    ['invariants', 'A3'],\n"
+            "    ['transform', '--case', '2', '--t', '0.3', '--u', 'fixture:1,2,3'],\n"
+            "    ['transform', '--case', '7', '--t', '0.3', '--u', 'fixture:1,2,3'],\n"
+            "    ['verify', 'all'],\n"
+            "]\n"
+            "for argv in commands:\n"
+            "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
+            "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

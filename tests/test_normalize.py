@@ -109,6 +109,32 @@ def _linear(rng, offset):
     return d
 
 
+# generators named as normalize names sqrt and exp atoms
+ATOM_GENS = ("a", "x", "y", "sqrt(a^2 + b^2)", "exp(2*atan(x/z))")
+
+
+def _atom_poly(rng, terms, max_deg=2):
+    out = {}
+    while len(out) < terms:
+        exps = {g: rng.randint(1, max_deg) for g in rng.sample(ATOM_GENS, rng.randint(0, 2))}
+        out[tuple(sorted(exps.items()))] = _coeff(rng)
+    return out
+
+
+def _shared_factor(rng, kind):
+    """A non-linear polynomial to hide in both numerator and denominator."""
+    if kind == "square":
+        q = _atom_poly(rng, rng.randint(2, 3))
+        return nz._pmul(q, q)
+    if kind == "quadratics":
+        return nz._pmul(_atom_poly(rng, rng.randint(2, 3)), _atom_poly(rng, rng.randint(2, 3)))
+    return _atom_poly(rng, rng.randint(2, 4), max_deg=3)
+
+
+def _p(text):
+    return as_polynomial(parse(text))[0]
+
+
 def _scaled(f):
     """(n, d) divided by the content and sign of d: the pair up to the
     constant that a gcd leaves free."""
@@ -163,6 +189,47 @@ class TestCancel:
     def test_constant_numerator_keeps_denominator(self):
         d = {(("a", 2),): Fraction(1), (("b", 2),): Fraction(1)}
         assert self._agree({(): Fraction(3)}, d) == ({(): Fraction(3)}, d)
+
+    @pytest.mark.parametrize("kind", ["square", "quadratics", "cubic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonlinear_shared_factor(self, kind, seed):
+        rng = random.Random(9400 + 10 * seed + len(kind))
+        for _ in range(15):
+            common = _shared_factor(rng, kind)
+            n = nz._pmul(common, _atom_poly(rng, rng.randint(1, 3)))
+            d = nz._pmul(common, _atom_poly(rng, rng.randint(2, 3)))
+            if len(n) < 2 or len(d) < 2:
+                continue
+            rn, rd = self._agree(n, d)
+            assert nz._pmul(rn, d) == nz._pmul(n, rd)
+
+    @pytest.mark.parametrize("r,w,q,cof", [
+        # A7: (a x + g y)^2 + r^2 z^2 with r = sqrt(a^2 + g^2)
+        ("sqrt(a3^2 + g3^2)", "z", "(a3*x + g3*y)^2 + sqrt(a3^2 + g3^2)^2*z^2",
+         "1 + 2*a3*g3*x*y - z^2"),
+        # A9b: (a z + b y)^2 + r^2 x^2 with r = sqrt(a^2 + b^2)
+        ("sqrt(a5^2 + b1^2)", "x", "(a5*z + b1*y)^2 + sqrt(a5^2 + b1^2)^2*x^2",
+         "3*b1*y*z + x^2 - a5"),
+    ])
+    def test_sqrt_atom_denominators(self, r, w, q, cof):
+        # residual shapes of the two classification rows with a
+        # sqrt(a^2 + g^2) atom: a multiple of q over q^2 r^5 w^3
+        q, cof = _p(q), _p(cof)
+        rest = nz._pmul(q, _p(f"{r}^5*{w}^3"))
+        got = self._agree(nz._pmul(q, cof), nz._pmul(q, rest))
+        assert _scaled(got) == _scaled((cof, rest))
+
+    def test_give_up_leaves_fraction_unreduced(self, monkeypatch):
+        monkeypatch.setattr(nz, "_HEU_RETRIES", 0)
+        q = _p("x^2 + y^2")
+        n, d = nz._pmul(q, _p("x + 1")), nz._pmul(q, _p("y^2 + 2"))
+        assert nz._cancel(n, d) == (n, d)
+        rn, rd = nz._reduce(n, d)
+        assert len(rd) == len(d) and nz._pmul(rn, d) == nz._pmul(n, rd)
+        e = parse("(x^3 + x*y^2 + x^2 + y^2)/(x^2*y^2 + y^4 + 2*x^2 + 2*y^2)")
+        assert print_canonical(e) == ("(x*y^2 + x^2 + x^3 + y^2)"
+                                      "/(2*x^2 + x^2*y^2 + 2*y^2 + y^4)")
+        assert isinstance(is_zero(sub(e, parse("(x + 1)/(y^2 + 2)"))), ProvedZero)
 
 
 def test_suites_with_coprime_denominators_never_import_sympy():

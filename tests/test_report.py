@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from hessym.catalog import Z_NAMES, reduced_basis
+from hessym.fields import structure_table
 from hessym.report import (
     CheckRecord,
     SUITE_NAMES,
     SuiteReport,
+    _expm,
     overall_status,
     render_json,
     render_markdown,
@@ -52,6 +56,24 @@ def test_adjoint_all_pass(reports):
     assert len(rep.records) == 8
     assert all(r.residual is not None and r.residual <= 1e-10
                for r in rep.records)
+
+
+def test_expm_matches_scipy():
+    import scipy.linalg  # the oracle; hessym itself never loads scipy
+
+    table = structure_table(reduced_basis(), Z_NAMES)
+    for i in range(8):
+        A = np.array([[float(x) for x in row] for row in table.ad_matrix(i)])
+        for eps in (-0.1, 0.1, 0.7, 1.3, 5.0):
+            W = scipy.linalg.expm(-eps * A)
+            assert np.max(np.abs(_expm(-eps * A) - W)) <= 1e-12 * max(1.0, np.max(np.abs(W)))
+    rng = np.random.default_rng(20240229)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        A = rng.standard_normal((n, n))
+        A *= rng.uniform(0.01, 50) / np.linalg.norm(A, 1)
+        W = scipy.linalg.expm(A)
+        assert np.max(np.abs(_expm(A) - W)) <= 1e-11 * np.max(np.abs(W))
 
 
 def test_optimal_pass_with_coverage(reports):
