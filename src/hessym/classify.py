@@ -53,7 +53,7 @@ from .expr import (
     to_text,
 )
 from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
-from .jets import SPATIAL, check_symmetry, hessian2, jet_indices
+from .jets import SPATIAL, check_symmetry, s2_of
 from .normalize import (
     DEFAULT_SEED,
     Verdict,
@@ -289,12 +289,6 @@ def verify_bila_procedure() -> BilaCheck:
 
 # ---------------------------------------------------------------------------
 # discrete reflection
-
-def s2_of(expr: Expr) -> Expr:
-    """The operator applied to a concrete expression in (x, y, z)."""
-    reps = {f"u_{idx}": diff(diff(expr, idx[0]), idx[1]) for idx in jet_indices(2)}
-    return normalize(substitute(hessian2(), reps))
-
 
 def _reflect(e: Expr) -> Expr:
     return substitute(e, {v: neg(sym(v)) for v in SPATIAL if v in free_symbols(e)})

@@ -45,8 +45,8 @@ from .expr import (
     to_text,
 )
 from .fields import E4, VectorField, exp_closed_form, vf
-from .jets import SPATIAL
-from .normalize import DEFAULT_SEED, normalize
+from .jets import SPATIAL, s2_of, s2_of_poly
+from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
 from .parse import parse
 
 __all__ = [
@@ -338,9 +338,42 @@ def _sample_poly(rng: random.Random) -> Expr:
     return add(*terms)
 
 
-def _s2_expr(u_expr: Expr) -> Expr:
-    from .classify import s2_of
-    return s2_of(u_expr)
+_LINEAR_MONOMIALS = ((("x", 1),), (("y", 1),), (("z", 1),), ())
+
+
+def _pushforward_poly(p: Poly, den: int, M: np.ndarray, B: np.ndarray,
+                      c: np.ndarray) -> tuple[Poly, int]:
+    """(N, T) with N/T = M[3,3] u(B x + c) + M[3,:3] (B x + c) + M[3,4]
+    for u = p/den, p an integer polynomial in x, y, z.  The float entries
+    are exact dyadic rationals, so N/T is exactly the profile that
+    substituting them as numbers into u's tree would give."""
+    rows = [[Fraction(float(v)) for v in (*B[i], c[i])] for i in range(3)]
+    e = math.lcm(*(v.denominator for row in rows for v in row))
+    # e times the image coordinates, and their powers up to u's degree n
+    lin = [{m: (v * e).numerator for m, v in zip(_LINEAR_MONOMIALS, row) if v}
+           for row in rows]
+    n = max([1] + [sum(k for _, k in m) for m in p])
+    powers = {g: [{(): 1}] for g in SPATIAL}
+    for g, img in zip(SPATIAL, lin):
+        for _ in range(n):
+            powers[g].append(_pmul(powers[g][-1], img))
+    pulled: Poly = {}  # den e^n u(B x + c)
+    for m, a in p.items():
+        term: Poly = {(): a * e ** (n - sum(k for _, k in m))}
+        for g, k in m:
+            term = _pmul(term, powers[g][k])
+        pulled = _padd(pulled, term)
+    w = [Fraction(float(v)) for v in M[3]]
+    f = math.lcm(*(v.denominator for v in w))
+    w = [(v * f).numerator for v in w]
+    # f den e^n u_new = w3 pulled + den e^(n-1) (w0 lin0 + w1 lin1 + w2 lin2 + w4 e);
+    # a zero coefficient in tail drops out of the last sum
+    tail: Poly = {(): w[4] * e}
+    for wj, img in zip(w, lin):
+        tail = _padd(tail, {m: wj * v for m, v in img.items()})
+    out = _padd({m: w[3] * v for m, v in pulled.items()},
+                {m: den * e ** (n - 1) * v for m, v in tail.items()})
+    return out, den * e ** n * f
 
 
 def _case_values(case: CaseSpec, sign: int, pval: Fraction) -> dict[str, Fraction]:
@@ -405,23 +438,13 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
 
         # finite equivariance on polynomial profiles
         for _ in range(2):
-            u0 = _sample_poly(rng)
-            s2_u0 = _s2_expr(u0)
-            u0_fn = compile_evaluator(u0, ["x", "y", "z"])
-            s2_u0_fn = compile_evaluator(s2_u0, ["x", "y", "z"])
+            p0, den0 = _clear(as_polynomial(_sample_poly(rng))[0])
+            s2_u0_fn = compile_evaluator(s2_of_poly(p0, den0), ["x", "y", "z"])
             for t in t_values:
                 M = flw.matrix(t)
                 B, c = flw.spatial_preimage(t)
-                img = [add(*[mul(num(Fraction(float(B[i, j]))), sym(w))
-                             for j, w in enumerate(SPATIAL)],
-                           num(Fraction(float(c[i]))))
-                       for i in range(3)]
-                pulled = substitute(u0, dict(zip(SPATIAL, img)))
-                u_new = add(mul(num(Fraction(float(M[3, 3]))), pulled),
-                            *[mul(num(Fraction(float(M[3, j]))), img[j])
-                              for j in range(3)],
-                            num(Fraction(float(M[3, 4]))))
-                s2_new_fn = compile_evaluator(_s2_expr(u_new), ["x", "y", "z"])
+                s2_new_fn = compile_evaluator(
+                    s2_of_poly(*_pushforward_poly(p0, den0, M, B, c)), ["x", "y", "z"])
                 w_t = math.exp(float(rate) * t)
                 for _ in range(n_points // len(t_values) + 1):
                     pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
@@ -450,27 +473,45 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                      case.flags)
 
 
+@lru_cache(maxsize=None)
+def _reading_base() -> tuple[Expr, Callable[..., float]]:
+    """The base solution the readings replay, and its evaluator."""
+    u0 = tian_base(Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), Fraction(9, 8))
+    return u0, compile_evaluator(u0, ["x", "y", "z"], _bindings())
+
+
+@lru_cache(maxsize=64)  # verify all builds 44
+def _printed_evaluator(image_text: tuple[str, str, str], u_scale_text: str,
+                       u_shift_text: str, values: tuple[tuple[str, Fraction], ...],
+                       cu: Expr, mode: str) -> Callable[..., float]:
+    """The printed template scale * u0(image) + shift over (x, y, z, t),
+    with the u-factor taken literally or as the exponential it truncates.
+    It is keyed on everything it is built from, so a case with an altered
+    text gets its own evaluator; the orientation does not enter."""
+    subs = {k: num(v) for k, v in values}
+    img = []
+    for tx in image_text:
+        e = parse(tx)
+        img.append(substitute(e, {k: v for k, v in subs.items() if k in free_symbols(e)}))
+    if mode == "literal":
+        scale = parse(u_scale_text)
+    else:
+        scale = (call("exp", mul(num(-1), mul(cu, sym("t"))))
+                 if cu != ZERO else num(1))
+    u0 = _reading_base()[0]
+    printed = add(mul(scale, substitute(u0, dict(zip(SPATIAL, img)))), parse(u_shift_text))
+    return compile_evaluator(printed, ["x", "y", "z", "t"], _bindings())
+
+
 def _reading_residual(case: CaseSpec, values, flw: AffineFlow, cu: Expr,
                       sigma: int, mode: str, rng: random.Random,
                       n_points: int, t_values: Sequence[float]) -> float:
     """Worst relative gap between the printed template and the sigma-
     oriented pushforward, with the printed u-factor taken literally or as
     the exponential it truncates."""
-    subs = {k: num(v) for k, v in values.items()}
-    img = [substitute(parse(tx), {k: e for k, e in subs.items()
-                                  if k in free_symbols(parse(tx))})
-           for tx in case.image_text]
-    if mode == "literal":
-        scale = parse(case.u_scale_text)
-    else:
-        scale = (call("exp", mul(num(-1), mul(cu, sym("t"))))
-                 if cu != ZERO else num(1))
-    shift = parse(case.u_shift_text)
-
-    u0 = tian_base(Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), Fraction(9, 8))
-    printed = add(mul(scale, substitute(u0, dict(zip(SPATIAL, img)))), shift)
-    printed_fn = compile_evaluator(printed, ["x", "y", "z", "t"], _bindings())
-    u0_fn = compile_evaluator(u0, ["x", "y", "z"], _bindings())
+    printed_fn = _printed_evaluator(case.image_text, case.u_scale_text, case.u_shift_text,
+                                    tuple(sorted(values.items())), cu, mode)
+    u0_fn = _reading_base()[1]
 
     worst = 0.0
     for t in t_values:
@@ -584,8 +625,8 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
                 *[mul(num(Fraction(lj)), img[j]) for j, lj in enumerate(linear)],
                 num(Fraction(shift)))
 
-    s2_new_fn = compile_evaluator(_s2_expr(u_new), ["x", "y", "z"], inner)
-    s2_u0_fn = compile_evaluator(_s2_expr(u_expr), ["x", "y", "z"], inner)
+    s2_new_fn = compile_evaluator(s2_of(u_new), ["x", "y", "z"], inner)
+    s2_u0_fn = compile_evaluator(s2_of(u_expr), ["x", "y", "z"], inner)
 
     rng = random.Random(seed)
     worst = 0.0

@@ -17,21 +17,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
-    EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, ZERO, add,
-    compile_evaluator, deriv, diff, free_symbols, mul, neg, num, opaque,
-    pow_, sym,
+    EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, Sym, ZERO, add,
+    compile_template, deriv, diff, free_symbols, mul, neg, num, opaque,
+    pow_, substitute, sym,
 )
 from .fields import VectorField
-from .normalize import DEFAULT_SEED, normalize
+from .normalize import (
+    DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pdiff, _pmul,
+    _poly_to_expr, _pscale, as_polynomial, normalize,
+)
 from .parse import parse
 
 __all__ = [
     "SPATIAL", "JetOrderError", "jet_indices", "jet_symbol", "jet_order",
-    "total_derivative", "Prolongation", "prolong2", "hessian2",
+    "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
+    "s2_of_poly",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
     "invariance_residual", "sample_on_variety", "SymmetryCheck",
     "check_symmetry",
@@ -159,6 +164,46 @@ def hessian2(dependent: str = "u") -> Expr:
                  f" - {d}_xy^2 - {d}_yz^2 - {d}_xz^2")
 
 
+def s2_of(expr: Expr) -> Expr:
+    """The operator applied to a concrete expression in (x, y, z), in
+    canonical form.
+
+    Two routes give the same canonical form.  A polynomial whose
+    generators are all symbols takes the exact sparse route: its canonical
+    polynomial, cleared to integers over one denominator, goes to
+    ``s2_of_poly``.  Anything else (an opaque profile such as W, sqrt, exp,
+    a denominator) takes the tree route: the six second derivatives by
+    ``diff``, substituted into ``hessian2`` and normalized.
+    """
+    try:
+        p, reg = as_polynomial(expr)
+    except NormalizeError:
+        return _s2_tree(expr)
+    if not all(isinstance(a, Sym) for a in reg.values()):
+        return _s2_tree(expr)
+    return s2_of_poly(*_clear(p))
+
+
+def _s2_tree(expr: Expr) -> Expr:
+    """The tree route of ``s2_of``; the sparse route's test oracle."""
+    reps = {f"u_{idx}": diff(diff(expr, idx[0]), idx[1]) for idx in jet_indices(2)}
+    return normalize(substitute(hessian2(), reps))
+
+
+def s2_of_poly(p: Poly, den: int) -> Expr:
+    """S2[p/den] in canonical form, for a polynomial p over symbol
+    generators with integer coefficients.  The second derivatives lower
+    exponents and the minors are integer products; den^2 divides once."""
+    d1 = {v: _pdiff(p, v) for v in SPATIAL}
+    d2 = {idx: _pdiff(d1[idx[0]], idx[1]) for idx in jet_indices(2)}
+    s = _padd(_pmul(d2["xx"], _padd(d2["yy"], d2["zz"])), _pmul(d2["yy"], d2["zz"]))
+    for idx in ("xy", "yz", "xz"):
+        s = _padd(s, _pscale(_pmul(d2[idx], d2[idx]), -1))
+    den2 = den * den
+    return _poly_to_expr({m: Fraction(c, den2) for m, c in s.items()},
+                         {g: sym(g) for m in s for g, _ in m})
+
+
 S2_JET_DERIVATIVES: dict[str, Expr] = {
     "xx": parse("u_yy + u_zz"),
     "yy": parse("u_xx + u_zz"),
@@ -242,19 +287,25 @@ class SymmetryCheck:
         return self.max_residual <= self.tol
 
 
+_PIECE_VARS = ("x", "y", "z", "u") + tuple(f"u_{idx}"
+                                            for idx in jet_indices(1) + jet_indices(2))
+
+
 @lru_cache(maxsize=4)
-def _symmetry_pieces(v: VectorField) -> tuple[Expr, ...]:
+def _symmetry_pieces(v: VectorField) -> Callable[[Mapping[str, OpaqueBinding]], Callable]:
     """The terms of pr V (S2[u] - f) with f left opaque: the prolonged
     second-order coefficients times dS2/du_J, and minus the transport of f.
-    A classification row checks its printed field and its lift against
-    each profile in turn, so the last few fields are all that is kept."""
+    They are compiled over ``_PIECE_VARS`` once per field, with f bound
+    per call.  A classification row checks its printed field and its lift
+    against each profile in turn, so the last few fields are all that is
+    kept."""
     prl = prolong2(v, "u", families=("u",))
     pieces = [mul(prl.coeff(idx), S2_JET_DERIVATIVES[idx]) for idx in jet_indices(2)]
     fop = opaque("f", sym("x"), sym("y"), sym("z"))
     for i, s in enumerate(SPATIAL):
         if v.coeff(s) != ZERO:
             pieces.append(neg(mul(v.coeff(s), deriv(fop, (i + 1,)))))
-    return tuple(pieces)
+    return compile_template(tuple(pieces), _PIECE_VARS)
 
 
 def check_symmetry(v: VectorField, f_expr: Expr,
@@ -277,16 +328,15 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     if extra:
         raise ExprError(f"right-hand side has free symbols {sorted(extra)}")
 
-    var_order = ["x", "y", "z", "u"] + [f"u_{idx}" for idx in jet_indices(1) + jet_indices(2)]
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
-    pieces_at = compile_evaluator(_symmetry_pieces(v), var_order, {"f": binding})
+    pieces_at = _symmetry_pieces(v)({"f": binding})
 
     rng = rng or random.Random(seed)
     worst = 0.0
     witness: dict[str, float] | None = None
     for _ in range(n):
         pt = sample_on_variety(rng, binding.fn)
-        args = [pt[name] for name in var_order]
+        args = [pt[name] for name in _PIECE_VARS]
         vals = pieces_at(*args)
         resid = abs(math.fsum(vals))
         scale = max((abs(x) for x in vals), default=0.0)

@@ -57,7 +57,6 @@ Vec = tuple[int, ...]
 VPoly = dict[Vec, Fraction] | dict[Vec, int]
 
 _ONE_M: Monomial = ()
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -79,12 +78,16 @@ def _pgen(key: str) -> Poly:
     return {((key, 1),): _F1}
 
 
+# sums, products and derivatives keep the coefficients' type: Fraction, or
+# int for a polynomial whose denominator has been cleared
+
 def _padd(a: Poly, b: Poly) -> Poly:
     if not a:
         return dict(b)
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, _F0) + c
+        s = out.get(m)
+        s = c if s is None else s + c
         if s:
             out[m] = s
         else:
@@ -116,7 +119,9 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
-            s = out.get(m, _F0) + c1 * c2
+            c = c1 * c2
+            s = out.get(m)
+            s = c if s is None else s + c
             if s:
                 out[m] = s
             else:
@@ -133,6 +138,25 @@ def _ppow(a: Poly, n: int) -> Poly:
         base = _pmul(base, base) if n > 1 else base
         n >>= 1
     return out
+
+
+def _pdiff(p: Poly, g: str) -> Poly:
+    """Exact derivative in the generator g, by lowering its exponent; distinct
+    monomials stay distinct, so no terms combine."""
+    out: Poly = {}
+    for m, c in p.items():
+        for i, (h, k) in enumerate(m):
+            if h == g:
+                out[m[:i] + (((g, k - 1),) if k > 1 else ()) + m[i + 1:]] = c * k
+                break
+    return out
+
+
+def _clear(p: Poly) -> tuple[Poly, int]:
+    """(P, D) with p = P/D, P over the integers and D the least common
+    denominator of p's coefficients."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, den
 
 
 def _content_and_sign(p: Poly) -> Fraction:
@@ -504,10 +528,8 @@ def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
         q = _poly_div(n, d)
         return (n, d) if q is None else (q, dict(_PONE))
     vec, unvec = _coding(n, d)
-    ln = math.lcm(*(c.denominator for c in n.values()))
-    ld = math.lcm(*(c.denominator for c in d.values()))
-    found = _heu_gcd({vec(m): c.numerator * (ln // c.denominator) for m, c in n.items()},
-                     {vec(m): c.numerator * (ld // c.denominator) for m, c in d.items()})
+    (pn, ln), (pd, ld) = _clear(n), _clear(d)
+    found = _heu_gcd({vec(m): c for m, c in pn.items()}, {vec(m): c for m, c in pd.items()})
     if found is None:
         return n, d
     _, qn, qd = found

@@ -309,9 +309,9 @@ def test_invariants_all(capsys):
 # import cost
 
 def test_one_shot_commands_never_import_scipy():
-    # scipy serves only the adjoint suite's expm oracle; every other
-    # command, flows and transforms included, runs in a process that
-    # never loads it
+    # no command loads scipy, the adjoint suite's expm oracle being
+    # numpy's; this covers the one-shot commands and every suite but
+    # adjoint, flows and transforms included
     src = str(Path(hessym.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

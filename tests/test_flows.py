@@ -2,19 +2,25 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hessym import jets
 from hessym.classify import s2_of
 from hessym.expr import (
-    ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub, sym,
+    ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub,
+    substitute, sym,
 )
 from hessym.fields import E4, vf
 from hessym.flows import (
     AffineFlow,
     W_BODY,
+    _case_values,
+    _pushforward_poly,
+    _sample_poly,
     case_by_id,
     equivariance_weight,
     field_matrix,
@@ -25,7 +31,8 @@ from hessym.flows import (
     verify_all_cases,
     verify_case,
 )
-from hessym.normalize import normalize
+from hessym.jets import s2_of_poly
+from hessym.normalize import _clear, as_polynomial, normalize
 from hessym.parse import parse
 
 CASE_IDS = list(range(1, 16))
@@ -354,3 +361,76 @@ def test_field_mismatch_is_detected():
     assert not chk.field_consistent
     assert not chk.passed
     assert (-1, "exp") in chk.matched_readings
+
+
+# ---------------------------------------------------------------------------
+# the exact pushforward of the equivariance profiles
+
+def _tree_pushforward(u, M, B, c):
+    """The pushed-forward profile built as a tree, the route the sparse
+    pushforward replaces."""
+    img = [add(*[mul(num(Fraction(float(B[i, j]))), sym(w)) for j, w in enumerate("xyz")],
+               num(Fraction(float(c[i]))))
+           for i in range(3)]
+    pulled = substitute(u, dict(zip("xyz", img)))
+    return add(mul(num(Fraction(float(M[3, 3]))), pulled),
+               *[mul(num(Fraction(float(M[3, j]))), img[j]) for j in range(3)],
+               num(Fraction(float(M[3, 4]))))
+
+
+def _flows_and_times():
+    for case in flow_cases():
+        flw = flow_of(case.field(_case_values(case, 1, Fraction(1))))
+        for t in (0.35, -0.45, 0.8):
+            yield case.case_id, flw.matrix(t), *flw.spatial_preimage(t)
+
+
+def test_sparse_pushforward_is_the_tree_pushforward():
+    # 200 profiles, each pushed through every case at every time
+    rng = random.Random(3)
+    profiles = [_sample_poly(rng) for _ in range(200)]
+    cleared = [_clear(as_polynomial(u)[0]) for u in profiles]
+    flows = list(_flows_and_times())
+    for k, (u, (p, den)) in enumerate(zip(profiles, cleared)):
+        for cid, M, B, c in flows[k % 9::9]:
+            n, d = _pushforward_poly(p, den, M, B, c)
+            want = as_polynomial(_tree_pushforward(u, M, B, c))[0]
+            assert {m: Fraction(v, d) for m, v in n.items()} == want, cid
+
+
+def test_sparse_pushforward_of_dyadic_affine_maps():
+    # every entry of M's u-row and of (B, c) nonzero, as no case has them
+    rng = random.Random(8)
+    for _ in range(40):
+        M, B, c = (np.array([rng.randint(-64, 64) / 2 ** rng.randint(0, 9) or 0.5
+                             for _ in range(k)]).reshape(shape)
+                   for k, shape in ((25, (5, 5)), (9, (3, 3)), (3, (3,))))
+        u = _sample_poly(rng)
+        n, d = _pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c)
+        want = as_polynomial(_tree_pushforward(u, M, B, c))[0]
+        assert {m: Fraction(v, d) for m, v in n.items()} == want
+
+
+def test_s2_of_pushforward_matches_tree_route():
+    rng = random.Random(4)
+    for cid, M, B, c in _flows_and_times():
+        u = _sample_poly(rng)
+        got = s2_of_poly(*_pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c))
+        assert got == jets._s2_tree(_tree_pushforward(u, M, B, c)), cid
+
+
+def test_verify_case_differentiates_no_profile(monkeypatch):
+    def no_diff(*_):
+        raise AssertionError("a profile took the tree route")
+
+    monkeypatch.setattr(jets, "diff", no_diff)
+    assert verify_case(case_by_id(7), n_points=4).passed
+
+
+def test_printed_evaluator_is_keyed_on_the_texts():
+    # a tampered case checked after its genuine one gets its own evaluator
+    genuine = case_by_id(5)
+    assert verify_case(genuine, n_points=4).passed
+    bad = dataclasses.replace(genuine, image_text=("x - s*t", "y", "z"))
+    assert not verify_case(bad, n_points=4).passed
+    assert verify_case(genuine, n_points=4).passed

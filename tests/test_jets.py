@@ -1,18 +1,22 @@
 """Prolongation layer against an independent closed-form oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from hessym import classify, jets
+from hessym.catalog import classification_rows
 from hessym.expr import (
     EvalDomainError, OpaqueBinding, ZERO, add, diff, eval_numeric, mul, neg, num, substitute,
     sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
+from hessym.flows import _sample_poly
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    sample_on_variety, solve_uyy, total_derivative,
+    s2_of, s2_of_poly, sample_on_variety, solve_uyy, total_derivative,
 )
 from hessym.normalize import NonZero, ProvedZero, is_zero, normalize
 from hessym.parse import parse
@@ -208,3 +212,99 @@ class TestCheckSymmetry:
         # d/dx is not a symmetry when f depends on x
         chk = check_symmetry(vf(E4, x="1"), parse("x*y + z^2"), n=20)
         assert not chk.passed and chk.max_residual > 1e-3
+
+
+class TestS2Routes:
+    """The sparse route of s2_of against the tree route it replaces."""
+
+    def test_sparse_route_matches_tree_on_sampled_profiles(self, monkeypatch):
+        rng = random.Random(11)
+        profiles = [_sample_poly(rng) for _ in range(200)]
+        want = [jets._s2_tree(u) for u in profiles]
+        # the sparse route differentiates no tree
+        monkeypatch.setattr(jets, "diff", _no_diff)
+        assert [s2_of(u) for u in profiles] == want
+
+    @pytest.mark.parametrize("text", [
+        "(1/2)*(t1*x^2 + t2*y^2 + t3*z^2)",
+        "t1*x^3/3 - (2/5)*t1^2*y*z^2 + x^2 + y^2 + z^2",
+        "(3/7)*x*y*z + t1*(x^2 - y^2)/4 + (5/2)*z^4 - 1/3",
+        "x + y - 2*z + 9/8",
+    ])
+    def test_free_parameter_and_rational_coefficients(self, text, monkeypatch):
+        u = parse(text)
+        want = jets._s2_tree(u)
+        monkeypatch.setattr(jets, "diff", _no_diff)
+        assert s2_of(u) == want
+
+    def test_seeded_parameter_profiles(self, monkeypatch):
+        rng = random.Random(5)
+        profiles = [add(_sample_poly(rng),
+                        mul(num(Fraction(rng.randint(-9, 9), rng.randint(1, 7))),
+                            sym("t1"), parse(rng.choice(["x^2*y", "y*z", "z^3", "x"]))))
+                    for _ in range(30)]
+        want = [jets._s2_tree(u) for u in profiles]
+        monkeypatch.setattr(jets, "diff", _no_diff)
+        assert [s2_of(u) for u in profiles] == want
+
+    @pytest.mark.parametrize("text", [
+        "x^2 + y^2 + W(x, y, z)",
+        "sqrt(x) + y^2*z",
+        "exp(x)*y + z^2",
+        "x^2*y/(1 + z^2)",
+    ])
+    def test_other_inputs_take_the_tree_route(self, text, monkeypatch):
+        u = parse(text)
+        calls = []
+        tree = jets._s2_tree
+
+        def spy(e):
+            calls.append(e)
+            return tree(e)
+
+        monkeypatch.setattr(jets, "_s2_tree", spy)
+        assert s2_of(u) == tree(u)
+        assert calls == [u]
+
+    def test_sparse_route_over_a_cleared_denominator(self):
+        # S2[p/den] = S2[p]/den^2
+        u = parse("(x^2 + 3*y^2 - x*y*z + z^4)/6")
+        p = {(("x", 2),): 1, (("y", 2),): 3, (("x", 1), ("y", 1), ("z", 1)): -1,
+             (("z", 4),): 1}
+        assert s2_of_poly(p, 6) == jets._s2_tree(u)
+
+
+def _no_diff(*_):
+    raise AssertionError("the tree route ran")
+
+
+class TestSymmetryPieces:
+    def test_classification_compiles_pieces_once_per_field(self, monkeypatch):
+        compiles = []
+        fields = []
+        template = jets.compile_template
+        check = classify.check_symmetry
+
+        def counting_template(e, var_order):
+            compiles.append(e)
+            return template(e, var_order)
+
+        def recording_check(v, *args, **kwargs):
+            fields.append(v)
+            return check(v, *args, **kwargs)
+
+        jets._symmetry_pieces.cache_clear()
+        monkeypatch.setattr(jets, "compile_template", counting_template)
+        monkeypatch.setattr(classify, "check_symmetry", recording_check)
+        for row in classification_rows()[:6]:
+            classify.verify_row(row, n_points=3)
+        assert len(fields) > len(set(fields))  # fields recur within a row
+        assert len(compiles) == len(set(fields))
+
+    def test_rebinding_keeps_residuals(self):
+        # one compiled template serves every right-hand side of a field
+        v = vf(E4, x="1")
+        first = check_symmetry(v, parse("y^2 + z^2"), n=30)
+        check_symmetry(v, parse("x*y"), n=30)
+        assert check_symmetry(v, parse("y^2 + z^2"), n=30) == first
+        assert not check_symmetry(v, parse("x*y"), n=30).passed
