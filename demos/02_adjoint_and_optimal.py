@@ -5,6 +5,9 @@ Ad(exp(eps*Zg)) acts linearly on the algebra.  Hand-computed matrices
 the anisotropic scaling rescales the translations) are cross-checked
 numerically against expm(-eps * ad_g).  Reduction then drives arbitrary
 coefficient vectors onto one of the 12 published normal forms.
+
+The expm cross-check uses numpy and scipy, which hessym itself does not
+need: `pip install -e '.[test]'`.
 """
 
 import numpy as np

@@ -12,12 +12,11 @@ invariants, and the principal algebra.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .catalog import (
     ClassificationRow,
@@ -67,7 +66,7 @@ __all__ = [
     "RowCheck", "ansatz_residual", "verify_row", "verify_all_rows",
     "BilaCheck", "verify_bila_procedure",
     "ReflectionCheck", "verify_reflection",
-    "InvariantCheck", "verify_invariants",
+    "InvariantCheck", "verify_invariants", "numeric_rank",
     "PrincipalCheck", "verify_principal",
     "H_INSTANCES", "PARAM_VALUES", "s2_of",
 ]
@@ -350,11 +349,39 @@ class InvariantCheck:
                 and self.f_solvable == self.expected_f_solvable)
 
 
+_RANK_TOL = 1e-8
+
+
+def numeric_rank(rows: Sequence[Sequence[float]]) -> int:
+    """Rank of a small float matrix by Gaussian elimination with complete
+    pivoting: the number of pivots larger than 1e-8 in magnitude, each
+    the largest entry left when it is taken."""
+    m = [list(map(float, row)) for row in rows]
+    rank = 0
+    while m and m[0]:
+        p, i, j = max((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row))
+        if p <= _RANK_TOL:
+            break
+        prow = m.pop(i)
+        m = [[v - row[j] / prow[j] * pv for k, (v, pv) in enumerate(zip(row, prow)) if k != j]
+             for row in m]
+        rank += 1
+    return rank
+
+
+def _invariant_gradients(invs: Sequence[Expr], params: Sequence[str]) -> list[list]:
+    """The gradient of each invariant over (x, y, z, f), parameters at 1,
+    one compiled evaluator per entry."""
+    values = {p: num(1) for p in params}
+    return [[compile_evaluator(normalize(substitute(diff(I, v), values)), list(P4.variables))
+             for v in P4.variables] for I in invs]
+
+
 def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
     """Each stated invariant is annihilated by the generator (parameters
     symbolic), the invariants are functionally independent, and exactly
     the stated datasets allow solving for f."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     out = []
     for ds in invariant_datasets():
         coeffs = tuple(parse(c) if c not in ("", "0") else ZERO for c in ds.coeffs)
@@ -363,16 +390,12 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
         verdicts = tuple(is_zero(normalize(field.apply(I)), mode="symbolic")
                          for I in invs)
 
-        values = {p: num(1) for p in ds.params}
-        grads = [[normalize(substitute(diff(I, v), values)) for v in P4.variables]
-                 for I in invs]
-        fns = [[compile_evaluator(g, list(P4.variables)) for g in row] for row in grads]
+        fns = _invariant_gradients(invs, ds.params)
         rank = 0
         for _ in range(3):
             pt = sample_point(P4.variables, rng)
             args = [pt[v] for v in P4.variables]
-            mat = np.array([[fn(*args) for fn in row] for row in fns])
-            rank = max(rank, int(np.linalg.matrix_rank(mat, tol=1e-8)))
+            rank = max(rank, numeric_rank([[fn(*args) for fn in row] for row in fns]))
 
         solvable = any(normalize(diff(I, "f")) != ZERO for I in invs)
         out.append(InvariantCheck(ds.label, verdicts, rank, solvable, ds.f_solvable))

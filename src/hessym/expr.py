@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -555,10 +556,11 @@ class OpaqueBinding:
 
     Built either from callables (``fn`` for the value, ``derivs`` keyed by
     sorted slot tuples) or, by ``from_expr``, from a closed-form body over
-    ``params``.  An expression binding differentiates its body and compiles
-    it with ``compile_evaluator`` (through ``inner`` for the profiles the
-    body itself applies) on the first use of each slot tuple, and keeps the
-    compiled function; ``fn`` is the slot tuple ().
+    ``params``.  An expression binding binds the compiled derivative body
+    of each slot tuple to ``inner`` (the profiles the body itself applies)
+    on its first use, and keeps the result; ``fn`` is the slot tuple ().
+    Each (body, slots) is differentiated and compiled once per process,
+    however many bindings share the body.
     """
 
     def __init__(self, arity: int, fn: Callable[..., float] | None = None,
@@ -568,7 +570,7 @@ class OpaqueBinding:
         if fn is not None:
             self._derivs[()] = fn
         self.params: tuple[str, ...] = ()
-        self.bodies: dict[tuple[int, ...], Expr] = {}  # slots -> differentiated body
+        self.body: Expr | None = None
         self.inner: dict[str, OpaqueBinding] = {}
 
     @classmethod
@@ -577,7 +579,7 @@ class OpaqueBinding:
         """Evaluator family of a closed-form body, compiled on first use."""
         b = cls(len(params))
         b.params = tuple(params)
-        b.bodies[()] = body
+        b.body = body
         b.inner = dict(inner or {})
         return b
 
@@ -585,21 +587,29 @@ class OpaqueBinding:
     def fn(self) -> Callable[..., float]:
         return self.deriv(())
 
-    def body_for(self, slots: tuple[int, ...]) -> Expr:
-        if slots not in self.bodies:
-            parent = self.body_for(slots[:-1])
-            self.bodies[slots] = _diff(parent, self.params[slots[-1] - 1])
-        return self.bodies[slots]
-
     def deriv(self, slots: tuple[int, ...]) -> Callable[..., float]:
         slots = tuple(sorted(slots))
         if slots in self._derivs:
             return self._derivs[slots]
-        if not self.bodies:
+        if self.body is None:
             raise EvalError(f"no derivative evaluator bound for slots {slots}")
-        fn = compile_evaluator(self.body_for(slots), self.params, self.inner)
+        fn = _slot_template(self.body, self.params, slots)(self.inner)
         self._derivs[slots] = fn
         return fn
+
+
+@lru_cache(maxsize=1024)
+def _slot_body(body: Expr, params: tuple[str, ...], slots: tuple[int, ...]) -> Expr:
+    """The derivative of ``body`` in the ``slots`` parameters, each taken
+    from its parent derivative."""
+    if not slots:
+        return body
+    return _diff(_slot_body(body, params, slots[:-1]), params[slots[-1] - 1])
+
+
+@lru_cache(maxsize=1024)
+def _slot_template(body: Expr, params: tuple[str, ...], slots: tuple[int, ...]):
+    return compile_template(_slot_body(body, params, slots), params)
 
 
 _NONFINITE = "evaluation overflowed or produced NaN"
@@ -781,7 +791,8 @@ def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
     Used for sampling loops (hundreds of points on large residuals); the
     recursive evaluator stays the reference semantics and the test oracle.
     A tuple of expressions compiles to one callable returning the tuple of
-    their values, each emitted exactly as it would be on its own.
+    their values, each emitted exactly as it would be on its own, except
+    that an integer constant entry is the float of the same value.
 
     Domain errors and overflow raise EvalDomainError where the reference
     does: ln, sqrt and non-integer powers are guarded, exp keeps the
@@ -841,7 +852,11 @@ def compile_template(e: Expr | Sequence[Expr], var_order: Sequence[str],
         # x - x is 0 for a finite x and NaN, which is truthy, for inf and NaN
         body, nonfinite = emit(e), "_r - _r"
     else:
-        body = "(" + "".join(emit(x) + "," for x in e) + ")"
+        # an integer constant entry as a float literal, so that a matrix
+        # of entries is a tuple of floats
+        body = "(" + "".join((f"{x.value.numerator}.0" if isinstance(x, Num) and
+                              x.value.denominator == 1 else emit(x)) + ","
+                             for x in e) + ")"
         # a finite sum has finite terms; only an inf or NaN sum (or an
         # overflowing one) needs the entry-by-entry test
         nonfinite = "not _isfinite(_sum(_r)) and not _all(_map(_isfinite, _r))"

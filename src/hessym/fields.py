@@ -6,18 +6,18 @@ matrices Ad(exp(eps*B_i)) computed from the Lie series
 sum_m (-eps)^m/m! ad_i^m.  The same closed-form exponential
 (``exp_closed_form``) gives the affine flows of ``flows``.  Everything is
 exact rational arithmetic; numeric evaluation compiles the detected closed
-forms.
+forms.  Float matrices are tuples of rows; ``matmul``, ``matvec`` and
+``max_abs_diff`` are the few plain loops the numeric checks need.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .expr import (
     ZERO, Expr, ExprError, Num, add, call, compile_evaluator, diff, div,
@@ -31,6 +31,7 @@ __all__ = [
     "StructureTable", "AdjointMatrix", "NotInSpanError", "vf",
     "commutator", "decompose", "structure_table", "adjoint", "exp_closed_form",
     "project", "format_combination", "rref",
+    "Rows", "identity", "matmul", "matvec", "max_abs_diff",
 ]
 
 
@@ -165,6 +166,32 @@ def rref(rows: Sequence[Sequence[Fraction]],
     return m, pivots
 
 
+# ---------------------------------------------------------------------------
+# float matrices, as tuples of rows
+
+Rows = tuple[tuple[float, ...], ...]
+
+
+def identity(n: int) -> Rows:
+    return tuple(tuple(float(r == c) for c in range(n)) for r in range(n))
+
+
+def matvec(A: Sequence[Sequence[float]], v: Sequence[float]) -> tuple[float, ...]:
+    """A v, each entry summed left to right."""
+    return tuple(sum(map(operator.mul, row, v)) for row in A)
+
+
+def matmul(A: Sequence[Sequence[float]], B: Sequence[Sequence[float]]) -> Rows:
+    """A B, each entry summed left to right."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in A)
+
+
+def max_abs_diff(A: Sequence[Sequence[float]], B: Sequence[Sequence[float]]) -> float:
+    """Largest entrywise |A - B| of two matrices of one shape."""
+    return max(abs(a - b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
 def _solve_exact(columns: Sequence[dict[_CoeffKey, Fraction]],
                  target: dict[_CoeffKey, Fraction]) -> tuple[Fraction, ...] | None:
     """Solve sum_j c_j * col_j = target exactly; None if inconsistent."""
@@ -276,10 +303,10 @@ class StructureTable:
         n = self.dim
         return [[self.c[i][j][k] for j in range(n)] for k in range(n)]
 
-    def bracket_vector(self, a: Sequence[float], b: Sequence[float]) -> np.ndarray:
+    def bracket_vector(self, a: Sequence[float], b: Sequence[float]) -> list[float]:
         """Bilinear bracket on coordinate vectors (numeric)."""
         n = self.dim
-        out = np.zeros(n)
+        out = [0.0] * n
         for i in range(n):
             if a[i] == 0:
                 continue
@@ -370,9 +397,10 @@ class AdjointMatrix:
     entries: tuple[tuple[Expr, ...], ...]
     eps_name: str = "eps"
 
-    def eval_at(self, eps: float) -> np.ndarray:
+    def eval_at(self, eps: float) -> Rows:
+        flat = self._compiled(float(eps))
         n = len(self.names)
-        return np.array(self._compiled(eps), dtype=float).reshape(n, n)
+        return tuple(flat[k:k + n] for k in range(0, n * n, n))
 
     @cached_property
     def _compiled(self):

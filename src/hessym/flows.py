@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .catalog import principal_basis, row_by_id
 from .expr import (
     Expr,
@@ -44,7 +42,9 @@ from .expr import (
     sym,
     to_text,
 )
-from .fields import E4, VectorField, exp_closed_form, vf
+from .fields import (
+    E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
+)
 from .jets import SPATIAL, s2_of, s2_of_poly
 from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
 from .parse import parse
@@ -133,15 +133,16 @@ class AffineFlow:
     def _compiled(self):
         return compile_evaluator(tuple(e for row in self.entries for e in row), ["t"])
 
-    def matrix(self, t: float) -> np.ndarray:
-        """exp(t L) evaluated from the closed forms.  Always a fresh array."""
+    def matrix(self, t: float) -> Rows:
+        """exp(t L) evaluated from the closed forms, as rows of floats."""
+        flat = self._compiled(float(t))
         n = len(self.L)
-        return np.array(self._compiled(t), dtype=float).reshape(n, n)
+        return tuple(flat[k:k + n] for k in range(0, n * n, n))
 
-    def spatial_preimage(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(B, c) with x_source = B @ x_target + c, from the inverse flow."""
+    def spatial_preimage(self, t: float) -> tuple[Rows, tuple[float, ...]]:
+        """(B, c) with x_source = B x_target + c, from the inverse flow."""
         M = self.matrix(-t)
-        return M[:3, :3], M[:3, 4]
+        return tuple(row[:3] for row in M[:3]), tuple(row[4] for row in M[:3])
 
 
 def flow_of(v: VectorField) -> AffineFlow:
@@ -155,8 +156,14 @@ def pushforward_value(flow: AffineFlow, t: float,
     element: evaluate u0 at the preimage point and apply the u-row."""
     M = flow.matrix(t)
     B, c = flow.spatial_preimage(t)
-    p = B @ np.array([x, y, z]) + c
-    return float(M[3, :3] @ p + M[3, 3] * u0(*p) + M[3, 4])
+    p = _affine(B, c, (x, y, z))
+    m = M[3]
+    return m[0] * p[0] + m[1] * p[1] + m[2] * p[2] + m[3] * u0(*p) + m[4]
+
+
+def _affine(B: Rows, c: Sequence[float], pt: Sequence[float]) -> tuple[float, ...]:
+    """B pt + c."""
+    return tuple(v + ci for v, ci in zip(matvec(B, pt), c))
 
 
 def equivariance_weight(v: VectorField) -> Fraction:
@@ -341,13 +348,13 @@ def _sample_poly(rng: random.Random) -> Expr:
 _LINEAR_MONOMIALS = ((("x", 1),), (("y", 1),), (("z", 1),), ())
 
 
-def _pushforward_poly(p: Poly, den: int, M: np.ndarray, B: np.ndarray,
-                      c: np.ndarray) -> tuple[Poly, int]:
-    """(N, T) with N/T = M[3,3] u(B x + c) + M[3,:3] (B x + c) + M[3,4]
+def _pushforward_poly(p: Poly, den: int, M: Rows, B: Rows,
+                      c: Sequence[float]) -> tuple[Poly, int]:
+    """(N, T) with N/T = M[3][3] u(B x + c) + M[3][:3] (B x + c) + M[3][4]
     for u = p/den, p an integer polynomial in x, y, z.  The float entries
     are exact dyadic rationals, so N/T is exactly the profile that
     substituting them as numbers into u's tree would give."""
-    rows = [[Fraction(float(v)) for v in (*B[i], c[i])] for i in range(3)]
+    rows = [[Fraction(v) for v in (*B[i], c[i])] for i in range(3)]
     e = math.lcm(*(v.denominator for row in rows for v in row))
     # e times the image coordinates, and their powers up to u's degree n
     lin = [{m: (v * e).numerator for m, v in zip(_LINEAR_MONOMIALS, row) if v}
@@ -363,7 +370,7 @@ def _pushforward_poly(p: Poly, den: int, M: np.ndarray, B: np.ndarray,
         for g, k in m:
             term = _pmul(term, powers[g][k])
         pulled = _padd(pulled, term)
-    w = [Fraction(float(v)) for v in M[3]]
+    w = [Fraction(v) for v in M[3]]
     f = math.lcm(*(v.denominator for v in w))
     w = [(v * f).numerator for v in w]
     # f den e^n u_new = w3 pulled + den e^(n-1) (w0 lin0 + w1 lin1 + w2 lin2 + w4 e);
@@ -423,18 +430,21 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         # group law and inverse, on random parameter pairs
         for _ in range(8):
             a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            Mab = flw.matrix(a) @ flw.matrix(b)
+            Ma = flw.matrix(a)
             M = flw.matrix(a + b)
-            scale = max(1.0, float(np.max(np.abs(M))))
-            worst_group = max(worst_group, float(np.max(np.abs(Mab - M))) / scale)
-            inv = flw.matrix(a) @ flw.matrix(-a)
-            worst_group = max(worst_group, float(np.max(np.abs(inv - np.eye(5)))))
+            scale = max(1.0, max(abs(v) for row in M for v in row))
+            worst_group = max(worst_group,
+                              max_abs_diff(matmul(Ma, flw.matrix(b)), M) / scale)
+            worst_group = max(worst_group,
+                              max_abs_diff(matmul(Ma, flw.matrix(-a)), identity(5)))
 
         # central-difference generator recovery
         h = 1e-6
-        D = (flw.matrix(h) - flw.matrix(-h)) / (2 * h)
-        L = np.array([[float(x) for x in row] for row in flw.L])
-        worst_gen = max(worst_gen, float(np.max(np.abs(D - L))) / (1.0 + float(np.max(np.abs(L)))))
+        D = [[(p - m) / (2 * h) for p, m in zip(rp, rm)]
+             for rp, rm in zip(flw.matrix(h), flw.matrix(-h))]
+        L = [[float(x) for x in row] for row in flw.L]
+        worst_gen = max(worst_gen, max_abs_diff(D, L)
+                        / (1.0 + max(abs(v) for row in L for v in row)))
 
         # finite equivariance on polynomial profiles
         for _ in range(2):
@@ -448,7 +458,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                 w_t = math.exp(float(rate) * t)
                 for _ in range(n_points // len(t_values) + 1):
                     pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
-                    pre = B @ np.array(pt) + c
+                    pre = _affine(B, c, pt)
                     lhs = s2_new_fn(*pt)
                     rhs = w_t * s2_u0_fn(*pre)
                     worst_equi = max(worst_equi,
@@ -611,14 +621,14 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
 
     M = flw.matrix(t)
     B, c = flw.spatial_preimage(t)
-    pre_texts = tuple(_affine_text(B[i, :], float(c[i])) for i in range(3))
-    scale = float(M[3, 3])
-    linear = tuple(float(M[3, j]) for j in range(3))
-    shift = float(M[3, 4])
+    pre_texts = tuple(_affine_text(B[i], c[i]) for i in range(3))
+    scale = M[3][3]
+    linear = M[3][:3]
+    shift = M[3][4]
 
-    img = [add(*[mul(num(Fraction(float(B[i, j]))), sym(w))
+    img = [add(*[mul(num(Fraction(B[i][j])), sym(w))
                  for j, w in enumerate(SPATIAL)],
-               num(Fraction(float(c[i]))))
+               num(Fraction(c[i])))
            for i in range(3)]
     pulled = substitute(u_expr, dict(zip(SPATIAL, img)))
     u_new = add(mul(num(Fraction(scale)), pulled),
@@ -632,7 +642,7 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     worst = 0.0
     for _ in range(n_points):
         pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
-        pre = B @ np.array(pt) + c
+        pre = _affine(B, c, pt)
         lhs = s2_new_fn(*pt)
         rhs = factor * s2_u0_fn(*pre)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))

@@ -29,7 +29,7 @@ from .expr import (
 from .fields import VectorField
 from .normalize import (
     DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pdiff, _pmul,
-    _poly_to_expr, _pscale, as_polynomial, normalize,
+    _poly_to_expr, _pscale, as_polynomial, normalize, signed_uniform,
 )
 from .parse import parse
 
@@ -241,11 +241,6 @@ def invariance_residual(prl: Prolongation, rhs_variation: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # numeric checks on the solution variety
 
-def _draw(rng: random.Random, lo: float = 0.1, hi: float = 2.0) -> float:
-    mag = rng.uniform(lo, hi)
-    return mag if rng.random() < 0.5 else -mag
-
-
 def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], float],
                       include_order3: bool = False, guard: float = 0.25,
                       max_attempts: int = 100) -> dict[str, float]:
@@ -255,9 +250,9 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
     stays well-scaled.
     """
     for _ in range(max_attempts):
-        pt = {s: _draw(rng) for s in ("x", "y", "z", "u")}
+        pt = {s: signed_uniform(rng) for s in ("x", "y", "z", "u")}
         for idx in jet_indices(1) + jet_indices(2):
-            pt[f"u_{idx}"] = _draw(rng)
+            pt[f"u_{idx}"] = signed_uniform(rng)
         if abs(pt["u_xx"] + pt["u_zz"]) < guard:
             continue
         try:
@@ -268,7 +263,7 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
                       + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])
         if include_order3:
             for idx in jet_indices(3):
-                pt[f"u_{idx}"] = _draw(rng)
+                pt[f"u_{idx}"] = signed_uniform(rng)
         return pt
     raise EvalDomainError("could not sample a well-conditioned variety point")
 

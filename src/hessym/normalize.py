@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
@@ -44,7 +43,7 @@ from .expr import (
 __all__ = [
     "normalize", "print_canonical", "is_zero", "as_polynomial", "as_rational",
     "ProvedZero", "NumericallyZero", "NonZero", "Verdict", "NormalizeError",
-    "DEFAULT_SEED", "sample_point",
+    "DEFAULT_SEED", "sample_point", "signed_uniform",
 ]
 
 DEFAULT_SEED = 20240229
@@ -357,43 +356,10 @@ def _atom(node: Expr, reg: dict[str, Expr]) -> Frac:
 # reduction
 
 def _sympy_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
-    """n and d divided by their gcd as sympy computes it.
-
-    Nothing in hessym calls this: it is the oracle that the tests hold
-    `_cancel` against, and the hook that perfbench's tracer wraps to
-    count sympy gcd calls.  sympy is imported only here.
-    """
-    import sympy
-
-    gens = sorted({g for m in list(n) + list(d) for g, _ in m})
-    if not gens:
-        return n, d
-    syms = sympy.symbols(f"_g0:{len(gens)}")
-    if len(gens) == 1:
-        syms = (syms[0],) if not isinstance(syms, tuple) else syms
-    gi = {g: i for i, g in enumerate(gens)}
-
-    def to_sym(p: Poly):
-        rep = {}
-        for m, c in p.items():
-            v = [0] * len(gens)
-            for g, k in m:
-                v[gi[g]] = k
-            rep[tuple(v)] = sympy.Rational(c.numerator, c.denominator)
-        return sympy.Poly.from_dict(rep, *syms, domain="QQ")
-
-    def from_sym(p) -> Poly:
-        out: Poly = {}
-        for v, c in p.as_dict().items():
-            m = tuple((gens[i], int(k)) for i, k in enumerate(v) if k)
-            out[m] = Fraction(int(c.p), int(c.q))
-        return out
-
-    pn, pd = to_sym(n), to_sym(d)
-    g = pn.gcd(pd)
-    if g.total_degree() == 0:
-        return n, d
-    return from_sym(pn.exquo(g)), from_sym(pd.exquo(g))
+    """The name that perfbench/tracer.py wraps to count sympy gcd calls.
+    hessym makes none, and nothing calls this; the sympy gcd that the
+    tests hold ``_cancel`` against lives in the tests."""
+    raise NotImplementedError("hessym computes no gcd through sympy")
 
 
 def _mono_gcd(monos: Sequence[Monomial]) -> Monomial:
@@ -654,23 +620,27 @@ class NonZero:
 Verdict = ProvedZero | NumericallyZero | NonZero
 
 
-def sample_point(names: Sequence[str], rng: np.random.Generator,
+def signed_uniform(rng: random.Random, lo: float = 0.1, hi: float = 2.0) -> float:
+    """Magnitude uniform in [lo, hi] with a random sign."""
+    mag = rng.uniform(lo, hi)
+    return mag if rng.random() < 0.5 else -mag
+
+
+def sample_point(names: Sequence[str], rng: random.Random,
                  domains: Mapping[str, tuple[float, float]] | None = None) -> dict[str, float]:
     """Magnitudes uniform in [0.1, 2] with random sign, keeping samples away
     from zero; per-variable (lo, hi) overrides sample uniformly as given."""
     out = {}
     for v in names:
         if domains and v in domains:
-            lo, hi = domains[v]
-            out[v] = float(rng.uniform(lo, hi))
+            out[v] = rng.uniform(*domains[v])
         else:
-            mag = float(rng.uniform(0.1, 2.0))
-            out[v] = mag if rng.uniform() < 0.5 else -mag
+            out[v] = signed_uniform(rng)
     return out
 
 
 def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
-            seed: int = DEFAULT_SEED, rng: np.random.Generator | None = None,
+            seed: int = DEFAULT_SEED, rng: random.Random | None = None,
             bindings: Mapping[str, OpaqueBinding] | None = None,
             domains: Mapping[str, tuple[float, float]] | None = None) -> Verdict:
     """Three-way zero test.
@@ -691,7 +661,7 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
             return NonZero(witness=None, residual=float("inf"))
     names = sorted(free_symbols(e))
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
     max_ratio = 0.0
     done = 0
     attempts = 0

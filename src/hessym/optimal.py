@@ -16,14 +16,13 @@ everything else lies outside the classified region.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from .catalog import OPTIMAL_PATTERNS, Z_NAMES, reduced_basis
-from .fields import AdjointMatrix, adjoint, structure_table
+from .fields import AdjointMatrix, adjoint, matvec, structure_table
 
 __all__ = [
     "ReductionError", "ReductionStep", "ReductionTrace",
@@ -41,10 +40,10 @@ def arccot(x: float) -> float:
     return math.atan2(1.0, x)
 
 
-def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> np.ndarray:
+def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> tuple[float, ...]:
     """Action of Ad(exp(eps*Z_gen)) on coefficient vectors, transcribed
     entry by entry from the printed adjoint table (1-based gen)."""
-    return np.array(_published_adjoint(gen, tuple(float(v) for v in a), eps))
+    return _published_adjoint(gen, tuple(map(float, a)), eps)
 
 
 def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[float, ...]:
@@ -82,11 +81,8 @@ class ReductionStep:
     value: float                # eps for adjoint, factor for scale
     note: str
 
-    def apply_published(self, a: np.ndarray) -> np.ndarray:
-        return np.array(self.apply(tuple(float(v) for v in a)))
-
     def apply(self, a: tuple[float, ...]) -> tuple[float, ...]:
-        """``apply_published`` on a tuple of floats (the reduction loop)."""
+        """The step on a tuple of floats, adjoint maps by the printed table."""
         if self.kind == "adjoint":
             return _published_adjoint(self.generator, a, self.value)
         if self.kind == "scale":
@@ -107,9 +103,9 @@ class ReductionTrace:
 
     def describe(self) -> str:
         lines = [f"start   {_fmt_vec(self.initial)}"]
-        a = np.array(self.initial)
+        a = self.initial
         for st in self.steps:
-            a = st.apply_published(a)
+            a = st.apply(a)
             what = (f"Ad(exp({st.value:+.6g}*Z{st.generator}))" if st.kind == "adjoint"
                     else f"scale by {st.value:.6g}" if st.kind == "scale" else "reflect")
             lines.append(f"{st.note:<22} {what:<28} -> {_fmt_vec(a)}")
@@ -153,6 +149,23 @@ def classify_vector(a: Sequence[float], tol: float = 1e-9) -> tuple[str, int | N
     raise ReductionError(f"reduced vector matches no pattern: {_fmt_vec(a)}")
 
 
+def _coefficients(a: Sequence[float]) -> tuple[float, ...]:
+    """The entries of a flat, ordered run of 8 real numbers (a sequence or
+    a 1-d array) as floats.  Strings, bytes, sets, generators and nested
+    rows are rejected rather than read item by item."""
+    bad = ReductionError("expected 8 coefficients over Z1..Z8")
+    ordered = isinstance(a, Sequence) or hasattr(a, "__array__")
+    if not ordered or isinstance(a, (str, bytes, bytearray)):
+        raise bad
+    try:
+        items = list(a)
+    except TypeError as exc:  # a 0-d array
+        raise bad from exc
+    if len(items) != 8 or not all(isinstance(v, numbers.Real) for v in items):
+        raise bad
+    return tuple(map(float, items))
+
+
 def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     """Canonicalize a nonzero combination sum a_k Z_k by the adjoint action.
 
@@ -161,11 +174,7 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     scaling.  Both coefficients vanishing is outside the classified region
     and raises ReductionError.
     """
-    arr = np.asarray(a, dtype=float)
-    if arr.shape != (8,):
-        raise ReductionError("expected 8 coefficients over Z1..Z8")
-    a0 = tuple(arr.tolist())  # plain floats: the loop below is scalar work
-    a = a0
+    a = a0 = _coefficients(a)
     if not all(map(math.isfinite, a)):
         raise ReductionError("coefficients must be finite numbers")
     norm = max(map(abs, a))
@@ -257,20 +266,16 @@ def _recomputed_adjoints() -> tuple[AdjointMatrix, ...]:
     return tuple(adjoint(table, i) for i in range(8))
 
 
-def replay(trace: ReductionTrace) -> np.ndarray:
+def replay(trace: ReductionTrace) -> tuple[float, ...]:
     """Re-run a trace using adjoint matrices derived from the structure
     constants instead of the printed formulas."""
     mats = _recomputed_adjoints()
-    a = np.array(trace.initial, dtype=float)
+    a = trace.initial
     for st in trace.steps:
         if st.kind == "adjoint":
-            a = mats[st.generator - 1].eval_at(st.value) @ a
-        elif st.kind == "scale":
-            a = a * st.value
-        elif st.kind == "reflect":
-            a = -a
+            a = matvec(mats[st.generator - 1].eval_at(st.value), a)
         else:
-            raise ReductionError(f"unknown step kind {st.kind!r}")
+            a = st.apply(a)
     return a
 
 
@@ -278,6 +283,5 @@ def replay_deviation(trace: ReductionTrace) -> float:
     """Max absolute disagreement between the two adjoint routes, relative
     to the vector scale."""
     got = replay(trace)
-    want = np.array(trace.final)
-    scale = max(1.0, float(np.max(np.abs(want))))
-    return float(np.max(np.abs(got - want))) / scale
+    scale = max(1.0, *map(abs, trace.final))
+    return max(abs(g - w) for g, w in zip(got, trace.final)) / scale

@@ -2,16 +2,18 @@
 invariants, and the principal algebra."""
 
 import dataclasses
+import random
 
 import pytest
 
 from hessym import classify
-from hessym.catalog import classification_rows, row_by_id
+from hessym.catalog import classification_rows, invariant_datasets, row_by_id
 from hessym.classify import (
     H_INSTANCES,
     _bind_field,
     _h_binding,
     ansatz_residual,
+    numeric_rank,
     s2_of,
     verify_all_rows,
     verify_bila_procedure,
@@ -21,9 +23,9 @@ from hessym.classify import (
     verify_row,
 )
 from hessym.expr import free_symbols, num, substitute
-from hessym.fields import E4, LieBasis, vf
+from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
-from hessym.normalize import NonZero, NumericallyZero, ProvedZero, is_zero
+from hessym.normalize import NonZero, NumericallyZero, ProvedZero, is_zero, sample_point
 from hessym.parse import parse
 from hessym.report import run_suite
 
@@ -159,6 +161,37 @@ def test_invariant_datasets():
     a1 = checks["A1"]
     assert a1.passed
     assert not a1.f_solvable  # no invariant involves f: no invariant rhs
+
+
+# numpy's SVD rank is the oracle for the pivoted-elimination rank; it is
+# imported in these tests only, since hessym itself never loads numpy
+
+def test_numeric_rank_matches_numpy_on_invariant_gradients():
+    import numpy as np
+
+    rng = random.Random(11)
+    for ds in invariant_datasets():
+        fns = classify._invariant_gradients([parse(t) for t in ds.invariants], ds.params)
+        for _ in range(30):
+            pt = sample_point(P4.variables, rng)
+            mat = [[fn(*(pt[v] for v in P4.variables)) for fn in row] for row in fns]
+            assert numeric_rank(mat) == np.linalg.matrix_rank(np.array(mat), tol=1e-8) == 3
+            # a row that depends on the others adds nothing
+            mat.append([a - 2 * b for a, b in zip(mat[0], mat[2])])
+            assert numeric_rank(mat) == np.linalg.matrix_rank(np.array(mat), tol=1e-8) == 3
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_numeric_rank_matches_numpy_on_known_ranks(rank):
+    import numpy as np
+
+    rng = random.Random(100 + rank)
+    for _ in range(50):
+        m, n = rng.randint(max(rank, 1), 6), rng.randint(max(rank, 1), 6)
+        U = [[rng.uniform(-2, 2) for _ in range(rank)] for _ in range(m)]
+        V = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(rank)]
+        mat = [[sum(u[k] * V[k][j] for k in range(rank)) for j in range(n)] for u in U]
+        assert numeric_rank(mat) == np.linalg.matrix_rank(np.array(mat), tol=1e-8) == rank
 
 
 def test_principal_algebra():

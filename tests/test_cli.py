@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -104,7 +105,8 @@ def test_reduce_json(capsys):
 # `reduce --format json` as recorded before the reduction loop moved from
 # numpy scalars to plain floats, one vector per branch of the tree: a8 != 0,
 # a8 = 0 with a5 != 0 (through a reflection, hence the -0.0), and a8 = a5 = 0
-# with a4 and a6 nonzero
+# with a4 and a6 nonzero.  Only replay_deviation has changed since: the
+# replay sums each row left to right, which reproduces these finals exactly
 REDUCE_GOLDEN = {
     "0.3,-1.2,0.5,0.7,0.1,-0.4,0.9,1.5":
         '{"final":[-1.5853939104183669e-16,1.0,-9.743471988520454e-17,'
@@ -122,7 +124,7 @@ REDUCE_GOLDEN = {
         '1.3076923076923075,0.0,1.0,-0.0],'
         '"input":[1.1,-0.6,0.25,0.8,-1.7,0.4,-1.3,0.0],'
         '"parameters":{"a":-0.6880209161537815,"b":1.3076923076923075},'
-        '"pattern":"A10","replay_deviation":1.4420234035736994e-16,"sign":1,"steps":['
+        '"pattern":"A10","replay_deviation":0.0,"sign":1,"steps":['
         '{"generator":null,"kind":"reflect","note":"orient a7 > 0","value":-1.0},'
         '{"generator":null,"kind":"scale","note":"set a7 = 1","value":0.7692307692307692},'
         '{"generator":1,"kind":"adjoint","note":"kill a2","value":-0.3529411764705882},'
@@ -133,7 +135,7 @@ REDUCE_GOLDEN = {
         '{"final":[1.0,0.0,0.0,-0.2727272727272727,0.0,0.3409090909090909,1.0,0.0],'
         '"input":[0.9,-0.35,1.4,-0.6,0.0,0.75,2.2,0.0],'
         '"parameters":{"a":-0.2727272727272727,"g":0.3409090909090909},'
-        '"pattern":"A8","replay_deviation":2.3875763970433477e-17,"sign":1,"steps":['
+        '"pattern":"A8","replay_deviation":0.0,"sign":1,"steps":['
         '{"generator":null,"kind":"scale","note":"set a7 = 1","value":0.45454545454545453},'
         '{"generator":1,"kind":"adjoint","note":"kill a3","value":2.3333333333333335},'
         '{"generator":3,"kind":"adjoint","note":"kill a2","value":-0.4666666666666667},'
@@ -309,8 +311,8 @@ def test_invariants_all(capsys):
 # import cost
 
 def test_one_shot_commands_never_import_scipy():
-    # no command loads scipy, the adjoint suite's expm oracle being
-    # numpy's; this covers the one-shot commands and every suite but
+    # no command loads scipy, the adjoint suite's expm oracle being plain
+    # Python; this covers the one-shot commands and every suite but
     # adjoint, flows and transforms included
     src = str(Path(hessym.__file__).resolve().parents[1])
     env = dict(os.environ,
@@ -337,10 +339,10 @@ def test_one_shot_commands_never_import_scipy():
     assert out.strip() == "False"
 
 
-def test_no_command_loads_scipy_or_sympy():
-    # numpy is the only runtime dependency: `verify all` (which runs each
-    # of the 8 suites through the same run_suites as `verify <suite>`)
-    # and every one-shot command run without scipy or sympy
+def test_no_command_loads_numpy_scipy_or_sympy():
+    # hessym has no runtime dependency: `verify all` (which runs each of
+    # the 8 suites through the same run_suites as `verify <suite>`) and
+    # every one-shot command run without numpy, scipy or sympy
     src = str(Path(hessym.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -358,7 +360,25 @@ def test_no_command_loads_scipy_or_sympy():
             "]\n"
             "for argv in commands:\n"
             "    assert main(argv + ['--out', os.devnull]) == 0, argv\n"
-            "print(sorted({'scipy', 'sympy'} & set(sys.modules)))\n")
+            "print(sorted({'numpy', 'scipy', 'sympy'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_src_imports_only_the_standard_library():
+    # the fresh-process test sees only the imports its commands reach; this
+    # one reads every import statement, function-local ones included
+    bad = []
+    for path in sorted(Path(hessym.__file__).resolve().parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one (hessym itself)
+            bad += [f"{path.name}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names
+                    and name.split(".")[0] != "hessym"]
+    assert bad == []

@@ -175,7 +175,7 @@ class TestAdjoint:
     def test_identity_at_zero_and_inverse_at_negated(self, reduced_table, gen):
         ad = adjoint(reduced_table, gen - 1)
         assert np.max(np.abs(ad.eval_at(0.0) - np.eye(8))) < 1e-14
-        prod = ad.eval_at(0.6) @ ad.eval_at(-0.6)
+        prod = np.array(ad.eval_at(0.6)) @ np.array(ad.eval_at(-0.6))
         assert np.max(np.abs(prod - np.eye(8))) < 1e-12
 
     @pytest.mark.parametrize("gen", range(1, 9))
@@ -192,10 +192,10 @@ class TestAdjoint:
         # Ad[a, b] = [Ad a, Ad b] for coefficient vectors
         rng = np.random.default_rng(3)
         for gen in range(8):
-            M = adjoint(reduced_table, gen).eval_at(0.4)
+            M = np.array(adjoint(reduced_table, gen).eval_at(0.4))
             a, b = rng.uniform(-1, 1, 8), rng.uniform(-1, 1, 8)
-            lhs = M @ reduced_table.bracket_vector(a, b)
-            rhs = reduced_table.bracket_vector(M @ a, M @ b)
+            lhs = M @ np.array(reduced_table.bracket_vector(a, b))
+            rhs = np.array(reduced_table.bracket_vector(M @ a, M @ b))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     @pytest.mark.parametrize("basis,names", [(reduced_basis, Z_NAMES),

@@ -108,7 +108,7 @@ def test_shift_by_x_pushforward():
 
 def test_rotation_block_is_orthogonal():
     flw = flow_of(case_by_id(8).field({"a1": Fraction(1)}))
-    B = flw.matrix(0.7)[:3, :3]
+    B = np.array(flw.matrix(0.7))[:3, :3]
     assert np.max(np.abs(B.T @ B - np.eye(3))) < 1e-12
     assert np.linalg.det(B) == pytest.approx(1.0, abs=1e-12)
 
@@ -196,9 +196,14 @@ def test_matrix_matches_uncached_route(t):
 
 @pytest.mark.parametrize("cid", [2, 14])  # polynomial and exponential entries
 def test_matrix_returns_a_fresh_array(cid):
+    # the rows are tuples, so a caller cannot write into what the next call
+    # returns
     flw = flow_of(case_by_id(cid).field())
     M = flw.matrix(0.7)
-    M[:] = 99.0
+    with pytest.raises(TypeError):
+        M[0] = (99.0,) * 5
+    with pytest.raises(TypeError):
+        M[0][0] = 99.0
     assert np.array_equal(flw.matrix(0.7), AffineFlow(flw.L).matrix(0.7))
     assert flw.matrix(0.7) is not flw.matrix(0.7)
 
@@ -206,8 +211,8 @@ def test_matrix_returns_a_fresh_array(cid):
 def test_spatial_preimage_inverts_the_flow():
     flw = flow_of(case_by_id(15).field({"s": Fraction(1)}))
     t = 0.6
-    M = flw.matrix(t)
-    B, c = flw.spatial_preimage(t)
+    M = np.array(flw.matrix(t))
+    B, c = map(np.array, flw.spatial_preimage(t))
     x = np.array([0.8, -0.4, 1.3])
     fwd = M[:3, :3] @ x + M[:3, 4]
     assert np.max(np.abs(B @ fwd + c - x)) < 1e-12
@@ -369,13 +374,13 @@ def test_field_mismatch_is_detected():
 def _tree_pushforward(u, M, B, c):
     """The pushed-forward profile built as a tree, the route the sparse
     pushforward replaces."""
-    img = [add(*[mul(num(Fraction(float(B[i, j]))), sym(w)) for j, w in enumerate("xyz")],
+    img = [add(*[mul(num(Fraction(float(B[i][j]))), sym(w)) for j, w in enumerate("xyz")],
                num(Fraction(float(c[i]))))
            for i in range(3)]
     pulled = substitute(u, dict(zip("xyz", img)))
-    return add(mul(num(Fraction(float(M[3, 3]))), pulled),
-               *[mul(num(Fraction(float(M[3, j]))), img[j]) for j in range(3)],
-               num(Fraction(float(M[3, 4]))))
+    return add(mul(num(Fraction(float(M[3][3]))), pulled),
+               *[mul(num(Fraction(float(M[3][j]))), img[j]) for j in range(3)],
+               num(Fraction(float(M[3][4]))))
 
 
 def _flows_and_times():

@@ -51,7 +51,7 @@ def scramble(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     for _ in range(int(rng.integers(1, 6))):
         gen = int(rng.integers(1, 9))
         eps = float(rng.uniform(-1.5, 1.5))
-        out = published_adjoint_vector(gen, out, eps)
+        out = np.array(published_adjoint_vector(gen, out, eps))
     out = out * float(rng.uniform(0.2, 5.0))
     if rng.random() < 0.3:
         out = -out
@@ -158,8 +158,11 @@ def test_zero_element_rejected():
 
 
 def test_wrong_length_rejected():
-    with pytest.raises(ReductionError):
-        reduce_to_optimal([1.0, 2.0, 3.0])
+    for bad in ([1.0, 2.0, 3.0], [1.0] * 9, 5.0, "12345678", [[1.0] * 8], ["a"] * 8,
+                b"12345678", set(range(1, 9)), (float(k) for k in range(1, 9)),
+                np.ones((8, 1)), np.array(1.0)):
+        with pytest.raises(ReductionError, match="expected 8"):
+            reduce_to_optimal(bad)
 
 
 def test_both_scalings_vanishing_is_outside_the_classification():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from hessym import optimal
 from hessym.catalog import Z_NAMES, reduced_basis
 from hessym.fields import structure_table
 from hessym.report import (
@@ -87,6 +88,34 @@ def test_optimal_pass_with_coverage(reports):
     assert by_id["proof-case-A1"].status == "pass"
     assert by_id["proof-case-A2"].status == "pass"
     assert by_id["proof-case-A11"].status == "pass"
+
+
+def _coverage(rep):
+    return next(r for r in rep.records if r.check_id == "pattern-coverage")
+
+
+def test_pattern_coverage_does_not_rest_on_the_draws():
+    # 50 random draws miss several patterns (A7 is hit by about 1% of
+    # draws); the scrambled representative of each normal form covers all 12
+    rec = _coverage(run_suite("optimal", points=50))
+    assert rec.status == "pass"
+    assert len(rec.details.split("random draws hit ")[1].split(", ")) < 12
+    assert "except" not in rec.details
+
+
+def test_pattern_coverage_catches_a_lost_pattern(monkeypatch):
+    # a reduction that labels A7 as A8 never returns A7: its scrambled
+    # representative comes back as A8, and the record fails
+    classify = optimal.classify_vector
+
+    def relabel(a, tol=1e-9):
+        pid, sign, params = classify(a, tol)
+        return ("A8", 1, params) if pid == "A7" else (pid, sign, params)
+
+    monkeypatch.setattr(optimal, "classify_vector", relabel)
+    rec = _coverage(run_suite("optimal", points=50))
+    assert rec.status == "fail"
+    assert "except A7 -> A8;" in rec.details
 
 
 def test_determining_suite_passes():
