@@ -14,16 +14,19 @@ continuous parameters restricted by the row's constraints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .expr import ZERO, Expr, add, free_symbols, mul, num, sym
-from .fields import E4, E5, P4, LieBasis, VectorField, project, vf
+from .fields import (
+    E4, E5, P4, AdjointMatrix, LieBasis, StructureTable, VectorField, adjoint,
+    project, structure_table, vf,
+)
 
 __all__ = [
     "equivalence_basis", "reduced_basis", "principal_basis",
+    "reduced_table", "reduced_adjoints",
     "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced", "reduced_f_weight",
     "ClassificationRow", "classification_rows", "row_by_id",
     "InvariantDataset", "invariant_datasets", "OPTIMAL_PATTERNS",
@@ -69,6 +72,21 @@ def reduced_basis() -> LieBasis:
     u-additions project to zero, leaving an eight-dimensional algebra."""
     Z = [project(equivalence_basis().fields[i - 1], P4) for i in Z_TO_Y]
     return LieBasis("reduced", tuple(Z))
+
+
+@lru_cache(maxsize=None)
+def reduced_table() -> StructureTable:
+    """Structure table of the reduced algebra g8, built once per process
+    for every suite and command that needs it."""
+    return structure_table(reduced_basis(), Z_NAMES)
+
+
+@lru_cache(maxsize=None)
+def reduced_adjoints() -> tuple[AdjointMatrix, ...]:
+    """The eight closed-form adjoint matrices Ad(exp(eps*Z_i)) of g8, built
+    once per process, so each compiles its evaluator once."""
+    table = reduced_table()
+    return tuple(adjoint(table, i) for i in range(8))
 
 
 @lru_cache(maxsize=None)
@@ -158,8 +176,7 @@ PUBLISHED_ADJOINT: dict[int, dict[int, dict[int, str]]] = {
 # ---------------------------------------------------------------------------
 # classification rows
 
-@dataclass(frozen=True)
-class ClassificationRow:
+class ClassificationRow(NamedTuple):
     """One invariant right-hand side with its extra symmetry.
 
     ``generator`` gives the reduced combination A = sum a_k Z_k the row
@@ -325,8 +342,7 @@ def row_by_id(row_id: str) -> ClassificationRow:
 # ---------------------------------------------------------------------------
 # invariant datasets for the characteristic-equation route
 
-@dataclass(frozen=True)
-class InvariantDataset:
+class InvariantDataset(NamedTuple):
     """A reduced generator together with the stated functional invariants.
 
     ``invariants`` are expressions in (x, y, z, f) annihilated by the

@@ -13,10 +13,9 @@ invariants, and the principal algebra.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import (
     ClassificationRow,
@@ -145,8 +144,7 @@ def ansatz_residual(row: ClassificationRow, sign_value: int = 1) -> Expr:
     return normalize(add(*terms))
 
 
-@dataclass(frozen=True)
-class RowCheck:
+class RowCheck(NamedTuple):
     """Outcome of both checks on one classification row."""
 
     row_id: str
@@ -226,8 +224,7 @@ def verify_all_rows(**kwargs) -> tuple[RowCheck, ...]:
 # ---------------------------------------------------------------------------
 # three-step equivalence derivation
 
-@dataclass(frozen=True)
-class BilaCheck:
+class BilaCheck(NamedTuple):
     """Replay of the three-step derivation of the equivalence algebra.
 
     ``step2`` / ``step3`` record which of the printed augmentation
@@ -293,8 +290,7 @@ def _reflect(e: Expr) -> Expr:
     return substitute(e, {v: neg(sym(v)) for v in SPATIAL if v in free_symbols(e)})
 
 
-@dataclass(frozen=True)
-class ReflectionCheck:
+class ReflectionCheck(NamedTuple):
     """Both readings of the printed discrete reflection.
 
     The printed equivalence group includes (x, y, z, u, f) -> -(x, y, z,
@@ -334,8 +330,7 @@ def verify_reflection(profiles: Sequence[str] = (
 # ---------------------------------------------------------------------------
 # characteristic-equation invariants
 
-@dataclass(frozen=True)
-class InvariantCheck:
+class InvariantCheck(NamedTuple):
     label: str
     annihilation: tuple[Verdict, ...]
     jacobian_rank: int
@@ -405,8 +400,7 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
 # ---------------------------------------------------------------------------
 # principal algebra
 
-@dataclass(frozen=True)
-class PrincipalCheck:
+class PrincipalCheck(NamedTuple):
     dimension: int
     family_dimension: int
     symmetry_max_residual: float

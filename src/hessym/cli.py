@@ -1,9 +1,10 @@
 """Command-line interface: tables, verification suites, reductions,
 symmetry checks, transforms, and invariants.
 
-Exit status is nonzero iff a non-flagged check failed (or an input could
-not be parsed).  All randomized commands take --seed and default to the
-package-wide seed, so repeated runs emit byte-identical JSON.
+Exit status is 1 iff a non-flagged check failed, and 2 when an input
+could not be parsed or the output could not be written.  All randomized
+commands take --seed and default to the package-wide seed, so repeated
+runs emit byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from pathlib import Path
 from .catalog import (
     V_NAMES,
     Y_NAMES,
-    Z_NAMES,
     equivalence_basis,
     principal_basis,
-    reduced_basis,
+    reduced_adjoints,
+    reduced_table,
 )
 from .expr import ExprError, OpaqueBinding
-from .fields import E4, adjoint, structure_table, vf
+from .fields import E4, structure_table, vf
 from .flows import W_BODY, apply_case, tian_base
 from .jets import check_symmetry
 from .normalize import DEFAULT_SEED
@@ -41,6 +42,33 @@ from .report import (
 __all__ = ["main", "build_parser"]
 
 
+class OutputError(Exception):
+    """The --out file could not be written."""
+
+
+def _positive_int(text: str) -> int:
+    """--points: a draw count of at least 1, so that no check passes
+    vacuously on zero points."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _positive_float(text: str) -> float:
+    """--tol: a finite positive tolerance; inf would pass any residual."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hessym",
@@ -51,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, points_default=None, tol_default=None):
         sp.add_argument("--format", choices=("md", "json"), default="md")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol", type=float, default=tol_default)
-        sp.add_argument("--points", type=int, default=points_default)
+        sp.add_argument("--tol", type=_positive_float, default=tol_default)
+        sp.add_argument("--points", type=_positive_int, default=points_default)
         sp.add_argument("--out", type=Path, default=None)
 
     sp = sub.add_parser("tables", help="print a commutator table "
@@ -109,7 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, args) -> None:
     if args.out is not None:
-        args.out.write_text(text)
+        try:
+            args.out.write_text(text)
+        except OSError as exc:
+            raise OutputError(f"could not write {str(args.out)!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -123,8 +154,8 @@ def _json(obj) -> str:
 
 def cmd_tables(args) -> int:
     if args.algebra == "g8":
-        table = structure_table(reduced_basis(), Z_NAMES)
-        ads = [adjoint(table, i) for i in range(8)]
+        table = reduced_table()
+        ads = reduced_adjoints()
     elif args.algebra == "g12":
         table = structure_table(equivalence_basis(), Y_NAMES)
         ads = []
@@ -307,7 +338,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprError, ReductionError, KeyError) as exc:
+    except (ExprError, ReductionError, KeyError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

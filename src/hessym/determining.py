@@ -18,9 +18,9 @@ family (transport condition allowed).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .expr import (
     Expr, ExprError, OpaqueBinding, add, compile_evaluator, diff,
@@ -110,8 +110,7 @@ def free_constants_absent(r_sub: Expr | None = None) -> bool:
     return not (free_symbols(r_sub) & set(FREE_CONSTANTS))
 
 
-@dataclass(frozen=True)
-class NumericCheck:
+class NumericCheck(NamedTuple):
     max_residual: float
     n_points: int
 
@@ -162,8 +161,7 @@ def general_candidate() -> VectorField:
     return vf(E4, params=GENERAL_CONSTANTS, **comps)
 
 
-@dataclass(frozen=True)
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     """Exact solution of the linear determining system.
 
     ``dim`` is the nullspace dimension; ``basis`` holds one candidate field

@@ -19,13 +19,12 @@ Design constraints (load-bearing, do not relax):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
-    "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call", "Opaque", "Deriv",
+    "Frozen", "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call", "Opaque", "Deriv",
     "num", "sym", "add", "mul", "pow_", "neg", "sub", "div", "call",
     "opaque", "deriv", "ONE", "ZERO", "MINUS_ONE",
     "ELEMENTARY", "ExprError", "EvalError", "EvalDomainError",
@@ -52,57 +51,158 @@ class EvalDomainError(EvalError):
 ELEMENTARY = frozenset({"exp", "ln", "sin", "cos", "tan", "atan", "sqrt"})
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base class; concrete nodes below."""
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the immutable plain classes: ``__init__`` sets each field
+    once with ``object.__setattr__``, and assignment afterwards raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expr(Frozen):
+    """Base class; concrete nodes below.
+
+    A node equals a node of the same class with equal fields, hashes the
+    tuple of its fields, so equal nodes hash equally, and shows as
+    ``Class(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Num(Expr):
+    __slots__ = ("value",)
     value: Fraction
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Num:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Sym:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
 class Add(Expr):
+    __slots__ = ("terms",)
     terms: tuple[Expr, ...]  # flattened, len >= 2
 
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        _set(self, "terms", terms)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Add:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+
 class Mul(Expr):
+    __slots__ = ("factors",)
     factors: tuple[Expr, ...]  # flattened, len >= 2
 
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        _set(self, "factors", factors)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Mul:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: Expr
 
+    def __init__(self, base: Expr, exponent: Expr) -> None:
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pow:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exponent))
+
+
 class Call(Expr):
+    __slots__ = ("fn", "arg")
     fn: str
     arg: Expr
 
+    def __init__(self, fn: str, arg: Expr) -> None:
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Call:
+            return (self.fn, self.arg) == (other.fn, other.arg)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.arg))
+
+
 class Opaque(Expr):
+    __slots__ = ("fn", "args")
     fn: str
     args: tuple[Expr, ...]
 
+    def __init__(self, fn: str, args: tuple[Expr, ...]) -> None:
+        _set(self, "fn", fn)
+        _set(self, "args", args)
 
-@dataclass(frozen=True)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Opaque:
+            return (self.fn, self.args) == (other.fn, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.args))
+
+
 class Deriv(Expr):
     """Formal derivative of an opaque application w.r.t. argument slots.
 
@@ -111,16 +211,27 @@ class Deriv(Expr):
     (y, z).
     """
 
+    __slots__ = ("target", "slots")
     target: Opaque
     slots: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.slots)) != self.slots or not self.slots:
-            raise ExprError(f"derivative slots must be sorted, got {self.slots}")
-        if self.slots[0] < 1 or self.slots[-1] > len(self.target.args):
+    def __init__(self, target: Opaque, slots: tuple[int, ...]) -> None:
+        if tuple(sorted(slots)) != slots or not slots:
+            raise ExprError(f"derivative slots must be sorted, got {slots}")
+        if slots[0] < 1 or slots[-1] > len(target.args):
             raise ExprError(
-                f"derivative slot out of range for {self.target.fn}/{len(self.target.args)}"
+                f"derivative slot out of range for {target.fn}/{len(target.args)}"
             )
+        _set(self, "target", target)
+        _set(self, "slots", slots)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Deriv:
+            return (self.target, self.slots) == (other.target, other.slots)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.target, self.slots))
 
 
 ZERO = Num(Fraction(0))

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
-    ZERO, Expr, ExprError, Num, add, call, compile_evaluator, diff, div,
+    ZERO, Expr, ExprError, Frozen, Num, add, call, compile_evaluator, diff, div,
     free_symbols, mul, num, pow_, sub, sym, to_text,
 )
 from .normalize import Monomial, as_polynomial, normalize
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseSpace:
+class BaseSpace(NamedTuple):
     name: str
     variables: tuple[str, ...]
 
@@ -52,29 +50,46 @@ class NotInSpanError(ExprError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """First-order operator sum_i coeff_i * d/d(var_i) on a base space.
 
     Coefficients are stored normalized, so structural equality of fields is
     semantic equality.  ``params`` lists symbols allowed in coefficients
-    beyond the base variables (classification parameters like g1).
+    beyond the base variables (classification parameters like g1); it
+    takes no part in equality or the hash.
     """
 
+    __slots__ = ("space", "coeffs", "params")
     space: BaseSpace
     coeffs: tuple[Expr, ...]
-    params: frozenset[str] = field(default_factory=frozenset, compare=False)
+    params: frozenset[str]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.space.variables):
+    def __init__(self, space: BaseSpace, coeffs: Sequence[Expr],
+                 params: frozenset[str] = frozenset()) -> None:
+        if len(coeffs) != len(space.variables):
             raise ExprError("one coefficient per base variable required")
-        object.__setattr__(self, "coeffs", tuple(normalize(c) for c in self.coeffs))
-        allowed = set(self.space.variables) | self.params
-        for v, c in zip(self.space.variables, self.coeffs):
+        coeffs = tuple(normalize(c) for c in coeffs)
+        allowed = set(space.variables) | params
+        for v, c in zip(space.variables, coeffs):
             extra = free_symbols(c) - allowed
             if extra:
                 raise ExprError(
-                    f"coefficient of d/d{v} uses symbols outside {self.space.name}: {sorted(extra)}")
+                    f"coefficient of d/d{v} uses symbols outside {space.name}: {sorted(extra)}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.space, self.coeffs) == (other.space, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.coeffs))
+
+    def __repr__(self) -> str:
+        return (f"VectorField(space={self.space!r}, coeffs={self.coeffs!r}, "
+                f"params={self.params!r})")
 
     def coeff(self, var: str) -> Expr:
         return self.coeffs[self.space.variables.index(var)]
@@ -207,22 +222,35 @@ def _solve_exact(columns: Sequence[dict[_CoeffKey, Fraction]],
     return tuple(sol)
 
 
-@dataclass(frozen=True)
-class LieBasis:
+class LieBasis(Frozen):
     """Ordered tuple of independent fields on a common space."""
 
+    __slots__ = ("name", "fields")
     name: str
     fields: tuple[VectorField, ...]
 
-    def __post_init__(self) -> None:
-        spaces = {f.space for f in self.fields}
+    def __init__(self, name: str, fields: tuple[VectorField, ...]) -> None:
+        spaces = {f.space for f in fields}
         if len(spaces) != 1:
             raise ExprError("basis fields must share one base space")
-        cols = [_field_vector(f) for f in self.fields]
+        cols = [_field_vector(f) for f in fields]
         keys = sorted({k for col in cols for k in col})
         mat = [[col.get(k, Fraction(0)) for col in cols] for k in keys]
-        if len(rref(mat, len(cols))[1]) != len(self.fields):
-            raise ExprError(f"basis {self.name!r} is linearly dependent")
+        if len(rref(mat, len(cols))[1]) != len(fields):
+            raise ExprError(f"basis {name!r} is linearly dependent")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fields", fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.name, self.fields) == (other.name, other.fields)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.fields))
+
+    def __repr__(self) -> str:
+        return f"LieBasis(name={self.name!r}, fields={self.fields!r})"
 
     @property
     def space(self) -> BaseSpace:
@@ -283,8 +311,7 @@ def format_combination(coeffs: Sequence[Fraction | Expr], names: Sequence[str]) 
 # ---------------------------------------------------------------------------
 # structure constants
 
-@dataclass(frozen=True)
-class StructureTable:
+class StructureTable(NamedTuple):
     """c[i][j][k]: coefficient of B_k in [B_i, B_j]."""
 
     basis: LieBasis
@@ -367,17 +394,28 @@ class StructureTable:
 def structure_table(basis: LieBasis, names: Sequence[str] | None = None) -> StructureTable:
     """Brackets of all basis pairs decomposed exactly in the basis.
 
-    Raises NotInSpanError if the span is not closed under the bracket.
+    One ``rref`` of the basis columns, augmented with every bracket [B_i, B_j]
+    for i < j, gives all the coordinates at once.  Raises NotInSpanError,
+    with the residual of the first such bracket, if the span is not closed
+    under the bracket.
     """
     n = basis.dim
     names = tuple(names) if names else tuple(f"B{i + 1}" for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [commutator(basis.fields[i], basis.fields[j]) for i, j in pairs]
+    cols = [_field_vector(f) for f in basis.fields] + [_field_vector(b) for b in brackets]
+    keys = sorted({k for col in cols for k in col})
+    rows, pivots = rref([[col.get(k, Fraction(0)) for col in cols] for k in keys], n)
     zero = tuple(Fraction(0) for _ in range(n))
     c: list[list[tuple[Fraction, ...]]] = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            co = decompose(commutator(basis.fields[i], basis.fields[j]), basis)
-            c[i][j] = co
-            c[j][i] = tuple(-x for x in co)
+    for b, (i, j) in enumerate(pairs, start=n):
+        if any(row[b] != 0 for row in rows[len(pivots):]):
+            decompose(brackets[b - n], basis)  # raises with the residual
+        co = [Fraction(0)] * n
+        for row, p in zip(rows, pivots):
+            co[p] = row[b]
+        c[i][j] = tuple(co)
+        c[j][i] = tuple(-x for x in co)
     return StructureTable(basis, tuple(tuple(row) for row in c), names)
 
 
@@ -388,14 +426,35 @@ class AdjointDetectionError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class AdjointMatrix:
+class AdjointMatrix(Frozen):
     """A(eps) with Ad(exp(eps*B_i)) B_j = sum_k A[k][j](eps) B_k."""
 
     generator: int  # 0-based index into the basis
     names: tuple[str, ...]
     entries: tuple[tuple[Expr, ...], ...]
-    eps_name: str = "eps"
+    eps_name: str
+
+    def __init__(self, generator: int, names: tuple[str, ...],
+                 entries: tuple[tuple[Expr, ...], ...], eps_name: str = "eps") -> None:
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "eps_name", eps_name)
+
+    def _key(self) -> tuple:
+        return (self.generator, self.names, self.entries, self.eps_name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"AdjointMatrix(generator={self.generator!r}, names={self.names!r}, "
+                f"entries={self.entries!r}, eps_name={self.eps_name!r})")
 
     def eval_at(self, eps: float) -> Rows:
         flat = self._compiled(float(eps))
@@ -502,24 +561,29 @@ def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr,
                     window: int = 16) -> tuple[tuple[Expr, ...], ...]:
     """Closed-form entries of exp(eps*M) for an exact square matrix M.
 
-    The powers M^0 .. M^window are exact Fraction products taken over the
-    nonzeros of each row of M only (ad and flow generators are very
-    sparse), and each entry's sequence sum_m M^m[k][j]/m! * eps^m is
-    classified by ``_closed_form`` as terminating, geometric or sin/cos.
+    With D the common denominator of M, the powers (D M)^0 .. (D M)^window
+    are integer products taken over the nonzeros of each row of D M only
+    (ad and flow generators are very sparse), and M^m = (D M)^m / D^m.
+    Each entry's sequence sum_m M^m[k][j]/m! * eps^m that is not all zero
+    is classified by ``_closed_form`` as terminating, geometric or sin/cos.
     """
     n = len(M)
-    sparse = [[(t, v) for t, v in enumerate(row) if v] for row in M]
-    powers: list[list[list[Fraction]]] = [[[Fraction(int(r == c)) for c in range(n)]
-                                           for r in range(n)]]
+    den = math.lcm(*(v.denominator for row in M for v in row))
+    sparse = [[(t, int(v * den)) for t, v in enumerate(row) if v] for row in M]
+    powers: list[list[list[int]]] = [[[int(r == c) for c in range(n)] for r in range(n)]]
     for _ in range(window):
         prev = powers[-1]
-        powers.append([[sum((v * prev[t][c] for t, v in row), Fraction(0))
-                        for c in range(n)] for row in sparse])
-    return tuple(
-        tuple(_closed_form([powers[m][k][j] for m in range(window + 1)], eps)
-              for j in range(n))
-        for k in range(n)
-    )
+        powers.append([[sum(v * prev[t][c] for t, v in row) for c in range(n)]
+                       for row in sparse])
+    scales = [den ** m for m in range(window + 1)]
+
+    def entry(k: int, j: int) -> Expr:
+        seq = [powers[m][k][j] for m in range(window + 1)]
+        if not any(seq):
+            return ZERO
+        return _closed_form([Fraction(p, d) for p, d in zip(seq, scales)], eps)
+
+    return tuple(tuple(entry(k, j) for j in range(n)) for k in range(n))
 
 
 def adjoint(table: StructureTable, i: int, eps_name: str = "eps",

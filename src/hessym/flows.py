@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .catalog import principal_basis, row_by_id
 from .expr import (
     Expr,
     ExprError,
+    Frozen,
     OpaqueBinding,
     ZERO,
     add,
@@ -113,8 +113,7 @@ def _as_fraction(e: Expr) -> Fraction:
     return r
 
 
-@dataclass(frozen=True)
-class AffineFlow:
+class AffineFlow(Frozen):
     """Flow matrices exp(t L) of an affine generator.
 
     ``entries`` holds exp(t L) as exact closed forms in t (polynomial,
@@ -124,6 +123,20 @@ class AffineFlow:
     """
 
     L: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, L: tuple[tuple[Fraction, ...], ...]) -> None:
+        object.__setattr__(self, "L", L)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.L == other.L
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.L,))
+
+    def __repr__(self) -> str:
+        return f"AffineFlow(L={self.L!r})"
 
     @cached_property
     def entries(self) -> tuple[tuple[Expr, ...], ...]:
@@ -178,8 +191,7 @@ def equivariance_weight(v: VectorField) -> Fraction:
 # ---------------------------------------------------------------------------
 # case data
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     """One printed solution transform.
 
     ``image_text`` gives the printed arguments of the base solution,
@@ -299,8 +311,7 @@ def case_by_id(case_id: int) -> CaseSpec:
 READINGS = ((-1, "exp"), (-1, "literal"), (1, "exp"), (1, "literal"))
 
 
-@dataclass(frozen=True)
-class CaseCheck:
+class CaseCheck(NamedTuple):
     case_id: int
     row_id: str | None
     group_law_residual: float
@@ -563,8 +574,7 @@ def _affine_text(coeffs: Sequence[float], const: float) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class TransformOutcome:
+class TransformOutcome(NamedTuple):
     """One group element applied to one solution profile.
 
     The transformed solution is scale*u(preimage) plus a linear part in

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, Sym, ZERO, add,
@@ -106,8 +105,7 @@ def total_derivative(e: Expr, var: str, families: Sequence[str] = ("u",),
 # ---------------------------------------------------------------------------
 # prolongation
 
-@dataclass(frozen=True)
-class Prolongation:
+class Prolongation(NamedTuple):
     """Coefficients of d/du_J for |J| = 1, 2 of the prolonged field."""
 
     field: VectorField
@@ -268,8 +266,7 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
     raise EvalDomainError("could not sample a well-conditioned variety point")
 
 
-@dataclass(frozen=True)
-class SymmetryCheck:
+class SymmetryCheck(NamedTuple):
     """Outcome of the numeric invariance check on the solution variety."""
 
     max_residual: float

@@ -30,9 +30,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
@@ -585,8 +584,7 @@ def as_rational(e: Expr) -> tuple[Poly, Poly, dict[str, Expr]]:
 # ---------------------------------------------------------------------------
 # zero testing
 
-@dataclass(frozen=True)
-class ProvedZero:
+class ProvedZero(NamedTuple):
     """Exact zero: the canonical form is the zero polynomial."""
 
     zero_like: bool = True
@@ -595,8 +593,7 @@ class ProvedZero:
         return "ProvedZero"
 
 
-@dataclass(frozen=True)
-class NumericallyZero:
+class NumericallyZero(NamedTuple):
     """Zero at every sampled point (atoms may hide an exact identity)."""
 
     max_residual: float
@@ -607,8 +604,7 @@ class NumericallyZero:
         return f"NumericallyZero(max_residual={self.max_residual:.3e})"
 
 
-@dataclass(frozen=True)
-class NonZero:
+class NonZero(NamedTuple):
     witness: dict[str, float] | None
     residual: float
     zero_like: bool = False

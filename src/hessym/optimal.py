@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import OPTIMAL_PATTERNS, Z_NAMES, reduced_basis
-from .fields import AdjointMatrix, adjoint, matvec, structure_table
+from .catalog import OPTIMAL_PATTERNS, reduced_adjoints
+from .fields import matvec
 
 __all__ = [
     "ReductionError", "ReductionStep", "ReductionTrace",
@@ -74,8 +73,7 @@ def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[floa
     return out
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     kind: str                   # 'adjoint' | 'scale' | 'reflect'
     generator: int | None       # 1-based, adjoint steps only
     value: float                # eps for adjoint, factor for scale
@@ -92,14 +90,13 @@ class ReductionStep:
         raise ReductionError(f"unknown step kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     initial: tuple[float, ...]
     steps: tuple[ReductionStep, ...]
     final: tuple[float, ...]
     pattern: str
     sign: int | None
-    parameters: dict[str, float] = field(default_factory=dict)
+    parameters: Mapping[str, float] = MappingProxyType({})
 
     def describe(self) -> str:
         lines = [f"start   {_fmt_vec(self.initial)}"]
@@ -260,16 +257,10 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
 # ---------------------------------------------------------------------------
 # replay through the recomputed adjoint matrices
 
-@lru_cache(maxsize=None)
-def _recomputed_adjoints() -> tuple[AdjointMatrix, ...]:
-    table = structure_table(reduced_basis(), Z_NAMES)
-    return tuple(adjoint(table, i) for i in range(8))
-
-
 def replay(trace: ReductionTrace) -> tuple[float, ...]:
     """Re-run a trace using adjoint matrices derived from the structure
     constants instead of the printed formulas."""
-    mats = _recomputed_adjoints()
+    mats = reduced_adjoints()
     a = trace.initial
     for st in trace.steps:
         if st.kind == "adjoint":

@@ -17,14 +17,15 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .catalog import (
     OPTIMAL_PATTERNS,
     PUBLISHED_ADJOINT,
     PUBLISHED_BRACKETS,
     Z_NAMES,
-    reduced_basis,
+    reduced_adjoints,
+    reduced_table,
 )
 from .classify import (
     s2_of,
@@ -43,7 +44,7 @@ from .determining import (
 )
 from .expr import ZERO, add, sub
 from .fields import (
-    Rows, adjoint, format_combination, identity, matmul, max_abs_diff, structure_table,
+    Rows, format_combination, identity, matmul, max_abs_diff,
 )
 from .flows import tian_base, verify_all_cases
 from .normalize import DEFAULT_SEED, is_zero, normalize
@@ -58,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check_id: str
     status: str                 # pass | fail | flagged
     residual: float | None
@@ -76,8 +76,7 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     records: tuple[CheckRecord, ...]
@@ -120,7 +119,7 @@ def _status(passed: bool, flags: tuple[str, ...] = ()) -> str:
 def suite_commutators(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     """Recompute the bracket table of the reduced algebra and diff it
     against the published entries."""
-    table = structure_table(reduced_basis(), Z_NAMES)
+    table = reduced_table()
     records = []
     for i in range(8):
         for j in range(8):
@@ -166,10 +165,9 @@ def suite_adjoint(seed: int = DEFAULT_SEED, tol: float | None = None, **_) -> Su
     """Closed forms of the eight adjoint matrices against the published
     entries, plus a numeric cross-check against the matrix exponential."""
     tol = 1e-10 if tol is None else tol
-    table = structure_table(reduced_basis(), Z_NAMES)
+    table = reduced_table()
     records = []
-    for gen in range(1, 9):
-        ad = adjoint(table, gen - 1)
+    for gen, ad in enumerate(reduced_adjoints(), start=1):
         mismatches = []
         cols = PUBLISHED_ADJOINT[gen]
         for j in range(8):

@@ -1,7 +1,6 @@
 """Classification table rows, the equivalence derivation, reflection,
 invariants, and the principal algebra."""
 
-import dataclasses
 import random
 
 import pytest
@@ -74,7 +73,7 @@ def test_corrected_constraint_row_is_flagged(row_checks):
 
 def test_tampered_ansatz_is_rejected():
     row = row_by_id("A2")
-    bad = dataclasses.replace(row, f_text="exp(3*s*x)*H(y, z)")
+    bad = row._replace(f_text="exp(3*s*x)*H(y, z)")
     v = is_zero(ansatz_residual(bad, 1), mode="auto",
                 bindings={"H": _h_binding(H_INSTANCES[1][1])})
     assert isinstance(v, NonZero)
@@ -95,7 +94,7 @@ def test_ansatz_uses_both_signs():
     for s in (1, -1):
         assert isinstance(is_zero(ansatz_residual(row, s), mode="symbolic"), ProvedZero)
     # leaving the sign symbolic must NOT prove: s^2 = 1 is not rational
-    sym_row = dataclasses.replace(row, sign_param=None, params=("s",))
+    sym_row = row._replace(sign_param=None, params=("s",))
     assert not isinstance(is_zero(ansatz_residual(sym_row, 1), mode="symbolic"),
                           ProvedZero)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hessym.expr import (
-    ONE, ZERO, Deriv, EvalDomainError, EvalError, ExprError, Mul, Num,
+    ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Mul, Num,
     Opaque, OpaqueBinding, Pow, Sym, add, compile_evaluator, deriv, diff,
     div, eval_numeric, free_symbols, mul, neg, num, opaque, pow_, sub,
     substitute, substitute_opaque, sym, to_text,
@@ -380,3 +380,57 @@ def _diff_slots(body, params, slots):
 def test_free_symbols():
     e = parse("H_1(x, y)*exp(z) + u_xx^c")
     assert free_symbols(e) == frozenset({"x", "y", "z", "u_xx", "c"})
+
+
+class TestNodes:
+    """Nodes are immutable values, told apart by class: a node that became a
+    bare tuple (or a named tuple) would fail each of these."""
+
+    X, Y = Sym("x"), Sym("y")
+    H = Opaque("H", (Sym("x"), Sym("y")))
+    NODES = [Num(Fraction(3, 2)), Sym("x"), Add((X, Y)), Mul((X, Y)), Pow(X, Y),
+             Call("exp", X), H, Deriv(H, (1, 2))]
+
+    def test_same_fields_in_another_class_are_unequal(self):
+        assert Add((self.X, self.Y)) != Mul((self.X, self.Y))
+        assert Call("exp", self.X) != Opaque("exp", (self.X,))
+        assert Pow(self.X, self.Y) != Call("x", self.Y)
+        assert Num(Fraction(1)) != Fraction(1)
+        assert len({Add((self.X, self.Y)), Mul((self.X, self.Y))}) == 2
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_a_node_is_no_tuple(self, node):
+        assert not isinstance(node, tuple)
+        assert node != tuple(getattr(node, f) for f in type(node).__slots__)
+        with pytest.raises(TypeError):
+            len(node)
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_equal_nodes_hash_equally(self, node):
+        again = parse(to_text(node))
+        assert again == node and not (again != node)
+        assert again is not node and hash(again) == hash(node)
+        assert {node: 1}[again] == 1
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_assignment_raises(self, node):
+        field = type(node).__slots__[0]
+        before = getattr(node, field)
+        with pytest.raises(AttributeError):
+            setattr(node, field, ZERO)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.cache = 1
+        assert getattr(node, field) is before
+
+    def test_repr_names_class_and_fields(self):
+        assert repr(Add((self.X, Num(2)))) == \
+            "Add(terms=(Sym(name='x'), Num(value=Fraction(2, 1))))"
+        assert repr(Deriv(self.H, (1,))) == (
+            "Deriv(target=Opaque(fn='H', args=(Sym(name='x'), Sym(name='y'))), "
+            "slots=(1,))")
+
+    def test_num_holds_a_fraction(self):
+        assert Num(2).value == Fraction(2) and type(Num(2).value) is Fraction
+        assert Num(2) == Num(Fraction(2)) and hash(Num(2)) == hash(Num(Fraction(2)))

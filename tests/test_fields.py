@@ -13,9 +13,11 @@ from hessym.catalog import (
 )
 from hessym.expr import ExprError, compile_evaluator, num, sym
 from hessym.fields import (
-    E4, E5, P4, NotInSpanError, VectorField, _closed_form, adjoint, commutator,
-    decompose, format_combination, project, structure_table, vf,
+    E4, E5, P4, AdjointMatrix, LieBasis, NotInSpanError, VectorField, _closed_form,
+    adjoint, commutator, decompose, exp_closed_form, format_combination, project,
+    structure_table, vf,
 )
+from hessym.flows import _case_values, field_matrix, flow_cases
 from hessym.normalize import normalize
 from hessym.parse import parse
 
@@ -25,7 +27,56 @@ def reduced_table():
     return structure_table(reduced_basis(), Z_NAMES)
 
 
+BASES = pytest.mark.parametrize("basis,names", [(reduced_basis, Z_NAMES),
+                                                (equivalence_basis, Y_NAMES),
+                                                (principal_basis, V_NAMES)],
+                                ids=["g8", "g12", "principal"])
+
+
+def _dense_exp(M, eps, window=16):
+    """exp(eps*M) entry by entry from dense Fraction powers of M, the
+    reference for the sparse integer powers of ``exp_closed_form``."""
+    n = len(M)
+    P = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    powers = [P]
+    for _ in range(window):
+        P = [[sum((M[r][t] * P[t][c] for t in range(n)), Fraction(0))
+              for c in range(n)] for r in range(n)]
+        powers.append(P)
+    return tuple(tuple(_closed_form([powers[m][k][j] for m in range(window + 1)], eps)
+                       for j in range(n)) for k in range(n))
+
+
 class TestVectorField:
+    def test_equality_hash_and_immutability(self):
+        a = vf(E4, x="y", u="x^2", params=("g",))
+        b = vf(E4, x="y", u="x^2")
+        # params widen what a coefficient may use; they are not compared
+        assert a == b and hash(a) == hash(b) and a != vf(E4, x="y")
+        assert len({a, b, vf(E4, x="y")}) == 2
+        assert a != (a.space, a.coeffs) and not isinstance(a, tuple)
+        with pytest.raises(AttributeError):
+            a.coeffs = ()
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert repr(vf(E4, u="1")) == (
+            "VectorField(space=BaseSpace(name='E4', variables=('x', 'y', 'z', 'u')), "
+            "coeffs=(Num(value=Fraction(0, 1)), Num(value=Fraction(0, 1)), "
+            "Num(value=Fraction(0, 1)), Num(value=Fraction(1, 1))), params=frozenset())")
+
+    def test_basis_and_adjoint_matrix_are_immutable_values(self, reduced_table):
+        basis = reduced_basis()
+        again = LieBasis(basis.name, basis.fields)
+        assert again == basis and hash(again) == hash(basis)
+        assert LieBasis("other", basis.fields) != basis
+        ad, ad2 = adjoint(reduced_table, 3), adjoint(reduced_table, 3)
+        assert ad == ad2 and hash(ad) == hash(ad2) and ad != adjoint(reduced_table, 4)
+        assert ad.eval_at(0.3) == ad2.eval_at(0.3)
+        assert isinstance(ad, AdjointMatrix) and not isinstance(ad, tuple)
+        for obj, name in ((basis, "fields"), (ad, "entries")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+
     def test_apply_is_directional_derivative(self):
         v = vf(E4, x="y", u="x^2")
         assert normalize(v.apply(parse("x*u"))) == normalize(parse("y*u + x^3"))
@@ -114,10 +165,29 @@ class TestStructureTable:
 
     def test_lie_candidate_with_broken_closure_is_caught(self):
         # d_x together with x^2 d_x brackets outside the span
-        from hessym.fields import LieBasis
         basis = LieBasis("open", (vf(E4, x="1"), vf(E4, x="x^2")))
         with pytest.raises(NotInSpanError):
             structure_table(basis)
+
+    def test_broken_closure_reports_the_first_open_bracket(self):
+        # [d_x, x d_x] = d_x closes; [d_x, x^3 d_x] = 3 x^2 d_x is the first
+        # bracket outside the span, and its residual is the one reported
+        basis = LieBasis("open", (vf(E4, x="1"), vf(E4, x="x"), vf(E4, x="x^3")))
+        with pytest.raises(NotInSpanError) as got:
+            structure_table(basis)
+        with pytest.raises(NotInSpanError) as want:
+            decompose(commutator(basis.fields[0], basis.fields[2]), basis)
+        assert str(got.value) == str(want.value)
+        assert got.value.residual == want.value.residual == vf(E4, x="3*x^2")
+
+    @BASES
+    def test_one_elimination_equals_per_bracket_decompose(self, basis, names):
+        b = basis()
+        table = structure_table(b, names)
+        for i in range(b.dim):
+            for j in range(b.dim):
+                want = decompose(commutator(b.fields[i], b.fields[j]), b)
+                assert table.c[i][j] == want, (names[i], names[j])
 
     def test_principal_symmetries_commute(self):
         t = structure_table(principal_basis())
@@ -198,27 +268,25 @@ class TestAdjoint:
             rhs = np.array(reduced_table.bracket_vector(M @ a, M @ b))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    @pytest.mark.parametrize("basis,names", [(reduced_basis, Z_NAMES),
-                                             (equivalence_basis, Y_NAMES),
-                                             (principal_basis, V_NAMES)],
-                             ids=["g8", "g12", "principal"])
+    @BASES
     def test_sparse_series_equals_dense_reference(self, basis, names):
         # every generator of the three tables the CLI prints: the entries
         # are identical Exprs to those of the dense Fraction Lie series
         table = structure_table(basis(), names)
-        n, window = table.dim, 16
-        for i in range(n):
-            ad = table.ad_matrix(i)
-            P = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-            powers = [P]
-            for _ in range(window):
-                P = [[sum((-ad[r][t] * P[t][c] for t in range(n)), Fraction(0))
-                      for c in range(n)] for r in range(n)]
-                powers.append(P)
-            dense = tuple(tuple(_closed_form([powers[m][k][j] for m in range(window + 1)],
-                                             sym("eps"))
-                                for j in range(n)) for k in range(n))
-            assert adjoint(table, i, window=window).entries == dense, names[i]
+        for i in range(table.dim):
+            neg_ad = [[-v for v in row] for row in table.ad_matrix(i)]
+            assert adjoint(table, i).entries == _dense_exp(neg_ad, sym("eps")), names[i]
+
+    @pytest.mark.parametrize("pval", [Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4)])
+    def test_integer_powers_equal_fraction_powers_over_a_denominator(self, pval):
+        # flow generators with rational parameters: the powers are taken
+        # over integers after clearing the common denominator
+        seen = 0
+        for case in flow_cases():
+            L = field_matrix(case.field(_case_values(case, -1, pval)))
+            seen += any(v.denominator != 1 for row in L for v in row)
+            assert exp_closed_form(L, sym("t")) == _dense_exp(L, sym("t")), case.case_id
+        assert seen >= 5
 
     def test_scaling_direction_never_moves(self, reduced_table):
         # coefficients of Z7 and Z8 are invariant under every adjoint map

@@ -1,6 +1,5 @@
 """One-parameter transforms: flow matrices, pushforwards, printed formulas."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -337,7 +336,7 @@ def test_other_parameter_values_still_pass():
 # negative controls
 
 def test_tampered_image_fails():
-    bad = dataclasses.replace(case_by_id(5), image_text=("x - s*t", "y", "z"))
+    bad = case_by_id(5)._replace(image_text=("x - s*t", "y", "z"))
     chk = verify_case(bad)
     assert not chk.passed
     assert (-1, "exp") not in chk.matched_readings
@@ -345,15 +344,14 @@ def test_tampered_image_fails():
 
 def test_tampered_shift_flips_orientation():
     # negating the printed shift turns it into the forward action
-    bad = dataclasses.replace(case_by_id(1), u_shift_text="t")
+    bad = case_by_id(1)._replace(u_shift_text="t")
     chk = verify_case(bad)
     assert chk.matched_readings == ((1, "exp"), (1, "literal"))
     assert not chk.passed
 
 
 def test_tampered_dilation_rate_matches_nothing():
-    bad = dataclasses.replace(case_by_id(14),
-                              image_text=("exp(2*t)*x", "exp(t)*y", "exp(t)*z"))
+    bad = case_by_id(14)._replace(image_text=("exp(2*t)*x", "exp(t)*y", "exp(t)*z"))
     chk = verify_case(bad)
     assert chk.matched_readings == ()
     assert not chk.passed
@@ -361,7 +359,7 @@ def test_tampered_dilation_rate_matches_nothing():
 
 def test_field_mismatch_is_detected():
     # flow and readings stay self-consistent, the catalog tie-in catches it
-    bad = dataclasses.replace(case_by_id(5), field_text={"x": "s", "u": "2*u"})
+    bad = case_by_id(5)._replace(field_text={"x": "s", "u": "2*u"})
     chk = verify_case(bad)
     assert not chk.field_consistent
     assert not chk.passed
@@ -436,6 +434,6 @@ def test_printed_evaluator_is_keyed_on_the_texts():
     # a tampered case checked after its genuine one gets its own evaluator
     genuine = case_by_id(5)
     assert verify_case(genuine, n_points=4).passed
-    bad = dataclasses.replace(genuine, image_text=("x - s*t", "y", "z"))
+    bad = genuine._replace(image_text=("x - s*t", "y", "z"))
     assert not verify_case(bad, n_points=4).passed
     assert verify_case(genuine, n_points=4).passed

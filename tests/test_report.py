@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hessym import optimal
-from hessym.catalog import Z_NAMES, reduced_basis
+from hessym import catalog, fields, optimal, report
+from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
+from hessym.cli import main
 from hessym.fields import structure_table
 from hessym.report import (
     CheckRecord,
@@ -57,6 +58,54 @@ def test_adjoint_all_pass(reports):
     assert len(rep.records) == 8
     assert all(r.residual is not None and r.residual <= 1e-10
                for r in rep.records)
+
+
+def test_one_g8_table_and_adjoint_set_per_process(monkeypatch, capsys):
+    # the commutator and adjoint suites, the optimal replay and `tables g8`
+    # all read one cached table and one set of adjoint matrices
+    calls = {"structure_table": 0, "adjoint": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(catalog, "structure_table",
+                        counting("structure_table", fields.structure_table))
+    monkeypatch.setattr(catalog, "adjoint", counting("adjoint", fields.adjoint))
+    catalog.reduced_table.cache_clear()
+    catalog.reduced_adjoints.cache_clear()
+    try:
+        assert overall_status(run_suites(("commutators", "adjoint", "optimal"),
+                                         points=20)) == "pass"
+        assert main(["tables", "g8", "--format", "json"]) == 0
+        trace = optimal.reduce_to_optimal([1, 0, 0, 0, 0, 0, 1, 0])
+        assert optimal.replay_deviation(trace) < 1e-9
+    finally:
+        catalog.reduced_table.cache_clear()
+        catalog.reduced_adjoints.cache_clear()
+    capsys.readouterr()
+    assert calls == {"structure_table": 1, "adjoint": 8}
+
+
+def test_tampered_published_bracket_fails(monkeypatch):
+    tampered = [list(row) for row in PUBLISHED_BRACKETS]
+    tampered[3][4] = "Z6"  # printed -Z6
+    monkeypatch.setattr(report, "PUBLISHED_BRACKETS", tampered)
+    rep = run_suite("commutators")
+    assert rep.status == "fail"
+    assert [r.check_id for r in rep.records if r.status == "fail"] == ["bracket[Z4,Z5]"]
+
+
+def test_tampered_published_adjoint_entry_fails(monkeypatch):
+    tampered = {g: {j: dict(col) for j, col in cols.items()}
+                for g, cols in PUBLISHED_ADJOINT.items()}
+    tampered[4][1][3] = "sin(eps)"  # printed -sin(eps)
+    monkeypatch.setattr(report, "PUBLISHED_ADJOINT", tampered)
+    rep = run_suite("adjoint")
+    assert [r.check_id for r in rep.records if r.status == "fail"] == ["adjoint[Z4]"]
+    assert "entry (3,1) recomputes to" in rep.records[3].details
 
 
 def test_expm_matches_scipy():
