@@ -24,18 +24,20 @@ from .catalog import (
     reduced_adjoints,
     reduced_table,
 )
-from .expr import ExprError, OpaqueBinding
+from .expr import ExprError
 from .fields import E4, structure_table, vf
-from .flows import W_BODY, apply_case, tian_base
+from .flows import _bindings, apply_case, tian_base
 from .jets import check_symmetry
 from .normalize import DEFAULT_SEED
 from .optimal import ReductionError, reduce_to_optimal, replay_deviation
 from .parse import parse
 from .report import (
     SUITE_NAMES,
+    SuiteReport,
     overall_status,
     render_json,
     render_markdown,
+    run_suite,
     run_suites,
 )
 
@@ -58,13 +60,21 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _positive_float(text: str) -> float:
-    """--tol: a finite positive tolerance; inf would pass any residual."""
+def _finite_float(text: str) -> float:
+    """--t: a finite group parameter; inf and NaN name no group element."""
     try:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(x) and x > 0):
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    """--tol: a finite positive tolerance; inf would pass any residual."""
+    x = _finite_float(text)
+    if not x > 0:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return x
 
@@ -115,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one-parameter transforms to a solution")
     sp.add_argument("--case", type=int, required=True, choices=range(1, 16),
                     metavar="1..15")
-    sp.add_argument("--t", type=float, required=True,
+    sp.add_argument("--t", type=_finite_float, required=True,
                     help="group parameter")
     sp.add_argument("--u", required=True, metavar="EXPR|fixture:T1,T2,T3[,EPS]",
                     help="solution profile; the fixture form is the "
@@ -253,15 +263,22 @@ def cmd_check_symmetry(args) -> int:
     return 0 if chk.passed else 1
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    """An exact rational from the command line; 1/0 is malformed input."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ExprError(f"{what} must be a rational number, got {text!r}") from None
+
+
 def _parse_profile(text: str):
     if text.startswith("fixture:"):
-        vals = [Fraction(v) for v in text[len("fixture:"):].split(",")]
+        vals = [_fraction(v, "a fixture value")
+                for v in text[len("fixture:"):].split(",")]
         if len(vals) == 3:
             return tian_base(*vals, with_bump=False), None
         if len(vals) == 4:
-            inner = {"W": OpaqueBinding.from_expr(("a", "b", "c"),
-                                                  parse(W_BODY))}
-            return tian_base(*vals), inner
+            return tian_base(*vals), _bindings()
         raise ExprError("fixture takes T1,T2,T3 and an optional EPS")
     return parse(text), None
 
@@ -274,7 +291,7 @@ def cmd_transform(args) -> int:
             print(f"error: --param needs NAME=VALUE, got {spec!r}",
                   file=sys.stderr)
             return 2
-        values[name] = Fraction(val)
+        values[name] = _fraction(val, f"--param {name}")
     u_expr, inner = _parse_profile(args.u)
     out = apply_case(args.case, args.t, u_expr, values=values, inner=inner,
                      n_points=args.points, tol=args.tol, seed=args.seed)
@@ -311,8 +328,6 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .report import run_suite
-
     rep = run_suite("invariants", seed=args.seed)
     records = rep.records
     if args.label != "all":
@@ -324,8 +339,6 @@ def cmd_invariants(args) -> int:
             print(f"error: no invariant dataset {args.label!r} "
                   f"(known: {known})", file=sys.stderr)
             return 2
-    from .report import SuiteReport
-
     view = SuiteReport(rep.suite, rep.seed, records, rep.wall_time)
     text = (render_json(view) if args.format == "json"
             else render_markdown(view))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -28,8 +29,8 @@ __all__ = [
     "num", "sym", "add", "mul", "pow_", "neg", "sub", "div", "call",
     "opaque", "deriv", "ONE", "ZERO", "MINUS_ONE",
     "ELEMENTARY", "ExprError", "EvalError", "EvalDomainError",
-    "diff", "substitute", "substitute_opaque", "free_symbols",
-    "opaque_names", "eval_numeric", "eval_with_scale", "OpaqueBinding",
+    "children", "rebuild", "diff", "substitute", "free_symbols",
+    "eval_numeric", "eval_with_scale", "OpaqueBinding",
     "compile_evaluator", "compile_template", "to_text",
 ]
 
@@ -56,9 +57,41 @@ _set = object.__setattr__
 
 class Frozen:
     """Base of the immutable plain classes: ``__init__`` sets each field
-    once with ``object.__setattr__``, and assignment afterwards raises."""
+    once with ``object.__setattr__``, and assignment afterwards raises.
+
+    Equality, hash and repr come from one field list, ``__slots__`` unless
+    the class passes ``fields=``.  An instance equals an instance of the
+    same class with equal key fields, hashes the tuple of its key fields,
+    and shows as ``Class(field=value, ...)`` over all its fields.  Fields
+    named in ``unkeyed=`` are shown but take no part in equality or hash.
+    """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, fields: tuple[str, ...] | None = None,
+                          unkeyed: tuple[str, ...] = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("__slots__", ()) if fields is None else fields
+        key = tuple(f for f in cls._fields if f not in unkeyed)
+        if not key:
+            return  # an abstract base such as Expr
+        get = attrgetter(*key)  # a value for one name, a tuple for several
+
+        def __eq__(self, other: object) -> bool:
+            if other.__class__ is cls:
+                return get(self) == get(other)
+            return NotImplemented
+
+        if len(key) == 1:
+            def __hash__(self) -> int:
+                return hash((get(self),))
+        else:
+            def __hash__(self) -> int:
+                return hash(get(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -66,20 +99,16 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
 
 class Expr(Frozen):
-    """Base class; concrete nodes below.
-
-    A node equals a node of the same class with equal fields, hashes the
-    tuple of its fields, so equal nodes hash equally, and shows as
-    ``Class(field=value, ...)``.
-    """
+    """Base class; concrete nodes below, each a ``Frozen`` value over its
+    ``__slots__``."""
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return to_text(self)
@@ -92,14 +121,6 @@ class Num(Expr):
     def __init__(self, value: Fraction) -> None:
         _set(self, "value", value if isinstance(value, Fraction) else Fraction(value))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Num:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
-
 
 class Sym(Expr):
     __slots__ = ("name",)
@@ -107,14 +128,6 @@ class Sym(Expr):
 
     def __init__(self, name: str) -> None:
         _set(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Sym:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
 
 
 class Add(Expr):
@@ -124,14 +137,6 @@ class Add(Expr):
     def __init__(self, terms: tuple[Expr, ...]) -> None:
         _set(self, "terms", terms)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Add:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
@@ -139,14 +144,6 @@ class Mul(Expr):
 
     def __init__(self, factors: tuple[Expr, ...]) -> None:
         _set(self, "factors", factors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Mul:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
 
 
 class Pow(Expr):
@@ -158,14 +155,6 @@ class Pow(Expr):
         _set(self, "base", base)
         _set(self, "exponent", exponent)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Pow:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
-
 
 class Call(Expr):
     __slots__ = ("fn", "arg")
@@ -176,14 +165,6 @@ class Call(Expr):
         _set(self, "fn", fn)
         _set(self, "arg", arg)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Call:
-            return (self.fn, self.arg) == (other.fn, other.arg)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.arg))
-
 
 class Opaque(Expr):
     __slots__ = ("fn", "args")
@@ -193,14 +174,6 @@ class Opaque(Expr):
     def __init__(self, fn: str, args: tuple[Expr, ...]) -> None:
         _set(self, "fn", fn)
         _set(self, "args", args)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Opaque:
-            return (self.fn, self.args) == (other.fn, other.args)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.args))
 
 
 class Deriv(Expr):
@@ -224,14 +197,6 @@ class Deriv(Expr):
             )
         _set(self, "target", target)
         _set(self, "slots", slots)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Deriv:
-            return (self.target, self.slots) == (other.target, other.slots)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.target, self.slots))
 
 
 ZERO = Num(Fraction(0))
@@ -518,144 +483,87 @@ def _diff(e: Expr, v: str) -> Expr:
         else:  # pragma: no cover
             raise ExprError(f"no derivative rule for {e.fn}")
         return mul(body, da)
-    if isinstance(e, Opaque):
+    if isinstance(e, (Opaque, Deriv)):
+        target, slots = (e.target, e.slots) if isinstance(e, Deriv) else (e, ())
         terms = []
-        for k, a in enumerate(e.args, start=1):
+        for k, a in enumerate(target.args, start=1):
             da = _diff(a, v)
             if da == ZERO:
                 continue
-            terms.append(mul(Deriv(e, (k,)), da))
-        return add(*terms) if terms else ZERO
-    if isinstance(e, Deriv):
-        terms = []
-        for k, a in enumerate(e.target.args, start=1):
-            da = _diff(a, v)
-            if da == ZERO:
-                continue
-            terms.append(mul(deriv(e.target, e.slots + (k,)), da))
+            terms.append(mul(deriv(target, slots + (k,)), da))
         return add(*terms) if terms else ZERO
     raise ExprError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# traversal: the one place that knows where each node keeps its subtrees
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The subtrees of ``e`` in order: the terms of a sum, the factors of a
+    product, base and exponent, the argument of a call, and the arguments
+    of an opaque application or of a derivative's target.  A number or a
+    symbol has none."""
+    cls = e.__class__
+    if cls is Add:
+        return e.terms
+    if cls is Mul:
+        return e.factors
+    if cls is Pow:
+        return (e.base, e.exponent)
+    if cls is Call:
+        return (e.arg,)
+    if cls is Opaque:
+        return e.args
+    if cls is Deriv:
+        return e.target.args
+    if cls is Num or cls is Sym:
+        return ()
+    raise ExprError(f"unknown node {e!r}")
+
+
+def rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """``e`` with ``kids`` in place of ``children(e)``.  A sum, product or
+    power refolds through ``add``, ``mul`` or ``pow_``; a call, an opaque
+    application or a derivative keeps its head (function name and slots)."""
+    cls = e.__class__
+    if cls is Add:
+        return add(*kids)
+    if cls is Mul:
+        return mul(*kids)
+    if cls is Pow:
+        return pow_(*kids)
+    if cls is Call:
+        return Call(e.fn, kids[0])
+    if cls is Opaque:
+        return Opaque(e.fn, tuple(kids))
+    if cls is Deriv:
+        return Deriv(Opaque(e.target.fn, tuple(kids)), e.slots)
+    return e
+
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Simultaneous substitution of symbols; replacements are not re-visited."""
     if not mapping:
         return e
-    return _subst(e, mapping)
 
+    def walk(n: Expr) -> Expr:
+        if n.__class__ is Sym:
+            return mapping.get(n.name, n)
+        kids = children(n)
+        return rebuild(n, [walk(k) for k in kids]) if kids else n
 
-def _subst(e: Expr, m: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Sym):
-        return m.get(e.name, e)
-    if isinstance(e, Add):
-        return add(*[_subst(t, m) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[_subst(f, m) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, m), _subst(e.exponent, m))
-    if isinstance(e, Call):
-        return Call(e.fn, _subst(e.arg, m))
-    if isinstance(e, Opaque):
-        return Opaque(e.fn, tuple(_subst(a, m) for a in e.args))
-    if isinstance(e, Deriv):
-        return Deriv(Opaque(e.target.fn, tuple(_subst(a, m) for a in e.target.args)), e.slots)
-    raise ExprError(f"unknown node {e!r}")
+    return walk(e)
 
-
-def substitute_opaque(e: Expr, bodies: Mapping[str, tuple[Sequence[str], Expr]]) -> Expr:
-    """Replace opaque symbols by concrete expression bodies.
-
-    ``bodies[name] = (params, body)``; a Deriv node becomes the body
-    differentiated w.r.t. the named params per slot, then evaluated at the
-    (recursively substituted) arguments.
-    """
-    if isinstance(e, (Num, Sym)):
-        return e
-    if isinstance(e, Add):
-        return add(*[substitute_opaque(t, bodies) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[substitute_opaque(f, bodies) for f in e.factors])
-    if isinstance(e, Pow):
-        return pow_(substitute_opaque(e.base, bodies), substitute_opaque(e.exponent, bodies))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute_opaque(e.arg, bodies))
-    if isinstance(e, (Opaque, Deriv)):
-        target = e.target if isinstance(e, Deriv) else e
-        args = tuple(substitute_opaque(a, bodies) for a in target.args)
-        if target.fn not in bodies:
-            node = Opaque(target.fn, args)
-            return Deriv(node, e.slots) if isinstance(e, Deriv) else node
-        params, body = bodies[target.fn]
-        if len(params) != len(args):
-            raise ExprError(f"arity mismatch binding {target.fn}")
-        if isinstance(e, Deriv):
-            for s in e.slots:
-                body = _diff(body, params[s - 1])
-        return substitute(body, dict(zip(params, args)))
-    raise ExprError(f"unknown node {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# free symbols
 
 def free_symbols(e: Expr) -> frozenset[str]:
     out: set[str] = set()
-    _collect_syms(e, out)
-    return frozenset(out)
-
-
-def _collect_syms(e: Expr, out: set[str]) -> None:
-    if isinstance(e, Sym):
-        out.add(e.name)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_syms(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_syms(f, out)
-    elif isinstance(e, Pow):
-        _collect_syms(e.base, out)
-        _collect_syms(e.exponent, out)
-    elif isinstance(e, Call):
-        _collect_syms(e.arg, out)
-    elif isinstance(e, Opaque):
-        for a in e.args:
-            _collect_syms(a, out)
-    elif isinstance(e, Deriv):
-        for a in e.target.args:
-            _collect_syms(a, out)
-
-
-def opaque_names(e: Expr) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(n: Expr) -> None:
-        if isinstance(n, Add):
-            for t in n.terms:
-                walk(t)
-        elif isinstance(n, Mul):
-            for f in n.factors:
-                walk(f)
-        elif isinstance(n, Pow):
-            walk(n.base)
-            walk(n.exponent)
-        elif isinstance(n, Call):
-            walk(n.arg)
-        elif isinstance(n, Opaque):
-            out.add(n.fn)
-            for a in n.args:
-                walk(a)
-        elif isinstance(n, Deriv):
-            out.add(n.target.fn)
-            for a in n.target.args:
-                walk(a)
-
-    walk(e)
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if n.__class__ is Sym:
+            out.add(n.name)
+        else:
+            stack.extend(children(n))
     return frozenset(out)
 
 

@@ -50,7 +50,7 @@ class NotInSpanError(ExprError):
         self.residual = residual
 
 
-class VectorField(Frozen):
+class VectorField(Frozen, unkeyed=("params",)):
     """First-order operator sum_i coeff_i * d/d(var_i) on a base space.
 
     Coefficients are stored normalized, so structural equality of fields is
@@ -78,18 +78,6 @@ class VectorField(Frozen):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "params", params)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.space, self.coeffs) == (other.space, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.coeffs))
-
-    def __repr__(self) -> str:
-        return (f"VectorField(space={self.space!r}, coeffs={self.coeffs!r}, "
-                f"params={self.params!r})")
 
     def coeff(self, var: str) -> Expr:
         return self.coeffs[self.space.variables.index(var)]
@@ -241,17 +229,6 @@ class LieBasis(Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", fields)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.fields) == (other.name, other.fields)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.fields))
-
-    def __repr__(self) -> str:
-        return f"LieBasis(name={self.name!r}, fields={self.fields!r})"
-
     @property
     def space(self) -> BaseSpace:
         return self.fields[0].space
@@ -355,9 +332,6 @@ class StructureTable(NamedTuple):
         """Exact Jacobi identity in coordinates."""
         n = self.dim
 
-        def brk(i: int, j: int) -> tuple[Fraction, ...]:
-            return self.c[i][j]
-
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -426,7 +400,7 @@ class AdjointDetectionError(ExprError):
     pass
 
 
-class AdjointMatrix(Frozen):
+class AdjointMatrix(Frozen, fields=("generator", "names", "entries", "eps_name")):
     """A(eps) with Ad(exp(eps*B_i)) B_j = sum_k A[k][j](eps) B_k."""
 
     generator: int  # 0-based index into the basis
@@ -440,21 +414,6 @@ class AdjointMatrix(Frozen):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "eps_name", eps_name)
-
-    def _key(self) -> tuple:
-        return (self.generator, self.names, self.entries, self.eps_name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"AdjointMatrix(generator={self.generator!r}, names={self.names!r}, "
-                f"entries={self.entries!r}, eps_name={self.eps_name!r})")
 
     def eval_at(self, eps: float) -> Rows:
         flat = self._compiled(float(eps))

@@ -26,6 +26,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .catalog import principal_basis, row_by_id
 from .expr import (
+    EvalDomainError,
     Expr,
     ExprError,
     Frozen,
@@ -113,7 +114,7 @@ def _as_fraction(e: Expr) -> Fraction:
     return r
 
 
-class AffineFlow(Frozen):
+class AffineFlow(Frozen, fields=("L",)):
     """Flow matrices exp(t L) of an affine generator.
 
     ``entries`` holds exp(t L) as exact closed forms in t (polynomial,
@@ -126,17 +127,6 @@ class AffineFlow(Frozen):
 
     def __init__(self, L: tuple[tuple[Fraction, ...], ...]) -> None:
         object.__setattr__(self, "L", L)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.L == other.L
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.L,))
-
-    def __repr__(self) -> str:
-        return f"AffineFlow(L={self.L!r})"
 
     @cached_property
     def entries(self) -> tuple[tuple[Expr, ...], ...]:
@@ -618,16 +608,27 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
                n_points: int = 40, tol: float = 1e-7,
                seed: int = DEFAULT_SEED) -> TransformOutcome:
     """Push a solution through the case's time-t group element and check
-    the equivariance of S2 numerically on random points."""
+    the equivariance of S2 numerically on random points.
+
+    A point where u at the preimage or either S2 value is undefined (a
+    restricted domain such as sqrt or ln) is drawn again, at most
+    10*n_points draws in all; EvalDomainError when they run out, when the
+    S2 factor overflows, and ValueError for a parameter the case lacks."""
     if isinstance(case, int):
         case = case_by_id(case)
-    vals = dict(_case_values(case, 1, Fraction(1)))
-    if values:
-        vals.update({k: Fraction(v) for k, v in values.items()})
+    vals = _case_values(case, 1, Fraction(1))
+    unknown = sorted(set(values or ()) - set(vals))
+    if unknown:
+        raise ValueError(f"case {case.case_id} has no parameter "
+                         f"{', '.join(unknown)} (it takes: {', '.join(vals) or 'none'})")
+    vals.update({k: Fraction(v) for k, v in (values or {}).items()})
     v = case.field(vals)
     flw = flow_of(v)
     rate = equivariance_weight(v)
-    factor = math.exp(float(rate) * t)
+    try:
+        factor = math.exp(float(rate) * t)
+    except OverflowError:
+        raise EvalDomainError(f"the S2 factor exp({rate}*t) overflows at t = {t:g}") from None
 
     M = flw.matrix(t)
     B, c = flw.spatial_preimage(t)
@@ -645,17 +646,28 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
                 *[mul(num(Fraction(lj)), img[j]) for j, lj in enumerate(linear)],
                 num(Fraction(shift)))
 
+    u_fn = compile_evaluator(u_expr, ["x", "y", "z"], inner)
     s2_new_fn = compile_evaluator(s2_of(u_new), ["x", "y", "z"], inner)
     s2_u0_fn = compile_evaluator(s2_of(u_expr), ["x", "y", "z"], inner)
 
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(n_points):
+    done = attempts = 0
+    while done < n_points:
+        if attempts >= 10 * n_points:
+            raise EvalDomainError(
+                f"could not find {n_points} valid sample points in {attempts} attempts")
+        attempts += 1
         pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
         pre = _affine(B, c, pt)
-        lhs = s2_new_fn(*pt)
-        rhs = factor * s2_u0_fn(*pre)
+        try:
+            u_fn(*pre)
+            lhs = s2_new_fn(*pt)
+            rhs = factor * s2_u0_fn(*pre)
+        except EvalDomainError:
+            continue
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+        done += 1
 
     body = f"u({', '.join(pre_texts)})"
     if abs(scale - 1.0) >= 1e-14:

@@ -36,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
     ExprError, Mul, Num, Opaque, OpaqueBinding, Pow, Sym, add,
-    eval_with_scale, free_symbols, mul, num, pow_, to_text,
+    children, eval_with_scale, free_symbols, mul, num, pow_, rebuild, to_text,
 )
 
 __all__ = [
@@ -334,14 +334,8 @@ def _to_frac(e: Expr, reg: dict[str, Expr]) -> Frac:
                 part = _atom(body, reg) if isinstance(body, Pow) else _to_frac(body, reg)
                 return _fmul(part, head)
         return _atom(node, reg)
-    if isinstance(e, Call):
-        return _atom(Call(e.fn, normalize(e.arg)), reg)
-    if isinstance(e, Opaque):
-        return _atom(Opaque(e.fn, tuple(normalize(a) for a in e.args)), reg)
-    if isinstance(e, Deriv):
-        return _atom(
-            Deriv(Opaque(e.target.fn, tuple(normalize(a) for a in e.target.args)), e.slots), reg
-        )
+    if isinstance(e, (Call, Opaque, Deriv)):
+        return _atom(rebuild(e, [normalize(a) for a in children(e)]), reg)
     raise ExprError(f"unknown node {e!r}")
 
 

@@ -84,12 +84,7 @@ class SuiteReport(NamedTuple):
 
     @property
     def status(self) -> str:
-        statuses = {r.status for r in self.records}
-        if "fail" in statuses:
-            return "fail"
-        if "flagged" in statuses:
-            return "flagged"
-        return "pass"
+        return overall_status(self.records)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -474,8 +469,10 @@ def run_suites(names, seed: int = DEFAULT_SEED, tol: float | None = None,
     return tuple(run_suite(n, seed=seed, tol=tol, points=points) for n in names)
 
 
-def overall_status(reports) -> str:
-    statuses = {r.status for r in reports}
+def overall_status(items) -> str:
+    """fail if any of the records or reports failed, else flagged if any
+    was flagged, else pass."""
+    statuses = {r.status for r in items}
     if "fail" in statuses:
         return "fail"
     if "flagged" in statuses:

@@ -285,6 +285,44 @@ def test_transform_bad_fixture_arity(capsys):
     assert "fixture" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--case", "6", "--t", "800", "--u", "fixture:1,2,3"], "overflows"),
+    (["--case", "6", "--t", "0.3", "--param", "g1=1/0", "--u", "fixture:1,2,3"],
+     "--param g1"),
+    (["--case", "6", "--t", "0.3", "--u", "fixture:1,2,0/0"], "fixture value"),
+    (["--case", "6", "--t", "0.3", "--param", "g=2", "--u", "fixture:1,2,3"],
+     "no parameter g"),
+    # S2 of these is identically 0, but u itself has no value anywhere
+    (["--case", "6", "--t", "0.3", "--u", "ln(x-x)"], "valid sample points"),
+    (["--case", "6", "--t", "0.3", "--u", "exp(x)/(y-y)"], "valid sample points"),
+], ids=["overflowing-t", "param-over-zero", "fixture-over-zero", "unknown-param",
+        "ln-of-zero", "over-zero"])
+def test_transform_malformed_input_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, "transform", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf", "soon"])
+def test_transform_non_finite_t_is_rejected(capsys, t):
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--case", "6", f"--t={t}", "--u", "fixture:1,2,3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --t" in captured.err
+
+
+def test_transform_restricted_domain_profile_redraws(capsys):
+    # sqrt(x) is undefined at half the preimages of case 6, which keep x
+    code, out, _ = run(capsys, "transform", "--case", "6", "--t", "0.3",
+                       "--u", "sqrt(x)*y^2 + z^2", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verdict"] == "pass" and obj["n_points"] == 40
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -422,4 +460,33 @@ def test_src_imports_only_the_standard_library():
             bad += [f"{path.name}: {name}" for name in names
                     if name.split(".")[0] not in sys.stdlib_module_names
                     and name.split(".")[0] != "hessym"]
+    assert bad == []
+
+
+def _defined_or_imported(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_export_is_defined_or_imported():
+    # a walker deleted from a module but left in its __all__ would pass
+    # every test that never star-imports the module
+    bad = []
+    for path in sorted(Path(hessym.__file__).resolve().parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        exports = [n for node in tree.body if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__"
+                           for t in node.targets)
+                   for n in ast.literal_eval(node.value)]
+        known = _defined_or_imported(tree)
+        bad += [f"{path.name}: {name}" for name in exports if name not in known]
     assert bad == []

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from hessym.expr import (
-    ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Mul, Num,
-    Opaque, OpaqueBinding, Pow, Sym, add, compile_evaluator, deriv, diff,
-    div, eval_numeric, free_symbols, mul, neg, num, opaque, pow_, sub,
-    substitute, substitute_opaque, sym, to_text,
+    ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Frozen, Mul,
+    Num, Opaque, OpaqueBinding, Pow, Sym, add, children, compile_evaluator, deriv,
+    diff, div, eval_numeric, free_symbols, mul, neg, num, opaque, pow_, rebuild,
+    sub, substitute, sym, to_text,
 )
+from hessym.fields import E4, AdjointMatrix, LieBasis, VectorField, vf
+from hessym.flows import AffineFlow
 from hessym.normalize import normalize, print_canonical
 from hessym.parse import ParseError, parse
 
@@ -211,16 +213,6 @@ class TestSubstitute:
             lhs = substitute(mul(a, b), m)
             rhs = mul(substitute(a, m), substitute(b, m))
             assert normalize(sub(lhs, rhs)) == ZERO
-
-    def test_opaque_instantiation(self):
-        e = parse("H_1(x, y) + H(x, y)")
-        out = substitute_opaque(e, {"H": (("a", "b"), parse("a^2*b"))})
-        assert normalize(sub(out, parse("2*x*y + x^2*y"))) == ZERO
-
-    def test_opaque_instantiation_mixed_slots(self):
-        e = parse("H_12(x, y^2)")
-        out = substitute_opaque(e, {"H": (("a", "b"), parse("a^2*b^3"))})
-        assert normalize(sub(out, parse("6*x*y^4"))) == ZERO
 
 
 class TestEval:
@@ -434,3 +426,81 @@ class TestNodes:
     def test_num_holds_a_fraction(self):
         assert Num(2).value == Fraction(2) and type(Num(2).value) is Fraction
         assert Num(2) == Num(Fraction(2)) and hash(Num(2)) == hash(Num(Fraction(2)))
+
+    @pytest.mark.parametrize("node", NODES, ids=lambda n: type(n).__name__)
+    def test_hash_is_the_hash_of_the_field_tuple(self, node):
+        # the hash the nodes had as dataclasses, so no set or dict order moves
+        assert hash(node) == hash(tuple(getattr(node, f) for f in type(node).__slots__))
+
+
+def _with_fields_of(value: Frozen, cls: type) -> Frozen:
+    """A new instance of ``cls`` holding the field values of ``value``."""
+    out = object.__new__(cls)
+    for f in value._fields:
+        object.__setattr__(out, f, getattr(value, f))
+    return out
+
+
+_FIELD = vf(E4, x="1", u="x")
+_L = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
+# each value with the tuple its equality and hash are keyed on
+FROZEN_VALUES = [
+    (_FIELD, (_FIELD.space, _FIELD.coeffs)),
+    (LieBasis("B", (_FIELD,)), ("B", (_FIELD,))),
+    (AdjointMatrix(0, ("Z1",), ((ONE,),)), (0, ("Z1",), ((ONE,),), "eps")),
+    (AffineFlow(_L), (_L,)),
+]
+
+
+class TestFrozenValues:
+    """The non-node Frozen classes share the nodes' value protocol."""
+
+    @pytest.mark.parametrize("value,key", FROZEN_VALUES,
+                             ids=lambda v: type(v).__name__)
+    def test_equality_is_by_class_and_key(self, value, key):
+        again = _with_fields_of(value, type(value))
+        twin = _with_fields_of(value, type("Twin", (Frozen,), {}, fields=value._fields))
+        assert again == value and not (again != value) and again is not value
+        assert value != key and value != twin
+        assert hash(value) == hash(key) == hash(again)
+        assert {value: 1}[again] == 1
+
+    @pytest.mark.parametrize("value", [v for v, _ in FROZEN_VALUES],
+                             ids=lambda v: type(v).__name__)
+    def test_repr_shows_every_field(self, value):
+        text = repr(value)
+        assert text.startswith(type(value).__name__ + "(")
+        assert all(f"{f}={getattr(value, f)!r}" in text for f in value._fields)
+
+    def test_vector_field_params_take_no_part(self):
+        with_g = VectorField(E4, _FIELD.coeffs, frozenset({"g1"}))
+        assert with_g == _FIELD and hash(with_g) == hash(_FIELD)
+        assert with_g.params != _FIELD.params and "params=frozenset({'g1'})" in repr(with_g)
+
+
+class TestTraversal:
+    def test_children_and_rebuild_of_each_node(self):
+        x, y = Sym("x"), Sym("y")
+        h = Opaque("H", (x, y))
+        assert children(Num(Fraction(3))) == () and children(x) == ()
+        assert children(Pow(x, y)) == (x, y) and children(Call("exp", x)) == (x,)
+        assert children(h) == (x, y) and children(Deriv(h, (1,))) == (x, y)
+        assert rebuild(Deriv(h, (1, 2)), [y, x]) == Deriv(Opaque("H", (y, x)), (1, 2))
+        assert rebuild(Add((x, y)), [num(1), num(2)]) == num(3)  # refolded
+
+    def test_rebuild_and_substitute_on_random_trees(self):
+        rng = random.Random(2024)
+        for _ in range(1000):
+            e = random_expr(rng)
+            stack = [e]
+            while stack:
+                n = stack.pop()
+                assert rebuild(n, children(n)) == n
+                stack.extend(children(n))
+            for name in free_symbols(e):
+                try:
+                    out = substitute(e, {name: num(2)})
+                except ExprError as exc:  # the value zeroed a denominator
+                    assert str(exc) == "0 raised to a negative power"
+                    continue
+                assert name not in free_symbols(out)
