@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .expr import (
-    ZERO, Expr, ExprError, Frozen, Num, add, call, compile_evaluator, diff, div,
-    free_symbols, mul, num, pow_, sub, sym, to_text,
+    ONE, ZERO, Add, Expr, ExprError, Frozen, Mul, Num, add, call, compile_evaluator,
+    diff, div, free_symbols, mul, num, pow_, sub, sym, to_text,
 )
 from .normalize import Monomial, as_polynomial, normalize
 from .parse import parse
@@ -329,19 +329,24 @@ class StructureTable(NamedTuple):
                    for i in range(n) for j in range(n) for k in range(n))
 
     def check_jacobi(self) -> bool:
-        """Exact Jacobi identity in coordinates."""
-        n = self.dim
+        """Exact Jacobi identity in coordinates.
 
+        The identity is bilinear in c, so it holds for c exactly when it
+        holds for D*c with D the common denominator: the sums run over
+        integers, and over the nonzero constants of each bracket only.
+        """
+        n = self.dim
+        den = math.lcm(*(v.denominator for plane in self.c for row in plane for v in row))
+        nz = [[[(m, v.numerator * (den // v.denominator)) for m, v in enumerate(row) if v]
+               for row in plane] for plane in self.c]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    total = [Fraction(0)] * n
-                    for m in range(n):
-                        for t in ((i, j, k), (j, k, i), (k, i, j)):
-                            cm = self.c[t[1]][t[2]][m]
-                            if cm:
-                                for l in range(n):
-                                    total[l] += cm * self.c[t[0]][m][l]
+                    total = [0] * n
+                    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, cm in nz[q][r]:
+                            for l, cl in nz[p][m]:
+                                total[l] += cm * cl
                     if any(total):
                         return False
         return True
@@ -425,6 +430,27 @@ class AdjointMatrix(Frozen, fields=("generator", "names", "entries", "eps_name")
         """All n*n entries, row by row, as one compiled function of eps."""
         return compile_evaluator(tuple(e for row in self.entries for e in row),
                                  [self.eps_name])
+
+    def apply(self, eps: float, a: Sequence[float]) -> tuple[float, ...]:
+        """A(eps) a, equal to ``matvec(self.eval_at(eps), a)`` up to the sign
+        of zero: each row sums the products of its structurally nonzero
+        entries with a, left to right in column order, so the terms that
+        ``matvec`` adds and this leaves out are exact zeros (and an entry 1
+        contributes a_j itself, as 1.0 * a_j is).  A non-finite result
+        raises EvalDomainError, as a non-finite entry does in ``eval_at``."""
+        return self._applied(float(eps), *a)
+
+    @cached_property
+    def _applied(self):
+        """The closed-form entries and the product with the coordinates
+        (named after the basis) as one compiled function of (eps, a)."""
+        coords = [sym(name) for name in self.names]
+        rows = []
+        for row in self.entries:
+            terms = tuple(x if e == ONE else Mul((e, x))
+                          for e, x in zip(row, coords) if e != ZERO)
+            rows.append(Add(terms) if len(terms) > 1 else terms[0] if terms else ZERO)
+        return compile_evaluator(tuple(rows), [self.eps_name, *self.names])
 
     def column(self, j: int) -> tuple[Expr, ...]:
         return tuple(self.entries[k][j] for k in range(len(self.names)))

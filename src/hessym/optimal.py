@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import OPTIMAL_PATTERNS, reduced_adjoints
-from .fields import matvec
 
 __all__ = [
     "ReductionError", "ReductionStep", "ReductionTrace",
@@ -47,7 +48,6 @@ def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> tuple[
 
 def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[float, ...]:
     a1, a2, a3, a4, a5, a6, a7, a8 = a
-    c, s = math.cos(eps), math.sin(eps)
     if gen == 1:
         out = (a1 - eps * a8, a2 + eps * a5, a3 + eps * a4, a4, a5, a6, a7, a8)
     elif gen == 2:
@@ -55,12 +55,15 @@ def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[floa
     elif gen == 3:
         out = (a1 - eps * a4, a2 - eps * a6, a3 - eps * a8, a4, a5, a6, a7, a8)
     elif gen == 4:
+        c, s = math.cos(eps), math.sin(eps)
         out = (a1 * c + a3 * s, a2, -a1 * s + a3 * c,
                a4, a5 * c - a6 * s, a5 * s + a6 * c, a7, a8)
     elif gen == 5:
+        c, s = math.cos(eps), math.sin(eps)
         out = (a1 * c + a2 * s, -a1 * s + a2 * c, a3,
                a4 * c + a6 * s, a5, -a4 * s + a6 * c, a7, a8)
     elif gen == 6:
+        c, s = math.cos(eps), math.sin(eps)
         out = (a1, a2 * c + a3 * s, -a2 * s + a3 * c,
                a4 * c - a5 * s, a4 * s + a5 * c, a6, a7, a8)
     elif gen == 7:
@@ -84,9 +87,9 @@ class ReductionStep(NamedTuple):
         if self.kind == "adjoint":
             return _published_adjoint(self.generator, a, self.value)
         if self.kind == "scale":
-            return tuple(v * self.value for v in a)
+            return tuple([v * self.value for v in a])
         if self.kind == "reflect":
-            return tuple(-v for v in a)
+            return tuple([-v for v in a])
         raise ReductionError(f"unknown step kind {self.kind!r}")
 
 
@@ -115,41 +118,62 @@ def _fmt_vec(a) -> str:
     return "[" + ", ".join(f"{v:.6g}" for v in a) + "]"
 
 
+@lru_cache(maxsize=None)
+def _candidates(support: int) -> tuple[tuple[str, tuple[tuple[int, str], ...]], ...]:
+    """The patterns, in ``OPTIMAL_PATTERNS`` order, that let every
+    coordinate of the support bitmask (bit j - 1 for Z_j) be nonzero, each
+    with its (0-based index, role) pairs in index order."""
+    return tuple((pid, tuple((j - 1, spec[j]) for j in sorted(spec)))
+                 for pid, spec in OPTIMAL_PATTERNS.items()
+                 if all(j in spec for j in range(1, 9) if support >> (j - 1) & 1))
+
+
 def classify_vector(a: Sequence[float], tol: float = 1e-9) -> tuple[str, int | None, dict]:
-    """Match a reduced vector against the normal-form patterns."""
-    a = tuple(float(v) for v in a)
-    scale = max(1.0, *map(abs, a))
-    for pid, spec in OPTIMAL_PATTERNS.items():
+    """Match a reduced vector against the normal-form patterns.
+
+    The support (the entries above the cut, NaN included) is one bitmask,
+    which picks the patterns whose vanishing coordinates it misses; the
+    first of them whose fixed entries match wins.  A non-finite vector
+    matches nothing.
+    """
+    a = tuple(map(float, a))
+    if not all(map(math.isfinite, a)):
+        raise ReductionError(f"cannot match a non-finite vector to a pattern: {_fmt_vec(a)}")
+    cut = tol * max(1.0, *map(abs, a))
+    support = 0
+    bit = 1
+    for v in a:
+        if not abs(v) <= cut:
+            support |= bit
+        bit <<= 1
+    for pid, roles in _candidates(support):
         sign: int | None = None
         params: dict[str, float] = {}
-        ok = True
-        for j in range(1, 9):
-            v = a[j - 1]
-            role = spec.get(j)
-            if role is None:
-                if abs(v) > tol * scale:
-                    ok = False
-                    break
-            elif role == "1":
-                if abs(v - 1.0) > tol * scale:
-                    ok = False
+        for i, role in roles:
+            v = a[i]
+            if role == "1":
+                if abs(v - 1.0) > cut:
                     break
             elif role == "pm":
-                if abs(abs(v) - 1.0) > tol * scale:
-                    ok = False
+                if abs(abs(v) - 1.0) > cut:
                     break
                 sign = 1 if v > 0 else -1
             else:
-                params[role] = float(v)
-        if ok:
+                params[role] = v
+        else:
             return pid, sign, params
     raise ReductionError(f"reduced vector matches no pattern: {_fmt_vec(a)}")
+
+
+_PLAIN = frozenset((float, int))
 
 
 def _coefficients(a: Sequence[float]) -> tuple[float, ...]:
     """The entries of a flat, ordered run of 8 real numbers (a sequence or
     a 1-d array) as floats.  Strings, bytes, sets, generators and nested
     rows are rejected rather than read item by item."""
+    if type(a) in (list, tuple) and len(a) == 8 and {*map(type, a)} <= _PLAIN:
+        return tuple(map(float, a))
     bad = ReductionError("expected 8 coefficients over Z1..Z8")
     ordered = isinstance(a, Sequence) or hasattr(a, "__array__")
     if not ordered or isinstance(a, (str, bytes, bytearray)):
@@ -163,13 +187,22 @@ def _coefficients(a: Sequence[float]) -> tuple[float, ...]:
     return tuple(map(float, items))
 
 
+def _finite(value: float, note: str) -> None:
+    """Refuse a reduction step whose value left the float range."""
+    if not math.isfinite(value):
+        raise ReductionError(
+            f"step '{note}' takes the value {value!r}: the coefficients "
+            "span more than the float range")
+
+
 def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     """Canonicalize a nonzero combination sum a_k Z_k by the adjoint action.
 
     Follows the printed two-case tree: a8 != 0 leads to the patterns built
     on the space scaling, a8 = 0 and a7 != 0 to those built on the f
     scaling.  Both coefficients vanishing is outside the classified region
-    and raises ReductionError.
+    and raises ReductionError, and so does a step or a reduced vector past
+    the float range (a subnormal scaling coefficient, say).
     """
     a = a0 = _coefficients(a)
     if not all(map(math.isfinite, a)):
@@ -180,15 +213,29 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     cut = tol * norm
     steps: list[ReductionStep] = []
 
-    def emit(kind: str, gen: int | None, value: float, note: str) -> None:
+    def reflect(note: str) -> None:
         nonlocal a
-        st = ReductionStep(kind, gen, value, note)
-        a = st.apply(a)
-        steps.append(st)
+        a = tuple([-v for v in a])
+        steps.append(ReductionStep("reflect", None, -1.0, note))
+
+    def scale(factor: float, note: str) -> None:
+        nonlocal a
+        _finite(factor, note)
+        a = tuple([v * factor for v in a])
+        steps.append(ReductionStep("scale", None, factor, note))
 
     def adj(gen: int, eps: float, note: str) -> None:
+        nonlocal a
         if eps != 0.0:
-            emit("adjoint", gen, eps, note)
+            _finite(eps, note)
+            a = _published_adjoint(gen, a, eps)
+            steps.append(ReductionStep("adjoint", gen, eps, note))
+
+    def unit(x: float) -> float:
+        """eps of the Z8 step that takes |x| to 1."""
+        if not abs(x) < math.inf:
+            raise ReductionError(f"the vector left the float range: {_fmt_vec(a)}")
+        return math.log(1.0 / abs(x))
 
     def nz(j: int) -> bool:
         return abs(a[j - 1]) > cut
@@ -201,22 +248,22 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
     if nz(8):
         # case 2: normalize the space-scaling coefficient
         if a[7] < 0:
-            emit("reflect", None, -1.0, "orient a8 > 0")
+            reflect("orient a8 > 0")
         if a[7] != 1.0:
-            emit("scale", None, 1.0 / a[7], "set a8 = 1")
+            scale(1.0 / a[7], "set a8 = 1")
         adj(1, a[0] / a[7], "kill a1")
         if nz(3):
             adj(6, arccot(a[1] / a[2]), "kill a3")
         if nz(6):
             adj(4, -arccot(a[4] / a[5]), "kill a6")
         if nz(2):
-            adj(8, math.log(1.0 / abs(a[1])), "set |a2| = 1")
+            adj(8, unit(a[1]), "set |a2| = 1")
     else:
         # case 1: normalize the f-scaling coefficient
         if a[6] < 0:
-            emit("reflect", None, -1.0, "orient a7 > 0")
+            reflect("orient a7 > 0")
         if a[6] != 1.0:
-            emit("scale", None, 1.0 / a[6], "set a7 = 1")
+            scale(1.0 / a[6], "set a7 = 1")
         if not nz(5):
             if not nz(4):
                 if not nz(6):
@@ -226,29 +273,29 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
                     if nz(2):
                         adj(5, arccot(a[0] / a[1]), "absorb a2 into a1")
                     if nz(1):
-                        adj(8, math.log(1.0 / abs(a[0])), "set |a1| = 1")
+                        adj(8, unit(a[0]), "set |a1| = 1")
                 else:
                     adj(2, -a[2] / a[5], "kill a3")
                     adj(3, a[1] / a[5], "kill a2")
                     if nz(1):
-                        adj(8, math.log(1.0 / abs(a[0])), "set |a1| = 1")
+                        adj(8, unit(a[0]), "set |a1| = 1")
             else:
                 adj(1, -a[2] / a[3], "kill a3")
                 if not nz(6):
                     adj(3, a[0] / a[3], "kill a1")
                     if nz(2):
-                        adj(8, math.log(1.0 / abs(a[1])), "set |a2| = 1")
+                        adj(8, unit(a[1]), "set |a2| = 1")
                 else:
                     adj(3, a[1] / a[5], "kill a2")
                     if nz(1):
-                        adj(8, math.log(1.0 / abs(a[0])), "set |a1| = 1")
+                        adj(8, unit(a[0]), "set |a1| = 1")
         else:
             adj(1, -a[1] / a[4], "kill a2")
             adj(2, a[0] / a[4], "kill a1")
             if nz(6):
                 adj(5, arccot(a[3] / a[5]), "kill a6")
             if nz(3):
-                adj(8, math.log(1.0 / abs(a[2])), "set |a3| = 1")
+                adj(8, unit(a[2]), "set |a3| = 1")
 
     pattern, sign, params = classify_vector(a, tol=max(tol, 1e-12) * 100)
     return ReductionTrace(a0, tuple(steps), a, pattern, sign, params)
@@ -264,7 +311,7 @@ def replay(trace: ReductionTrace) -> tuple[float, ...]:
     a = trace.initial
     for st in trace.steps:
         if st.kind == "adjoint":
-            a = matvec(mats[st.generator - 1].eval_at(st.value), a)
+            a = mats[st.generator - 1].apply(st.value, a)
         else:
             a = st.apply(a)
     return a
@@ -273,6 +320,5 @@ def replay(trace: ReductionTrace) -> tuple[float, ...]:
 def replay_deviation(trace: ReductionTrace) -> float:
     """Max absolute disagreement between the two adjoint routes, relative
     to the vector scale."""
-    got = replay(trace)
-    scale = max(1.0, *map(abs, trace.final))
-    return max(abs(g - w) for g, w in zip(got, trace.final)) / scale
+    final = trace.final
+    return max(map(abs, map(operator.sub, replay(trace), final))) / max(1.0, *map(abs, final))

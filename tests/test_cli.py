@@ -172,6 +172,18 @@ def test_reduce_non_finite_errors(capsys, coeffs):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("coeffs", ["0,0,0,0,0,0,1e-310,0", "0,0,0,0,0,0,0,5e-324",
+                                    "1e-320,0,0,0,0,0,1e-310,0"])
+def test_reduce_subnormal_scaling_is_one_error_line(capsys, coeffs):
+    # 1/a7 or 1/a8 overflows: refused by name, where it printed pattern A1
+    # with a NaN vector (exit 1) or a message that named no cause
+    code, out, err = run(capsys, "reduce", "--format", "json", "--", coeffs)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "float range" in err
+
+
 # ---------------------------------------------------------------------------
 # check-symmetry
 
@@ -443,6 +455,57 @@ def test_no_command_loads_numpy_scipy_or_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# every compile_template call compiles one "<expr>" source; a fresh process
+# counts those compiles, then reports which adjoint matrices compiled their
+# evaluators (cached on the instance, so the first use fills them)
+COMPILE_COUNT = """
+import builtins, json, os, sys
+compiles = [0]
+real_compile = builtins.compile
+def counting(source, filename, *args, **kwargs):
+    compiles[0] += filename == "<expr>"
+    return real_compile(source, filename, *args, **kwargs)
+builtins.compile = counting
+import hessym, hessym.cli
+at_import = compiles[0]
+from hessym.catalog import reduced_adjoints
+code = hessym.cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps({
+    "code": code, "at_import": at_import, "run": compiles[0] - at_import,
+    "applied": [m.generator + 1 for m in reduced_adjoints() if "_applied" in vars(m)],
+    "dense": [m.generator + 1 for m in reduced_adjoints() if "_compiled" in vars(m)],
+}))
+"""
+
+
+def _compiles(*argv):
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", COMPILE_COUNT, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_import_and_reduce_compile_only_the_generators_the_trace_uses():
+    vec = "0.5,1.6,1.1,-1.1,-0.8,1.5,-2.0,1.3"
+    got = _compiles("reduce", "--format", "json", vec)
+    used = sorted({st.generator for st in hessym.reduce_to_optimal(
+        [float(v) for v in vec.split(",")]).steps if st.kind == "adjoint"})
+    assert got["code"] == 0
+    assert got["at_import"] == 0
+    assert got["applied"] == used and got["dense"] == []
+    assert got["run"] == len(used)
+
+
+def test_verify_optimal_compiles_at_most_the_eight_adjoint_evaluators():
+    got = _compiles("verify", "optimal")
+    assert got["code"] == 0
+    assert got["at_import"] == 0
+    assert got["dense"] == []
+    assert got["run"] == len(got["applied"]) <= 8
 
 
 def test_src_imports_only_the_standard_library():

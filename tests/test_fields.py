@@ -22,6 +22,34 @@ from hessym.normalize import normalize
 from hessym.parse import parse
 
 
+def reference_check_jacobi(table) -> bool:
+    """The Jacobi identity over Fractions and every constant, zeros
+    included, as the exact reference for ``StructureTable.check_jacobi``."""
+    n, c = table.dim, table.c
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                total = [Fraction(0)] * n
+                for m in range(n):
+                    for t in ((i, j, k), (j, k, i), (k, i, j)):
+                        cm = c[t[1]][t[2]][m]
+                        if cm:
+                            for l in range(n):
+                                total[l] += cm * c[t[0]][m][l]
+                if any(total):
+                    return False
+    return True
+
+
+def _with_constant(table, i, j, k, value, antisymmetric=True):
+    """The table with c[i][j][k] set to value (and c[j][i][k] to -value)."""
+    c = [[list(row) for row in plane] for plane in table.c]
+    c[i][j][k] = value
+    if antisymmetric:
+        c[j][i][k] = -value
+    return table._replace(c=tuple(tuple(tuple(row) for row in plane) for plane in c))
+
+
 @pytest.fixture(scope="module")
 def reduced_table():
     return structure_table(reduced_basis(), Z_NAMES)
@@ -162,6 +190,35 @@ class TestStructureTable:
         t = structure_table(equivalence_basis())
         assert t.dim == 12
         assert t.check_jacobi()
+
+    @BASES
+    def test_jacobi_verdict_matches_the_fraction_reference(self, basis, names):
+        t = structure_table(basis(), names)
+        assert t.check_jacobi() is reference_check_jacobi(t) is True
+
+    def test_jacobi_fails_when_one_antisymmetric_pair_changes(self, reduced_table):
+        # [Z4, Z5] = -Z6 doubled on both sides keeps antisymmetry but
+        # breaks the Jacobi identity
+        t = _with_constant(reduced_table, 3, 4, 5, 2 * reduced_table.c[3][4][5])
+        assert t.check_antisymmetry()
+        assert t.check_jacobi() is reference_check_jacobi(t) is False
+
+    def test_jacobi_verdict_matches_the_reference_on_tampered_tables(self, reduced_table):
+        # random changes of one constant: as an antisymmetric pair, or of one
+        # side alone, to a rational with a new denominator
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(30):
+            i, j, k = rng.randrange(8), rng.randrange(8), rng.randrange(8)
+            if i == j:
+                continue
+            value = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            t = _with_constant(reduced_table, i, j, k, value,
+                               antisymmetric=rng.random() < 0.7)
+            got = t.check_jacobi()
+            assert got is reference_check_jacobi(t)
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_lie_candidate_with_broken_closure_is_caught(self):
         # d_x together with x^2 d_x brackets outside the span

@@ -6,15 +6,22 @@ replayed through adjoint matrices recomputed from the structure constants.
 """
 
 import math
+import numbers
+import random
+from collections.abc import Sequence
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hessym.catalog import OPTIMAL_PATTERNS, reduced_basis, Z_NAMES
+from hessym.catalog import OPTIMAL_PATTERNS, reduced_adjoints, reduced_basis, Z_NAMES
+from hessym.expr import EvalDomainError
 from hessym.normalize import DEFAULT_SEED
-from hessym.fields import adjoint, structure_table
+from hessym.fields import adjoint, matvec, structure_table
 from hessym.optimal import (
     ReductionError,
+    _coefficients,
     arccot,
     classify_vector,
     published_adjoint_vector,
@@ -22,6 +29,7 @@ from hessym.optimal import (
     replay,
     replay_deviation,
 )
+from hessym.report import _scrambled_normal_form
 
 CASE2 = {"A11", "A12"}
 
@@ -272,3 +280,236 @@ def test_replay_route_matches_on_bulk_random_vectors():
         assert replay_deviation(tr) < 1e-9
         assert np.max(np.abs(replay(tr) - np.array(tr.final))) < 1e-8
     assert reduced > 300
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: replay through dense matrices and ``matvec``, pattern
+# matching coordinate by coordinate, and coefficient checks through the
+# abstract base classes alone
+
+def reference_replay(trace) -> tuple[float, ...]:
+    """The dense route: each adjoint matrix evaluated as an 8x8 tuple of
+    rows, then ``matvec``."""
+    mats = reduced_adjoints()
+    a = trace.initial
+    for st in trace.steps:
+        if st.kind == "adjoint":
+            a = matvec(mats[st.generator - 1].eval_at(st.value), a)
+        elif st.kind == "scale":
+            a = tuple(v * st.value for v in a)
+        else:
+            a = tuple(-v for v in a)
+    return a
+
+
+def reference_classify_vector(a, tol=1e-9):
+    """Pattern by pattern, coordinate by coordinate, through the dicts."""
+    a = tuple(float(v) for v in a)
+    scale = max(1.0, *map(abs, a))
+    for pid, spec in OPTIMAL_PATTERNS.items():
+        sign = None
+        params = {}
+        ok = True
+        for j in range(1, 9):
+            v = a[j - 1]
+            role = spec.get(j)
+            if role is None:
+                if abs(v) > tol * scale:
+                    ok = False
+                    break
+            elif role == "1":
+                if abs(v - 1.0) > tol * scale:
+                    ok = False
+                    break
+            elif role == "pm":
+                if abs(abs(v) - 1.0) > tol * scale:
+                    ok = False
+                    break
+                sign = 1 if v > 0 else -1
+            else:
+                params[role] = float(v)
+        if ok:
+            return pid, sign, params
+    raise ReductionError("reduced vector matches no pattern: "
+                         + "[" + ", ".join(f"{v:.6g}" for v in a) + "]")
+
+
+def reference_coefficients(a):
+    """Every input through the abstract base classes."""
+    bad = ReductionError("expected 8 coefficients over Z1..Z8")
+    ordered = isinstance(a, Sequence) or hasattr(a, "__array__")
+    if not ordered or isinstance(a, (str, bytes, bytearray)):
+        raise bad
+    try:
+        items = list(a)
+    except TypeError as exc:
+        raise bad from exc
+    if len(items) != 8 or not all(isinstance(v, numbers.Real) for v in items):
+        raise bad
+    return tuple(map(float, items))
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of the ReductionError it raised."""
+    try:
+        return ("value", fn(*args))
+    except ReductionError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def replayed(route, trace):
+    """A replay's vector, or the message of the EvalDomainError it raised."""
+    try:
+        return route(trace)
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def seeded_traces(seed: int, n: int):
+    """n reductions of draws made as the optimal suite makes them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        a = [rng.uniform(-2, 2) for _ in range(8)]
+        for i in rng.sample(range(8), rng.randrange(8)):
+            a[i] = 0.0
+        if a[6] == 0.0 and a[7] == 0.0:
+            a[6] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
+        out.append(reduce_to_optimal(a))
+    return out
+
+
+def test_sparse_replay_matches_the_dense_route_on_seeded_traces():
+    # == counts 0.0 and -0.0 as equal, so this is bit for bit up to the
+    # sign of zero
+    traces = seeded_traces(DEFAULT_SEED, 2500)
+    assert sum(1 for tr in traces if tr.steps) >= 2000
+    for tr in traces:
+        got, want = replay(tr), reference_replay(tr)
+        assert all(type(v) is float for v in got)
+        assert got == want, tr
+
+
+def test_sparse_replay_matches_the_dense_route_on_scrambled_normal_forms():
+    rng = random.Random(DEFAULT_SEED)
+    for pid in OPTIMAL_PATTERNS:
+        a, _, _ = _scrambled_normal_form(pid, rng)
+        tr = reduce_to_optimal(a)
+        assert tr.pattern == pid
+        assert replay(tr) == reference_replay(tr)
+
+
+@pytest.mark.parametrize("gen", range(8))
+def test_apply_is_matvec_of_eval_at(gen):
+    # every generator, Z7's identity included, at vectors with exact and
+    # signed zeros
+    mat = reduced_adjoints()[gen]
+    rng = random.Random(DEFAULT_SEED + gen)
+    for eps in (0.0, -0.0, 1e-300, 0.1, -0.7, 1.3, 5.0, -40.0):
+        for _ in range(20):
+            a = tuple(rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-3, 3)))
+                      for _ in range(8))
+            assert mat.apply(eps, a) == matvec(mat.eval_at(eps), a)
+
+
+def test_classify_vector_matches_the_reference_at_the_tolerance_boundary():
+    # every coordinate either sits on its pattern value or misses it by
+    # cut*(1 +- 1e-3), on either side: zeros by |v|, fixed entries by |v| - 1
+    tol = 1e-7
+    rng = random.Random(DEFAULT_SEED)
+    seen = set()
+    for pid, spec in OPTIMAL_PATTERNS.items():
+        for big in (1.0, 1e3):
+            for _ in range(150):
+                base = [0.0] * 8
+                fixed = set()
+                for j, role in spec.items():
+                    if role == "1":
+                        base[j - 1] = 1.0
+                    elif role == "pm":
+                        base[j - 1] = rng.choice((1.0, -1.0))
+                    else:
+                        base[j - 1] = rng.uniform(0.3, 2.0) * big * rng.choice((1.0, -1.0))
+                        continue
+                    fixed.add(j - 1)
+                cut = tol * max(1.0, *map(abs, base))
+                a = list(base)
+                for i in range(8):
+                    if i in fixed or i + 1 not in spec:
+                        if rng.random() < 0.3:
+                            away = cut * rng.choice((1 - 1e-3, 1 + 1e-3))
+                            a[i] += away * rng.choice((1.0, -1.0))
+                got = outcome(classify_vector, a, tol)
+                assert got == outcome(reference_classify_vector, a, tol), a
+                seen.add(got[0] == "value" and got[1][0] == pid)
+    # both sides of the boundary were reached
+    assert seen == {True, False}
+
+
+def test_classify_vector_rejects_non_finite_vectors():
+    # NaN is not within the cut of 0, and inf is no normal form
+    for bad in ([0, 0, 0, 0, 0, 0, math.inf, math.nan], [math.nan] * 6 + [1, 0],
+                [0, 0, 0, 0, 0, 0, 1, math.inf]):
+        with pytest.raises(ReductionError, match="non-finite"):
+            classify_vector(bad)
+
+
+def test_coefficients_accept_and_reject_what_the_reference_does():
+    inputs = [
+        [1.0, 2.0, 3.0], [1.0] * 9, 5.0, "12345678", [[1.0] * 8], ["a"] * 8,
+        b"12345678", set(range(1, 9)), (float(k) for k in range(1, 9)),
+        np.ones((8, 1)), np.array(1.0), {k: 1.0 for k in range(8)},
+        [True] * 8, [False, True] + [0.5] * 6, [np.float64(1.5)] * 8,
+        [Fraction(1, 3)] * 8, [1, 2.0, True, np.float64(3), Fraction(1, 2), 0, -1, 5],
+        list(range(8)), tuple(range(8)), range(8), np.ones(8), np.arange(8),
+        [0.5] * 7 + [1j], [0.5] * 7 + [None], [0.5] * 7 + ["1"], (0.5,) * 7 + (Decimal(1),),
+        [math.nan] * 8, [0.25, -0.0, 1e-310, 1e308, 0, 3, -7, 2.5],
+        bytearray(8), [np.float32(0.25)] * 8, [np.int64(2)] * 8,
+    ]
+    for a in inputs:
+        # the generator is rejected by both without being consumed
+        got = outcome(_coefficients, a)
+        want = outcome(reference_coefficients, a)
+        if got[0] == want[0] == "value":
+            assert all(type(v) is float for v in got[1])
+            assert got[1] == want[1] or (math.isnan(got[1][0]) and math.isnan(want[1][0]))
+        else:
+            assert got == want, a
+
+
+def test_subnormal_scalings_are_reduction_errors():
+    # 1/a7 or 1/a8 overflows: each is refused by name, not matched as A1
+    # with a NaN vector or failed with a bare math error
+    for a in ([0, 0, 0, 0, 0, 0, 1e-310, 0], [0, 0, 0, 0, 0, 0, 0, 5e-324],
+              [1e-320, 0, 0, 0, 0, 0, 1e-310, 0]):
+        with pytest.raises(ReductionError, match="float range"):
+            reduce_to_optimal(a)
+    # with no cut, a subnormal a1 is kept, and the step that sets |a1| = 1
+    # is refused by name
+    with pytest.raises(ReductionError, match=r"'set \|a1\| = 1' takes the value inf"):
+        reduce_to_optimal([1e-320, 0, 0, 0, 0, 0, 1, 0], tol=0.0)
+
+
+def test_extreme_magnitudes_reduce_to_finite_vectors_or_raise_reduction_error():
+    # the only error a finite input may raise is ReductionError, and a
+    # trace it returns is finite and replays exactly, at the default cut
+    # and at none
+    mags = (0.0, 5e-324, 1e-310, 2.3e-308, 1e-300, 1e-9, 1.0, 1e9, 1e300, 1.7e308)
+    rng = random.Random(DEFAULT_SEED)
+    reduced = 0
+    for tol in (1e-9, 0.0):
+        for _ in range(3000):
+            a = [min(rng.choice(mags) * rng.uniform(0.5, 1.05), 1.7e308)
+                 * rng.choice((1.0, -1.0)) for _ in range(8)]
+            try:
+                tr = reduce_to_optimal(a, tol=tol)
+            except ReductionError:
+                continue
+            reduced += 1
+            assert all(map(math.isfinite, tr.final))
+            assert all(map(math.isfinite, (st.value for st in tr.steps)))
+            # past eps = 700 both recomputed routes refuse exp, as the
+            # compiled evaluator does everywhere
+            assert replayed(replay, tr) == replayed(reference_replay, tr)
+    assert reduced > 500
+

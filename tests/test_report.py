@@ -1,6 +1,7 @@
 """Suite reports: statuses, determinism, and rendering."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hessym import catalog, fields, optimal, report
 from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
 from hessym.cli import main
+from hessym.expr import ZERO, mul, num
 from hessym.fields import structure_table
 from hessym.report import (
     CheckRecord,
@@ -165,6 +167,51 @@ def test_pattern_coverage_catches_a_lost_pattern(monkeypatch):
     rec = _coverage(run_suite("optimal", points=50))
     assert rec.status == "fail"
     assert "except A7 -> A8;" in rec.details
+
+
+def _tampered_adjoints(gen, k, j, factor):
+    """The recomputed adjoint matrices with entry (k, j) of Ad(exp(eps*Z_gen))
+    multiplied by ``factor``."""
+    mats = list(catalog.reduced_adjoints())
+    m = mats[gen - 1]
+    rows = [list(row) for row in m.entries]
+    assert rows[k][j] != ZERO
+    rows[k][j] = mul(num(factor), rows[k][j])
+    mats[gen - 1] = fields.AdjointMatrix(m.generator, m.names,
+                                         tuple(map(tuple, rows)), m.eps_name)
+    return tuple(mats)
+
+
+def _random_reduction(rep):
+    return next(r for r in rep.records if r.check_id == "random-reduction")
+
+
+def test_flipped_recomputed_adjoint_entry_fails_random_reduction(monkeypatch):
+    # Ad(exp(eps*Z1)) sends a1 to a1 - eps*a8; with the sign of that
+    # entry flipped, the replay of every "kill a1" step disagrees
+    assert _random_reduction(run_suite("optimal", points=300)).status == "pass"
+    mats = _tampered_adjoints(1, 0, 7, -1)
+    monkeypatch.setattr(optimal, "reduced_adjoints", lambda: mats)
+    rec = _random_reduction(run_suite("optimal", points=300))
+    assert rec.status == "fail"
+    assert rec.residual > 1e-3
+
+
+def test_optimal_tol_bounds_the_replay_deviation(monkeypatch, capsys):
+    # a relative error of 1e-6 in one recomputed entry: past the default
+    # 1e-9, within --tol 1e-3
+    mats = _tampered_adjoints(1, 0, 7, Fraction(1000001, 1000000))
+    monkeypatch.setattr(optimal, "reduced_adjoints", lambda: mats)
+    rec = _random_reduction(run_suite("optimal", points=300))
+    assert rec.status == "fail"
+    assert 1e-9 < rec.residual < 1e-5
+    loose = _random_reduction(run_suite("optimal", points=300, tol=1e-3))
+    assert loose.status == "pass"
+    assert loose.residual == rec.residual
+    argv = ["verify", "optimal", "--points", "300", "--format", "json"]
+    assert main(argv) == 1
+    assert main(argv + ["--tol", "1e-3"]) == 0
+    capsys.readouterr()
 
 
 def test_determining_suite_passes():
