@@ -228,7 +228,7 @@ def cmd_reduce(args) -> int:
     else:
         _emit(trace.describe()
               + f"\nreplay deviation (recomputed adjoints): {dev:.2e}\n", args)
-    return 0 if dev < 1e-9 else 1
+    return 0 if dev < (1e-9 if args.tol is None else args.tol) else 1
 
 
 def cmd_check_symmetry(args) -> int:

@@ -28,7 +28,7 @@ __all__ = [
     "Frozen", "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call", "Opaque", "Deriv",
     "num", "sym", "add", "mul", "pow_", "neg", "sub", "div", "call",
     "opaque", "deriv", "ONE", "ZERO", "MINUS_ONE",
-    "ELEMENTARY", "ExprError", "EvalError", "EvalDomainError",
+    "ELEMENTARY", "EXP_GUARD", "ExprError", "EvalError", "EvalDomainError",
     "children", "rebuild", "diff", "substitute", "free_symbols",
     "eval_numeric", "eval_with_scale", "OpaqueBinding",
     "compile_evaluator", "compile_template", "to_text",
@@ -50,6 +50,10 @@ class EvalDomainError(EvalError):
 # Elementary function names the kernel knows how to differentiate and
 # evaluate.  Anything else applied to arguments is an opaque symbol.
 ELEMENTARY = frozenset({"exp", "ln", "sin", "cos", "tan", "atan", "sqrt"})
+
+# exp of an argument at or past this is an overflow on both evaluation
+# routes (exp itself overflows only past about 709.78)
+EXP_GUARD = 700.0
 
 
 _set = object.__setattr__
@@ -104,11 +108,27 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-class Expr(Frozen):
+class Expr(Frozen, fields=()):
     """Base class; concrete nodes below, each a ``Frozen`` value over its
-    ``__slots__``."""
+    ``__slots__``.  A node computes its hash once, on first use, and keeps
+    it, so that a table keyed on a tree does not rehash the whole tree on
+    every lookup."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        key_hash = cls.__hash__
+
+        def __hash__(self) -> int:
+            try:
+                return self._hash
+            except AttributeError:
+                h = key_hash(self)
+                _set(self, "_hash", h)
+                return h
+
+        cls.__hash__ = __hash__
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return to_text(self)
@@ -227,14 +247,14 @@ def _flat(kind, items: Iterable[Expr]):
 
 def add(*terms: Expr) -> Expr:
     """Flattened sum with rational constants folded together."""
-    const = Fraction(0)
+    const = None  # no Fraction is made for a sum without constants
     rest: list[Expr] = []
     for t in _flat(Add, terms):
-        if isinstance(t, Num):
-            const += t.value
+        if t.__class__ is Num:
+            const = t.value if const is None else const + t.value
         else:
             rest.append(t)
-    if const != 0:
+    if const:
         rest.insert(0, Num(const))
     if not rest:
         return ZERO
@@ -245,19 +265,20 @@ def add(*terms: Expr) -> Expr:
 
 def mul(*factors: Expr) -> Expr:
     """Flattened product with rational constants folded together."""
-    const = Fraction(1)
+    const = None  # no Fraction is made for a product without constants
     rest: list[Expr] = []
     for f in _flat(Mul, factors):
-        if isinstance(f, Num):
-            const *= f.value
+        if f.__class__ is Num:
+            const = f.value if const is None else const * f.value
         else:
             rest.append(f)
-    if const == 0:
-        return ZERO
-    if const != 1:
-        rest.insert(0, Num(const))
+    if const is not None:
+        if const == 0:
+            return ZERO
+        if const != 1:
+            rest.insert(0, Num(const))
     if not rest:
-        return Num(const)
+        return ONE if const is None else Num(const)
     if len(rest) == 1:
         return rest[0]
     return Mul(tuple(rest))
@@ -665,33 +686,34 @@ def _check(x: float) -> float:
 
 
 def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
-    if isinstance(e, Num):
+    cls = e.__class__
+    if cls is Num:
         v = e.value.numerator / e.value.denominator
         return v, abs(v)
-    if isinstance(e, Sym):
+    if cls is Sym:
         if e.name not in env:
             raise EvalError(f"unbound variable {e.name!r}")
         v = env[e.name]
         return v, abs(v)
-    if isinstance(e, Add):
+    if cls is Add:
         vals, scale = [], 0.0
         for t in e.terms:
             v, s = _eval(t, env, b)
             vals.append(v)
             scale = max(scale, s, abs(v))
         return _check(math.fsum(vals)), scale
-    if isinstance(e, Mul):
+    if cls is Mul:
         v, scale = 1.0, 0.0
         for f in e.factors:
             fv, fs = _eval(f, env, b)
             scale = max(scale, fs)
             v *= fv
         return _check(v), max(scale, abs(v))
-    if isinstance(e, Pow):
+    if cls is Pow:
         bv, bs = _eval(e.base, env, b)
         ev, es = _eval(e.exponent, env, b)
         scale = max(bs, es)
-        if isinstance(e.exponent, Num) and _is_int(e.exponent.value):
+        if e.exponent.__class__ is Num and e.exponent.value.denominator == 1:
             n = int(e.exponent.value)
             if bv == 0.0 and n < 0:
                 raise EvalDomainError("division by zero")
@@ -703,10 +725,10 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
                 raise EvalDomainError("0 raised to a non-positive power")
             v = bv ** ev
         return _check(v), max(scale, abs(v))
-    if isinstance(e, Call):
+    if cls is Call:
         av, ascale = _eval(e.arg, env, b)
         if e.fn == "exp":
-            v = math.exp(av) if av < 700 else _check(float("inf"))
+            v = math.exp(av) if av < EXP_GUARD else _check(float("inf"))
         elif e.fn == "ln":
             if av <= 0:
                 raise EvalDomainError(f"ln of non-positive value {av!r}")
@@ -726,8 +748,8 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
         else:  # pragma: no cover
             raise ExprError(f"unknown function {e.fn}")
         return _check(v), max(ascale, abs(v))
-    if isinstance(e, (Opaque, Deriv)):
-        target = e.target if isinstance(e, Deriv) else e
+    if cls is Opaque or cls is Deriv:
+        target = e.target if cls is Deriv else e
         if target.fn not in b:
             raise EvalError(f"unbound opaque symbol {target.fn!r}")
         binding = b[target.fn]
@@ -736,7 +758,7 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
             v, s = _eval(a, env, b)
             vals.append(v)
             scale = max(scale, s)
-        fn = binding.deriv(e.slots) if isinstance(e, Deriv) else binding.fn
+        fn = binding.deriv(e.slots) if cls is Deriv else binding.fn
         v = _check(fn(*vals))
         return v, max(scale, abs(v))
     raise ExprError(f"unknown node {e!r}")
@@ -746,9 +768,9 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
 # compiled evaluation (the semantics of eval_numeric, much faster in loops)
 
 def _guarded_exp(a: float) -> float:
-    # the reference's overflow guard at 700; an argument of -inf (exp would
-    # make it 0.0) or NaN fails it too
-    if not -math.inf < a < 700.0:
+    # the reference's overflow guard; an argument of -inf (exp would make
+    # it 0.0) or NaN fails it too
+    if not -math.inf < a < EXP_GUARD:
         raise EvalDomainError(_NONFINITE)
     return math.exp(a)
 

@@ -46,7 +46,7 @@ from .expr import (
 from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
-from .jets import SPATIAL, s2_of, s2_of_poly
+from .jets import SPATIAL, s2_evaluator_of_poly, s2_of
 from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
 from .parse import parse
 
@@ -157,9 +157,15 @@ def pushforward_value(flow: AffineFlow, t: float,
                       x: float, y: float, z: float) -> float:
     """Value at (x, y, z) of the solution carried by the time-t group
     element: evaluate u0 at the preimage point and apply the u-row."""
-    M = flow.matrix(t)
-    B, c = flow.spatial_preimage(t)
-    p = _affine(B, c, (x, y, z))
+    return _pushforward_at(flow.matrix(t), *flow.spatial_preimage(t), u0, (x, y, z))
+
+
+def _pushforward_at(M: Rows, B: Rows, c: Sequence[float],
+                    u0: Callable[[float, float, float], float],
+                    pt: Sequence[float]) -> float:
+    """``pushforward_value`` with the flow matrix M and the preimage map
+    (B, c) of its time already evaluated."""
+    p = _affine(B, c, pt)
     m = M[3]
     return m[0] * p[0] + m[1] * p[1] + m[2] * p[2] + m[3] * u0(*p) + m[4]
 
@@ -355,11 +361,10 @@ def _pushforward_poly(p: Poly, den: int, M: Rows, B: Rows,
     for u = p/den, p an integer polynomial in x, y, z.  The float entries
     are exact dyadic rationals, so N/T is exactly the profile that
     substituting them as numbers into u's tree would give."""
-    rows = [[Fraction(v) for v in (*B[i], c[i])] for i in range(3)]
-    e = math.lcm(*(v.denominator for row in rows for v in row))
+    image, e = _over_common_denominator([v for i in range(3) for v in (*B[i], c[i])])
     # e times the image coordinates, and their powers up to u's degree n
-    lin = [{m: (v * e).numerator for m, v in zip(_LINEAR_MONOMIALS, row) if v}
-           for row in rows]
+    lin = [{m: v for m, v in zip(_LINEAR_MONOMIALS, image[4 * i:4 * i + 4]) if v}
+           for i in range(3)]
     n = max([1] + [sum(k for _, k in m) for m in p])
     powers = {g: [{(): 1}] for g in SPATIAL}
     for g, img in zip(SPATIAL, lin):
@@ -371,9 +376,7 @@ def _pushforward_poly(p: Poly, den: int, M: Rows, B: Rows,
         for g, k in m:
             term = _pmul(term, powers[g][k])
         pulled = _padd(pulled, term)
-    w = [Fraction(v) for v in M[3]]
-    f = math.lcm(*(v.denominator for v in w))
-    w = [(v * f).numerator for v in w]
+    w, f = _over_common_denominator(M[3])
     # f den e^n u_new = w3 pulled + den e^(n-1) (w0 lin0 + w1 lin1 + w2 lin2 + w4 e);
     # a zero coefficient in tail drops out of the last sum
     tail: Poly = {(): w[4] * e}
@@ -382,6 +385,14 @@ def _pushforward_poly(p: Poly, den: int, M: Rows, B: Rows,
     out = _padd({m: w[3] * v for m, v in pulled.items()},
                 {m: den * e ** (n - 1) * v for m, v in tail.items()})
     return out, den * e ** n * f
+
+
+def _over_common_denominator(values: Sequence[float]) -> tuple[list[int], int]:
+    """(N, D) with values[k] = N[k]/D exactly, D the least common
+    denominator of the floats (dyadic rationals)."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _case_values(case: CaseSpec, sign: int, pval: Fraction) -> dict[str, Fraction]:
@@ -447,15 +458,21 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         worst_gen = max(worst_gen, max_abs_diff(D, L)
                         / (1.0 + max(abs(v) for row in L for v in row)))
 
+        # the group element (M, B, c) at each time the checks below use,
+        # evaluated once
+        element: dict[float, tuple[Rows, Rows, tuple[float, ...]]] = {}
+        for t in t_values:
+            for st in (t, -t):
+                if st not in element:
+                    element[st] = (flw.matrix(st), *flw.spatial_preimage(st))
+
         # finite equivariance on polynomial profiles
         for _ in range(2):
             p0, den0 = _clear(as_polynomial(_sample_poly(rng))[0])
-            s2_u0_fn = compile_evaluator(s2_of_poly(p0, den0), ["x", "y", "z"])
+            s2_u0_fn = s2_evaluator_of_poly(p0, den0)
             for t in t_values:
-                M = flw.matrix(t)
-                B, c = flw.spatial_preimage(t)
-                s2_new_fn = compile_evaluator(
-                    s2_of_poly(*_pushforward_poly(p0, den0, M, B, c)), ["x", "y", "z"])
+                M, B, c = element[t]
+                s2_new_fn = s2_evaluator_of_poly(*_pushforward_poly(p0, den0, M, B, c))
                 w_t = math.exp(float(rate) * t)
                 for _ in range(n_points // len(t_values) + 1):
                     pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
@@ -468,7 +485,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         # printed formula versus computed pushforward
         cu = normalize(diff(v.coeff("u"), "u"))
         for sigma, mode in READINGS:
-            res = _reading_residual(case, values, flw, cu, sigma, mode,
+            res = _reading_residual(case, values, element, cu, sigma, mode,
                                     rng, n_points, t_values)
             residuals[(sigma, mode)] = max(residuals[(sigma, mode)], res)
             if res > 1e-9:
@@ -514,22 +531,25 @@ def _printed_evaluator(image_text: tuple[str, str, str], u_scale_text: str,
     return compile_evaluator(printed, ["x", "y", "z", "t"], _bindings())
 
 
-def _reading_residual(case: CaseSpec, values, flw: AffineFlow, cu: Expr,
-                      sigma: int, mode: str, rng: random.Random,
+def _reading_residual(case: CaseSpec, values,
+                      element: Mapping[float, tuple[Rows, Rows, Sequence[float]]],
+                      cu: Expr, sigma: int, mode: str, rng: random.Random,
                       n_points: int, t_values: Sequence[float]) -> float:
     """Worst relative gap between the printed template and the sigma-
     oriented pushforward, with the printed u-factor taken literally or as
-    the exponential it truncates."""
+    the exponential it truncates.  ``element`` maps each time +-t to the
+    flow matrix and preimage map (M, B, c) of that group element."""
     printed_fn = _printed_evaluator(case.image_text, case.u_scale_text, case.u_shift_text,
                                     tuple(sorted(values.items())), cu, mode)
     u0_fn = _reading_base()[1]
 
     worst = 0.0
     for t in t_values:
+        M, B, c = element[sigma * t]
         for _ in range(max(3, n_points // len(t_values))):
             pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
             want = printed_fn(*pt, t)
-            got = pushforward_value(flw, sigma * t, u0_fn, *pt)
+            got = _pushforward_at(M, B, c, u0_fn, pt)
             worst = max(worst, abs(want - got) / (1.0 + abs(want) + abs(got)))
     return worst
 

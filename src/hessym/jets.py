@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
-    EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, Sym, ZERO, add,
+    _NONFINITE, EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, Sym, ZERO, add,
     compile_template, deriv, diff, free_symbols, mul, neg, num, opaque,
     pow_, substitute, sym,
 )
@@ -35,7 +35,7 @@ from .parse import parse
 __all__ = [
     "SPATIAL", "JetOrderError", "jet_indices", "jet_symbol", "jet_order",
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
-    "s2_of_poly",
+    "s2_of_poly", "s2_evaluator_of_poly",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
     "invariance_residual", "sample_on_variety", "SymmetryCheck",
     "check_symmetry",
@@ -188,18 +188,58 @@ def _s2_tree(expr: Expr) -> Expr:
     return normalize(substitute(hessian2(), reps))
 
 
-def s2_of_poly(p: Poly, den: int) -> Expr:
-    """S2[p/den] in canonical form, for a polynomial p over symbol
-    generators with integer coefficients.  The second derivatives lower
-    exponents and the minors are integer products; den^2 divides once."""
+def _s2_numerator(p: Poly) -> Poly:
+    """den^2 S2[p/den] for an integer polynomial p: the second derivatives
+    lower exponents and the minors are integer products."""
     d1 = {v: _pdiff(p, v) for v in SPATIAL}
     d2 = {idx: _pdiff(d1[idx[0]], idx[1]) for idx in jet_indices(2)}
     s = _padd(_pmul(d2["xx"], _padd(d2["yy"], d2["zz"])), _pmul(d2["yy"], d2["zz"]))
     for idx in ("xy", "yz", "xz"):
         s = _padd(s, _pscale(_pmul(d2[idx], d2[idx]), -1))
+    return s
+
+
+def s2_of_poly(p: Poly, den: int) -> Expr:
+    """S2[p/den] in canonical form, for a polynomial p over symbol
+    generators with integer coefficients; den^2 divides once."""
+    s = _s2_numerator(p)
     den2 = den * den
     return _poly_to_expr({m: Fraction(c, den2) for m, c in s.items()},
                          {g: sym(g) for m in s for g, _ in m})
+
+
+def s2_evaluator_of_poly(p: Poly, den: int) -> Callable[[float, float, float], float]:
+    """(x, y, z) -> S2[p/den] for an integer polynomial p in x, y, z,
+    evaluated from the polynomial without building or compiling a tree.
+
+    It makes the float operations that the compiled ``s2_of_poly(p, den)``
+    makes, so the two agree to the bit: the terms in monomial order, each
+    the coefficient c/den^2 (a correctly rounded int division, as the
+    folded literal is) times the powers of its generators left to right,
+    summed left to right.  A power past the float range or a non-finite
+    value raises EvalDomainError, as the compiled body does.
+    """
+    s = _s2_numerator(p)
+    den2 = den * den
+    slot = {g: i for i, g in enumerate(SPATIAL)}
+    terms = [(c, tuple((slot[g], k) for g, k in m)) for m, c in sorted(s.items())]
+
+    def s2_at(x: float, y: float, z: float) -> float:
+        xyz = (x, y, z)
+        total = 0.0
+        try:
+            for i, (c, factors) in enumerate(terms):
+                t = c / den2
+                for j, k in factors:
+                    t = t * (xyz[j] if k == 1 else xyz[j] ** k)
+                total = t if i == 0 else total + t
+        except OverflowError:
+            raise EvalDomainError(_NONFINITE) from None
+        if total - total:  # inf or NaN
+            raise EvalDomainError(_NONFINITE)
+        return total
+
+    return s2_at
 
 
 S2_JET_DERIVATIVES: dict[str, Expr] = {
@@ -239,9 +279,13 @@ def invariance_residual(prl: Prolongation, rhs_variation: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # numeric checks on the solution variety
 
+_GUARD = 0.25          # least |u_xx + u_zz| of a sampled point
+_MAX_ATTEMPTS = 100    # draws per point before sampling gives up
+
+
 def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], float],
-                      include_order3: bool = False, guard: float = 0.25,
-                      max_attempts: int = 100) -> dict[str, float]:
+                      include_order3: bool = False, guard: float = _GUARD,
+                      max_attempts: int = _MAX_ATTEMPTS) -> dict[str, float]:
     """Random jet point satisfying S2[u] = f(x, y, z) exactly (u_yy solved).
 
     The trace pivot u_xx + u_zz is kept away from zero so the solved u_yy
@@ -279,8 +323,46 @@ class SymmetryCheck(NamedTuple):
         return self.max_residual <= self.tol
 
 
+# the jet coordinates in the order sample_on_variety draws them
 _PIECE_VARS = ("x", "y", "z", "u") + tuple(f"u_{idx}"
                                             for idx in jet_indices(1) + jet_indices(2))
+_UXX, _UXY, _UXZ, _UYY, _UYZ, _UZZ = (_PIECE_VARS.index(f"u_{idx}")
+                                      for idx in jet_indices(2))
+
+# per seed, the generator and the candidate points drawn from it so far,
+# shared by every check_symmetry call with that seed in this process
+_STREAMS: dict[int, tuple[random.Random, list]] = {}
+_STREAMS_MAX = 16      # seeds; the table starts over when it is full
+_KEPT = 1024           # candidates kept per seed; later ones are not
+
+
+def _draw(rng: random.Random) -> tuple[tuple[float, ...], bool]:
+    """One candidate of sample_on_variety: its 13 draws, u_yy's to be
+    replaced, and whether the trace pivot passes the guard."""
+    vals = tuple([signed_uniform(rng) for _ in _PIECE_VARS])
+    return vals, not abs(vals[_UXX] + vals[_UZZ]) < _GUARD
+
+
+def _candidates(seed: int):
+    """The candidates that ``random.Random(seed)`` gives sample_on_variety,
+    in draw order.  The first ``_KEPT`` are drawn once per process and
+    replayed; past them a copy of the generator draws on."""
+    entry = _STREAMS.get(seed)
+    if entry is None:
+        if len(_STREAMS) >= _STREAMS_MAX:
+            _STREAMS.clear()
+        entry = _STREAMS[seed] = (random.Random(seed), [])
+    rng, kept = entry
+    i = 0
+    while i < _KEPT:
+        if i == len(kept):
+            kept.append(_draw(rng))
+        yield kept[i]
+        i += 1
+    rng = random.Random()
+    rng.setstate(entry[0].getstate())
+    while True:
+        yield _draw(rng)
 
 
 @lru_cache(maxsize=4)
@@ -303,8 +385,7 @@ def _symmetry_pieces(v: VectorField) -> Callable[[Mapping[str, OpaqueBinding]], 
 def check_symmetry(v: VectorField, f_expr: Expr,
                    inner: Mapping[str, OpaqueBinding] | None = None,
                    n: int = 100, tol: float = 1e-8,
-                   seed: int = DEFAULT_SEED, rng: random.Random | None = None,
-                   ) -> SymmetryCheck:
+                   seed: int = DEFAULT_SEED) -> SymmetryCheck:
     """Sample pr V (S2[u] - f) on the variety S2[u] = f and report the
     largest residual relative to the term scale.
 
@@ -312,6 +393,11 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     (opaque applications like H) are evaluated through ``inner``.  The
     residual is summed from its constituent terms without normalization,
     so the check is independent of the symbolic route.
+
+    The points are those of ``n`` calls of sample_on_variety on
+    ``random.Random(seed)``: the same draws, guard, redraws where f is
+    undefined and attempt limit, with the draws shared by every call with
+    this seed.
     """
     stray = {name for c in v.coeffs for name in free_symbols(c)} - set(v.space.variables)
     if stray:
@@ -323,17 +409,32 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
     pieces_at = _symmetry_pieces(v)({"f": binding})
 
-    rng = rng or random.Random(seed)
+    f_at = binding.fn
+    stream = _candidates(seed)
     worst = 0.0
-    witness: dict[str, float] | None = None
+    worst_args: list[float] | None = None
     for _ in range(n):
-        pt = sample_on_variety(rng, binding.fn)
-        args = [pt[name] for name in _PIECE_VARS]
-        vals = pieces_at(*args)
-        resid = abs(math.fsum(vals))
-        scale = max((abs(x) for x in vals), default=0.0)
+        for _ in range(_MAX_ATTEMPTS):
+            vals, guarded = next(stream)
+            if not guarded:
+                continue
+            try:
+                fv = f_at(vals[0], vals[1], vals[2])
+            except (ArithmeticError, EvalDomainError):
+                continue  # f undefined here (sqrt, ln): draw another point
+            break
+        else:
+            raise EvalDomainError("could not sample a well-conditioned variety point")
+        args = list(vals)
+        uxx, uzz = vals[_UXX], vals[_UZZ]
+        args[_UYY] = (fv - uxx * uzz + vals[_UXY] ** 2 + vals[_UYZ] ** 2
+                      + vals[_UXZ] ** 2) / (uxx + uzz)
+        pieces = pieces_at(*args)
+        resid = abs(math.fsum(pieces))
+        scale = max(map(abs, pieces), default=0.0)
         rel = resid / (1.0 + scale)
         if rel > worst:
             worst = rel
-            witness = pt
+            worst_args = args
+    witness = None if worst_args is None else dict(zip(_PIECE_VARS, worst_args))
     return SymmetryCheck(worst, n, tol, witness)

@@ -28,7 +28,6 @@ term order the printer relies on ("y^2 + z^2", constants first).
 from __future__ import annotations
 
 import math
-import operator
 import random
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
@@ -42,20 +41,20 @@ from .expr import (
 __all__ = [
     "normalize", "print_canonical", "is_zero", "as_polynomial", "as_rational",
     "ProvedZero", "NumericallyZero", "NonZero", "Verdict", "NormalizeError",
-    "DEFAULT_SEED", "sample_point", "signed_uniform",
+    "DEFAULT_SEED", "sample_point", "signed_uniform", "clear_canonical_table",
 ]
 
 DEFAULT_SEED = 20240229
 
 Monomial = tuple[tuple[str, int], ...]
-Poly = dict[Monomial, Fraction]
-# the same polynomials over exponent vectors of fixed generators, with
-# Fraction or (inside the gcd) int coefficients
+# a coefficient is an int while the arithmetic that made it stayed in the
+# integers, else a Fraction (an integral Fraction is not turned back)
+Poly = dict[Monomial, int | Fraction]
+# the same polynomials over exponent vectors of fixed generators
 Vec = tuple[int, ...]
-VPoly = dict[Vec, Fraction] | dict[Vec, int]
+VPoly = dict[Vec, int | Fraction]
 
 _ONE_M: Monomial = ()
-_F1 = Fraction(1)
 
 
 class NormalizeError(ExprError):
@@ -66,18 +65,32 @@ class NormalizeError(ExprError):
 # sparse polynomial arithmetic
 
 def _pconst(c: Fraction) -> Poly:
-    return {} if c == 0 else {_ONE_M: c}
+    if c == 0:
+        return {}
+    return {_ONE_M: c.numerator if c.denominator == 1 else c}
 
 
-_PONE: Poly = {_ONE_M: _F1}
+_PONE: Poly = {_ONE_M: 1}
 
 
 def _pgen(key: str) -> Poly:
-    return {((key, 1),): _F1}
+    return {((key, 1),): 1}
 
 
-# sums, products and derivatives keep the coefficients' type: Fraction, or
-# int for a polynomial whose denominator has been cleared
+def _quo(c: int | Fraction, d: int | Fraction) -> int | Fraction:
+    """c/d exactly: an int when both are ints and d divides c.  (``/`` on
+    two ints would make a float.)"""
+    if c.__class__ is int and d.__class__ is int:
+        q, r = divmod(c, d)
+        if not r:
+            return q
+        return Fraction(c, d)
+    return c / d
+
+
+def _pdivc(a: Poly, c: int | Fraction) -> Poly:
+    """a divided by a nonzero constant."""
+    return {m: _quo(v, c) for m, v in a.items()}
 
 def _padd(a: Poly, b: Poly) -> Poly:
     if not a:
@@ -100,14 +113,27 @@ def _pscale(a: Poly, c: Fraction) -> Poly:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials, by merging their sorted generators."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for g, k in m2:
-        d[g] = d.get(g, 0) + k
-    return tuple(sorted(d.items()))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        if a[0] == b[0]:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+        elif a[0] < b[0]:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -232,10 +258,10 @@ def _poly_div(a: Poly, b: Poly) -> Poly | None:
     if not a:
         return {}
     if len(b) == 1 and _ONE_M in b:
-        return _pscale(a, _F1 / b[_ONE_M])
+        return _pdivc(a, b[_ONE_M])
     vec, unvec = _coding(a, b)
     q = _vdiv({vec(m): c for m, c in a.items()}, {vec(m): c for m, c in b.items()},
-              operator.truediv)
+              _quo)
     return None if q is None else {unvec(v): c for v, c in q.items()}
 
 
@@ -248,7 +274,7 @@ Frac = tuple[Poly, Poly]
 def _flush(f: Frac) -> Frac:
     n, d = f
     if len(d) == 1 and _ONE_M in d and d[_ONE_M] != 1:
-        return _pscale(n, _F1 / d[_ONE_M]), dict(_PONE)
+        return _pdivc(n, d[_ONE_M]), dict(_PONE)
     return f
 
 
@@ -493,9 +519,8 @@ def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
         return n, d
     _, qn, qd = found
     # n/d = (qn/ln)/(qd/ld)
-    s = Fraction(ld, ln)
-    return ({unvec(v): c * s for v, c in qn.items()},
-            {unvec(v): Fraction(c) for v, c in qd.items()})
+    return ({unvec(v): _quo(c * ld, ln) for v, c in qn.items()},
+            {unvec(v): c for v, c in qd.items()})
 
 
 def _reduce(n: Poly, d: Poly) -> Frac:
@@ -503,16 +528,16 @@ def _reduce(n: Poly, d: Poly) -> Frac:
         return {}, dict(_PONE)
     if len(d) == 1 and _ONE_M in d:
         c = d[_ONE_M]
-        return (n if c == 1 else _pscale(n, _F1 / c)), dict(_PONE)
+        return (n if c == 1 else _pdivc(n, c)), dict(_PONE)
     if len(d) == 1:
         n, d = _mono_cancel(n, d)
         [(dm, dc)] = d.items()
-        return _pscale(n, _F1 / dc), ({dm: _F1} if dm else dict(_PONE))
+        return _pdivc(n, dc), ({dm: 1} if dm else dict(_PONE))
     n, d = _cancel(n, d)
     if len(d) == 1:
         return _reduce(n, d)  # gcd exposed a monomial denominator
     scale = _content_and_sign(d)
-    return _pscale(n, _F1 / scale), _pscale(d, _F1 / scale)
+    return _pdivc(n, scale), _pdivc(d, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +568,37 @@ def _frac_to_expr(f: Frac, reg: Mapping[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # public API
 
+# expression -> canonical form, for the expressions normalized so far in
+# this process.  normalize is a pure function of an immutable tree, so an
+# entry never goes stale.  Each canonical form is stored as its own, so
+# renormalizing one is a lookup and equal forms are one object.
+_CANONICAL: dict[Expr, Expr] = {}
+_CANONICAL_MAX = 4096  # entries; the table starts over when it is full
+
+
+def clear_canonical_table() -> None:
+    """Forget the memoized canonical forms (after patching the kernel's
+    internals, whose old answers the table would otherwise keep serving)."""
+    _CANONICAL.clear()
+
+
 def normalize(e: Expr) -> Expr:
     """Canonical form: expanded numerator over reduced denominator.
 
     Idempotent; equal rational functions in the kernel atoms normalize to
-    structurally identical trees.
+    structurally identical trees, and ``normalize(normalize(e))`` is
+    ``normalize(e)`` itself.
     """
-    reg: dict[str, Expr] = {}
-    n, d = _to_frac(e, reg)
-    return _frac_to_expr(_reduce(n, d), reg)
+    c = _CANONICAL.get(e)
+    if c is None:
+        reg: dict[str, Expr] = {}
+        n, d = _to_frac(e, reg)
+        c = _frac_to_expr(_reduce(n, d), reg)
+        if len(_CANONICAL) >= _CANONICAL_MAX:
+            _CANONICAL.clear()
+        c = _CANONICAL.setdefault(c, c)
+        _CANONICAL[e] = c
+    return c
 
 
 def print_canonical(e: Expr) -> str:

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import OPTIMAL_PATTERNS, reduced_adjoints
+from .expr import EXP_GUARD
 
 __all__ = [
     "ReductionError", "ReductionStep", "ReductionTrace",
@@ -228,6 +229,12 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
         nonlocal a
         if eps != 0.0:
             _finite(eps, note)
+            if gen == 8 and not eps < EXP_GUARD:
+                # the recomputed Ad(exp(eps*Z8)) that replay uses holds exp(eps)
+                raise ReductionError(
+                    f"step '{note}' takes eps = {eps!r}, past the exp argument "
+                    f"{EXP_GUARD:g} that the recomputed adjoints evaluate: the "
+                    "coefficients span more than the float range")
             a = _published_adjoint(gen, a, eps)
             steps.append(ReductionStep("adjoint", gen, eps, note))
 

@@ -178,16 +178,32 @@ class _Parser:
         return opaque(name, *args)
 
 
+# text -> tree for the texts parsed so far without ``opaque_names``; the
+# tree is immutable and a function of the text alone
+_PARSED: dict[str, Expr] = {}
+_PARSED_MAX = 4096  # entries; the table starts over when it is full
+
+
 def parse(text: str, opaque_names: frozenset[str] | set[str] | None = None) -> Expr:
     """Parse text to an Expr.
 
     ``opaque_names``: if given, only these names (plus the elementary set)
     may be applied to arguments; anything else is an 'unknown function
     name' error.  If None, any non-reserved applied identifier becomes an
-    opaque symbol.
+    opaque symbol, and a text parsed before gives the same tree again.
     """
-    if opaque_names is not None:
-        opaque_names = frozenset(opaque_names)
+    if opaque_names is None:
+        node = _PARSED.get(text)
+        if node is None:
+            node = _parse(text, None)
+            if len(_PARSED) >= _PARSED_MAX:
+                _PARSED.clear()
+            _PARSED[text] = node
+        return node
+    return _parse(text, frozenset(opaque_names))
+
+
+def _parse(text: str, opaque_names: frozenset[str] | None) -> Expr:
     p = _Parser(text, opaque_names)
     node = p.expr()
     kind, val, pos = p.peek()

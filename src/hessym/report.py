@@ -143,14 +143,18 @@ def _expm(A: Rows) -> Rows:
     26, 2005): the degree-18 Taylor polynomial of A/2^s, where s makes the
     1-norm of A/2^s at most 1, so the truncation error is below 1/19!
     (about 8e-18), then squared s times.  Purely numeric, so it checks the
-    exact closed forms independently."""
+    exact closed forms independently.  The products X P of the Taylor
+    steps take only the nonzero entries of X (an ad matrix has a few of
+    its 64); the ones they skip are exact zeros of a left-to-right sum."""
     norm1 = max(sum(abs(v) for v in col) for col in zip(*A))
     s = max(0, math.frexp(norm1)[1])
     X = [[v / 2.0 ** s for v in row] for row in A]
+    nonzero = [[(j, v) for j, v in enumerate(row) if v] for row in X]
     eye = identity(len(A))
     P = eye
     for k in range(18, 0, -1):
-        P = [[e + v / k for e, v in zip(re, rv)] for re, rv in zip(eye, matmul(X, P))]
+        P = [[e + sum([v * P[j][col] for j, v in nz]) / k for col, e in enumerate(re)]
+             for re, nz in zip(eye, nonzero)]
     for _ in range(s):
         P = matmul(P, P)
     return P

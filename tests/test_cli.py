@@ -508,6 +508,15 @@ def test_verify_optimal_compiles_at_most_the_eight_adjoint_evaluators():
     assert got["run"] == len(got["applied"]) <= 8
 
 
+def test_verify_flows_compiles_no_s2_polynomial():
+    # the equivariance check evaluates its S2 polynomials directly; the
+    # compiled route made 244 compiles here, 176 of them S2 polynomials
+    got = _compiles("verify", "flows", "--points", "4")
+    assert got["code"] == 0
+    assert got["at_import"] == 0
+    assert got["run"] <= 68
+
+
 def test_src_imports_only_the_standard_library():
     # the fresh-process test sees only the imports its commands reach; this
     # one reads every import statement, function-local ones included

@@ -66,6 +66,25 @@ class TestParse:
         with pytest.raises(ParseError, match="unknown function"):
             parse("G(x)", opaque_names={"H"})
 
+    def test_a_text_parsed_again_is_the_same_tree(self):
+        text = "sin(x)*G(y, z) + u_xy^2"
+        assert parse(text) is parse(text)
+        # the memo serves the unrestricted grammar only: a declared set
+        # still rejects a name the unrestricted parse accepted
+        with pytest.raises(ParseError, match="unknown function"):
+            parse(text, opaque_names={"H"})
+        assert parse(text, opaque_names={"G"}) == parse(text)
+        for _ in range(2):  # an error is not memoized
+            with pytest.raises(ParseError, match="trailing"):
+                parse("x y")
+
+    def test_equal_trees_hash_equal(self):
+        a, b = parse("x^2 + 3*H(y, exp(z))"), parse("x^2 + (3*H(y, (exp(z))))")
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "_hash" not in repr(a)
+        # computed once, then kept on the node
+        assert a._hash == hash(a) and a.terms[1]._hash == hash(a.terms[1])
+
     def test_jet_names_sorted(self):
         parse("u_xy + f_z + u_xxz")
         with pytest.raises(ParseError, match="sorted"):

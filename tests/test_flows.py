@@ -10,7 +10,7 @@ import pytest
 from hessym import jets
 from hessym.classify import s2_of
 from hessym.expr import (
-    ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub,
+    EvalDomainError, ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub,
     substitute, sym,
 )
 from hessym.fields import E4, vf
@@ -30,7 +30,7 @@ from hessym.flows import (
     verify_all_cases,
     verify_case,
 )
-from hessym.jets import s2_of_poly
+from hessym.jets import s2_evaluator_of_poly, s2_of_poly
 from hessym.normalize import _clear, as_polynomial, normalize
 from hessym.parse import parse
 
@@ -420,6 +420,55 @@ def test_s2_of_pushforward_matches_tree_route():
         u = _sample_poly(rng)
         got = s2_of_poly(*_pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c))
         assert got == jets._s2_tree(_tree_pushforward(u, M, B, c)), cid
+
+
+def _bits(fn, pt):
+    """fn(*pt) with the sign of a zero, or the domain error it raises."""
+    try:
+        v = fn(*pt)
+    except EvalDomainError:
+        return "EvalDomainError"
+    return v, math.copysign(1.0, v)
+
+
+def test_direct_s2_evaluator_is_the_compiled_one():
+    # 200 profiles and their pushforwards, each through 3 of the cases'
+    # flows at one of the times, so that every case pushes 40 of them;
+    # evaluated at seeded points: the same floats as the compiled
+    # canonical form
+    rng = random.Random(6)
+    flows = [flow_of(case.field(_case_values(case, 1, Fraction(1)))) for case in flow_cases()]
+    for k in range(200):
+        p, den = _clear(as_polynomial(_sample_poly(rng))[0])
+        t = (0.35, -0.45, 0.8)[k % 3]
+        polys = [(p, den)] + [_pushforward_poly(p, den, flw.matrix(t),
+                                                *flw.spatial_preimage(t))
+                              for flw in flows[k % 5::5]]
+        for q, d in polys:
+            direct = s2_evaluator_of_poly(q, d)
+            compiled = compile_evaluator(s2_of_poly(q, d), ["x", "y", "z"])
+            for _ in range(2):
+                pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
+                assert _bits(direct, pt) == _bits(compiled, pt)
+
+
+def test_direct_s2_evaluator_fails_where_the_compiled_one_does():
+    rng = random.Random(7)
+    points = [(1e200, 1.0, 1.0), (1.0, -1e200, 1.0), (1e100, 1e100, 1e100),
+              (3e77, -2e77, 1.0), (1e300, 0.0, 0.0), (0.0, 0.0, 0.0),
+              (-0.0, 0.0, -0.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0)]
+    outcomes = set()
+    for _ in range(40):
+        p, den = _clear(as_polynomial(_sample_poly(rng))[0])
+        direct = s2_evaluator_of_poly(p, den)
+        compiled = compile_evaluator(s2_of_poly(p, den), ["x", "y", "z"])
+        for pt in points:
+            got = _bits(direct, pt)
+            assert got == _bits(compiled, pt), pt
+            outcomes.add(got == "EvalDomainError")
+    assert outcomes == {True, False}
+    for poly in ({}, {(): 12}, {(("x", 1),): 5}):  # S2 = 0
+        assert _bits(s2_evaluator_of_poly(poly, 2), (1.0, 2.0, 3.0)) == (0.0, 1.0)
 
 
 def test_verify_case_differentiates_no_profile(monkeypatch):

@@ -1,5 +1,6 @@
 """Prolongation layer against an independent closed-form oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,11 +15,11 @@ from hessym.expr import (
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
 from hessym.flows import _sample_poly
 from hessym.jets import (
-    JetOrderError, S2_JET_DERIVATIVES, SPATIAL, check_symmetry, hessian2,
+    JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
     s2_of, s2_of_poly, sample_on_variety, solve_uyy, total_derivative,
 )
-from hessym.normalize import NonZero, ProvedZero, is_zero, normalize
+from hessym.normalize import DEFAULT_SEED, NonZero, ProvedZero, is_zero, normalize
 from hessym.parse import parse
 
 
@@ -276,6 +277,120 @@ class TestS2Routes:
 
 def _no_diff(*_):
     raise AssertionError("the tree route ran")
+
+
+def _reference_check(v, f_expr, inner=None, n=100, tol=1e-8, seed=DEFAULT_SEED,
+                     f_failures=None, max_attempts=100):
+    """check_symmetry as it was before the draws were shared: a fresh
+    random.Random(seed) per call and one sample_on_variety per point.
+    ``f_failures`` collects the points where f had no value."""
+    binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
+    pieces_at = jets._symmetry_pieces(v)({"f": binding})
+
+    def f_at(*xyz):
+        try:
+            return binding.fn(*xyz)
+        except EvalDomainError:
+            if f_failures is not None:
+                f_failures.append(xyz)
+            raise
+
+    rng = random.Random(seed)
+    worst = 0.0
+    witness = None
+    for _ in range(n):
+        pt = sample_on_variety(rng, f_at, max_attempts=max_attempts)
+        vals = pieces_at(*[pt[name] for name in jets._PIECE_VARS])
+        rel = abs(math.fsum(vals)) / (1.0 + max((abs(x) for x in vals), default=0.0))
+        if rel > worst:
+            worst = rel
+            witness = pt
+    return SymmetryCheck(worst, n, tol, witness)
+
+
+def _same_check(got, want):
+    assert got == want
+    if want.witness is not None:
+        assert list(got.witness.items()) == list(want.witness.items())
+
+
+class TestSharedDraws:
+    """check_symmetry against the per-call sample_on_variety loop."""
+
+    def test_a_symmetry(self):
+        v, f = vf(E4, y="z", z="-y"), parse("x + y^2 + z^2")
+        for n in (1, 40, 130):
+            got = check_symmetry(v, f, n=n)
+            _same_check(got, _reference_check(v, f, n=n))
+            assert got.passed and got.witness is not None
+
+    def test_a_non_symmetry_keeps_its_witness(self):
+        v, f = vf(E4, y="1"), parse("exp(y)")
+        got = check_symmetry(v, f, seed=7)
+        want = _reference_check(v, f, seed=7)
+        _same_check(got, want)
+        assert not got.passed and got.witness["u_yy"] == want.witness["u_yy"]
+
+    def test_f_domain_redraws(self):
+        v, f = vf(E4, y="1"), parse("sqrt(x)")
+        failures = []
+        want = _reference_check(v, f, n=60, seed=31, f_failures=failures)
+        assert len(failures) > 20  # about half the guarded draws have x < 0
+        _same_check(check_symmetry(v, f, n=60, seed=31), want)
+        _same_check(check_symmetry(v, f, n=60, seed=DEFAULT_SEED),
+                    _reference_check(v, f, n=60))
+
+    def test_f_defined_nowhere_gives_up_like_the_reference(self):
+        v, f = vf(E4, x="1"), parse("sqrt(-1 - x^2)")
+        for check in (check_symmetry, _reference_check):
+            with pytest.raises(EvalDomainError, match="well-conditioned"):
+                check(v, f, n=3, seed=5)
+
+    def test_interleaved_seeds(self):
+        v1, f1 = vf(E4, x="1"), parse("x*y + z^2")
+        v2, f2 = vf(E4, z="1", u="u"), parse("exp(2*z)*(x^2 + 1)")
+        calls = [(v1, f1, 11, 20), (v2, f2, 12, 50), (v1, f1, 11, 90),
+                 (v2, f2, 11, 10), (v1, f1, 12, 120), (v2, f2, 12, 5)]
+        for v, f, seed, n in calls:
+            _same_check(check_symmetry(v, f, n=n, seed=seed),
+                        _reference_check(v, f, n=n, seed=seed))
+
+    def test_attempt_limit(self, monkeypatch):
+        # about a third of the draws fail the guard or have x < 0, so a
+        # point now and then needs exactly the last attempt allowed
+        v, f = vf(E4, y="1"), parse("sqrt(x)")
+        outcomes = set()
+        for limit in (2, 3, 4):
+            monkeypatch.setattr(jets, "_MAX_ATTEMPTS", limit)
+            for seed in range(300, 340):
+                try:
+                    want = _reference_check(v, f, n=12, seed=seed, max_attempts=limit)
+                except EvalDomainError:
+                    with pytest.raises(EvalDomainError):
+                        check_symmetry(v, f, n=12, seed=seed)
+                    outcomes.add("gave up")
+                else:
+                    _same_check(check_symmetry(v, f, n=12, seed=seed), want)
+                    outcomes.add("sampled")
+        assert outcomes == {"gave up", "sampled"}
+
+    def test_the_candidates_are_the_draws_of_a_fresh_generator(self, monkeypatch):
+        monkeypatch.setattr(jets, "_STREAMS", {})
+        monkeypatch.setattr(jets, "_KEPT", 7)
+        rng = random.Random(43)
+        want = [jets._draw(rng) for _ in range(30)]
+        for n in (3, 30, 12):
+            stream = jets._candidates(43)
+            assert [next(stream) for _ in range(n)] == want[:n]
+
+    def test_draws_past_the_kept_candidates(self, monkeypatch):
+        monkeypatch.setattr(jets, "_STREAMS", {})
+        monkeypatch.setattr(jets, "_KEPT", 7)
+        v, f = vf(E4, x="1"), parse("sqrt(x)*y + z")
+        for n in (3, 25, 25):
+            _same_check(check_symmetry(v, f, n=n, seed=41),
+                        _reference_check(v, f, n=n, seed=41))
+        assert len(jets._STREAMS[41][1]) == 7
 
 
 class TestSymmetryPieces:

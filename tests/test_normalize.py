@@ -27,6 +27,16 @@ from _gen import random_expr
 nz = importlib.import_module("hessym.normalize")
 
 
+@pytest.fixture
+def cleared_table():
+    """An empty canonical-form table for the test, emptied again after it:
+    a test that patches the kernel's internals is not served forms made
+    without the patch, and leaves none made with it."""
+    nz.clear_canonical_table()
+    yield
+    nz.clear_canonical_table()
+
+
 class TestNormalize:
     @pytest.mark.parametrize("a,b", [
         ("x*(x + y) - x*y", "x^2"),
@@ -255,7 +265,7 @@ class TestCancel:
         got = self._agree(nz._pmul(q, cof), nz._pmul(q, rest))
         assert _scaled(got) == _scaled((cof, rest))
 
-    def test_give_up_leaves_fraction_unreduced(self, monkeypatch):
+    def test_give_up_leaves_fraction_unreduced(self, monkeypatch, cleared_table):
         monkeypatch.setattr(nz, "_HEU_RETRIES", 0)
         q = _p("x^2 + y^2")
         n, d = nz._pmul(q, _p("x + 1")), nz._pmul(q, _p("y^2 + 2"))
@@ -282,6 +292,76 @@ def test_suites_with_coprime_denominators_never_import_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+class TestCanonicalTable:
+    def test_renormalizing_returns_the_canonical_form_itself(self):
+        rng = random.Random(7100)
+        for _ in range(300):
+            e = random_expr(rng, 4)
+            c = normalize(e)
+            assert normalize(c) is c
+            assert normalize(e) is c
+
+    def test_memoized_forms_equal_uncached_ones(self, cleared_table):
+        # each reference is taken with the table cleared first; the
+        # memoized forms come from one table kept across all the trees
+        rng = random.Random(7200)
+        trees = [random_expr(rng, 4) for _ in range(1000)]
+        memoized = [normalize(e) for e in trees]
+        for e, c in zip(trees, memoized):
+            nz.clear_canonical_table()
+            assert normalize(e) == c
+
+    def test_the_table_is_bounded(self, monkeypatch, cleared_table):
+        monkeypatch.setattr(nz, "_CANONICAL_MAX", 10)
+        rng = random.Random(7300)
+        for _ in range(50):
+            normalize(random_expr(rng, 3))
+            assert len(nz._CANONICAL) <= 10 + 1
+
+
+def _int_poly(rng, terms, gens=GENS):
+    out = {}
+    while len(out) < terms:
+        exps = {g: rng.randint(0, 2) for g in rng.sample(gens, 2)}
+        out[tuple(sorted((g, k) for g, k in exps.items() if k))] = (
+            rng.choice([-1, 1]) * rng.randint(1, 9))
+    return out
+
+
+def _exact(p):
+    return all(type(c) in (int, Fraction) for c in p.values())
+
+
+class TestIntegerCoefficients:
+    def test_exact_quotients_stay_integers(self):
+        rng = random.Random(7400)
+        for _ in range(300):
+            a, b = _int_poly(rng, rng.randint(1, 4)), _int_poly(rng, rng.randint(1, 3))
+            q = nz._poly_div(nz._pmul(a, b), b)
+            assert q == a and all(type(c) is int for c in q.values())
+
+    def test_division_never_makes_a_float(self):
+        rng = random.Random(7500)
+        for _ in range(300):
+            a, b = _int_poly(rng, rng.randint(1, 4)), _int_poly(rng, rng.randint(1, 3))
+            for num_, den in ((a, b), (a, {(): rng.randint(2, 9)}),
+                              (nz._pmul(a, {(): 3}), {(): 6})):
+                q = nz._poly_div(num_, den)
+                assert q is None or (_exact(q) and nz._pmul(q, den) == num_)
+
+    def test_reduce_never_makes_a_float(self):
+        rng = random.Random(7600)
+        for _ in range(300):
+            a, b, g = (_int_poly(rng, rng.randint(1, 3)) for _ in range(3))
+            dens = (b, {(): rng.randint(2, 9)}, {(("a", 2),): 4},
+                    nz._pmul(g, b) if len(b) > 1 else {(): -3})
+            for d in dens:
+                n = nz._pmul(g, a) if d is dens[3] else a
+                rn, rd = nz._reduce(n, d)
+                assert _exact(rn) and _exact(rd)
+                assert nz._pmul(rn, d) == nz._pmul(n, rd)
 
 
 class TestRoundTrip:

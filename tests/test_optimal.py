@@ -490,6 +490,19 @@ def test_subnormal_scalings_are_reduction_errors():
         reduce_to_optimal([1e-320, 0, 0, 0, 0, 0, 1, 0], tol=0.0)
 
 
+def test_z8_step_past_the_exp_guard_is_a_reduction_error():
+    # with no cut, a1 = 1e-305 asks for eps = 702.29: exp(eps) is a float,
+    # but the recomputed adjoints that replay evaluates stop at 700, so the
+    # step is refused by name instead of returning a trace replay rejects
+    with pytest.raises(ReductionError,
+                       match=r"'set \|a1\| = 1' takes eps = 702\.28.*float range"):
+        reduce_to_optimal([1e-305, 0, 0, 0, 0, 0, 1, 0], tol=0.0)
+    for a1 in (1e-303, -2e-304):  # eps 697.7 and 699.3 replay
+        tr = reduce_to_optimal([a1, 0, 0, 0, 0, 0, 1, 0], tol=0.0)
+        assert [(st.generator, st.value < 700) for st in tr.steps] == [(8, True)]
+        assert tr.pattern == "A2" and replay_deviation(tr) < 1e-9
+
+
 def test_extreme_magnitudes_reduce_to_finite_vectors_or_raise_reduction_error():
     # the only error a finite input may raise is ReductionError, and a
     # trace it returns is finite and replays exactly, at the default cut

@@ -1,6 +1,8 @@
 """Suite reports: statuses, determinism, and rendering."""
 
 import json
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -128,6 +130,42 @@ def test_expm_matches_scipy():
         assert np.max(np.abs(_expm(A) - W)) <= 1e-11 * np.max(np.abs(W))
 
 
+def _dense_expm(A):
+    """``_expm`` with the full products X P of its Taylor steps: the oracle
+    of the route that multiplies only the nonzero entries of X."""
+    norm1 = max(sum(abs(v) for v in col) for col in zip(*A))
+    s = max(0, math.frexp(norm1)[1])
+    X = [[v / 2.0 ** s for v in row] for row in A]
+    eye = fields.identity(len(A))
+    P = eye
+    for k in range(18, 0, -1):
+        P = [[e + v / k for e, v in zip(re, rv)] for re, rv in zip(eye, fields.matmul(X, P))]
+    for _ in range(s):
+        P = fields.matmul(P, P)
+    return P
+
+
+def test_sparse_expm_is_the_dense_one():
+    # the deviations of the adjoint suite, and the matrices themselves,
+    # to the bit; the random matrices have a few nonzero entries, signed
+    # zeros among the rest
+    table = structure_table(reduced_basis(), Z_NAMES)
+    for i in range(8):
+        A = table.ad_matrix(i)
+        for eps in (0.1, 0.7, 1.3, -0.4, 6.0):
+            minus = [[-eps * float(x) for x in row] for row in A]
+            assert list(map(list, _expm(minus))) == list(map(list, _dense_expm(minus)))
+    rng = random.Random(9)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        A = [[rng.choice((0.0, -0.0)) for _ in range(n)] for _ in range(n)]
+        for _ in range(rng.randint(1, 5)):
+            A[rng.randrange(n)][rng.randrange(n)] = rng.uniform(-3, 3)
+        got, want = _expm(A), _dense_expm(A)
+        assert [[(v, math.copysign(1, v)) for v in row] for row in got] == \
+            [[(v, math.copysign(1, v)) for v in row] for row in want]
+
+
 def test_optimal_pass_with_coverage(reports):
     rep = reports["optimal"]
     assert rep.status == "pass"
@@ -212,6 +250,24 @@ def test_optimal_tol_bounds_the_replay_deviation(monkeypatch, capsys):
     assert main(argv) == 1
     assert main(argv + ["--tol", "1e-3"]) == 0
     capsys.readouterr()
+
+
+def test_reduce_tol_bounds_the_replay_deviation(monkeypatch, capsys):
+    # the same 1e-6 relative error: the README vector's "kill a1" step
+    # replays through it
+    mats = _tampered_adjoints(1, 0, 7, Fraction(1000001, 1000000))
+    vec = [0.5, 1.6, 1.1, -1.1, -0.8, 1.5, -2.0, 1.3]
+    argv = ["reduce", "--format", "json", "--", ",".join(map(str, vec))]
+    assert main(argv) == 0
+    honest = capsys.readouterr().out
+    monkeypatch.setattr(optimal, "reduced_adjoints", lambda: mats)
+    dev = optimal.replay_deviation(optimal.reduce_to_optimal(vec))
+    assert 1e-9 < dev < 1e-5
+    assert main(argv) == 1
+    strict = capsys.readouterr().out
+    assert main(argv[:1] + ["--tol", "1e-3"] + argv[1:]) == 0
+    assert capsys.readouterr().out == strict != honest
+    assert json.loads(strict)["replay_deviation"] == dev
 
 
 def test_determining_suite_passes():
