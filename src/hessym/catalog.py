@@ -30,7 +30,7 @@ __all__ = [
     "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced", "reduced_f_weight",
     "ClassificationRow", "classification_rows", "row_by_id",
     "InvariantDataset", "invariant_datasets", "OPTIMAL_PATTERNS",
-    "PUBLISHED_BRACKETS", "PUBLISHED_ADJOINT",
+    "PUBLISHED_BRACKETS", "PUBLISHED_ADJOINT", "SUITE_NAMES",
 ]
 
 
@@ -371,3 +371,10 @@ _INVARIANTS = (
 
 def invariant_datasets() -> tuple[InvariantDataset, ...]:
     return _INVARIANTS
+
+
+# ---------------------------------------------------------------------------
+# verification suites, in `verify all` order (report.py runs them)
+
+SUITE_NAMES = ("commutators", "adjoint", "optimal", "determining",
+               "equivalence", "classification", "invariants", "flows")

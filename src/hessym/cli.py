@@ -16,7 +16,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import flows, jets, optimal, report
 from .catalog import (
+    SUITE_NAMES,
     V_NAMES,
     Y_NAMES,
     equivalence_basis,
@@ -26,20 +28,8 @@ from .catalog import (
 )
 from .expr import ExprError
 from .fields import E4, structure_table, vf
-from .flows import _bindings, apply_case, tian_base
-from .jets import check_symmetry
 from .normalize import DEFAULT_SEED
-from .optimal import ReductionError, reduce_to_optimal, replay_deviation
 from .parse import parse
-from .report import (
-    SUITE_NAMES,
-    SuiteReport,
-    overall_status,
-    render_json,
-    render_markdown,
-    run_suite,
-    run_suites,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -188,15 +178,15 @@ def cmd_tables(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = run_suites(names, seed=args.seed, tol=args.tol,
-                         points=args.points)
-    text = (render_json(reports) if args.format == "json"
-            else render_markdown(reports))
+    reports = report.run_suites(names, seed=args.seed, tol=args.tol,
+                                points=args.points)
+    text = (report.render_json(reports) if args.format == "json"
+            else report.render_markdown(reports))
     _emit(text, args)
     for rep in reports:
         print(f"{rep.suite}: {rep.status} in {rep.wall_time:.2f}s",
               file=sys.stderr)
-    return 0 if overall_status(reports) != "fail" else 1
+    return 0 if report.overall_status(reports) != "fail" else 1
 
 
 def cmd_reduce(args) -> int:
@@ -210,8 +200,8 @@ def cmd_reduce(args) -> int:
         print(f"error: coefficients must be finite numbers, got {args.coeffs!r}",
               file=sys.stderr)
         return 2
-    trace = reduce_to_optimal(coeffs)
-    dev = replay_deviation(trace)
+    trace = optimal.reduce_to_optimal(coeffs)
+    dev = optimal.replay_deviation(trace)
     if args.format == "json":
         obj = {
             "input": list(trace.initial),
@@ -238,8 +228,8 @@ def cmd_check_symmetry(args) -> int:
               file=sys.stderr)
         return 2
     field = vf(E4, x=parts[0], y=parts[1], z=parts[2], u=parts[3])
-    chk = check_symmetry(field, parse(args.f), n=args.points, tol=args.tol,
-                         seed=args.seed)
+    chk = jets.check_symmetry(field, parse(args.f), n=args.points,
+                              tol=args.tol, seed=args.seed)
     obj = {
         "f": args.f,
         "field": args.vf,
@@ -276,9 +266,9 @@ def _parse_profile(text: str):
         vals = [_fraction(v, "a fixture value")
                 for v in text[len("fixture:"):].split(",")]
         if len(vals) == 3:
-            return tian_base(*vals, with_bump=False), None
+            return flows.tian_base(*vals, with_bump=False), None
         if len(vals) == 4:
-            return tian_base(*vals), _bindings()
+            return flows.tian_base(*vals), flows._bindings()
         raise ExprError("fixture takes T1,T2,T3 and an optional EPS")
     return parse(text), None
 
@@ -293,8 +283,9 @@ def cmd_transform(args) -> int:
             return 2
         values[name] = _fraction(val, f"--param {name}")
     u_expr, inner = _parse_profile(args.u)
-    out = apply_case(args.case, args.t, u_expr, values=values, inner=inner,
-                     n_points=args.points, tol=args.tol, seed=args.seed)
+    out = flows.apply_case(args.case, args.t, u_expr, values=values,
+                           inner=inner, n_points=args.points, tol=args.tol,
+                           seed=args.seed)
     if args.format == "json":
         obj = {
             "case": out.case_id,
@@ -328,7 +319,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    rep = run_suite("invariants", seed=args.seed)
+    rep = report.run_suite("invariants", seed=args.seed)
     records = rep.records
     if args.label != "all":
         records = tuple(r for r in rep.records
@@ -339,9 +330,9 @@ def cmd_invariants(args) -> int:
             print(f"error: no invariant dataset {args.label!r} "
                   f"(known: {known})", file=sys.stderr)
             return 2
-    view = SuiteReport(rep.suite, rep.seed, records, rep.wall_time)
-    text = (render_json(view) if args.format == "json"
-            else render_markdown(view))
+    view = report.SuiteReport(rep.suite, rep.seed, records, rep.wall_time)
+    text = (report.render_json(view) if args.format == "json"
+            else report.render_markdown(view))
     _emit(text, args)
     return 0 if view.status != "fail" else 1
 
@@ -351,10 +342,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExprError, ReductionError, KeyError, OutputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ExprError, KeyError, OutputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,38 +19,21 @@ import random
 import time
 from typing import NamedTuple
 
+from . import classify, determining, flows, jets, optimal
 from .catalog import (
     OPTIMAL_PATTERNS,
     PUBLISHED_ADJOINT,
     PUBLISHED_BRACKETS,
+    SUITE_NAMES,
     Z_NAMES,
     reduced_adjoints,
     reduced_table,
-)
-from .classify import (
-    s2_of,
-    verify_all_rows,
-    verify_bila_procedure,
-    verify_invariants,
-    verify_principal,
-    verify_reflection,
-)
-from .determining import (
-    FREE_CONSTANTS,
-    free_constants_absent,
-    numeric_invariance_check,
-    residual_on_variety,
-    symmetry_condition,
 )
 from .expr import ZERO, add, sub
 from .fields import (
     Rows, format_combination, identity, matmul, max_abs_diff,
 )
-from .flows import tian_base, verify_all_cases
 from .normalize import DEFAULT_SEED, is_zero, normalize
-from .optimal import (
-    ReductionError, published_adjoint_vector, reduce_to_optimal, replay_deviation,
-)
 from .parse import parse
 
 __all__ = [
@@ -211,7 +194,7 @@ def _scrambled_normal_form(pid: str, rng: random.Random,
             a[j - 1] = params[role] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
     gens = (1, 8) if 8 in spec else (1, 2, 3, 8)
     for _ in range(rng.randint(1, 5)):
-        a = published_adjoint_vector(rng.choice(gens), a, rng.uniform(-1.5, 1.5))
+        a = optimal.published_adjoint_vector(rng.choice(gens), a, rng.uniform(-1.5, 1.5))
     scale = rng.uniform(0.2, 5.0) * rng.choice((1.0, -1.0))
     return [v * scale for v in a], sign, params
 
@@ -235,12 +218,12 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
             # the normal forms all contain Z7 or Z8; stay in their orbits
             a[6] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
         try:
-            tr = reduce_to_optimal(a)
-        except ReductionError:
+            tr = optimal.reduce_to_optimal(a)
+        except optimal.ReductionError:
             failures += 1
             continue
         seen[tr.pattern] = seen.get(tr.pattern, 0) + 1
-        worst = max(worst, replay_deviation(tr))
+        worst = max(worst, optimal.replay_deviation(tr))
     ok = failures == 0 and worst < tol
     # random draws reach some patterns rarely (A7 in about 1% of them), so
     # coverage rests on one scrambled representative of each normal form
@@ -248,8 +231,8 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
     for pid in OPTIMAL_PATTERNS:
         a, sign, params = _scrambled_normal_form(pid, rng)
         try:
-            tr = reduce_to_optimal(a)
-        except ReductionError as exc:
+            tr = optimal.reduce_to_optimal(a)
+        except optimal.ReductionError as exc:
             lost.append(f"{pid}: {exc}")
             continue
         if (tr.pattern != pid or tr.sign != sign
@@ -275,8 +258,8 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
         ("proof-case-A11", [0, 0, 0, 0.5, -0.2, 0.7, 2.0, 1.0], "A11"),
     )
     for cid, vec, want in picked:
-        tr = reduce_to_optimal(vec)
-        dev = replay_deviation(tr)
+        tr = optimal.reduce_to_optimal(vec)
+        dev = optimal.replay_deviation(tr)
         ok = tr.pattern == want and dev < tol
         records.append(CheckRecord(
             cid, _status(ok), dev,
@@ -292,7 +275,7 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
     tol = 1e-8 if tol is None else tol
     n = 200 if points is None else points
 
-    verdict = is_zero(add(residual_on_variety(), symmetry_condition()),
+    verdict = is_zero(add(determining.residual_on_variety(), determining.symmetry_condition()),
                       mode="symbolic")
     records = [CheckRecord(
         "symbolic-identity", _status(verdict.zero_like), None,
@@ -300,20 +283,20 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
         f"the first-order condition on f: {verdict}",
         "determining-system")]
 
-    chk = numeric_invariance_check(n=n, seed=seed)
+    chk = determining.numeric_invariance_check(n=n, seed=seed)
     records.append(CheckRecord(
         "numeric-oracle", _status(chk.max_residual <= tol), chk.max_residual,
         f"unrestricted residual plus transport condition on {chk.n_points} "
         f"on-variety points with random constants: max {chk.max_residual:.2e}",
         "determining-system"))
 
-    absent = free_constants_absent()
+    absent = determining.free_constants_absent()
     records.append(CheckRecord(
         "free-constants", _status(absent), None,
-        f"additive constants {', '.join(FREE_CONSTANTS)} impose no condition",
+        f"additive constants {', '.join(determining.FREE_CONSTANTS)} impose no condition",
         "determining-system"))
 
-    pr = verify_principal(seed=seed)
+    pr = classify.verify_principal(seed=seed)
     span = ("matching the principal algebra" if pr.matches_principal
             else "that differs from the principal algebra")
     records.append(CheckRecord(
@@ -330,7 +313,7 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
 def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     """Replay of the equivalence-algebra derivation and of the discrete
     reflection, with the two documented printed slips flagged."""
-    bila = verify_bila_procedure()
+    bila = classify.verify_bila_procedure()
     records = [
         CheckRecord("family-residual", _status(bila.main_residual.zero_like),
                     None, f"prolonged candidate annihilates the equation on "
@@ -361,7 +344,7 @@ def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
         "equivalence-generators"))
 
     for kind, chk in zip(("polynomial", "transcendental"),
-                         verify_reflection(seed=seed)):
+                         classify.verify_reflection(seed=seed)):
         records.append(CheckRecord(
             f"reflection[{kind}]",
             "flagged" if chk.passed else "fail", None,
@@ -380,7 +363,7 @@ def suite_classification(seed: int = DEFAULT_SEED, tol: float | None = None,
     if points is not None:
         kwargs["n_points"] = points
     records = []
-    for chk in verify_all_rows(**kwargs):
+    for chk in classify.verify_all_rows(**kwargs):
         details = ("ansatz " + ", ".join(str(v) for v in chk.ansatz_verdicts)
                    + f"; symmetry max residual {chk.symmetry_max_residual:.2e} "
                    f"over {chk.symmetry_n_points} points")
@@ -399,7 +382,7 @@ def suite_invariants(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     """The worked invariant examples: annihilation, independence, and
     whether f can be solved for."""
     records = []
-    for chk in verify_invariants(seed=seed):
+    for chk in classify.verify_invariants(seed=seed):
         details = ("annihilation " + ", ".join(str(v) for v in chk.annihilation)
                    + f"; jacobian rank {chk.jacobian_rank}; "
                    + ("an invariant depends on f"
@@ -418,13 +401,13 @@ def suite_flows(seed: int = DEFAULT_SEED, tol: float | None = None,
     if points is not None:
         kwargs["n_points"] = points
     records = []
-    base = normalize(sub(s2_of(tian_base(with_bump=False)),
+    base = normalize(sub(jets.s2_of(flows.tian_base(with_bump=False)),
                          parse("t1*t2 + t1*t3 + t2*t3")))
     records.append(CheckRecord(
         "base-family", _status(base == ZERO), None,
         "S2 of the quadratic base equals t1*t2 + t1*t3 + t2*t3 exactly",
         "base-family"))
-    for chk in verify_all_cases(**kwargs):
+    for chk in flows.verify_all_cases(**kwargs):
         matched = ", ".join(f"({s:+d},{m})" for s, m in chk.matched_readings)
         details = (f"group law {chk.group_law_residual:.1e}; generator "
                    f"{chk.generator_residual:.1e}; equivariance "
@@ -445,6 +428,7 @@ def suite_flows(seed: int = DEFAULT_SEED, tol: float | None = None,
 # ---------------------------------------------------------------------------
 # orchestration
 
+# in catalog.SUITE_NAMES order
 _SUITES = {
     "commutators": suite_commutators,
     "adjoint": suite_adjoint,
@@ -455,8 +439,6 @@ _SUITES = {
     "invariants": suite_invariants,
     "flows": suite_flows,
 }
-
-SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,

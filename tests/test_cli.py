@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -517,6 +518,122 @@ def test_verify_flows_compiles_no_s2_polynomial():
     assert got["run"] <= 68
 
 
+
+# the hessym modules a fresh process executed and the hessym sources it
+# compiled: a lazily registered module swaps its lazy class for the plain
+# module type when its body runs
+EXECUTED = """
+import builtins, json, os, sys, types
+compiled = []
+real_compile = builtins.compile
+def recording(source, filename, *args, **kwargs):
+    if isinstance(filename, str) and os.sep + "hessym" + os.sep in filename:
+        compiled.append(os.path.basename(filename)[:-len(".py")])
+    return real_compile(source, filename, *args, **kwargs)
+builtins.compile = recording
+import hessym
+code = None
+if sys.argv[1:]:
+    from hessym.cli import main
+    code = main(sys.argv[1:] + ["--out", os.devnull])
+mods = {n[len("hessym."):]: m for n, m in sys.modules.items() if n.startswith("hessym.")}
+print(json.dumps({"code": code, "registered": sorted(mods), "compiled": sorted(compiled),
+                  "executed": sorted(n for n, m in mods.items()
+                                     if type(m) is types.ModuleType)}))
+"""
+
+KERNEL = {"expr", "parse", "normalize", "fields", "catalog"}
+
+
+def _executed(*argv):
+    # an empty bytecode cache, so that every module run is a module compiled
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", EXECUTED, *argv], env=env,
+                             check=True, capture_output=True, text=True).stdout
+    got = json.loads(out)
+    assert got["compiled"] == sorted(["__init__"] + got["executed"])
+    return got
+
+
+def test_import_hessym_executes_no_submodule():
+    got = _executed()
+    package = Path(hessym.__file__).resolve().parent
+    assert got["registered"] == sorted(
+        p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "cli"))
+    assert got["executed"] == []
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("tables", "g8"), set()),
+    (("reduce", "0.5,1.6,1.1,-1.1,-0.8,1.5,-2.0,1.3"), {"optimal"}),
+    (("check-symmetry", "--f", "exp(y)", "--vf", "1;0;0;0", "--points", "20"),
+     {"jets"}),
+    (("transform", "--case", "6", "--t", "0.3", "--u", "fixture:1,2,3"),
+     {"flows", "jets"}),
+    (("invariants", "A3"), {"classify", "determining", "jets", "report"}),
+    (("verify", "commutators"), {"report"}),
+    (("verify", "flows", "--points", "4"), {"flows", "jets", "report"}),
+])
+def test_each_command_executes_only_the_modules_it_uses(argv, extra):
+    # a top-level from-import of an upper module in cli or report would
+    # execute it, and compile its source, for every command
+    got = _executed(*argv)
+    assert got["code"] == 0
+    assert set(got["executed"]) == KERNEL | {"cli"} | extra
+
+
+def test_input_error_executes_no_upper_module():
+    # the field fails to parse before check_symmetry is reached, so only
+    # main's error handler runs on top of the kernel
+    got = _executed("check-symmetry", "--f", "y", "--vf", "y^;0;0;0")
+    assert got["code"] == 2
+    assert set(got["executed"]) == KERNEL | {"cli"}
+
+
+# perfbench/tracer.py wraps the public functions of every hessym module
+# after `import hessym.cli`; lazy modules must still load for it
+TRACED = [
+    (("tables", "g8", "--format", "json"), {"cli.main", "fields.structure_table",
+                                            "fields.adjoint"}),
+    (("reduce", "0.5,1.6,1.1,-1.1,-0.8,1.5,-2.0,1.3"),
+     {"cli.main", "optimal.reduce_to_optimal", "optimal.replay"}),
+    (("verify", "commutators"), {"cli.main", "report.suite.commutators",
+                                 "report.render"}),
+]
+
+
+@pytest.mark.parametrize("argv, spans", TRACED)
+def test_traced_run_matches_the_untraced_one(tmp_path, argv, spans):
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_path = tmp_path / "trace.json"
+    plain = subprocess.run(
+        [sys.executable, "-c", "import sys; from hessym.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True)
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(out_path), *argv],
+        env=env, capture_output=True)
+    assert traced.returncode == plain.returncode == 0
+    assert traced.stdout == plain.stdout
+    assert spans <= set(json.loads(out_path.read_text())["stats"])
+
+
+def test_run_as_module_warns_nothing():
+    # runpy warns when the module it is to run is in sys.modules already
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hessym.cli", "tables", "g8"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert "## commutators (g8)" in out.stdout
+    assert out.stderr == ""
+
 def test_src_imports_only_the_standard_library():
     # the fresh-process test sees only the imports its commands reach; this
     # one reads every import statement, function-local ones included
@@ -551,14 +668,44 @@ def _defined_or_imported(tree: ast.Module) -> set[str]:
 
 def test_every_export_is_defined_or_imported():
     # a walker deleted from a module but left in its __all__ would pass
-    # every test that never star-imports the module
-    bad = []
-    for path in sorted(Path(hessym.__file__).resolve().parent.rglob("*.py")):
-        tree = ast.parse(path.read_text())
+    # every test that never star-imports the module.  The package serves
+    # its names from the _HOMES table, so there a name counts as defined
+    # when its home module defines or imports it
+    package = Path(hessym.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.rglob("*.py"))}
+    homes = next(ast.literal_eval(node.value) for node in trees["__init__.py"].body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_HOMES"
+                         for t in node.targets))
+    bad = [f"__init__.py: {name} (home {home})" for home, names in homes.items()
+           for name in names if name not in _defined_or_imported(trees[f"{home}.py"])]
+    served = {name for names in homes.values() for name in names}
+    for filename, tree in trees.items():
         exports = [n for node in tree.body if isinstance(node, ast.Assign)
                    and any(isinstance(t, ast.Name) and t.id == "__all__"
                            for t in node.targets)
                    for n in ast.literal_eval(node.value)]
         known = _defined_or_imported(tree)
-        bad += [f"{path.name}: {name}" for name in exports if name not in known]
+        if filename == "__init__.py":
+            known |= served
+        bad += [f"{filename}: {name}" for name in exports if name not in known]
     assert bad == []
+
+
+def test_package_serves_each_export_from_its_home_module():
+    namespace: dict = {}
+    exec("from hessym import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hessym.__all__)
+    assert set(hessym._EXPORTS) == set(hessym.__all__) - {"__version__"}
+    assert len(hessym._EXPORTS) == sum(map(len, hessym._HOMES.values()))  # one home each
+    for name, home in hessym._EXPORTS.items():
+        assert namespace[name] is getattr(sys.modules[f"hessym.{home}"], name), name
+    assert set(hessym.__all__) <= set(dir(hessym))
+    # the functions, not the modules of the same name
+    assert callable(hessym.normalize) and callable(hessym.parse)
+
+
+def test_unknown_package_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="module 'hessym' has no attribute 'nope'"):
+        hessym.nope  # noqa: B018

@@ -39,6 +39,9 @@ def test_suite_registry():
     assert SUITE_NAMES == ("commutators", "adjoint", "optimal", "determining",
                            "equivalence", "classification", "invariants",
                            "flows")
+    # one definition, in catalog, so that the CLI parser needs no report
+    assert SUITE_NAMES is catalog.SUITE_NAMES
+    assert tuple(report._SUITES) == SUITE_NAMES
     with pytest.raises(KeyError, match="unknown suite"):
         run_suite("nope")
 
