@@ -545,12 +545,16 @@ print(json.dumps({"code": code, "registered": sorted(mods), "compiled": sorted(c
 KERNEL = {"expr", "parse", "normalize", "fields", "catalog"}
 
 
+def _child_env(**extra):
+    src = str(Path(hessym.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _executed(*argv):
     # an empty bytecode cache, so that every module run is a module compiled
-    src = str(Path(hessym.__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _child_env(PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
         out = subprocess.run([sys.executable, "-c", EXECUTED, *argv], env=env,
                              check=True, capture_output=True, text=True).stdout
     got = json.loads(out)
@@ -608,9 +612,7 @@ TRACED = [
 @pytest.mark.parametrize("argv, spans", TRACED)
 def test_traced_run_matches_the_untraced_one(tmp_path, argv, spans):
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(hessym.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     out_path = tmp_path / "trace.json"
     plain = subprocess.run(
         [sys.executable, "-c", "import sys; from hessym.cli import main; sys.exit(main())",
@@ -625,14 +627,12 @@ def test_traced_run_matches_the_untraced_one(tmp_path, argv, spans):
 
 def test_run_as_module_warns_nothing():
     # runpy warns when the module it is to run is in sys.modules already
-    src = str(Path(hessym.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-m", "hessym.cli", "tables", "g8"],
-                         env=env, capture_output=True, text=True)
+                         env=_child_env(), capture_output=True, text=True)
     assert out.returncode == 0
     assert "## commutators (g8)" in out.stdout
     assert out.stderr == ""
+
 
 def test_src_imports_only_the_standard_library():
     # the fresh-process test sees only the imports its commands reach; this
