@@ -76,11 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "S2[u] = f(x, y, z)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, points_default=None, tol_default=None):
+    def common(sp, *options, points_default=None, tol_default=None):
+        # --format and --out, and of --seed, --tol and --points the ones
+        # named in ``options``: a command takes only what it uses
         sp.add_argument("--format", choices=("md", "json"), default="md")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--tol", type=_positive_float, default=tol_default)
-        sp.add_argument("--points", type=_positive_int, default=points_default)
+        if "seed" in options:
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if "tol" in options:
+            sp.add_argument("--tol", type=_positive_float, default=tol_default)
+        if "points" in options:
+            sp.add_argument("--points", type=_positive_int, default=points_default)
         sp.add_argument("--out", type=Path, default=None)
 
     sp = sub.add_parser("tables", help="print a commutator table "
@@ -91,14 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("suite", choices=("all",) + SUITE_NAMES)
-    common(sp)
+    common(sp, "seed", "tol", "points")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("reduce", help="reduce an algebra element to its "
                         "normal form (8 comma-separated coefficients over "
                         "Z1..Z8)")
     sp.add_argument("coeffs")
-    common(sp)
+    common(sp, "seed", "tol")  # reduce draws nothing, but scripts pass --seed
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("check-symmetry", help="test whether a vector field "
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vf", required=True, metavar="XI;ZETA;ETA;PHI",
                     help="the four coefficients of the field, "
                     "semicolon-separated")
-    common(sp, points_default=100, tol_default=1e-8)
+    common(sp, "seed", "tol", "points", points_default=100, tol_default=1e-8)
     sp.set_defaults(func=cmd_check_symmetry)
 
     sp = sub.add_parser("transform", help="apply one of the fifteen "
@@ -122,14 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "quadratic base, with a corrugation when EPS is given")
     sp.add_argument("--param", action="append", default=[],
                     metavar="NAME=VALUE", help="case parameter (repeatable)")
-    common(sp, points_default=40, tol_default=1e-7)
+    common(sp, "seed", "tol", "points", points_default=40, tol_default=1e-7)
     sp.set_defaults(func=cmd_transform)
 
     sp = sub.add_parser("invariants", help="verify the stated invariants "
                         "of a reduced representative")
     sp.add_argument("label", nargs="?", default="all",
                     help="dataset label (default: all)")
-    common(sp)
+    common(sp, "seed")
     sp.set_defaults(func=cmd_invariants)
 
     return p
@@ -344,6 +349,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ExprError, KeyError, OutputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # a tree walk deeper than Python's stack
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

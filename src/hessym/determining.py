@@ -116,12 +116,14 @@ class NumericCheck(NamedTuple):
 
 
 def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
-                             profile: Expr | None = None,
-                             rng: random.Random | None = None) -> NumericCheck:
+                             profile: Expr | None = None) -> NumericCheck:
     """Sample the unrestricted residual plus the transport condition at
-    random on-variety jet points with random constants; the sum must vanish
-    identically, independent of the symbolic elimination route."""
-    rng = rng or random.Random(seed)
+    ``n`` >= 1 random on-variety jet points with random constants; the sum
+    must vanish identically, independent of the symbolic elimination
+    route."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    rng = random.Random(seed)
     body = profile if profile is not None else parse("sin(x) + y^2*z + exp(z/3) + x*y")
     binding = OpaqueBinding.from_expr(("x", "y", "z"), body)
 

@@ -657,8 +657,9 @@ _NONFINITE = "evaluation overflowed or produced NaN"
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
                  bindings: Mapping[str, OpaqueBinding] | None = None) -> float:
-    """Evaluate at a float assignment; raises EvalError family on problems."""
-    return _eval_checked(e, env, bindings or {})[0]
+    """Evaluate at a float assignment; raises EvalError family on problems.
+    The value of ``eval_with_scale``."""
+    return compile_evaluator(e, list(env), bindings, scaled=True)(*env.values())[0]
 
 
 def eval_with_scale(e: Expr, env: Mapping[str, float],
@@ -666,110 +667,19 @@ def eval_with_scale(e: Expr, env: Mapping[str, float],
     """Evaluate returning (value, scale) where scale is the largest |subterm|.
 
     The scale feeds relative-tolerance zero tests: massive cancellation shows
-    up as |value| << scale.
+    up as |value| << scale.  This compiles the scaled body for one point; a
+    loop over points compiles it once with ``compile_evaluator(...,
+    scaled=True)``.
     """
-    return _eval_checked(e, env, bindings or {})
-
-
-def _eval_checked(e: Expr, env: Mapping[str, float],
-                  b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
-    try:
-        return _eval(e, env, b)
-    except OverflowError as exc:  # a float power or an fsum past the range
-        raise EvalDomainError(_NONFINITE) from exc
-
-
-def _check(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
-        raise EvalDomainError(_NONFINITE)
-    return x
-
-
-def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
-    cls = e.__class__
-    if cls is Num:
-        v = e.value.numerator / e.value.denominator
-        return v, abs(v)
-    if cls is Sym:
-        if e.name not in env:
-            raise EvalError(f"unbound variable {e.name!r}")
-        v = env[e.name]
-        return v, abs(v)
-    if cls is Add:
-        vals, scale = [], 0.0
-        for t in e.terms:
-            v, s = _eval(t, env, b)
-            vals.append(v)
-            scale = max(scale, s, abs(v))
-        return _check(math.fsum(vals)), scale
-    if cls is Mul:
-        v, scale = 1.0, 0.0
-        for f in e.factors:
-            fv, fs = _eval(f, env, b)
-            scale = max(scale, fs)
-            v *= fv
-        return _check(v), max(scale, abs(v))
-    if cls is Pow:
-        bv, bs = _eval(e.base, env, b)
-        ev, es = _eval(e.exponent, env, b)
-        scale = max(bs, es)
-        if e.exponent.__class__ is Num and e.exponent.value.denominator == 1:
-            n = int(e.exponent.value)
-            if bv == 0.0 and n < 0:
-                raise EvalDomainError("division by zero")
-            v = bv ** n
-        else:
-            if bv < 0.0:
-                raise EvalDomainError(f"negative base {bv!r} with non-integer exponent")
-            if bv == 0.0 and ev <= 0.0:
-                raise EvalDomainError("0 raised to a non-positive power")
-            v = bv ** ev
-        return _check(v), max(scale, abs(v))
-    if cls is Call:
-        av, ascale = _eval(e.arg, env, b)
-        if e.fn == "exp":
-            v = math.exp(av) if av < EXP_GUARD else _check(float("inf"))
-        elif e.fn == "ln":
-            if av <= 0:
-                raise EvalDomainError(f"ln of non-positive value {av!r}")
-            v = math.log(av)
-        elif e.fn == "sin":
-            v = math.sin(av)
-        elif e.fn == "cos":
-            v = math.cos(av)
-        elif e.fn == "tan":
-            v = math.tan(av)
-        elif e.fn == "atan":
-            v = math.atan(av)
-        elif e.fn == "sqrt":
-            if av < 0:
-                raise EvalDomainError(f"sqrt of negative value {av!r}")
-            v = math.sqrt(av)
-        else:  # pragma: no cover
-            raise ExprError(f"unknown function {e.fn}")
-        return _check(v), max(ascale, abs(v))
-    if cls is Opaque or cls is Deriv:
-        target = e.target if cls is Deriv else e
-        if target.fn not in b:
-            raise EvalError(f"unbound opaque symbol {target.fn!r}")
-        binding = b[target.fn]
-        vals, scale = [], 0.0
-        for a in target.args:
-            v, s = _eval(a, env, b)
-            vals.append(v)
-            scale = max(scale, s)
-        fn = binding.deriv(e.slots) if cls is Deriv else binding.fn
-        v = _check(fn(*vals))
-        return v, max(scale, abs(v))
-    raise ExprError(f"unknown node {e!r}")
+    return compile_evaluator(e, list(env), bindings, scaled=True)(*env.values())
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation (the semantics of eval_numeric, much faster in loops)
+# compiled evaluation: the one way to turn an Expr into floats
 
 def _guarded_exp(a: float) -> float:
-    # the reference's overflow guard; an argument of -inf (exp would make
-    # it 0.0) or NaN fails it too
+    # the overflow guard at 700; an argument of -inf (exp would make it
+    # 0.0) or NaN fails it too
     if not -math.inf < a < EXP_GUARD:
         raise EvalDomainError(_NONFINITE)
     return math.exp(a)
@@ -809,10 +719,32 @@ def _guarded_pow(b: float, x: float) -> float:
 
 
 def _domain_error(exc: ArithmeticError | ValueError) -> EvalDomainError:
-    """What the reference raises where compiled arithmetic raised ``exc``:
+    """The EvalDomainError for what plain compiled arithmetic raised:
     0.0 ** -n, a float power past the range, a math call at inf."""
     return EvalDomainError("division by zero" if isinstance(exc, ZeroDivisionError)
                            else _NONFINITE)
+
+
+# The nodes of a scaled body: each checks its value finite and appends it
+# to ``sc``, whose largest |entry| is the scale; a sum appends its terms
+# instead of its own value.  Calls and powers go through the plain guards,
+# which agree with an unguarded call wherever the argument is finite.
+
+def _scaled_call(sc: list, fn: Callable[..., float], *args: float) -> float:
+    v = fn(*args)
+    if not math.isfinite(v):
+        raise EvalDomainError(_NONFINITE)
+    sc.append(v)
+    return v
+
+
+def _scaled_mul(sc: list, *factors: float) -> float:
+    return _scaled_call(sc, math.prod, (1.0, *factors))  # 1.0*f1*f2*...
+
+
+def _scaled_add(sc: list, *terms: float) -> float:
+    sc += terms  # a sum's terms count in the scale, its own value does not
+    return _scaled_call([], math.fsum, terms)
 
 
 _COMPILED_GLOBALS = {
@@ -821,98 +753,127 @@ _COMPILED_GLOBALS = {
     "_pow": _guarded_pow, "_nonfinite": _nonfinite, "_domain_error": _domain_error,
     "_EvalDomainError": EvalDomainError, "_NONFINITE": _NONFINITE,
     "_all": all, "_map": map, "_sum": sum, "_isfinite": math.isfinite,
+    "_A": _scaled_add, "_M": _scaled_mul, "_C": _scaled_call, "_max": max, "_abs": abs,
 }
 
 
 def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
                       bindings: Mapping[str, OpaqueBinding] | None = None,
-                      ) -> Callable[..., float] | Callable[..., tuple[float, ...]]:
+                      scaled: bool = False) -> Callable[..., float | tuple[float, ...]]:
     """Compile to a Python callable taking floats in ``var_order`` order.
 
-    Used for sampling loops (hundreds of points on large residuals); the
-    recursive evaluator stays the reference semantics and the test oracle.
-    A tuple of expressions compiles to one callable returning the tuple of
-    their values, each emitted exactly as it would be on its own, except
-    that an integer constant entry is the float of the same value.
+    The plain body (the default) serves the sampling loops.  A tuple of
+    expressions compiles to one callable returning the tuple of their
+    values, each emitted exactly as it would be on its own, except that an
+    integer constant entry is the float of the same value.
 
-    Domain errors and overflow raise EvalDomainError where the reference
-    does: ln, sqrt and non-integer powers are guarded, exp keeps the
-    reference's guard at 700, ``0.0 ** -n``, a power past the float range
-    and sin/cos/tan of inf are mapped to EvalDomainError, and a non-finite
-    result is rejected, so a result is never complex, inf or NaN.  The
-    reference checks every node; the compiled code checks only the nodes
-    that would turn an intermediate inf into a finite value (the argument
-    of exp and atan, the base of a negative power), so ``1/(x*y)`` at
-    x = y = 1e200 raises on both routes.  Sums use ``+`` where the
-    reference uses ``math.fsum``, so the two agree to rounding, not to the
-    bit.
+    Domain errors and overflow raise EvalDomainError: ln, sqrt and
+    non-integer powers are guarded, exp is guarded at 700, ``0.0 ** -n``,
+    a power past the float range and sin/cos/tan of inf are mapped to
+    EvalDomainError, and a non-finite result is rejected, so a result is
+    never complex, inf or NaN.  The plain body checks only the nodes that
+    would turn an intermediate inf into a finite value (the argument of
+    exp and atan, the base of a negative power), so ``1/(x*y)`` at
+    x = y = 1e200 raises; its sums use ``+``.
+
+    ``scaled=True`` compiles one expression to the scaled body, which
+    returns ``(value, scale)``: it checks every node finite, sums with
+    ``math.fsum``, and takes as scale the largest |value| of a leaf or of a
+    node other than a sum (whose terms count instead).  At finite variable
+    values, with opaque evaluators that raise only EvalError, it is the
+    recursive evaluator of the tests compiled: the same value and scale,
+    bit for bit, or the same exception class.
     """
-    return compile_template(e, var_order)(bindings or {})
+    return compile_template(e, var_order, scaled)(bindings or {})
 
 
 def compile_template(e: Expr | Sequence[Expr], var_order: Sequence[str],
+                     scaled: bool = False,
                      ) -> Callable[[Mapping[str, OpaqueBinding]], Callable]:
     """``compile_evaluator`` with the opaque evaluators left open: compile
     once, then bind each set of bindings without compiling again.  The
     evaluators of the opaque applications are arguments of the compiled
     closure, so the emitted arithmetic is the same however they are bound.
+
+    An expression nested too deeply for Python to compile (past some 200
+    nested sums, products and calls) is an ExprError.
     """
     names = {v: f"_v{i}" for i, v in enumerate(var_order)}
     opaques: list[tuple[str, tuple[int, ...] | None]] = []
+    leaves: dict[str, str] = {}  # scaled: the text of each distinct leaf
 
     def emit(n: Expr) -> str:
         if isinstance(n, Num):
+            if scaled:  # a float even for an integer, as n/d
+                text = f"({n.value.numerator}/{n.value.denominator})"
+                return leaves.setdefault(text, text)
             if n.value.denominator == 1:
                 return f"({n.value.numerator})" if n.value < 0 else str(n.value.numerator)
             return f"({n.value.numerator}/{n.value.denominator})"
         if isinstance(n, Sym):
             if n.name not in names:
                 raise EvalError(f"unbound variable {n.name!r} in compiled expression")
-            return names[n.name]
+            return leaves.setdefault(names[n.name], names[n.name]) if scaled else names[n.name]
         if isinstance(n, Add):
+            if scaled:
+                return "_A(_sc," + ",".join(emit(t) for t in n.terms) + ")"
             return "(" + "+".join(emit(t) for t in n.terms) + ")"
         if isinstance(n, Mul):
+            if scaled:
+                return "_M(_sc," + ",".join(emit(f) for f in n.factors) + ")"
             return "(" + "*".join(emit(f) for f in n.factors) + ")"
         if isinstance(n, Pow):
             if isinstance(n.exponent, Num) and _is_int(n.exponent.value):
                 base = emit(n.base)
+                if scaled:  # the exponent's value counts in the scale
+                    emit(n.exponent)
+                    return f"_C(_sc,pow,{base},{n.exponent.value.numerator})"
                 if n.exponent.value < 0:  # inf ** -k is 0.0: reject the inf
                     base = f"(_g if (_g := {base}) - _g == 0.0 else _nonfinite())"
                 return "(" + base + "**" + emit(n.exponent) + ")"
+            if scaled:
+                return f"_C(_sc,_pow,{emit(n.base)},{emit(n.exponent)})"
             return f"_pow({emit(n.base)},{emit(n.exponent)})"
         if isinstance(n, Call):
-            return f"_{n.fn}({emit(n.arg)})"
+            return f"_C(_sc,_{n.fn},{emit(n.arg)})" if scaled else f"_{n.fn}({emit(n.arg)})"
         if isinstance(n, (Opaque, Deriv)):
             target = n.target if isinstance(n, Deriv) else n
             opaques.append((target.fn, n.slots if isinstance(n, Deriv) else None))
             args = ",".join(emit(a) for a in target.args)
-            return f"_f{len(opaques) - 1}({args})"
+            return f"_C(_sc,_f{len(opaques) - 1},{args})" if scaled else \
+                f"_f{len(opaques) - 1}({args})"
         raise ExprError(f"unknown node {n!r}")
 
-    if isinstance(e, Expr):
-        # x - x is 0 for a finite x and NaN, which is truthy, for inf and NaN
-        body, nonfinite = emit(e), "_r - _r"
-    else:
-        # an integer constant entry as a float literal, so that a matrix
-        # of entries is a tuple of floats
-        body = "(" + "".join((f"{x.value.numerator}.0" if isinstance(x, Num) and
-                              x.value.denominator == 1 else emit(x)) + ","
-                             for x in e) + ")"
-        # a finite sum has finite terms; only an inf or NaN sum (or an
-        # overflowing one) needs the entry-by-entry test
-        nonfinite = "not _isfinite(_sum(_r)) and not _all(_map(_isfinite, _r))"
-    src = (f"def _make({''.join(f'_f{i}, ' for i in range(len(opaques)))}):\n"
-           f"    def _compiled({', '.join(names[v] for v in var_order)}):\n"
-           f"        try:\n"
-           f"            _r = {body}\n"
-           f"        except (OverflowError, ZeroDivisionError, ValueError) as exc:\n"
-           f"            raise _domain_error(exc) from exc\n"
-           f"        if {nonfinite}:\n"
-           f"            raise _EvalDomainError(_NONFINITE)\n"
-           f"        return _r\n"
-           f"    return _compiled\n")
+    try:
+        start, result = "", "_r"
+        if isinstance(e, Expr) or scaled:
+            # x - x is 0 for a finite x and NaN, which is truthy, for inf and NaN
+            body, nonfinite = emit(e), "_r - _r"
+            if scaled:  # each distinct leaf counts in the scale once
+                start, result = f"_sc = [{','.join(leaves)}]; ", "_r, _max(_map(_abs, _sc))"
+        else:
+            # an integer constant entry as a float literal, so that a
+            # matrix of entries is a tuple of floats
+            body = "(" + "".join((f"{x.value.numerator}.0" if isinstance(x, Num) and
+                                  x.value.denominator == 1 else emit(x)) + ","
+                                 for x in e) + ")"
+            # a finite sum has finite terms; only an inf or NaN sum (or an
+            # overflowing one) needs the entry-by-entry test
+            nonfinite = "not _isfinite(_sum(_r)) and not _all(_map(_isfinite, _r))"
+        src = (f"def _make({''.join(f'_f{i}, ' for i in range(len(opaques)))}):\n"
+               f"    def _compiled({', '.join(names[v] for v in var_order)}):\n"
+               f"        try:\n"
+               f"            {start}_r = {body}\n"
+               f"        except (OverflowError, ZeroDivisionError, ValueError) as exc:\n"
+               f"            raise _domain_error(exc) from exc\n"
+               f"        if {nonfinite}:\n"
+               f"            raise _EvalDomainError(_NONFINITE)\n"
+               f"        return {result}\n"
+               f"    return _compiled\n")
+        code = compile(src, "<expr>", "exec")
+    except (SyntaxError, RecursionError) as exc:  # the parser's or the tree walk's depth
+        raise ExprError("expression nested too deeply to compile") from exc
     ns: dict = {}
-    code = compile(src, "<expr>", "exec")
     exec(code, _COMPILED_GLOBALS, ns)  # noqa: S102 - generated from our own AST
     make = ns["_make"]
 

@@ -87,9 +87,6 @@ class VectorField(Frozen, unkeyed=("params",)):
         return add(*[mul(c, diff(e, v)) for v, c in zip(self.space.variables, self.coeffs)
                      if c != ZERO]) if any(c != ZERO for c in self.coeffs) else ZERO
 
-    def is_zero_field(self) -> bool:
-        return all(c == ZERO for c in self.coeffs)
-
     def scaled(self, factor: Expr | int | Fraction) -> "VectorField":
         if not isinstance(factor, Expr):
             factor = num(factor)

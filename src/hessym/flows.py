@@ -633,7 +633,10 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     A point where u at the preimage or either S2 value is undefined (a
     restricted domain such as sqrt or ln) is drawn again, at most
     10*n_points draws in all; EvalDomainError when they run out, when the
-    S2 factor overflows, and ValueError for a parameter the case lacks."""
+    S2 factor overflows, and ValueError for a parameter the case lacks or
+    an ``n_points`` below 1."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     if isinstance(case, int):
         case = case_by_id(case)
     vals = _case_values(case, 1, Fraction(1))

@@ -284,7 +284,7 @@ _MAX_ATTEMPTS = 100    # draws per point before sampling gives up
 
 
 def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], float],
-                      include_order3: bool = False, guard: float = _GUARD,
+                      include_order3: bool = False,
                       max_attempts: int = _MAX_ATTEMPTS) -> dict[str, float]:
     """Random jet point satisfying S2[u] = f(x, y, z) exactly (u_yy solved).
 
@@ -295,7 +295,7 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
         pt = {s: signed_uniform(rng) for s in ("x", "y", "z", "u")}
         for idx in jet_indices(1) + jet_indices(2):
             pt[f"u_{idx}"] = signed_uniform(rng)
-        if abs(pt["u_xx"] + pt["u_zz"]) < guard:
+        if abs(pt["u_xx"] + pt["u_zz"]) < _GUARD:
             continue
         try:
             fv = f_at(pt["x"], pt["y"], pt["z"])
@@ -397,8 +397,10 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     The points are those of ``n`` calls of sample_on_variety on
     ``random.Random(seed)``: the same draws, guard, redraws where f is
     undefined and attempt limit, with the draws shared by every call with
-    this seed.
+    this seed.  ``n`` must be at least 1.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     stray = {name for c in v.coeffs for name in free_symbols(c)} - set(v.space.variables)
     if stray:
         raise ExprError(f"field still has unbound parameters {sorted(stray)}")

@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
     ExprError, Mul, Num, Opaque, OpaqueBinding, Pow, Sym, add,
-    children, eval_with_scale, free_symbols, mul, num, pow_, rebuild, to_text,
+    children, compile_evaluator, free_symbols, mul, num, pow_, rebuild, to_text,
 )
 
 __all__ = [
@@ -657,39 +657,35 @@ class NonZero(NamedTuple):
 Verdict = ProvedZero | NumericallyZero | NonZero
 
 
-def signed_uniform(rng: random.Random, lo: float = 0.1, hi: float = 2.0) -> float:
-    """Magnitude uniform in [lo, hi] with a random sign."""
-    mag = rng.uniform(lo, hi)
+def signed_uniform(rng: random.Random) -> float:
+    """Magnitude uniform in [0.1, 2] with a random sign."""
+    mag = rng.uniform(0.1, 2.0)
     return mag if rng.random() < 0.5 else -mag
 
 
-def sample_point(names: Sequence[str], rng: random.Random,
-                 domains: Mapping[str, tuple[float, float]] | None = None) -> dict[str, float]:
+def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
     """Magnitudes uniform in [0.1, 2] with random sign, keeping samples away
-    from zero; per-variable (lo, hi) overrides sample uniformly as given."""
-    out = {}
-    for v in names:
-        if domains and v in domains:
-            out[v] = rng.uniform(*domains[v])
-        else:
-            out[v] = signed_uniform(rng)
-    return out
+    from zero."""
+    return {v: signed_uniform(rng) for v in names}
 
 
 def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
-            seed: int = DEFAULT_SEED, rng: random.Random | None = None,
-            bindings: Mapping[str, OpaqueBinding] | None = None,
-            domains: Mapping[str, tuple[float, float]] | None = None) -> Verdict:
+            seed: int = DEFAULT_SEED,
+            bindings: Mapping[str, OpaqueBinding] | None = None) -> Verdict:
     """Three-way zero test.
 
     mode 'symbolic': canonicalize and test the zero polynomial; 'numeric':
     sampled evaluation only; 'auto': symbolic first, numeric fallback.
     Numeric comparisons are relative: a point passes when
     |value| <= tol * (1 + scale) with scale the largest intermediate
-    magnitude.  Domain errors trigger resampling, at most 10*n attempts.
+    magnitude, both from the scaled compiled body of ``e``, compiled once
+    per call.  Domain errors trigger resampling, at most 10*n attempts;
+    ``n`` must be at least 1, so that no verdict rests on zero points.
     """
     if mode not in ("auto", "symbolic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if mode in ("auto", "symbolic"):
         if normalize(e) == ZERO:
             return ProvedZero()
@@ -697,8 +693,8 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
             # not the zero rational function in the atoms; no numeric witness
             return NonZero(witness=None, residual=float("inf"))
     names = sorted(free_symbols(e))
-    if rng is None:
-        rng = random.Random(seed)
+    at = compile_evaluator(e, names, bindings, scaled=True)
+    rng = random.Random(seed)
     max_ratio = 0.0
     done = 0
     attempts = 0
@@ -707,9 +703,9 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
             raise EvalDomainError(
                 f"could not find {n} valid sample points in {attempts} attempts")
         attempts += 1
-        env = sample_point(names, rng, domains)
+        env = sample_point(names, rng)
         try:
-            v, s = eval_with_scale(e, env, bindings)
+            v, s = at(*env.values())
         except EvalDomainError:
             continue
         ratio = abs(v) / (1.0 + s)

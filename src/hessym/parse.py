@@ -205,7 +205,10 @@ def parse(text: str, opaque_names: frozenset[str] | set[str] | None = None) -> E
 
 def _parse(text: str, opaque_names: frozenset[str] | None) -> Expr:
     p = _Parser(text, opaque_names)
-    node = p.expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ExprError("expression nested too deeply to parse") from None
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)

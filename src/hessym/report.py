@@ -446,6 +446,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        + ", ".join(SUITE_NAMES))
+    if points is not None and points < 1:  # no check passes on zero points
+        raise ValueError(f"points must be at least 1, got {points}")
     t0 = time.perf_counter()
     rep = _SUITES[name](seed=seed, tol=tol, points=points)
     return SuiteReport(rep.suite, rep.seed, rep.records,

@@ -1,0 +1,131 @@
+"""The recursive reference evaluator: the oracle of the compiled bodies.
+
+hessym evaluates an expression only through ``expr.compile_template``.
+This module keeps the tree walk that the compiled code reproduces: each
+node is evaluated after its children, left to right, and checked
+finite; a sum is the ``math.fsum`` of its terms; and the scale is the
+largest |value| of a subterm.  At finite variable values,
+``compile_evaluator(e, names, scaled=True)`` must return what
+``eval_with_scale`` returns, bit for bit, or raise the same exception
+class, and the plain compiled bodies must agree with ``eval_numeric`` to
+rounding.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Mapping
+
+from hessym.expr import (
+    EXP_GUARD, Add, Call, Deriv, EvalDomainError, EvalError, Expr, ExprError, Mul,
+    Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE,
+)
+
+
+def eval_numeric(e: Expr, env: Mapping[str, float],
+                 bindings: Mapping[str, OpaqueBinding] | None = None) -> float:
+    """Evaluate at a float assignment; raises EvalError family on problems."""
+    return _eval_checked(e, env, bindings or {})[0]
+
+
+def eval_with_scale(e: Expr, env: Mapping[str, float],
+                    bindings: Mapping[str, OpaqueBinding] | None = None) -> tuple[float, float]:
+    """Evaluate returning (value, scale) where scale is the largest |subterm|.
+
+    The scale feeds relative-tolerance zero tests: massive cancellation shows
+    up as |value| << scale.
+    """
+    return _eval_checked(e, env, bindings or {})
+
+
+def _eval_checked(e: Expr, env: Mapping[str, float],
+                  b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
+    try:
+        return _eval(e, env, b)
+    except OverflowError as exc:  # a float power or an fsum past the range
+        raise EvalDomainError(_NONFINITE) from exc
+
+
+def _check(x: float) -> float:
+    if math.isnan(x) or math.isinf(x):
+        raise EvalDomainError(_NONFINITE)
+    return x
+
+
+def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
+    cls = e.__class__
+    if cls is Num:
+        v = e.value.numerator / e.value.denominator
+        return v, abs(v)
+    if cls is Sym:
+        if e.name not in env:
+            raise EvalError(f"unbound variable {e.name!r}")
+        v = env[e.name]
+        return v, abs(v)
+    if cls is Add:
+        vals, scale = [], 0.0
+        for t in e.terms:
+            v, s = _eval(t, env, b)
+            vals.append(v)
+            scale = max(scale, s, abs(v))
+        return _check(math.fsum(vals)), scale
+    if cls is Mul:
+        v, scale = 1.0, 0.0
+        for f in e.factors:
+            fv, fs = _eval(f, env, b)
+            scale = max(scale, fs)
+            v *= fv
+        return _check(v), max(scale, abs(v))
+    if cls is Pow:
+        bv, bs = _eval(e.base, env, b)
+        ev, es = _eval(e.exponent, env, b)
+        scale = max(bs, es)
+        if e.exponent.__class__ is Num and e.exponent.value.denominator == 1:
+            n = int(e.exponent.value)
+            if bv == 0.0 and n < 0:
+                raise EvalDomainError("division by zero")
+            v = bv ** n
+        else:
+            if bv < 0.0:
+                raise EvalDomainError(f"negative base {bv!r} with non-integer exponent")
+            if bv == 0.0 and ev <= 0.0:
+                raise EvalDomainError("0 raised to a non-positive power")
+            v = bv ** ev
+        return _check(v), max(scale, abs(v))
+    if cls is Call:
+        av, ascale = _eval(e.arg, env, b)
+        if e.fn == "exp":
+            v = math.exp(av) if av < EXP_GUARD else _check(float("inf"))
+        elif e.fn == "ln":
+            if av <= 0:
+                raise EvalDomainError(f"ln of non-positive value {av!r}")
+            v = math.log(av)
+        elif e.fn == "sin":
+            v = math.sin(av)
+        elif e.fn == "cos":
+            v = math.cos(av)
+        elif e.fn == "tan":
+            v = math.tan(av)
+        elif e.fn == "atan":
+            v = math.atan(av)
+        elif e.fn == "sqrt":
+            if av < 0:
+                raise EvalDomainError(f"sqrt of negative value {av!r}")
+            v = math.sqrt(av)
+        else:  # pragma: no cover
+            raise ExprError(f"unknown function {e.fn}")
+        return _check(v), max(ascale, abs(v))
+    if cls is Opaque or cls is Deriv:
+        target = e.target if cls is Deriv else e
+        if target.fn not in b:
+            raise EvalError(f"unbound opaque symbol {target.fn!r}")
+        binding = b[target.fn]
+        vals, scale = [], 0.0
+        for a in target.args:
+            v, s = _eval(a, env, b)
+            vals.append(v)
+            scale = max(scale, s)
+        fn = binding.deriv(e.slots) if cls is Deriv else binding.fn
+        v = _check(fn(*vals))
+        return v, max(scale, abs(v))
+    raise ExprError(f"unknown node {e!r}")

@@ -318,6 +318,30 @@ def test_transform_malformed_input_is_one_error_line(capsys, argv, message):
     assert message in err
 
 
+def _nested_poly(depth: int) -> str:
+    text = "x"
+    for _ in range(depth):
+        text = f"(x*{text}+1)"
+    return text
+
+
+@pytest.mark.parametrize("argv,stage", [
+    # too deep for the compiled body of the symmetry pieces
+    (["check-symmetry", "--f", _nested_poly(120), "--vf", "0;0;0;1"], " to compile"),
+    # deep enough that a walk over the tree (hashing it, in a fresh
+    # process) runs out of Python's stack
+    (["check-symmetry", "--f", _nested_poly(180), "--vf", "0;0;0;1"], ""),
+    (["transform", "--case", "1", "--t", "0.2", "--u", "sin(" * 250 + "x" + ")" * 250],
+     " to parse"),
+], ids=["check-symmetry-120", "check-symmetry-180", "transform-250"])
+def test_deep_nesting_is_one_error_line(capsys, argv, stage):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: expression nested too deeply{stage}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf", "soon"])
 def test_transform_non_finite_t_is_rejected(capsys, t):
     with pytest.raises(SystemExit) as exc:
@@ -370,6 +394,16 @@ SUBCOMMANDS = {
     "invariants": ["invariants", "A3"],
 }
 
+# the ones of --seed, --tol and --points that each command takes
+TAKES = {
+    "tables": (),
+    "verify": ("--seed", "--tol", "--points"),
+    "reduce": ("--seed", "--tol"),
+    "check-symmetry": ("--seed", "--tol", "--points"),
+    "transform": ("--seed", "--tol", "--points"),
+    "invariants": ("--seed",),
+}
+
 
 @pytest.mark.parametrize("option", [["--points", "0"], ["--points", "-3"],
                                     ["--points", "two"], ["--tol", "inf"],
@@ -378,13 +412,33 @@ SUBCOMMANDS = {
                                     ["--tol", "small"]])
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_vacuous_or_infinite_tolerance_and_points_are_rejected(capsys, command, option):
-    # zero draws or an infinite tolerance would make any check pass
+    # zero draws or an infinite tolerance would make any check pass; a
+    # command that does not take the option refuses it as unrecognized
     with pytest.raises(SystemExit) as exc:
         main(SUBCOMMANDS[command] + option)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {option[0]}" in captured.err
+    if option[0] in TAKES[command]:
+        assert f"argument {option[0]}" in captured.err
+    else:
+        assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, option) for command in sorted(SUBCOMMANDS)
+    for option in (["--seed", "3"], ["--tol", "1e-3"], ["--points", "5"])
+    if option[0] not in TAKES[command]])
+def test_options_a_command_would_ignore_are_unrecognized(capsys, command, option):
+    # tables draws nothing, invariants uses no tolerance or point count,
+    # and reduce no point count: a well-formed value is refused too,
+    # rather than accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMANDS[command] + option)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -46,6 +46,11 @@ class TestSymmetryDetermining:
         assert nc.n_points == 200
         assert nc.max_residual < 1e-8
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_verdict_from_zero_points(self, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            numeric_invariance_check(n=n)
+
     def test_wrong_sign_condition_is_caught(self, r_sub):
         verdict = is_zero(add(r_sub, neg(symmetry_condition())), mode="symbolic")
         assert isinstance(verdict, NonZero)

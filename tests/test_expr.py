@@ -9,8 +9,8 @@ import pytest
 
 from hessym.expr import (
     ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Frozen, Mul,
-    Num, Opaque, OpaqueBinding, Pow, Sym, add, children, compile_evaluator, deriv,
-    diff, div, eval_numeric, free_symbols, mul, neg, num, opaque, pow_, rebuild,
+    Num, Opaque, OpaqueBinding, Pow, Sym, add, call, children, compile_evaluator, deriv,
+    diff, div, free_symbols, mul, neg, num, opaque, pow_, rebuild,
     sub, substitute, sym, to_text,
 )
 from hessym.fields import E4, AdjointMatrix, LieBasis, VectorField, vf
@@ -18,7 +18,9 @@ from hessym.flows import AffineFlow
 from hessym.normalize import normalize, print_canonical
 from hessym.parse import ParseError, parse
 
+import _reference
 from _gen import random_expr
+from _reference import eval_numeric
 
 
 class TestParse:
@@ -380,6 +382,121 @@ class TestEval:
     def test_float_constants_rejected(self):
         with pytest.raises(ExprError):
             num(0.5)  # type: ignore[arg-type]
+
+
+# bound profiles for the opaque H of the generated trees: a polynomial,
+# and one with domain errors of its own (sqrt of a negative a, ln of 0)
+H_PROFILES = ("a^2 + b^2 + 1", "sqrt(a)*exp(b/4) - ln(a^2*b^2)")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal value and scale, with the same sign of zero, or the same
+    exception class."""
+    if isinstance(want, type):
+        return got is want
+    return (isinstance(got, tuple) and got == want
+            and all(math.copysign(1.0, g) == math.copysign(1.0, w)
+                    for g, w in zip(got, want)))
+
+
+class TestScaledBody:
+    """``compile_evaluator(..., scaled=True)`` against the recursive
+    reference evaluator of tests/_reference.py."""
+
+    @pytest.mark.parametrize("profile", H_PROFILES)
+    def test_matches_the_reference_bit_for_bit(self, profile):
+        # magnitudes from 1e-3 to 1e5, and one point in eight past 1e150,
+        # where products overflow and sums overflow inside math.fsum
+        H = OpaqueBinding.from_expr(("a", "b"), parse(profile))
+        rng = random.Random(9100 + H_PROFILES.index(profile))
+        names = ["x", "y", "z", "u"]
+        compared = raised = 0
+        for _ in range(500):
+            e = random_expr(rng, 5)
+            at = compile_evaluator(e, names, {"H": H}, scaled=True)
+            for _ in range(4):
+                big = rng.random() < 0.125
+                pt = [rng.choice((-1.0, 1.0)) * 10.0 ** (rng.uniform(150, 308) if big
+                                                          else rng.uniform(-3, 5))
+                      for _ in names]
+                want = _outcome(_reference.eval_with_scale, e, dict(zip(names, pt)), {"H": H})
+                got = _outcome(at, *pt)
+                assert _same_bits(got, want), (to_text(e), pt, got, want)
+                if isinstance(want, type):
+                    raised += 1
+                else:
+                    compared += 1
+        assert compared > 1000 and raised > 100
+
+    @pytest.mark.parametrize("text,point", [
+        ("x + y + z", (1e308, 1e308, -1e308)),   # fsum's partials overflow
+        ("x + y", (1e308, 1e308)),
+        ("x*y + 1", (1e200, 1e200)),
+        ("(x + y)^2", (1e200, 1e200)),
+        ("1/(x + y)", (1.0, -1.0)),
+        ("exp(x)", (700.0,)),
+        ("ln(x + y)", (1.0, -1.0)),
+        ("x^(1/2)", (-1e-300,)),
+    ])
+    def test_domain_errors_and_overflow_match_the_reference(self, text, point):
+        e = parse(text)
+        names = sorted(free_symbols(e))
+        want = _outcome(_reference.eval_with_scale, e, dict(zip(names, point)))
+        assert want is EvalDomainError
+        assert _outcome(compile_evaluator(e, names, scaled=True), *point) is want
+
+    def test_sums_are_exact_and_the_scale_follows_the_reference_rules(self):
+        # math.fsum, not left-to-right +, so 1e16 + 1 - 1e16 is 1
+        at = compile_evaluator(parse("x + y + z"), ["x", "y", "z"], scaled=True)
+        assert at(1e16, 1.0, -1e16) == (1.0, 1e16)
+        # a sum's own value does not count: 1 + 1 under sin leaves scale 1
+        assert compile_evaluator(parse("sin(x + y)"), ["x", "y"], scaled=True)(1.0, 1.0) \
+            == (math.sin(2.0), 1.0)
+        # an integer exponent counts in the scale, a sum that is a term of
+        # a sum counts too, and so does every other node
+        assert compile_evaluator(parse("x^3"), ["x"], scaled=True)(0.5) == (0.125, 3.0)
+        nested = Add((Add((sym("x"), sym("y"))), num(1)))
+        assert compile_evaluator(nested, ["x", "y"], scaled=True)(2.0, 2.0) == (5.0, 4.0)
+        assert compile_evaluator(parse("x*y"), ["x", "y"], scaled=True)(3.0, 4.0) == (12.0, 12.0)
+
+    def test_public_evaluators_return_the_reference_values(self):
+        from hessym import expr
+
+        H = OpaqueBinding.from_expr(("a", "b"), parse(H_PROFILES[0]))
+        rng = random.Random(9200)
+        names = ("x", "y", "z", "u")
+        for _ in range(100):
+            e = random_expr(rng, 4)
+            env = {n: rng.uniform(-2.0, 2.0) for n in names}
+            want = _outcome(_reference.eval_with_scale, e, env, {"H": H})
+            assert _same_bits(_outcome(expr.eval_with_scale, e, env, {"H": H}), want)
+            value = _outcome(expr.eval_numeric, e, env, {"H": H})
+            assert value is want if isinstance(want, type) else value == want[0]
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nesting_past_the_compiler_is_an_expr_error(self, scaled):
+        # 200 nested calls, or 200 nested sums and products, compile; past
+        # that, Python's parser refuses the source, and far past it the
+        # emitting walk runs out of stack
+        calls, sums = sym("x"), sym("x")
+        for _ in range(100):
+            sums = add(mul(sym("x"), sums), ONE)
+        for depth in range(1, 1001):
+            calls = call("sin", calls)
+            if depth == 200:
+                compile_evaluator(calls, ["x"], scaled=scaled)
+                compile_evaluator(sums, ["x"], scaled=scaled)
+            if depth in (201, 1000):
+                with pytest.raises(ExprError, match="nested too deeply to compile"):
+                    compile_evaluator(calls, ["x"], scaled=scaled)
 
 
 def _diff_slots(body, params, slots):

@@ -20,6 +20,7 @@ from hessym.flows import (
     _case_values,
     _pushforward_poly,
     _sample_poly,
+    apply_case,
     case_by_id,
     equivariance_weight,
     field_matrix,
@@ -486,3 +487,10 @@ def test_printed_evaluator_is_keyed_on_the_texts():
     bad = genuine._replace(image_text=("x - s*t", "y", "z"))
     assert not verify_case(bad, n_points=4).passed
     assert verify_case(genuine, n_points=4).passed
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_apply_case_gives_no_verdict_from_zero_points(n_points):
+    u = tian_base(Fraction(3, 4), Fraction(-1, 2), Fraction(5, 4), with_bump=False)
+    with pytest.raises(ValueError, match="at least 1"):
+        apply_case(6, 0.3, u, n_points=n_points)

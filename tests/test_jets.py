@@ -9,7 +9,7 @@ import pytest
 from hessym import classify, jets
 from hessym.catalog import classification_rows
 from hessym.expr import (
-    EvalDomainError, OpaqueBinding, ZERO, add, diff, eval_numeric, mul, neg, num, substitute,
+    EvalDomainError, OpaqueBinding, ZERO, add, diff, mul, neg, num, substitute,
     sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
@@ -21,6 +21,8 @@ from hessym.jets import (
 )
 from hessym.normalize import DEFAULT_SEED, NonZero, ProvedZero, is_zero, normalize
 from hessym.parse import parse
+
+from _reference import eval_numeric
 
 
 class TestJetTables:
@@ -312,6 +314,12 @@ def _same_check(got, want):
     assert got == want
     if want.witness is not None:
         assert list(got.witness.items()) == list(want.witness.items())
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_check_symmetry_gives_no_verdict_from_zero_points(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        check_symmetry(vf(E4, y="1"), parse("exp(y)"), n=n)
 
 
 class TestSharedDraws:

@@ -1,5 +1,6 @@
 """Canonical forms and the three-way zero test."""
 
+import builtins
 import importlib
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 
 import hessym
 from hessym.expr import (
-    ZERO, OpaqueBinding, add, mul, num, pow_, sub, sym, to_text,
+    ZERO, ExprError, OpaqueBinding, add, call, mul, num, pow_, sub, sym, to_text,
 )
 from hessym.normalize import (
     NonZero, NormalizeError, NumericallyZero, ProvedZero, as_polynomial,
@@ -21,6 +22,7 @@ from hessym.normalize import (
 )
 from hessym.parse import parse
 
+import _reference
 from _gen import random_expr
 
 # the module, not the function that the package re-exports under its name
@@ -408,3 +410,45 @@ class TestIsZero:
         a = is_zero(parse("x - y"), seed=7)
         b = is_zero(parse("x - y"), seed=7)
         assert a == b
+
+    def test_one_compile_per_numeric_call(self, monkeypatch):
+        # the expression compiles once, and its scaled body is sampled at
+        # each of the 50 points
+        filenames = []
+        real_compile = builtins.compile
+
+        def counting(source, filename, *args, **kwargs):
+            filenames.append(filename)
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        v = is_zero(parse("sin(x)^2 + cos(x)^2 - 1 + y - y"), mode="numeric", n=50)
+        assert isinstance(v, NumericallyZero) and v.n_points == 50
+        assert filenames.count("<expr>") == 1
+
+    def test_residual_is_the_reference_ratio(self):
+        e = parse("exp(x)*y - y*exp(x) + x/y")
+        v = is_zero(e, mode="numeric")
+        value, scale = _reference.eval_with_scale(e, v.witness)
+        assert v.residual == abs(value) / (1.0 + scale)
+
+    def test_scale_is_every_node_not_the_top_level_terms(self):
+        # 10^12 enters the scale; measured against the top-level terms
+        # alone, the rounding of sin^2 + cos^2 - 1 would read as a residual
+        v = is_zero(parse("10^12*(sin(x)^2 + cos(x)^2 - 1)"))
+        assert isinstance(v, NumericallyZero)
+
+    @pytest.mark.parametrize("mode", ["auto", "symbolic", "numeric"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_verdict_from_zero_points(self, mode, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            is_zero(parse("x - y"), mode=mode, n=n)
+
+    def test_nesting_past_the_compiler_is_an_expr_error(self):
+        # 300 nested calls: too deep to compile, so the sampled route
+        # refuses the tree instead of walking it
+        e = sym("x")
+        for _ in range(300):
+            e = call("sin", e)
+        with pytest.raises(ExprError, match="nested too deeply"):
+            is_zero(e, mode="numeric")

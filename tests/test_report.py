@@ -46,6 +46,14 @@ def test_suite_registry():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_no_suite_runs_on_zero_points(name):
+    # run_suite refuses the count once, for every suite, before any draw
+    for points in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_suite(name, points=points)
+
+
 # ---------------------------------------------------------------------------
 # per-suite outcomes
 
