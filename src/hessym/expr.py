@@ -112,21 +112,21 @@ class Expr(Frozen, fields=()):
     """Base class; concrete nodes below, each a ``Frozen`` value over its
     ``__slots__``.  A node computes its hash once, on first use, and keeps
     it, so that a table keyed on a tree does not rehash the whole tree on
-    every lookup."""
+    every lookup.  Hashing a tree does not recurse (``_hash_tree``), so
+    that a deep tree does not exhaust Python's stack."""
 
     __slots__ = ("_hash",)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        key_hash = cls.__hash__
+        cls._key_hash = cls.__hash__
 
         def __hash__(self) -> int:
             try:
                 return self._hash
             except AttributeError:
-                h = key_hash(self)
-                _set(self, "_hash", h)
-                return h
+                _hash_tree(self)
+                return self._hash
 
         cls.__hash__ = __hash__
 
@@ -518,6 +518,20 @@ def _diff(e: Expr, v: str) -> Expr:
 
 # ---------------------------------------------------------------------------
 # traversal: the one place that knows where each node keeps its subtrees
+
+def _hash_tree(e: Expr) -> None:
+    """Give ``e`` and each subtree without a hash its hash, depth first
+    and children before their parents, so that each hash finds its
+    children's kept and a shared subtree is walked once."""
+    stack = [(e, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            _set(n, "_hash", n._key_hash())
+        elif not hasattr(n, "_hash"):
+            stack.append((n, True))
+            stack += [(c, False) for c in children(n)]
+
 
 def children(e: Expr) -> tuple[Expr, ...]:
     """The subtrees of ``e`` in order: the terms of a sum, the factors of a

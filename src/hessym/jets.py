@@ -37,8 +37,7 @@ __all__ = [
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
     "s2_of_poly", "s2_evaluator_of_poly",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
-    "invariance_residual", "sample_on_variety", "SymmetryCheck",
-    "check_symmetry",
+    "invariance_residual", "SymmetryCheck", "check_symmetry",
 ]
 
 SPATIAL = ("x", "y", "z")
@@ -154,9 +153,16 @@ def prolong2(v: VectorField, dependent: str = "u",
 
 # ---------------------------------------------------------------------------
 # the operator
+#
+# F = hessian2() is the one symbolic statement of S2.  Everything symbolic
+# that the jet layer needs of the operator is derived from F: the jet
+# derivatives dS2/du_ij (S2_JET_DERIVATIVES), the solution for u_yy on the
+# variety (solve_uyy) and the tree route of s2_of (_s2_tree).  The one fast
+# path, _s2_numerator, writes the principal minors over integer
+# polynomials for s2_of and flows; the tests check it against _s2_tree.
 
 def hessian2(dependent: str = "u") -> Expr:
-    """Sum of the principal 2x2 Hessian minors in jet coordinates."""
+    """F: the sum of the principal 2x2 Hessian minors in jet coordinates."""
     d = dependent
     return parse(f"{d}_xx*{d}_yy + {d}_xx*{d}_zz + {d}_yy*{d}_zz"
                  f" - {d}_xy^2 - {d}_yz^2 - {d}_xz^2")
@@ -243,19 +249,18 @@ def s2_evaluator_of_poly(p: Poly, den: int) -> Callable[[float, float, float], f
 
 
 S2_JET_DERIVATIVES: dict[str, Expr] = {
-    "xx": parse("u_yy + u_zz"),
-    "yy": parse("u_xx + u_zz"),
-    "zz": parse("u_xx + u_yy"),
-    "xy": parse("-2*u_xy"),
-    "yz": parse("-2*u_yz"),
-    "xz": parse("-2*u_xz"),
-}
+    idx: normalize(diff(hessian2(), f"u_{idx}")) for idx in jet_indices(2)}
 
 
 def solve_uyy(rhs: Expr) -> Expr:
-    """u_yy on the solution variety S2[u] = rhs (division by u_xx + u_zz)."""
-    return normalize(mul(add(rhs, parse("-u_xx*u_zz + u_xy^2 + u_yz^2 + u_xz^2")),
-                         pow_(parse("u_xx + u_zz"), num(-1))))
+    """u_yy on the solution variety F = rhs: (rhs - F|u_yy=0) / (dF/du_yy).
+    F must be linear in u_yy."""
+    F = hessian2()
+    pivot = normalize(diff(F, "u_yy"))
+    if normalize(diff(pivot, "u_yy")) != ZERO:
+        raise ExprError("S2 is not linear in u_yy, so u_yy has no single solution")
+    rest = substitute(F, {"u_yy": ZERO})
+    return normalize(mul(add(rhs, neg(rest)), pow_(pivot, num(-1))))
 
 
 def transport_term(v: VectorField, target: Expr | None = None) -> Expr:
@@ -282,30 +287,37 @@ def invariance_residual(prl: Prolongation, rhs_variation: Expr) -> Expr:
 _GUARD = 0.25          # least |u_xx + u_zz| of a sampled point
 _MAX_ATTEMPTS = 100    # draws per point before sampling gives up
 
+# the jet coordinates of a sampled point, in the order they are drawn
+_PIECE_VARS = ("x", "y", "z", "u") + tuple(f"u_{idx}"
+                                            for idx in jet_indices(1) + jet_indices(2))
+_UXX, _UXY, _UXZ, _UYY, _UYZ, _UZZ = (_PIECE_VARS.index(f"u_{idx}")
+                                      for idx in jet_indices(2))
 
-def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], float],
-                      include_order3: bool = False,
-                      max_attempts: int = _MAX_ATTEMPTS) -> dict[str, float]:
-    """Random jet point satisfying S2[u] = f(x, y, z) exactly (u_yy solved).
 
-    The trace pivot u_xx + u_zz is kept away from zero so the solved u_yy
-    stays well-scaled.
-    """
-    for _ in range(max_attempts):
-        pt = {s: signed_uniform(rng) for s in ("x", "y", "z", "u")}
-        for idx in jet_indices(1) + jet_indices(2):
-            pt[f"u_{idx}"] = signed_uniform(rng)
-        if abs(pt["u_xx"] + pt["u_zz"]) < _GUARD:
+def _draw(rng: random.Random) -> tuple[float, ...]:
+    """One candidate point: a value for each of ``_PIECE_VARS``, u_yy's to
+    be replaced by the solved one."""
+    return tuple([signed_uniform(rng) for _ in _PIECE_VARS])
+
+
+def _variety_point(draw: Callable[[], tuple[float, ...]],
+                   f_at: Callable[[float, float, float], float]) -> list[float]:
+    """A jet point on S2[u] = f(x, y, z), over ``_PIECE_VARS``: the first
+    candidate from ``draw`` whose trace pivot u_xx + u_zz is at least
+    ``_GUARD`` away from zero and where f has a value, with u_yy solved.
+    After ``_MAX_ATTEMPTS`` candidates it gives up."""
+    for _ in range(_MAX_ATTEMPTS):
+        vals = draw()
+        uxx, uzz = vals[_UXX], vals[_UZZ]
+        if abs(uxx + uzz) < _GUARD:
             continue
         try:
-            fv = f_at(pt["x"], pt["y"], pt["z"])
+            fv = f_at(vals[0], vals[1], vals[2])
         except (ArithmeticError, EvalDomainError):
             continue  # f undefined here (sqrt, ln): draw another point
-        pt["u_yy"] = (fv - pt["u_xx"] * pt["u_zz"] + pt["u_xy"] ** 2
-                      + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])
-        if include_order3:
-            for idx in jet_indices(3):
-                pt[f"u_{idx}"] = signed_uniform(rng)
+        pt = list(vals)
+        pt[_UYY] = (fv - uxx * uzz + vals[_UXY] ** 2 + vals[_UYZ] ** 2
+                    + vals[_UXZ] ** 2) / (uxx + uzz)
         return pt
     raise EvalDomainError("could not sample a well-conditioned variety point")
 
@@ -323,12 +335,6 @@ class SymmetryCheck(NamedTuple):
         return self.max_residual <= self.tol
 
 
-# the jet coordinates in the order sample_on_variety draws them
-_PIECE_VARS = ("x", "y", "z", "u") + tuple(f"u_{idx}"
-                                            for idx in jet_indices(1) + jet_indices(2))
-_UXX, _UXY, _UXZ, _UYY, _UYZ, _UZZ = (_PIECE_VARS.index(f"u_{idx}")
-                                      for idx in jet_indices(2))
-
 # per seed, the generator and the candidate points drawn from it so far,
 # shared by every check_symmetry call with that seed in this process
 _STREAMS: dict[int, tuple[random.Random, list]] = {}
@@ -336,17 +342,10 @@ _STREAMS_MAX = 16      # seeds; the table starts over when it is full
 _KEPT = 1024           # candidates kept per seed; later ones are not
 
 
-def _draw(rng: random.Random) -> tuple[tuple[float, ...], bool]:
-    """One candidate of sample_on_variety: its 13 draws, u_yy's to be
-    replaced, and whether the trace pivot passes the guard."""
-    vals = tuple([signed_uniform(rng) for _ in _PIECE_VARS])
-    return vals, not abs(vals[_UXX] + vals[_UZZ]) < _GUARD
-
-
 def _candidates(seed: int):
-    """The candidates that ``random.Random(seed)`` gives sample_on_variety,
-    in draw order.  The first ``_KEPT`` are drawn once per process and
-    replayed; past them a copy of the generator draws on."""
+    """The candidates that ``random.Random(seed)`` gives ``_draw``, in draw
+    order.  The first ``_KEPT`` are drawn once per process and replayed;
+    past them a copy of the generator draws on."""
     entry = _STREAMS.get(seed)
     if entry is None:
         if len(_STREAMS) >= _STREAMS_MAX:
@@ -394,10 +393,9 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     residual is summed from its constituent terms without normalization,
     so the check is independent of the symbolic route.
 
-    The points are those of ``n`` calls of sample_on_variety on
-    ``random.Random(seed)``: the same draws, guard, redraws where f is
-    undefined and attempt limit, with the draws shared by every call with
-    this seed.  ``n`` must be at least 1.
+    The points are those of ``n`` calls of ``_variety_point`` on the
+    candidates of ``random.Random(seed)``, which are drawn once and shared
+    by every call with this seed.  ``n`` must be at least 1.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -411,26 +409,11 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
     pieces_at = _symmetry_pieces(v)({"f": binding})
 
-    f_at = binding.fn
-    stream = _candidates(seed)
+    draw = _candidates(seed).__next__
     worst = 0.0
     worst_args: list[float] | None = None
     for _ in range(n):
-        for _ in range(_MAX_ATTEMPTS):
-            vals, guarded = next(stream)
-            if not guarded:
-                continue
-            try:
-                fv = f_at(vals[0], vals[1], vals[2])
-            except (ArithmeticError, EvalDomainError):
-                continue  # f undefined here (sqrt, ln): draw another point
-            break
-        else:
-            raise EvalDomainError("could not sample a well-conditioned variety point")
-        args = list(vals)
-        uxx, uzz = vals[_UXX], vals[_UZZ]
-        args[_UYY] = (fv - uxx * uzz + vals[_UXY] ** 2 + vals[_UYZ] ** 2
-                      + vals[_UXZ] ** 2) / (uxx + uzz)
+        args = _variety_point(draw, binding.fn)
         pieces = pieces_at(*args)
         resid = abs(math.fsum(pieces))
         scale = max(map(abs, pieces), default=0.0)

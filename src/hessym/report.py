@@ -330,8 +330,7 @@ def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     ]
     step3_ok = all(ok for name, ok in bila.step3 if not name.startswith("psi"))
     records.append(CheckRecord(
-        "rhs-coefficient-claims",
-        "flagged" if step3_ok else "fail", None,
+        "rhs-coefficient-claims", _status(step3_ok, bila.flags), None,
         "; ".join(f"{name}: {'holds' if ok else 'fails'}" for name, ok in bila.step3)
         + f"; psi_f = {bila.psi_f_text}, consistent with the listed scalings "
         "but not with the stated f-independence",
@@ -346,8 +345,7 @@ def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     for kind, chk in zip(("polynomial", "transcendental"),
                          classify.verify_reflection(seed=seed)):
         records.append(CheckRecord(
-            f"reflection[{kind}]",
-            "flagged" if chk.passed else "fail", None,
+            f"reflection[{kind}]", _status(chk.passed, chk.flags), None,
             f"u(-x,-y,-z) maps the right-hand side to f(-x,-y,-z): "
             f"{chk.without_sign_flip}; the stated extra sign flip gives "
             f"{chk.with_sign_flip}", "discrete-reflection"))

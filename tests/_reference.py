@@ -1,4 +1,6 @@
-"""The recursive reference evaluator: the oracle of the compiled bodies.
+"""Reference implementations kept as test oracles.
+
+The recursive reference evaluator is the oracle of the compiled bodies.
 
 hessym evaluates an expression only through ``expr.compile_template``.
 This module keeps the tree walk that the compiled code reproduces: each
@@ -9,17 +11,23 @@ largest |value| of a subterm.  At finite variable values,
 ``eval_with_scale`` returns, bit for bit, or raise the same exception
 class, and the plain compiled bodies must agree with ``eval_numeric`` to
 rounding.
+
+``sample_on_variety`` is the dict sampler of on-variety jet points that
+``jets._variety_point`` must reproduce point for point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
+import random
+from typing import Callable, Mapping
 
 from hessym.expr import (
     EXP_GUARD, Add, Call, Deriv, EvalDomainError, EvalError, Expr, ExprError, Mul,
     Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE,
 )
+from hessym.jets import jet_indices
+from hessym.normalize import signed_uniform
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
@@ -129,3 +137,26 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
         v = _check(fn(*vals))
         return v, max(scale, abs(v))
     raise ExprError(f"unknown node {e!r}")
+
+
+def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], float],
+                      max_attempts: int = 100) -> dict[str, float]:
+    """Random jet point satisfying S2[u] = f(x, y, z) exactly (u_yy solved).
+
+    The trace pivot u_xx + u_zz is kept away from zero so the solved u_yy
+    stays well-scaled.
+    """
+    for _ in range(max_attempts):
+        pt = {s: signed_uniform(rng) for s in ("x", "y", "z", "u")}
+        for idx in jet_indices(1) + jet_indices(2):
+            pt[f"u_{idx}"] = signed_uniform(rng)
+        if abs(pt["u_xx"] + pt["u_zz"]) < 0.25:
+            continue
+        try:
+            fv = f_at(pt["x"], pt["y"], pt["z"])
+        except (ArithmeticError, EvalDomainError):
+            continue  # f undefined here (sqrt, ln): draw another point
+        pt["u_yy"] = (fv - pt["u_xx"] * pt["u_zz"] + pt["u_xy"] ** 2
+                      + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])
+        return pt
+    raise EvalDomainError("could not sample a well-conditioned variety point")

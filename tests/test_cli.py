@@ -328,9 +328,9 @@ def _nested_poly(depth: int) -> str:
 @pytest.mark.parametrize("argv,stage", [
     # too deep for the compiled body of the symmetry pieces
     (["check-symmetry", "--f", _nested_poly(120), "--vf", "0;0;0;1"], " to compile"),
-    # deep enough that a walk over the tree (hashing it, in a fresh
-    # process) runs out of Python's stack
-    (["check-symmetry", "--f", _nested_poly(180), "--vf", "0;0;0;1"], ""),
+    # deep enough that a recursive hash of the tree would run out of
+    # Python's stack: the hash is not recursive, so the compile refuses it
+    (["check-symmetry", "--f", _nested_poly(180), "--vf", "0;0;0;1"], " to compile"),
     (["transform", "--case", "1", "--t", "0.2", "--u", "sin(" * 250 + "x" + ")" * 250],
      " to parse"),
 ], ids=["check-symmetry-120", "check-symmetry-180", "transform-250"])
@@ -686,6 +686,18 @@ def test_run_as_module_warns_nothing():
     assert out.returncode == 0
     assert "## commutators (g8)" in out.stdout
     assert out.stderr == ""
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # string hashing changes with PYTHONHASHSEED, so the iteration order of
+    # a set or of a table built from one must not reach a report
+    argv = ["verify", "all", "--seed", "7", "--points", "4", "--format", "json"]
+    outs = [subprocess.run([sys.executable, "-m", "hessym.cli", *argv],
+                           env=_child_env(PYTHONHASHSEED=seed), capture_output=True,
+                           check=True).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["status"] == "flagged"
 
 
 def test_src_imports_only_the_standard_library():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hessym import expr
 from hessym.expr import (
     ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Frozen, Mul,
     Num, Opaque, OpaqueBinding, Pow, Sym, add, call, children, compile_evaluator, deriv,
@@ -612,6 +613,42 @@ class TestFrozenValues:
         with_g = VectorField(E4, _FIELD.coeffs, frozenset({"g1"}))
         assert with_g == _FIELD and hash(with_g) == hash(_FIELD)
         assert with_g.params != _FIELD.params and "params=frozenset({'g1'})" in repr(with_g)
+
+
+class TestHash:
+    @staticmethod
+    def _deep(depth, hash_each_level=False):
+        e = Sym("x")
+        for k in range(depth):
+            e = Add((Mul((Sym("x"), e)), Call("sin", Num(Fraction(k % 3 + 1)))))
+            if hash_each_level:
+                hash(e)
+        return e
+
+    def test_a_deep_tree_hashes_without_recursion(self):
+        # 5,000 levels, far past Python's stack for a recursive hash; a
+        # tree hashed level by level as it grew gets the same hash
+        assert hash(self._deep(5000)) == hash(self._deep(5000, hash_each_level=True))
+
+    def test_a_shared_subtree_is_walked_once(self, monkeypatch):
+        # each level is the product of the one below with itself: 2^16
+        # paths through 17 nodes
+        calls = []
+        monkeypatch.setattr(expr, "children", lambda n: calls.append(n) or children(n))
+        e = Sym("x")
+        for _ in range(16):
+            e = Mul((e, e))
+        hash(e)
+        assert len(calls) == len(set(map(id, calls))) == 17
+
+    def test_shared_subtrees_hash_like_copies(self):
+        leaf = Add((Sym("x"), Num(Fraction(1))))
+        e = Mul((leaf, Pow(leaf, Num(Fraction(2))), Opaque("H", (leaf, Sym("y")))))
+        fresh = Mul((Add((Sym("x"), Num(Fraction(1)))),
+                     Pow(Add((Sym("x"), Num(Fraction(1)))), Num(Fraction(2))),
+                     Opaque("H", (Add((Sym("x"), Num(Fraction(1)))), Sym("y")))))
+        assert hash(e) == hash(fresh) and e == fresh
+        assert hash(Deriv(e.factors[2], (1,))) == hash(Deriv(fresh.factors[2], (1,)))
 
 
 class TestTraversal:

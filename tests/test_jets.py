@@ -3,26 +3,27 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from hessym import classify, jets
 from hessym.catalog import classification_rows
 from hessym.expr import (
-    EvalDomainError, OpaqueBinding, ZERO, add, diff, mul, neg, num, substitute,
-    sym,
+    EvalDomainError, ExprError, OpaqueBinding, ZERO, add, mul, neg, num, opaque,
+    pow_, substitute, sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
 from hessym.flows import _sample_poly
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    s2_of, s2_of_poly, sample_on_variety, solve_uyy, total_derivative,
+    s2_of, s2_of_poly, solve_uyy, total_derivative,
 )
 from hessym.normalize import DEFAULT_SEED, NonZero, ProvedZero, is_zero, normalize
 from hessym.parse import parse
 
-from _reference import eval_numeric
+from _reference import eval_numeric, sample_on_variety
 
 
 class TestJetTables:
@@ -148,16 +149,52 @@ class TestProlongation:
             assert lhs == rhs
 
 
+# dS2/du_ij and the u_yy solution as written out by hand: the references
+# that the ones derived from hessian2() must equal, Expr for Expr
+PRINTED_JET_DERIVATIVES = {
+    "xx": "u_yy + u_zz",
+    "yy": "u_xx + u_zz",
+    "zz": "u_xx + u_yy",
+    "xy": "-2*u_xy",
+    "yz": "-2*u_yz",
+    "xz": "-2*u_xz",
+}
+
+
+def printed_uyy(rhs):
+    return normalize(mul(add(rhs, parse("-u_xx*u_zz + u_xy^2 + u_yz^2 + u_xz^2")),
+                         pow_(parse("u_xx + u_zz"), num(-1))))
+
+
 class TestOperator:
     def test_jet_derivative_table(self):
-        s2 = hessian2()
-        for idx, want in S2_JET_DERIVATIVES.items():
-            assert normalize(diff(s2, f"u_{idx}")) == normalize(want)
+        assert S2_JET_DERIVATIVES == {idx: parse(text)
+                                      for idx, text in PRINTED_JET_DERIVATIVES.items()}
+
+    @pytest.mark.parametrize("rhs", [
+        opaque("f", sym("x"), sym("y"), sym("z")),
+        sym("f"),
+        parse("x^2 + z"),
+        parse("exp(2*x)*H(y, z) + u_xy", opaque_names={"H"}),
+    ])
+    def test_solve_uyy_is_the_printed_solution(self, rhs):
+        assert solve_uyy(rhs) == printed_uyy(rhs)
 
     def test_solve_uyy_restores_equation(self):
         rhs = parse("x^2 + z")
         s2 = substitute(hessian2(), {"u_yy": solve_uyy(rhs)})
         assert isinstance(is_zero(add(s2, neg(rhs))), ProvedZero)
+
+    def test_solve_uyy_follows_the_operator(self, monkeypatch):
+        # the planar Monge-Ampere operator: u_yy = (rhs + u_xy^2)/u_xx
+        monkeypatch.setattr(jets, "hessian2", lambda: parse("u_xx*u_yy - u_xy^2"))
+        assert solve_uyy(sym("f")) == normalize(parse("(f + u_xy^2)/u_xx"))
+
+    @pytest.mark.parametrize("text", ["u_yy^2 + u_xx*u_zz", "u_xx*u_yy^2 - u_xy^2 + u_yy"])
+    def test_an_operator_not_linear_in_u_yy_is_refused(self, text, monkeypatch):
+        monkeypatch.setattr(jets, "hessian2", lambda: parse(text))
+        with pytest.raises(ExprError, match="not linear in u_yy"):
+            solve_uyy(sym("f"))
 
     def test_invariance_residual_of_rotation_vanishes(self):
         rot = prolong2(vf(E4, y="z", z="-y"))
@@ -169,20 +206,57 @@ class TestOperator:
         assert isinstance(is_zero(add(r, mul(num(4), hessian2()))), ProvedZero)
 
 
+# right-hand sides for the samplers, and whether f has no value on part of
+# the draws: an EvalDomainError from a compiled f, a ZeroDivisionError from
+# a plain one
+VARIETY_RHS = [
+    (lambda x, y, z: x * x + y - z, False),
+    (OpaqueBinding.from_expr(("x", "y", "z"), parse("sqrt(x)*y + ln(z + 1)")).fn, True),
+    (lambda x, y, z: y / max(x, 0.0), True),
+]
+
+
 class TestVarietySampling:
     def test_points_satisfy_equation(self):
-        rng = random.Random(11)
-        f = lambda x, y, z: x * x + y - z  # noqa: E731
+        draw = partial(jets._draw, random.Random(11))
+        f = VARIETY_RHS[0][0]
         for _ in range(20):
-            pt = sample_on_variety(rng, f)
+            pt = dict(zip(jets._PIECE_VARS, jets._variety_point(draw, f)))
             s2 = eval_numeric(hessian2(), pt)
             assert abs(s2 - f(pt["x"], pt["y"], pt["z"])) < 1e-12
             assert abs(pt["u_xx"] + pt["u_zz"]) >= 0.25
 
-    def test_order3_jets_optional(self):
-        rng = random.Random(12)
-        pt = sample_on_variety(rng, lambda *_: 1.0, include_order3=True)
-        assert "u_xxx" in pt and "u_yzz" in pt
+    @pytest.mark.parametrize("seed", [1, 7, 11, 31, 12345])
+    @pytest.mark.parametrize("f_at, partial_domain", VARIETY_RHS)
+    def test_matches_the_dict_sampler(self, seed, f_at, partial_domain):
+        failures = []
+
+        def counted(*xyz):
+            try:
+                return f_at(*xyz)
+            except (ArithmeticError, EvalDomainError):
+                failures.append(xyz)
+                raise
+
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        draw = partial(jets._draw, rng)
+        for _ in range(40):
+            want = sample_on_variety(ref_rng, f_at)
+            assert jets._variety_point(draw, counted) == [
+                want[name] for name in jets._PIECE_VARS]
+        assert rng.getstate() == ref_rng.getstate()
+        assert (len(failures) > 10) if partial_domain else not failures
+
+    def test_gives_up_after_the_same_draws(self):
+        def nowhere(*_):
+            raise EvalDomainError("no value")
+
+        rng, ref_rng = random.Random(5), random.Random(5)
+        with pytest.raises(EvalDomainError, match="well-conditioned"):
+            jets._variety_point(partial(jets._draw, rng), nowhere)
+        with pytest.raises(EvalDomainError, match="well-conditioned"):
+            sample_on_variety(ref_rng, nowhere)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestCheckSymmetry:
@@ -210,6 +284,15 @@ class TestCheckSymmetry:
         # instead of turning complex
         with pytest.raises(EvalDomainError, match="negative base"):
             check_symmetry(vf(E4, x="y^(1/2)"), parse("x^(1/2)"), n=20)
+
+    def test_a_deeply_nested_rhs_is_an_expr_error(self):
+        # hashing the tree (an lru_cache key of the f binding) does not
+        # recurse, so the compile of f's derivative refuses it
+        f = parse("x")
+        for _ in range(180):
+            f = add(mul(sym("x"), f), num(1))
+        with pytest.raises(ExprError, match="nested too deeply"):
+            check_symmetry(vf(E4, u="1"), f, n=3)
 
     def test_negative_control(self):
         # d/dx is not a symmetry when f depends on x
@@ -284,7 +367,7 @@ def _no_diff(*_):
 def _reference_check(v, f_expr, inner=None, n=100, tol=1e-8, seed=DEFAULT_SEED,
                      f_failures=None, max_attempts=100):
     """check_symmetry as it was before the draws were shared: a fresh
-    random.Random(seed) per call and one sample_on_variety per point.
+    random.Random(seed) per call and one reference dict sampler per point.
     ``f_failures`` collects the points where f had no value."""
     binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
     pieces_at = jets._symmetry_pieces(v)({"f": binding})
@@ -323,7 +406,7 @@ def test_check_symmetry_gives_no_verdict_from_zero_points(n):
 
 
 class TestSharedDraws:
-    """check_symmetry against the per-call sample_on_variety loop."""
+    """check_symmetry against the per-call reference sampler loop."""
 
     def test_a_symmetry(self):
         v, f = vf(E4, y="z", z="-y"), parse("x + y^2 + z^2")

@@ -1,14 +1,16 @@
 """Suite reports: statuses, determinism, and rendering."""
 
+import ast
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hessym import catalog, fields, optimal, report
+from hessym import catalog, classify, fields, optimal, report
 from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
 from hessym.cli import main
 from hessym.expr import ZERO, mul, num
@@ -300,6 +302,55 @@ def test_equivalence_flags_but_never_fails(reports):
     assert by_status["generator-map"] == "pass"
     assert by_status["family-residual"] == "pass"
     assert "fail" not in by_status.values()
+
+
+def test_equivalence_statuses_follow_the_computed_flags(monkeypatch):
+    bila = classify.verify_bila_procedure()
+    reflections = classify.verify_reflection()
+
+    def statuses(bila_check, reflection_checks):
+        monkeypatch.setattr(classify, "verify_bila_procedure", lambda: bila_check)
+        monkeypatch.setattr(classify, "verify_reflection", lambda seed: reflection_checks)
+        return {r.check_id: r.status for r in run_suite("equivalence").records}
+
+    # psi_f = 0: every step-3 claim holds and nothing is flagged
+    held = bila._replace(step3=tuple((name, True) for name, _ in bila.step3),
+                         psi_f_text="0", flags=())
+    got = statuses(held, tuple(c._replace(flags=()) for c in reflections))
+    assert got["rhs-coefficient-claims"] == "pass"
+    assert got["reflection[polynomial]"] == got["reflection[transcendental]"] == "pass"
+
+    # a failing step-3 claim fails, flag or no flag
+    broken = (("xi_f", False),) + bila.step3[1:]
+    for check in (bila._replace(step3=broken), held._replace(step3=broken)):
+        assert statuses(check, reflections)["rhs-coefficient-claims"] == "fail"
+
+
+# the functions of report.py that may name a status value: the one rule
+# that makes a status, and the two that aggregate or count statuses
+STATUS_RULES = {"_status", "overall_status", "SuiteReport.counts"}
+
+
+def test_status_literals_only_in_the_status_rules():
+    # a status literal elsewhere is a status decided without the rule; a
+    # key that reads a count (counts["pass"]) decides none
+    tree = ast.parse(Path(report.__file__).read_text())
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            visit(node.value, scope)
+            return
+        elif (isinstance(node, ast.Constant) and node.value in ("pass", "flagged", "fail")
+              and scope not in STATUS_RULES):
+            found.append(f"{scope or '<module>'}:{node.lineno}: {node.value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    assert found == []
 
 
 def test_classification_flags_expected_rows(reports):
