@@ -157,20 +157,12 @@ class RowCheck(NamedTuple):
     flags: tuple[str, ...]
 
     @property
-    def ansatz_passed(self) -> bool:
-        return all(v.zero_like for v in self.ansatz_verdicts)
-
-    @property
-    def symmetry_passed(self) -> bool:
-        return self.symmetry_max_residual <= self.symmetry_tol
-
-    @property
     def passed(self) -> bool:
-        return self.ansatz_passed and self.symmetry_passed
+        return (all(v.zero_like for v in self.ansatz_verdicts)
+                and self.symmetry_max_residual <= self.symmetry_tol)
 
 
-def verify_row(row: ClassificationRow, *, param_values: Sequence[float] = PARAM_VALUES,
-               n_points: int = 60, tol: float = 1e-8, ansatz_tol: float = 1e-9,
+def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
                seed: int = DEFAULT_SEED) -> RowCheck:
     """Run the exact ansatz check and the randomized symmetry check.
 
@@ -183,7 +175,7 @@ def verify_row(row: ClassificationRow, *, param_values: Sequence[float] = PARAM_
     ansatz = tuple(
         is_zero(ansatz_residual(row, s if s is not None else 1), mode="auto",
                 bindings={"H": _h_binding(H_INSTANCES[1][1])}, n=40,
-                tol=ansatz_tol, seed=seed)
+                tol=1e-9, seed=seed)
         for s in signs
     )
 
@@ -191,7 +183,7 @@ def verify_row(row: ClassificationRow, *, param_values: Sequence[float] = PARAM_
     total = 0
     used_lifted = False
     for s in signs:
-        for val in (param_values if row.params else (None,)):
+        for val in (PARAM_VALUES if row.params else (None,)):
             values: dict[str, object] = {}
             if row.sign_param:
                 values[row.sign_param] = s
@@ -309,12 +301,10 @@ class ReflectionCheck(NamedTuple):
         return self.without_sign_flip.zero_like and not self.with_sign_flip.zero_like
 
 
-def verify_reflection(profiles: Sequence[str] = (
-        "x^3 + 2*x*y^2 - y*z^2 + x^2*z + x*y*z + y^3 + x^2*y^2",
-        "sin(x)*y + exp(z/3) + x^2*y + y^2*z",
-), seed: int = DEFAULT_SEED) -> tuple[ReflectionCheck, ...]:
+def verify_reflection(seed: int = DEFAULT_SEED) -> tuple[ReflectionCheck, ...]:
     out = []
-    for text in profiles:
+    for text in ("x^3 + 2*x*y^2 - y*z^2 + x^2*z + x*y*z + y^3 + x^2*y^2",
+                 "sin(x)*y + exp(z/3) + x^2*y + y^2*z"):
         U = parse(text)
         F = s2_of(U)
         U_ref = neg(_reflect(U))
@@ -419,8 +409,7 @@ class PrincipalCheck(NamedTuple):
                 and self.symmetry_max_residual <= self.tol)
 
 
-def verify_principal(n: int = 50, tol: float = 1e-8,
-                     seed: int = DEFAULT_SEED) -> PrincipalCheck:
+def verify_principal(n: int = 50, seed: int = DEFAULT_SEED) -> PrincipalCheck:
     """The determining system with a generic right-hand side pins down
     exactly the four u-affine symmetries, and each passes the on-variety
     check against a right-hand side with no special structure."""
@@ -440,6 +429,7 @@ def verify_principal(n: int = 50, tol: float = 1e-8,
     conditioned = determining_system(with_condition=True)
 
     generic_f = parse("sin(x) + y^2*z + exp(z/3) + x*y")
+    tol = 1e-8
     worst = 0.0
     total = 0
     for v in principal.fields:

@@ -182,9 +182,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = report.run_suites(names, seed=args.seed, tol=args.tol,
-                                points=args.points)
+    # a single suite refuses an option it does not read; verify all skips it
+    options = {"seed": args.seed, "tol": args.tol, "points": args.points}
+    reports = (report.run_suites(SUITE_NAMES, **options) if args.suite == "all"
+               else (report.run_suite(args.suite, **options),))
     text = (report.render_json(reports) if args.format == "json"
             else report.render_markdown(reports))
     _emit(text, args)

@@ -112,8 +112,9 @@ class Expr(Frozen, fields=()):
     """Base class; concrete nodes below, each a ``Frozen`` value over its
     ``__slots__``.  A node computes its hash once, on first use, and keeps
     it, so that a table keyed on a tree does not rehash the whole tree on
-    every lookup.  Hashing a tree does not recurse (``_hash_tree``), so
-    that a deep tree does not exhaust Python's stack."""
+    every lookup.  Neither hashing a tree (``_hash_tree``) nor comparing
+    two (``_tree_eq``) recurses, so that a deep tree does not exhaust
+    Python's stack."""
 
     __slots__ = ("_hash",)
 
@@ -533,6 +534,39 @@ def _hash_tree(e: Expr) -> None:
             stack += [(c, False) for c in children(n)]
 
 
+# what a node holds besides its subtrees
+_HEAD = {Num: attrgetter("value"), Sym: attrgetter("name"), Call: attrgetter("fn"),
+         Opaque: attrgetter("fn"), Deriv: attrgetter("target.fn", "slots")}
+
+
+def _tree_eq(a: Expr, b: object) -> bool:
+    """``a == b`` for a node with subtrees, without recursion: the hashes
+    first (hashing a root keeps a hash on each of its subtrees), then each
+    pair of subtrees by class, hash, head and arity, on an explicit stack."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    if hash(a) != hash(b):
+        return False
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__ or a._hash != b._hash:
+            return False
+        head = _HEAD.get(cls)
+        ka, kb = children(a), children(b)
+        if len(ka) != len(kb) or head is not None and head(a) != head(b):
+            return False
+        stack += zip(ka, kb)
+    return True
+
+
+for _cls in (Add, Mul, Pow, Call, Opaque, Deriv):  # a leaf keeps the key comparison
+    _cls.__eq__ = _tree_eq
+
+
 def children(e: Expr) -> tuple[Expr, ...]:
     """The subtrees of ``e`` in order: the terms of a sum, the factors of a
     product, base and exponent, the argument of a call, and the arguments
@@ -606,36 +640,26 @@ def free_symbols(e: Expr) -> frozenset[str]:
 # numeric evaluation
 
 class OpaqueBinding:
-    """Numeric evaluator for an opaque symbol and its formal derivatives.
-
-    Built either from callables (``fn`` for the value, ``derivs`` keyed by
-    sorted slot tuples) or, by ``from_expr``, from a closed-form body over
-    ``params``.  An expression binding binds the compiled derivative body
-    of each slot tuple to ``inner`` (the profiles the body itself applies)
-    on its first use, and keeps the result; ``fn`` is the slot tuple ().
-    Each (body, slots) is differentiated and compiled once per process,
-    however many bindings share the body.
+    """Numeric evaluator for an opaque symbol and its formal derivatives,
+    from a closed-form body over ``params``.  The compiled derivative body
+    of each slot tuple is bound to ``inner`` (the profiles the body itself
+    applies) on its first use and kept; ``fn`` is the slot tuple ().  Each
+    (body, slots) is differentiated and compiled once per process, however
+    many bindings share the body.
     """
 
-    def __init__(self, arity: int, fn: Callable[..., float] | None = None,
-                 derivs: Mapping[tuple[int, ...], Callable[..., float]] | None = None):
-        self.arity = arity
-        self._derivs: dict[tuple[int, ...], Callable[..., float]] = dict(derivs or {})
-        if fn is not None:
-            self._derivs[()] = fn
-        self.params: tuple[str, ...] = ()
-        self.body: Expr | None = None
-        self.inner: dict[str, OpaqueBinding] = {}
+    def __init__(self, params: Sequence[str], body: Expr,
+                 inner: Mapping[str, "OpaqueBinding"] | None = None):
+        self.params = tuple(params)
+        self.body = body
+        self.inner = dict(inner or {})
+        self._derivs: dict[tuple[int, ...], Callable[..., float]] = {}
 
     @classmethod
     def from_expr(cls, params: Sequence[str], body: Expr,
                   inner: Mapping[str, "OpaqueBinding"] | None = None) -> "OpaqueBinding":
         """Evaluator family of a closed-form body, compiled on first use."""
-        b = cls(len(params))
-        b.params = tuple(params)
-        b.body = body
-        b.inner = dict(inner or {})
-        return b
+        return cls(params, body, inner)
 
     @property
     def fn(self) -> Callable[..., float]:
@@ -645,8 +669,6 @@ class OpaqueBinding:
         slots = tuple(sorted(slots))
         if slots in self._derivs:
             return self._derivs[slots]
-        if self.body is None:
-            raise EvalError(f"no derivative evaluator bound for slots {slots}")
         fn = _slot_template(self.body, self.params, slots)(self.inner)
         self._derivs[slots] = fn
         return fn

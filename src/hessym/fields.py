@@ -304,22 +304,6 @@ class StructureTable(NamedTuple):
         n = self.dim
         return [[self.c[i][j][k] for j in range(n)] for k in range(n)]
 
-    def bracket_vector(self, a: Sequence[float], b: Sequence[float]) -> list[float]:
-        """Bilinear bracket on coordinate vectors (numeric)."""
-        n = self.dim
-        out = [0.0] * n
-        for i in range(n):
-            if a[i] == 0:
-                continue
-            for j in range(n):
-                if b[j] == 0:
-                    continue
-                for k in range(n):
-                    ck = self.c[i][j][k]
-                    if ck:
-                        out[k] += a[i] * b[j] * float(ck)
-        return out
-
     def check_antisymmetry(self) -> bool:
         n = self.dim
         return all(self.c[i][j][k] == -self.c[j][i][k]

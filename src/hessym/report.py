@@ -5,7 +5,9 @@ id, a status, the governing residual, and an anchor naming the published
 table, row, or case being rechecked.  Status semantics: ``fail`` marks a
 genuine mismatch, ``flagged`` marks a check that passes only under a
 documented corrected reading of the source (these never fail a run), and
-a suite fails iff some non-flagged record fails.
+a suite fails iff some non-flagged record fails.  A record holds whether
+its check passed and the flags it raised, and ``CheckRecord.status`` is
+the one rule that turns them into a status.
 
 JSON renderings are byte-identical across runs for a fixed seed; timing
 never enters them.
@@ -44,10 +46,19 @@ __all__ = [
 
 class CheckRecord(NamedTuple):
     check_id: str
-    status: str                 # pass | fail | flagged
+    passed: bool
     residual: float | None
     details: str
     anchor: str
+    flags: tuple[str, ...] = ()
+
+    @property
+    def status(self) -> str:
+        """fail if the check did not pass, else flagged if it raised a
+        flag, else pass."""
+        if not self.passed:
+            return "fail"
+        return "flagged" if self.flags else "pass"
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,16 +96,10 @@ class SuiteReport(NamedTuple):
         }
 
 
-def _status(passed: bool, flags: tuple[str, ...] = ()) -> str:
-    if not passed:
-        return "fail"
-    return "flagged" if flags else "pass"
-
-
 # ---------------------------------------------------------------------------
 # individual suites
 
-def suite_commutators(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
+def suite_commutators(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Recompute the bracket table of the reduced algebra and diff it
     against the published entries."""
     table = reduced_table()
@@ -108,14 +113,14 @@ def suite_commutators(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
             if not ok:
                 details += f" (published: {want})"
             records.append(CheckRecord(
-                f"bracket[{Z_NAMES[i]},{Z_NAMES[j]}]", _status(ok), None,
+                f"bracket[{Z_NAMES[i]},{Z_NAMES[j]}]", ok, None,
                 details, "structure-table:g8"))
     records.append(CheckRecord(
-        "antisymmetry", _status(table.check_antisymmetry()), None,
+        "antisymmetry", table.check_antisymmetry(), None,
         "c[i][j][k] = -c[j][i][k] for all entries, exact",
         "structure-table:g8"))
     records.append(CheckRecord(
-        "jacobi", _status(table.check_jacobi()), None,
+        "jacobi", table.check_jacobi(), None,
         "Jacobi identity holds exactly in coordinates",
         "structure-table:g8"))
     return SuiteReport("commutators", seed, tuple(records))
@@ -143,10 +148,9 @@ def _expm(A: Rows) -> Rows:
     return P
 
 
-def suite_adjoint(seed: int = DEFAULT_SEED, tol: float | None = None, **_) -> SuiteReport:
+def suite_adjoint(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> SuiteReport:
     """Closed forms of the eight adjoint matrices against the published
     entries, plus a numeric cross-check against the matrix exponential."""
-    tol = 1e-10 if tol is None else tol
     table = reduced_table()
     records = []
     for gen, ad in enumerate(reduced_adjoints(), start=1):
@@ -169,7 +173,7 @@ def suite_adjoint(seed: int = DEFAULT_SEED, tol: float | None = None, **_) -> Su
                    f"max deviation from expm(-eps ad) is {dev:.2e}"
                    if not mismatches else "; ".join(mismatches))
         records.append(CheckRecord(
-            f"adjoint[Z{gen}]", _status(ok), dev, details,
+            f"adjoint[Z{gen}]", ok, dev, details,
             f"adjoint-table:Z{gen}"))
     return SuiteReport("adjoint", seed, tuple(records))
 
@@ -199,18 +203,16 @@ def _scrambled_normal_form(pid: str, rng: random.Random,
     return [v * scale for v in a], sign, params
 
 
-def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
-                  points: int | None = None, **_) -> SuiteReport:
+def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
+                  points: int = 10000) -> SuiteReport:
     """Bulk random reductions with two-route replay, a scrambled
     representative of every normal form, and the hand-picked vectors that
     walk the main proof branches.  ``tol`` bounds the replay deviation."""
-    tol = 1e-9 if tol is None else tol
-    n = 10000 if points is None else points
     rng = random.Random(seed)
     worst = 0.0
     failures = 0
     seen: dict[str, int] = {}
-    for _ in range(n):
+    for _ in range(points):
         a = [rng.uniform(-2, 2) for _ in range(8)]
         for i in rng.sample(range(8), rng.randrange(8)):
             a[i] = 0.0
@@ -240,11 +242,11 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
                        for k, v in params.items())):
             lost.append(f"{pid} -> {tr.pattern}")
     records = [
-        CheckRecord("random-reduction", _status(ok), worst,
-                    f"{n - failures}/{n} vectors reduced to a normal form; "
+        CheckRecord("random-reduction", ok, worst,
+                    f"{points - failures}/{points} vectors reduced to a normal form; "
                     f"worst two-route replay deviation {worst:.2e}",
                     "optimal-system"),
-        CheckRecord("pattern-coverage", _status(not lost), None,
+        CheckRecord("pattern-coverage", not lost, None,
                     f"scrambled representatives of the {len(OPTIMAL_PATTERNS)} normal "
                     "forms reduce back to their pattern, sign and parameters"
                     + (f" except {', '.join(lost)}" if lost else "")
@@ -262,37 +264,33 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float | None = None,
         dev = optimal.replay_deviation(tr)
         ok = tr.pattern == want and dev < tol
         records.append(CheckRecord(
-            cid, _status(ok), dev,
+            cid, ok, dev,
             f"{vec} -> pattern {tr.pattern} in {len(tr.steps)} steps",
             f"optimal-system:{want}"))
     return SuiteReport("optimal", seed, tuple(records))
 
 
-def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
-                      points: int | None = None, **_) -> SuiteReport:
+def suite_determining(seed: int = DEFAULT_SEED, tol: float = 1e-8,
+                      points: int = 200) -> SuiteReport:
     """The invariance identity of the twelve-constant candidate, its
     numeric oracle, the free constants, and the principal span."""
-    tol = 1e-8 if tol is None else tol
-    n = 200 if points is None else points
-
     verdict = is_zero(add(determining.residual_on_variety(), determining.symmetry_condition()),
                       mode="symbolic")
     records = [CheckRecord(
-        "symbolic-identity", _status(verdict.zero_like), None,
+        "symbolic-identity", verdict.zero_like, None,
         f"restricted residual of the solved candidate collapses to minus "
         f"the first-order condition on f: {verdict}",
         "determining-system")]
 
-    chk = determining.numeric_invariance_check(n=n, seed=seed)
+    chk = determining.numeric_invariance_check(n=points, seed=seed, tol=tol)
     records.append(CheckRecord(
-        "numeric-oracle", _status(chk.max_residual <= tol), chk.max_residual,
+        "numeric-oracle", chk.passed, chk.max_residual,
         f"unrestricted residual plus transport condition on {chk.n_points} "
         f"on-variety points with random constants: max {chk.max_residual:.2e}",
         "determining-system"))
 
-    absent = determining.free_constants_absent()
     records.append(CheckRecord(
-        "free-constants", _status(absent), None,
+        "free-constants", determining.free_constants_absent(), None,
         f"additive constants {', '.join(determining.FREE_CONSTANTS)} impose no condition",
         "determining-system"))
 
@@ -300,7 +298,7 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
     span = ("matching the principal algebra" if pr.matches_principal
             else "that differs from the principal algebra")
     records.append(CheckRecord(
-        "principal-span", _status(pr.passed), pr.symmetry_max_residual,
+        "principal-span", pr.passed, pr.symmetry_max_residual,
         f"generic right-hand side leaves a {pr.dimension}-dimensional span "
         f"{span}; conditioned family has dimension "
         f"{pr.family_dimension}; worst on-variety residual "
@@ -310,34 +308,33 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float | None = None,
     return SuiteReport("determining", seed, tuple(records))
 
 
-def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
+def suite_equivalence(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Replay of the equivalence-algebra derivation and of the discrete
     reflection, with the two documented printed slips flagged."""
     bila = classify.verify_bila_procedure()
     records = [
-        CheckRecord("family-residual", _status(bila.main_residual.zero_like),
+        CheckRecord("family-residual", bila.main_residual.zero_like,
                     None, f"prolonged candidate annihilates the equation on "
                     f"the variety: {bila.main_residual}",
                     "equivalence-derivation"),
         CheckRecord("auxiliary-residual",
-                    _status(bila.auxiliary_residual.zero_like), None,
+                    bila.auxiliary_residual.zero_like, None,
                     f"augmentation system residual: {bila.auxiliary_residual}",
                     "equivalence-derivation"),
-        CheckRecord("coefficient-independence", _status(all(ok for _, ok in bila.step2)),
+        CheckRecord("coefficient-independence", all(ok for _, ok in bila.step2),
                     None, "; ".join(f"{name}: {'holds' if ok else 'fails'}"
                                     for name, ok in bila.step2),
                     "equivalence-derivation"),
     ]
     step3_ok = all(ok for name, ok in bila.step3 if not name.startswith("psi"))
     records.append(CheckRecord(
-        "rhs-coefficient-claims", _status(step3_ok, bila.flags), None,
+        "rhs-coefficient-claims", step3_ok, None,
         "; ".join(f"{name}: {'holds' if ok else 'fails'}" for name, ok in bila.step3)
         + f"; psi_f = {bila.psi_f_text}, consistent with the listed scalings "
         "but not with the stated f-independence",
-        "equivalence-derivation"))
+        "equivalence-derivation", bila.flags))
     records.append(CheckRecord(
-        "generator-map", _status(bila.dimension == 12
-                                 and len(bila.generator_map) == 12), None,
+        "generator-map", bila.dimension == 12 and len(bila.generator_map) == 12, None,
         f"{bila.dimension} one-hot constants map onto the 12 generators: "
         + ", ".join(f"{c}->{y}" for c, y in bila.generator_map),
         "equivalence-generators"))
@@ -345,23 +342,18 @@ def suite_equivalence(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
     for kind, chk in zip(("polynomial", "transcendental"),
                          classify.verify_reflection(seed=seed)):
         records.append(CheckRecord(
-            f"reflection[{kind}]", _status(chk.passed, chk.flags), None,
+            f"reflection[{kind}]", chk.passed, None,
             f"u(-x,-y,-z) maps the right-hand side to f(-x,-y,-z): "
             f"{chk.without_sign_flip}; the stated extra sign flip gives "
-            f"{chk.with_sign_flip}", "discrete-reflection"))
+            f"{chk.with_sign_flip}", "discrete-reflection", chk.flags))
     return SuiteReport("equivalence", seed, tuple(records))
 
 
-def suite_classification(seed: int = DEFAULT_SEED, tol: float | None = None,
-                         points: int | None = None, **_) -> SuiteReport:
+def suite_classification(seed: int = DEFAULT_SEED, tol: float = 1e-8,
+                         points: int = 60) -> SuiteReport:
     """Both checks on every classification row."""
-    kwargs: dict = {"seed": seed}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if points is not None:
-        kwargs["n_points"] = points
     records = []
-    for chk in classify.verify_all_rows(**kwargs):
+    for chk in classify.verify_all_rows(seed=seed, tol=tol, n_points=points):
         details = ("ansatz " + ", ".join(str(v) for v in chk.ansatz_verdicts)
                    + f"; symmetry max residual {chk.symmetry_max_residual:.2e} "
                    f"over {chk.symmetry_n_points} points")
@@ -370,13 +362,12 @@ def suite_classification(seed: int = DEFAULT_SEED, tol: float | None = None,
         if chk.flags:
             details += "; flags: " + ", ".join(chk.flags)
         records.append(CheckRecord(
-            f"row[{chk.row_id}]", _status(chk.passed, chk.flags),
-            chk.symmetry_max_residual, details,
-            f"classification-table:{chk.row_id}"))
+            f"row[{chk.row_id}]", chk.passed, chk.symmetry_max_residual,
+            details, f"classification-table:{chk.row_id}", chk.flags))
     return SuiteReport("classification", seed, tuple(records))
 
 
-def suite_invariants(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
+def suite_invariants(seed: int = DEFAULT_SEED) -> SuiteReport:
     """The worked invariant examples: annihilation, independence, and
     whether f can be solved for."""
     records = []
@@ -386,26 +377,23 @@ def suite_invariants(seed: int = DEFAULT_SEED, **_) -> SuiteReport:
                    + ("an invariant depends on f"
                       if chk.f_solvable else "no invariant involves f"))
         records.append(CheckRecord(
-            f"invariants[{chk.label}]", _status(chk.passed), None, details,
+            f"invariants[{chk.label}]", chk.passed, None, details,
             f"worked-invariants:{chk.label}"))
     return SuiteReport("invariants", seed, tuple(records))
 
 
-def suite_flows(seed: int = DEFAULT_SEED, tol: float | None = None,
-                points: int | None = None, **_) -> SuiteReport:
+def suite_flows(seed: int = DEFAULT_SEED, tol: float = 1e-7,
+                points: int = 20) -> SuiteReport:
     """Group law, generator recovery, equivariance, and the printed
-    transforms for all fifteen cases, plus the base-family identity."""
-    kwargs: dict = {"seed": seed}
-    if points is not None:
-        kwargs["n_points"] = points
-    records = []
+    transforms for all fifteen cases, plus the base-family identity.
+    ``tol`` bounds the equivariance residual."""
     base = normalize(sub(jets.s2_of(flows.tian_base(with_bump=False)),
                          parse("t1*t2 + t1*t3 + t2*t3")))
-    records.append(CheckRecord(
-        "base-family", _status(base == ZERO), None,
+    records = [CheckRecord(
+        "base-family", base == ZERO, None,
         "S2 of the quadratic base equals t1*t2 + t1*t3 + t2*t3 exactly",
-        "base-family"))
-    for chk in flows.verify_all_cases(**kwargs):
+        "base-family")]
+    for chk in flows.verify_all_cases(seed=seed, tol=tol, n_points=points):
         matched = ", ".join(f"({s:+d},{m})" for s, m in chk.matched_readings)
         details = (f"group law {chk.group_law_residual:.1e}; generator "
                    f"{chk.generator_residual:.1e}; equivariance "
@@ -414,12 +402,9 @@ def suite_flows(seed: int = DEFAULT_SEED, tol: float | None = None,
                    f"[{matched}]")
         if chk.reparametrization:
             details += f"; {chk.reparametrization}"
-        effective_tol = chk.equivariance_tol if tol is None else tol
-        ok = chk.passed and chk.equivariance_max_residual <= effective_tol
         records.append(CheckRecord(
-            f"case[{chk.case_id}]", _status(ok, chk.flags),
-            chk.equivariance_max_residual, details,
-            f"transform-case:{chk.case_id}"))
+            f"case[{chk.case_id}]", chk.passed, chk.equivariance_max_residual,
+            details, f"transform-case:{chk.case_id}", chk.flags))
     return SuiteReport("flows", seed, tuple(records))
 
 
@@ -439,33 +424,47 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
-              points: int | None = None) -> SuiteReport:
+def _reads(name: str) -> tuple[str, ...]:
+    """The parameter names of suite ``name``: the options it reads."""
     if name not in _SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        + ", ".join(SUITE_NAMES))
+    code = _SUITES[name].__code__
+    return code.co_varnames[:code.co_argcount]
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
+              points: int | None = None) -> SuiteReport:
+    """Run suite ``name``; a ``tol`` or ``points`` left at None takes the
+    suite's default, and one the suite does not read is a ValueError."""
+    reads = _reads(name)
     if points is not None and points < 1:  # no check passes on zero points
         raise ValueError(f"points must be at least 1, got {points}")
+    options = {k: v for k, v in (("tol", tol), ("points", points)) if v is not None}
+    for key in options:
+        if key not in reads:
+            raise ValueError(f"the {name} suite does not read {key}")
     t0 = time.perf_counter()
-    rep = _SUITES[name](seed=seed, tol=tol, points=points)
+    rep = _SUITES[name](seed=seed, **options)
     return SuiteReport(rep.suite, rep.seed, rep.records,
                        time.perf_counter() - t0)
 
 
 def run_suites(names, seed: int = DEFAULT_SEED, tol: float | None = None,
                points: int | None = None) -> tuple[SuiteReport, ...]:
-    return tuple(run_suite(n, seed=seed, tol=tol, points=points) for n in names)
+    """Run each suite of ``names``, giving ``tol`` and ``points`` only to
+    the suites that read them."""
+    return tuple(run_suite(n, seed=seed,
+                           tol=tol if "tol" in _reads(n) else None,
+                           points=points if "points" in _reads(n) else None)
+                 for n in names)
 
 
 def overall_status(items) -> str:
     """fail if any of the records or reports failed, else flagged if any
     was flagged, else pass."""
     statuses = {r.status for r in items}
-    if "fail" in statuses:
-        return "fail"
-    if "flagged" in statuses:
-        return "flagged"
-    return "pass"
+    return next((s for s in ("fail", "flagged") if s in statuses), "pass")
 
 
 def render_json(reports) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import ast
+import inspect
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hessym
+from hessym import report
 from hessym.cli import main
 
 
@@ -439,6 +441,67 @@ def test_options_a_command_would_ignore_are_unrecognized(capsys, command, option
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+
+
+# the ones of --tol and --points that each suite of verify reads; every
+# suite takes --seed
+SUITE_READS = {
+    "commutators": (), "adjoint": ("--tol",), "optimal": ("--tol", "--points"),
+    "determining": ("--tol", "--points"), "equivalence": (),
+    "classification": ("--tol", "--points"), "invariants": (),
+    "flows": ("--tol", "--points"),
+}
+
+
+@pytest.mark.parametrize("suite,option", [
+    (suite, option) for suite in SUITE_READS
+    for option in (["--tol", "1e-3"], ["--points", "5"])
+    if option[0] not in SUITE_READS[suite]])
+def test_verify_refuses_an_option_the_suite_does_not_read(capsys, suite, option):
+    code, out, err = run(capsys, "verify", suite, *option)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: the {suite} suite does not read {option[0][2:]}"]
+
+
+def _stub_suites(received):
+    """Stand-ins for the suites of verify, each with the parameters of the
+    real one, noting the options it was given."""
+    def note(name, **given):
+        received[name] = {k: v for k, v in given.items() if v is not None}
+        return report.SuiteReport(name, given["seed"], ())
+
+    kinds = {
+        (): lambda name: lambda seed: note(name, seed=seed),
+        ("--tol",): lambda name: lambda seed, tol=None: note(name, seed=seed, tol=tol),
+        ("--tol", "--points"): lambda name: lambda seed, tol=None, points=None: note(
+            name, seed=seed, tol=tol, points=points),
+    }
+    return {name: kinds[reads](name) for name, reads in SUITE_READS.items()}
+
+
+def test_each_suite_gets_only_the_options_it_reads(monkeypatch, capsys):
+    for name, suite in report._SUITES.items():
+        params = tuple(inspect.signature(suite).parameters)
+        assert params == ("seed",) + tuple(o[2:] for o in SUITE_READS[name])
+    received = {}
+    monkeypatch.setattr(report, "_SUITES", _stub_suites(received))
+    given = {"seed": 5, "tol": 1e-3, "points": 5}
+    code, _, _ = run(capsys, "verify", "all", "--seed", "5", "--tol", "1e-3", "--points", "5")
+    assert code == 0
+    assert received == {name: {k: given[k] for k in ("seed",) + tuple(o[2:] for o in reads)}
+                        for name, reads in SUITE_READS.items()}
+    for name in SUITE_READS:
+        received.clear()
+        assert run(capsys, "verify", name, "--seed", "5")[0] == 0
+        assert received == {name: {"seed": 5}}
+
+
+def test_verify_all_takes_tol_and_points(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--tol", "1e-3", "--points", "5",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["status"] == "flagged"
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

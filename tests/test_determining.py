@@ -28,8 +28,8 @@ class TestSymmetryDetermining:
         verdict = is_zero(add(r_sub, symmetry_condition()))
         assert isinstance(verdict, ProvedZero)
 
-    def test_additive_constants_are_free(self, r_sub):
-        assert free_constants_absent(r_sub)
+    def test_additive_constants_are_free(self):
+        assert free_constants_absent()
         assert set(FREE_CONSTANTS) <= set(SYMMETRY_CONSTANTS)
 
     def test_scaling_constants_do_constrain(self, r_sub):

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,10 +354,11 @@ class TestEval:
         # derivatives behind recursive evaluators as well
         h_params, h_body = ("p", "q"), parse("p^2*q + sin(q) + 1")
         H = OpaqueBinding.from_expr(h_params, h_body)
-        h_ref = OpaqueBinding(2, lambda p, q: eval_numeric(h_body, {"p": p, "q": q}), {
+        h_derivs = {
             slots: (lambda d: lambda p, q: eval_numeric(d, {"p": p, "q": q}))(
                 _diff_slots(h_body, h_params, slots))
-            for slots in ((1,), (2,), (1, 1), (1, 2), (2, 2))})
+            for slots in ((), (1,), (2,), (1, 1), (1, 2), (2, 2))}
+        h_ref = SimpleNamespace(fn=h_derivs[()], deriv=h_derivs.__getitem__)
         rng = random.Random(7000)
         nrng = np.random.default_rng(8000)
         rename = {"x": sym("a"), "y": sym("b"), "z": sym("c"), "u": sym("a")}
@@ -617,10 +619,12 @@ class TestFrozenValues:
 
 class TestHash:
     @staticmethod
-    def _deep(depth, hash_each_level=False):
-        e = Sym("x")
+    def _deep(depth, hash_each_level=False, leaf="x", changed=None):
+        # ``changed`` is a level whose sin argument is 9 instead of 1, 2 or 3
+        e = Sym(leaf)
         for k in range(depth):
-            e = Add((Mul((Sym("x"), e)), Call("sin", Num(Fraction(k % 3 + 1)))))
+            arg = Num(Fraction(9 if k == changed else k % 3 + 1))
+            e = Add((Mul((Sym("x"), e)), Call("sin", arg)))
             if hash_each_level:
                 hash(e)
         return e
@@ -649,6 +653,41 @@ class TestHash:
                      Opaque("H", (Add((Sym("x"), Num(Fraction(1)))), Sym("y")))))
         assert hash(e) == hash(fresh) and e == fresh
         assert hash(Deriv(e.factors[2], (1,))) == hash(Deriv(fresh.factors[2], (1,)))
+
+
+class TestEq:
+    def test_deep_trees_compare_without_recursion(self):
+        # 5,000 levels, built twice: equal, far past Python's stack for a
+        # recursive comparison; a changed leaf makes them unequal
+        a, b = TestHash._deep(5000), TestHash._deep(5000)
+        assert a is not b
+        assert (a == b) is True and (a != b) is False
+        for other in (TestHash._deep(5000, leaf="y"), TestHash._deep(5000, changed=2500),
+                      TestHash._deep(4999)):
+            assert (a == other) is False and (a != other) is True
+
+    def test_equality_is_structural_on_random_trees(self):
+        # against repr, which spells out every field: pairs of random trees
+        # built apart, half of them from the same draws
+        rng = random.Random(77)
+        equal = 0
+        for k in range(2000):
+            seed = rng.randrange(100)
+            a = random_expr(random.Random(seed), 3)
+            b = random_expr(random.Random(seed if k % 2 else rng.randrange(100)), 3)
+            assert (a == b) == (repr(a) == repr(b))
+            assert (a != b) == (repr(a) != repr(b))
+            equal += a == b
+        assert 1000 <= equal < 2000
+
+    def test_heads_and_arity_decide(self):
+        x, y = Sym("x"), Sym("y")
+        h = Opaque("H", (x, y))
+        assert Call("sin", x) != Call("cos", x) and Opaque("G", (x, y)) != h
+        assert Deriv(h, (1,)) != Deriv(h, (2,)) != Deriv(Opaque("G", (x, y)), (2,))
+        assert Add((x, y)) != Add((x, y, x)) and Mul((x, y)) != Add((x, y))
+        assert Pow(x, Num(Fraction(2))) == Pow(Sym("x"), Num(Fraction(2)))
+        assert Add((x, y)) != "x + y"
 
 
 class TestTraversal:

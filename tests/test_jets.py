@@ -294,6 +294,17 @@ class TestCheckSymmetry:
         with pytest.raises(ExprError, match="nested too deeply"):
             check_symmetry(vf(E4, u="1"), f, n=3)
 
+    def test_a_deeply_nested_rhs_is_an_expr_error_again(self):
+        # a second call with an equal f built anew finds the first f among
+        # the keys of the binding's compile caches; comparing the two does
+        # not recurse either
+        for _ in range(2):
+            f = parse("x")
+            for _ in range(180):
+                f = add(mul(sym("x"), f), num(1))
+            with pytest.raises(ExprError, match="nested too deeply to compile"):
+                check_symmetry(vf(E4, u="1"), f, n=3)
+
     def test_negative_control(self):
         # d/dx is not a symmetry when f depends on x
         chk = check_symmetry(vf(E4, x="1"), parse("x*y + z^2"), n=20)

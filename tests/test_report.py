@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessym import catalog, classify, fields, optimal, report
+from hessym import catalog, classify, determining, fields, flows, optimal, report
 from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
 from hessym.cli import main
 from hessym.expr import ZERO, mul, num
@@ -328,7 +328,7 @@ def test_equivalence_statuses_follow_the_computed_flags(monkeypatch):
 
 # the functions of report.py that may name a status value: the one rule
 # that makes a status, and the two that aggregate or count statuses
-STATUS_RULES = {"_status", "overall_status", "SuiteReport.counts"}
+STATUS_RULES = {"CheckRecord.status", "overall_status", "SuiteReport.counts"}
 
 
 def test_status_literals_only_in_the_status_rules():
@@ -351,6 +351,69 @@ def test_status_literals_only_in_the_status_rules():
 
     visit(tree, "")
     assert found == []
+
+
+def test_suites_take_only_the_options_they_read():
+    # a suite names each option it reads, so that run_suite can refuse the
+    # others: no **kwargs that would swallow them, and nothing beyond the
+    # three options verify has
+    tree = ast.parse(Path(report.__file__).read_text())
+    suites = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("suite_")]
+    assert len(suites) == len(SUITE_NAMES)
+    for node in suites:
+        args = node.args
+        assert args.kwarg is None and args.vararg is None, node.name
+        assert not args.kwonlyargs and not args.posonlyargs, node.name
+        names = [a.arg for a in args.args]
+        assert names[0] == "seed" and set(names) <= {"seed", "tol", "points"}, node.name
+
+
+@pytest.mark.parametrize("residual,check_tol,status", [
+    (1e-3, 1e-2, "pass"),      # past the suite's 1e-8, within the check's bound
+    (1e-12, 1e-15, "fail"),    # within 1e-8, past the check's bound
+])
+def test_numeric_oracle_takes_its_status_from_the_check(monkeypatch, residual,
+                                                        check_tol, status):
+    # the suite hands its tolerance to the check and records the check's
+    # verdict; it compares no residual itself
+    given = []
+
+    def check(n, seed, tol):
+        given.append(tol)
+        return determining.NumericCheck(residual, n, check_tol)
+
+    monkeypatch.setattr(determining, "numeric_invariance_check", check)
+    for tol in (None, 1e-5):
+        rec = run_suite("determining", points=3, tol=tol).records[1]
+        assert rec.check_id == "numeric-oracle"
+        assert rec.status == status
+        assert rec.residual == residual
+    assert given == [1e-8, 1e-5]
+
+
+def test_flows_tol_replaces_the_equivariance_bound(monkeypatch, capsys):
+    # a weight off by 1e-6 puts every case's equivariance residual between
+    # the default bound 1e-7 and 1e-5: a looser --tol passes the cases and
+    # a tighter one fails them
+    honest = {r.check_id: r.status for r in run_suite("flows", points=4).records}
+    weight = flows.equivariance_weight
+    monkeypatch.setattr(flows, "equivariance_weight",
+                        lambda v: weight(v) + Fraction(1, 10**6))
+    default = run_suite("flows", points=4)
+    cases = [r for r in default.records if r.check_id.startswith("case[")]
+    assert len(cases) == 15
+    assert all(1e-7 < r.residual < 1e-6 and r.status == "fail" for r in cases)
+    loose = run_suite("flows", points=4, tol=1e-5)
+    assert {r.check_id: r.status for r in loose.records} == honest
+    assert [r.residual for r in loose.records] == [r.residual for r in default.records]
+    tight = run_suite("flows", points=4, tol=min(r.residual for r in cases) / 2)
+    assert all(r.status == "fail" for r in tight.records if r.check_id.startswith("case["))
+    argv = ["verify", "flows", "--points", "4", "--format", "json"]
+    assert main(argv) == 1
+    assert main(argv + ["--tol", "1e-5"]) == 0
+    assert main(argv + ["--tol", "1e-7"]) == 1
+    capsys.readouterr()
 
 
 def test_classification_flags_expected_rows(reports):
@@ -385,17 +448,34 @@ def test_flows_flags_printed_factor_cases(reports):
 # ---------------------------------------------------------------------------
 # aggregation and rendering
 
-def _rec(status):
-    return CheckRecord("c", status, None, "d", "a")
+def _rec(passed, flags=()):
+    return CheckRecord("c", passed, None, "d", "a", flags)
+
+
+PASSED, FLAGGED, FAILED = _rec(True), _rec(True, ("a-flag",)), _rec(False)
+
+
+@pytest.mark.parametrize("passed,flags,status", [
+    (True, (), "pass"),
+    (True, ("a-flag",), "flagged"),
+    (True, ("a-flag", "another"), "flagged"),
+    (False, (), "fail"),
+    (False, ("a-flag",), "fail"),
+])
+def test_the_status_rule(passed, flags, status):
+    rec = _rec(passed, flags)
+    assert rec.status == status
+    assert rec.to_json_dict() == {"id": "c", "status": status, "residual": None,
+                                  "details": "d", "anchor": "a"}
 
 
 def test_status_aggregation():
-    assert SuiteReport("s", 0, (_rec("pass"), _rec("pass"))).status == "pass"
-    assert SuiteReport("s", 0, (_rec("pass"), _rec("flagged"))).status == "flagged"
-    assert SuiteReport("s", 0, (_rec("flagged"), _rec("fail"))).status == "fail"
-    assert overall_status([SuiteReport("a", 0, (_rec("flagged"),)),
-                           SuiteReport("b", 0, (_rec("pass"),))]) == "flagged"
-    assert overall_status([SuiteReport("a", 0, (_rec("fail"),))]) == "fail"
+    assert SuiteReport("s", 0, (PASSED, PASSED)).status == "pass"
+    assert SuiteReport("s", 0, (PASSED, FLAGGED)).status == "flagged"
+    assert SuiteReport("s", 0, (FLAGGED, FAILED)).status == "fail"
+    assert overall_status([SuiteReport("a", 0, (FLAGGED,)),
+                           SuiteReport("b", 0, (PASSED,))]) == "flagged"
+    assert overall_status([SuiteReport("a", 0, (FAILED,))]) == "fail"
 
 
 def test_json_shape_and_determinism(reports):
