@@ -8,7 +8,8 @@ This module records the equivalence algebra on (x, y, z, u, f), its
 projection to (x, y, z, f) used for classification, the principal
 symmetries, and the classification rows (invariant right-hand sides f
 with their extra symmetry), as plain data the verification routines
-consume.  Row constants: s is a sign (+1 or -1), the a*/b*/g* names are
+consume, and the one rule that turns a check's outcome into a status.
+Row constants: s is a sign (+1 or -1), the a*/b*/g* names are
 continuous parameters restricted by the row's constraints.
 """
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .expr import ZERO, Expr, add, free_symbols, mul, num, sym
+from .expr import ZERO, Expr, free_symbols, num, sym
 from .fields import (
     E4, E5, P4, AdjointMatrix, LieBasis, StructureTable, VectorField, adjoint,
     project, structure_table, vf,
@@ -27,10 +28,10 @@ from .fields import (
 __all__ = [
     "equivalence_basis", "reduced_basis", "principal_basis",
     "reduced_table", "reduced_adjoints",
-    "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced", "reduced_f_weight",
+    "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced",
     "ClassificationRow", "classification_rows", "row_by_id",
     "InvariantDataset", "invariant_datasets", "OPTIMAL_PATTERNS",
-    "PUBLISHED_BRACKETS", "PUBLISHED_ADJOINT", "SUITE_NAMES",
+    "PUBLISHED_BRACKETS", "PUBLISHED_ADJOINT", "SUITE_NAMES", "check_status",
 ]
 
 
@@ -110,13 +111,6 @@ def lift_reduced(coeffs: Sequence[Expr | Fraction | int | str]) -> VectorField:
             continue
         total = total.plus(project(eq.fields[yi - 1], E4).scaled(ce))
     return total
-
-
-def reduced_f_weight(coeffs: Sequence[Expr | Fraction | int | str]) -> Expr:
-    """f-coefficient of a reduced combination: 2*a7 - 4*a8 (times f)."""
-    def as_expr(c):
-        return sym(c) if isinstance(c, str) else (num(c) if not isinstance(c, Expr) else c)
-    return add(mul(num(2), as_expr(coeffs[6])), mul(num(-4), as_expr(coeffs[7])))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +368,15 @@ def invariant_datasets() -> tuple[InvariantDataset, ...]:
 
 
 # ---------------------------------------------------------------------------
-# verification suites, in `verify all` order (report.py runs them)
+# the suites, in `verify all` order (report.py runs them), and the status rule
 
 SUITE_NAMES = ("commutators", "adjoint", "optimal", "determining",
                "equivalence", "classification", "invariants", "flows")
+
+
+def check_status(passed: bool, flagged: bool = False) -> str:
+    """The status rule: fail if the check did not pass, else flagged if
+    it raised a flag, else pass."""
+    if not passed:
+        return "fail"
+    return "flagged" if flagged else "pass"

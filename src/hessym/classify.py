@@ -25,7 +25,6 @@ from .catalog import (
     invariant_datasets,
     principal_basis,
     reduced_basis,
-    reduced_f_weight,
 )
 from .determining import (
     CONSTANT_TO_EQUIVALENCE,
@@ -86,7 +85,7 @@ PARAM_VALUES: tuple[float, ...] = (1.0, -1.5)
 @lru_cache(maxsize=None)
 def _h_binding(body: str) -> OpaqueBinding:
     """One binding per profile body, so that each derivative compiles once."""
-    return OpaqueBinding.from_expr(("a", "b"), parse(body))
+    return OpaqueBinding(("a", "b"), parse(body))
 
 
 def _as_num(v) -> Expr:
@@ -126,7 +125,8 @@ def ansatz_residual(row: ClassificationRow, sign_value: int = 1) -> Expr:
     """Classifying-condition residual of the row's stated f.
 
     The surface f = F(x, y, z) is invariant under the reduced combination
-    A = sum a_k Z_k exactly when (2 a7 - 4 a8) F - A_spatial(F) = 0.  The
+    A = sum a_k Z_k exactly when w F - A_spatial(F) = 0, where w F is A's
+    f-component (w = 2 a7 - 4 a8, read off the combined field).  The
     sign parameter is substituted (its constraint s^2 = 1 is not a rational
     identity); continuous parameters stay symbolic.
     """
@@ -136,7 +136,7 @@ def ansatz_residual(row: ClassificationRow, sign_value: int = 1) -> Expr:
     F = parse(row.f_text)
     if row.sign_param:
         F = substitute(F, {row.sign_param: num(sign_value)})
-    terms = [mul(reduced_f_weight(coeffs), F)]
+    terms = [mul(diff(field.coeff("f"), "f"), F)]
     for s in SPATIAL:
         xi = field.coeff(s)
         if xi != ZERO:

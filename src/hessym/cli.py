@@ -21,6 +21,7 @@ from .catalog import (
     SUITE_NAMES,
     V_NAMES,
     Y_NAMES,
+    check_status,
     equivalence_basis,
     principal_basis,
     reduced_adjoints,
@@ -192,7 +193,7 @@ def cmd_verify(args) -> int:
     for rep in reports:
         print(f"{rep.suite}: {rep.status} in {rep.wall_time:.2f}s",
               file=sys.stderr)
-    return 0 if report.overall_status(reports) != "fail" else 1
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_reduce(args) -> int:
@@ -239,7 +240,7 @@ def cmd_check_symmetry(args) -> int:
     obj = {
         "f": args.f,
         "field": args.vf,
-        "verdict": "pass" if chk.passed else "fail",
+        "verdict": check_status(chk.passed),
         "max_residual": chk.max_residual,
         "n_points": chk.n_points,
         "tol": chk.tol,
@@ -301,7 +302,7 @@ def cmd_transform(args) -> int:
             "max_residual": out.max_residual,
             "n_points": out.n_points,
             "tol": out.tol,
-            "verdict": "pass" if out.passed else "fail",
+            "verdict": check_status(out.passed),
             "transformed": out.transformed_text,
             "preimage": list(out.preimage),
             "scale": out.scale,
@@ -315,7 +316,7 @@ def cmd_transform(args) -> int:
             f"case {out.case_id} at t = {out.t:g}",
             f"transformed solution: {out.transformed_text}",
             f"S2 scales by exp({out.weight_rate}*t) = {out.s2_factor:.12g}",
-            f"verdict: {'pass' if out.passed else 'fail'} "
+            f"verdict: {check_status(out.passed)} "
             f"(max residual {out.max_residual:.2e} over {out.n_points} "
             f"points, tol {out.tol:g})",
         ]
@@ -340,7 +341,7 @@ def cmd_invariants(args) -> int:
     text = (report.render_json(view) if args.format == "json"
             else report.render_markdown(view))
     _emit(text, args)
-    return 0 if view.status != "fail" else 1
+    return 0 if view.passed else 1
 
 
 def main(argv=None) -> int:

@@ -28,8 +28,8 @@ from .expr import (
 )
 from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
-    _PIECE_VARS, SPATIAL, _draw, _variety_point, invariance_residual, prolong2,
-    solve_uyy, transport_term,
+    _PIECE_VARS, SPATIAL, SymmetryCheck, _draw, _variety_point, invariance_residual,
+    prolong2, s2_weight, solve_uyy, transport_term,
 )
 from .normalize import (
     DEFAULT_SEED, Monomial, NormalizeError, as_rational, normalize,
@@ -39,7 +39,7 @@ from .parse import parse
 __all__ = [
     "SYMMETRY_CONSTANTS", "EQUIVALENCE_CONSTANTS", "symmetry_candidate",
     "symmetry_condition", "determining_residual", "residual_on_variety",
-    "free_constants_absent", "numeric_invariance_check", "NumericCheck",
+    "free_constants_absent", "numeric_invariance_check",
     "general_candidate", "DeterminingSystem", "determining_system",
     "equivalence_candidate", "equivalence_residual_on_variety",
     "bila_auxiliary_residual",
@@ -73,20 +73,12 @@ def symmetry_candidate() -> VectorField:
 
 def symmetry_condition(v: VectorField | None = None) -> Expr:
     """First-order condition the right-hand side must satisfy:
-    xi*f_x + zeta*f_y + eta*f_z + (4*c6 - 2*c2)*f = 0, written with formal
+    xi*f_x + zeta*f_y + eta*f_z - s2_weight(v)*f = 0, which is
+    (4*c6 - 2*c2)*f on the candidate family, written with formal
     derivatives of an opaque f(x, y, z)."""
     v = v or symmetry_candidate()
     fop = opaque("f", sym("x"), sym("y"), sym("z"))
-    weight = sub_weight(v)
-    return add(transport_term(v), mul(weight, fop))
-
-
-def sub_weight(v: VectorField) -> Expr:
-    """4*div_coeff - 2*u_coeff for a linear candidate: the factor by which
-    the equation scales against f.  Extracted as d(xi)/dx * 4 - 2 * d(phi)/du
-    which agrees with 4*c6 - 2*c2 on the candidate family."""
-    return add(mul(num(4), diff(v.coeff("x"), "x")),
-               mul(num(-2), diff(v.coeff("u"), "u")))
+    return add(transport_term(v), mul(neg(s2_weight(v)), fop))
 
 
 def determining_residual(v: VectorField | None = None) -> Expr:
@@ -109,28 +101,18 @@ def free_constants_absent() -> bool:
     return not (free_symbols(residual_on_variety()) & set(FREE_CONSTANTS))
 
 
-class NumericCheck(NamedTuple):
-    max_residual: float
-    n_points: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
 def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
                              profile: Expr | None = None,
-                             tol: float = 1e-8) -> NumericCheck:
+                             tol: float = 1e-8) -> SymmetryCheck:
     """Sample the unrestricted residual plus the transport condition at
     ``n`` >= 1 random on-variety jet points with random constants; the sum
     must vanish identically (up to ``tol``), independent of the symbolic
-    elimination route."""
+    elimination route.  The check carries no witness."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     rng = random.Random(seed)
     body = profile if profile is not None else parse("sin(x) + y^2*z + exp(z/3) + x*y")
-    binding = OpaqueBinding.from_expr(("x", "y", "z"), body)
+    binding = OpaqueBinding(("x", "y", "z"), body)
 
     r_raw = determining_residual()
     cond = symmetry_condition()
@@ -148,7 +130,7 @@ def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
         val = fn(*args)
         scale = abs(scale_fn(*args))
         worst = max(worst, abs(val) / (1.0 + scale))
-    return NumericCheck(worst, n, tol)
+    return SymmetryCheck(worst, n, tol)
 
 
 # ---------------------------------------------------------------------------

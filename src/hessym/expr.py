@@ -542,16 +542,19 @@ _HEAD = {Num: attrgetter("value"), Sym: attrgetter("name"), Call: attrgetter("fn
 def _tree_eq(a: Expr, b: object) -> bool:
     """``a == b`` for a node with subtrees, without recursion: the hashes
     first (hashing a root keeps a hash on each of its subtrees), then each
-    pair of subtrees by class, hash, head and arity, on an explicit stack."""
+    pair of subtrees by class, hash, head and arity, on an explicit stack,
+    each pair once, however many paths of a shared DAG lead to it."""
     if b.__class__ is not a.__class__:
         return NotImplemented
     if hash(a) != hash(b):
         return False
     stack = [(a, b)]
+    seen: set[tuple[int, int]] = set()
     while stack:
         a, b = stack.pop()
-        if a is b:
+        if a is b or (id(a), id(b)) in seen:
             continue
+        seen.add((id(a), id(b)))
         cls = a.__class__
         if cls is not b.__class__ or a._hash != b._hash:
             return False
@@ -625,13 +628,16 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 
 def free_symbols(e: Expr) -> frozenset[str]:
+    """The names of the symbols in ``e``; a shared subtree is walked once."""
     out: set[str] = set()
+    seen: set[int] = set()
     stack = [e]
     while stack:
         n = stack.pop()
         if n.__class__ is Sym:
             out.add(n.name)
-        else:
+        elif id(n) not in seen:
+            seen.add(id(n))
             stack.extend(children(n))
     return frozenset(out)
 
@@ -654,12 +660,6 @@ class OpaqueBinding:
         self.body = body
         self.inner = dict(inner or {})
         self._derivs: dict[tuple[int, ...], Callable[..., float]] = {}
-
-    @classmethod
-    def from_expr(cls, params: Sequence[str], body: Expr,
-                  inner: Mapping[str, "OpaqueBinding"] | None = None) -> "OpaqueBinding":
-        """Evaluator family of a closed-form body, compiled on first use."""
-        return cls(params, body, inner)
 
     @property
     def fn(self) -> Callable[..., float]:

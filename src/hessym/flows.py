@@ -46,7 +46,7 @@ from .expr import (
 from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
-from .jets import SPATIAL, s2_evaluator_of_poly, s2_of
+from .jets import SPATIAL, s2_evaluator_of_poly, s2_of, s2_weight
 from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
 from .parse import parse
 
@@ -176,12 +176,9 @@ def _affine(B: Rows, c: Sequence[float], pt: Sequence[float]) -> tuple[float, ..
 
 
 def equivariance_weight(v: VectorField) -> Fraction:
-    """Exponent rate w with S2 o flow = exp(w t) S2: twice the u-linear
-    rate minus four thirds of the spatial divergence."""
-    cu = _as_fraction(normalize(diff(v.coeff("u"), "u")))
-    div = sum((_as_fraction(normalize(diff(v.coeff(s), s))) for s in SPATIAL),
-              Fraction(0))
-    return 2 * cu - 4 * (div / 3)
+    """Exponent rate w with S2 o flow = exp(w t) S2: the S2 weight of an
+    affine field (``jets.s2_weight``), a rational number."""
+    return _as_fraction(normalize(s2_weight(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +334,7 @@ class CaseCheck(NamedTuple):
 @lru_cache(maxsize=None)
 def _bindings() -> dict[str, OpaqueBinding]:
     """The W profile, shared so that its compiled evaluators are built once."""
-    return {"W": OpaqueBinding.from_expr(("a", "b", "c"), parse(W_BODY))}
+    return {"W": OpaqueBinding(("a", "b", "c"), parse(W_BODY))}
 
 
 def _sample_poly(rng: random.Random) -> Expr:
@@ -412,7 +409,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
 
     Group law and generator recovery test the matrix route on its own;
     the equivariance check ties the flow to the operator through the
-    weight exp((2 c_u - 4 c_d) t), and ``tol`` bounds its residual; the
+    factor exp(w t) of the S2 weight w, and ``tol`` bounds its residual; the
     printed formula is then compared against the computed pushforward
     under the four readings.
     """

@@ -28,14 +28,14 @@ from .expr import (
 from .fields import VectorField
 from .normalize import (
     DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pdiff, _pmul,
-    _poly_to_expr, _pscale, as_polynomial, normalize, signed_uniform,
+    _poly_to_expr, as_polynomial, normalize, signed_uniform,
 )
 from .parse import parse
 
 __all__ = [
     "SPATIAL", "JetOrderError", "jet_indices", "jet_symbol", "jet_order",
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
-    "s2_of_poly", "s2_evaluator_of_poly",
+    "s2_of_poly", "s2_evaluator_of_poly", "s2_weight",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
     "invariance_residual", "SymmetryCheck", "check_symmetry",
 ]
@@ -154,12 +154,13 @@ def prolong2(v: VectorField, dependent: str = "u",
 # ---------------------------------------------------------------------------
 # the operator
 #
-# F = hessian2() is the one symbolic statement of S2.  Everything symbolic
-# that the jet layer needs of the operator is derived from F: the jet
-# derivatives dS2/du_ij (S2_JET_DERIVATIVES), the solution for u_yy on the
-# variety (solve_uyy) and the tree route of s2_of (_s2_tree).  The one fast
-# path, _s2_numerator, writes the principal minors over integer
-# polynomials for s2_of and flows; the tests check it against _s2_tree.
+# F = hessian2() is the one symbolic statement of S2.  What the jet layer
+# needs of the operator is derived from F: the jet derivatives dS2/du_ij
+# (S2_JET_DERIVATIVES), the solution for u_yy on the variety (solve_uyy),
+# the tree route of s2_of (_s2_tree), and the minors that the integer fast
+# path _s2_numerator multiplies out (_S2_TERMS, F's monomials).  The weight
+# by which S2 scales under a linear field is stated once, in s2_weight;
+# the tests check pr V(F) = s2_weight(V)*F on the symmetry generators.
 
 def hessian2(dependent: str = "u") -> Expr:
     """F: the sum of the principal 2x2 Hessian minors in jet coordinates."""
@@ -196,12 +197,15 @@ def _s2_tree(expr: Expr) -> Expr:
 
 def _s2_numerator(p: Poly) -> Poly:
     """den^2 S2[p/den] for an integer polynomial p: the second derivatives
-    lower exponents and the minors are integer products."""
+    lower exponents, and F's monomials in them are integer products."""
     d1 = {v: _pdiff(p, v) for v in SPATIAL}
     d2 = {idx: _pdiff(d1[idx[0]], idx[1]) for idx in jet_indices(2)}
-    s = _padd(_pmul(d2["xx"], _padd(d2["yy"], d2["zz"])), _pmul(d2["yy"], d2["zz"]))
-    for idx in ("xy", "yz", "xz"):
-        s = _padd(s, _pscale(_pmul(d2[idx], d2[idx]), -1))
+    s: Poly = {}
+    for c, factors in _S2_TERMS:
+        term: Poly = {(): c}
+        for idx in factors:
+            term = _pmul(term, d2[idx])
+        s = _padd(s, term)
     return s
 
 
@@ -248,8 +252,20 @@ def s2_evaluator_of_poly(p: Poly, den: int) -> Callable[[float, float, float], f
     return s2_at
 
 
+def s2_weight(v: VectorField) -> Expr:
+    """w with pr V(F) = w*F for a linear field V that scales S2:
+    2*dphi/du - (4/3)*(dxi/dx + dzeta/dy + deta/dz)."""
+    return add(mul(num(2), diff(v.coeff("u"), "u")),
+               mul(num(Fraction(-4, 3)), add(*[diff(v.coeff(s), s) for s in SPATIAL])))
+
+
 S2_JET_DERIVATIVES: dict[str, Expr] = {
     idx: normalize(diff(hessian2(), f"u_{idx}")) for idx in jet_indices(2)}
+
+# F's monomials: each integer coefficient with the index of each second
+# derivative it multiplies, once per power, as in (-1, ('xy', 'xy'))
+_S2_TERMS = tuple((int(c), tuple(g[len("u_"):] for g, k in m for _ in range(k)))
+                  for m, c in sorted(as_polynomial(hessian2())[0].items()))
 
 
 def solve_uyy(rhs: Expr) -> Expr:
@@ -323,7 +339,9 @@ def _variety_point(draw: Callable[[], tuple[float, ...]],
 
 
 class SymmetryCheck(NamedTuple):
-    """Outcome of the numeric invariance check on the solution variety."""
+    """Outcome of a sampled invariance check on the solution variety:
+    ``check_symmetry`` keeps its worst point as the witness, and
+    ``determining.numeric_invariance_check`` keeps none."""
 
     max_residual: float
     n_points: int
@@ -406,7 +424,7 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     if extra:
         raise ExprError(f"right-hand side has free symbols {sorted(extra)}")
 
-    binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
+    binding = OpaqueBinding(("x", "y", "z"), f_expr, inner)
     pieces_at = _symmetry_pieces(v)({"f": binding})
 
     draw = _candidates(seed).__next__

@@ -106,12 +106,6 @@ def _padd(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _pscale(a: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return {}
-    return {m: v * c for m, v in a.items()}
-
-
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     """The product of two monomials, by merging their sorted generators."""
     if not m1:

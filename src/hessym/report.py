@@ -6,8 +6,9 @@ table, row, or case being rechecked.  Status semantics: ``fail`` marks a
 genuine mismatch, ``flagged`` marks a check that passes only under a
 documented corrected reading of the source (these never fail a run), and
 a suite fails iff some non-flagged record fails.  A record holds whether
-its check passed and the flags it raised, and ``CheckRecord.status`` is
-the one rule that turns them into a status.
+its check passed and the flags it raised, and ``CheckRecord.status``
+turns them into a status by ``catalog.check_status``, the rule that the
+CLI's own verdicts follow too.
 
 JSON renderings are byte-identical across runs for a fixed seed; timing
 never enters them.
@@ -28,6 +29,7 @@ from .catalog import (
     PUBLISHED_BRACKETS,
     SUITE_NAMES,
     Z_NAMES,
+    check_status,
     reduced_adjoints,
     reduced_table,
 )
@@ -54,11 +56,7 @@ class CheckRecord(NamedTuple):
 
     @property
     def status(self) -> str:
-        """fail if the check did not pass, else flagged if it raised a
-        flag, else pass."""
-        if not self.passed:
-            return "fail"
-        return "flagged" if self.flags else "pass"
+        return check_status(self.passed, bool(self.flags))
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,6 +73,11 @@ class SuiteReport(NamedTuple):
     seed: int
     records: tuple[CheckRecord, ...]
     wall_time: float = 0.0      # console-only, never serialized
+
+    @property
+    def passed(self) -> bool:
+        """Whether every check passed: the suite's status is not fail."""
+        return all(r.passed for r in self.records)
 
     @property
     def status(self) -> str:
@@ -464,7 +467,7 @@ def overall_status(items) -> str:
     """fail if any of the records or reports failed, else flagged if any
     was flagged, else pass."""
     statuses = {r.status for r in items}
-    return next((s for s in ("fail", "flagged") if s in statuses), "pass")
+    return check_status("fail" not in statuses, "flagged" in statuses)
 
 
 def render_json(reports) -> str:

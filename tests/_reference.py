@@ -14,6 +14,10 @@ rounding.
 
 ``sample_on_variety`` is the dict sampler of on-variety jet points that
 ``jets._variety_point`` must reproduce point for point.
+
+``s2_numerator_minors`` writes S2's principal minors out by hand over
+integer polynomials; ``jets._s2_numerator``, which takes its terms from
+``jets.hessian2()``, must give the same polynomial.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from hessym.expr import (
     EXP_GUARD, Add, Call, Deriv, EvalDomainError, EvalError, Expr, ExprError, Mul,
     Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE,
 )
-from hessym.jets import jet_indices
-from hessym.normalize import signed_uniform
+from hessym.jets import SPATIAL, jet_indices
+from hessym.normalize import Poly, _padd, _pdiff, _pmul, signed_uniform
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
@@ -160,3 +164,14 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
                       + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])
         return pt
     raise EvalDomainError("could not sample a well-conditioned variety point")
+
+
+def s2_numerator_minors(p: Poly) -> Poly:
+    """den^2 S2[p/den] for an integer polynomial p, with the minors
+    written out: u_xx*(u_yy + u_zz) + u_yy*u_zz - u_xy^2 - u_yz^2 - u_xz^2."""
+    d1 = {v: _pdiff(p, v) for v in SPATIAL}
+    d2 = {idx: _pdiff(d1[idx[0]], idx[1]) for idx in jet_indices(2)}
+    s = _padd(_pmul(d2["xx"], _padd(d2["yy"], d2["zz"])), _pmul(d2["yy"], d2["zz"]))
+    for idx in ("xy", "yz", "xz"):
+        s = _padd(s, {m: -c for m, c in _pmul(d2[idx], d2[idx]).items()})
+    return s

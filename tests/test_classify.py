@@ -11,6 +11,7 @@ from hessym.classify import (
     H_INSTANCES,
     _bind_field,
     _h_binding,
+    _reduced_field,
     ansatz_residual,
     numeric_rank,
     s2_of,
@@ -21,10 +22,12 @@ from hessym.classify import (
     verify_reflection,
     verify_row,
 )
-from hessym.expr import free_symbols, num, substitute
+from hessym.expr import diff, free_symbols, num, substitute, sym
 from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
-from hessym.normalize import NonZero, NumericallyZero, ProvedZero, is_zero, sample_point
+from hessym.normalize import (
+    NonZero, NumericallyZero, ProvedZero, is_zero, normalize, sample_point,
+)
 from hessym.parse import parse
 from hessym.report import run_suite
 
@@ -97,6 +100,13 @@ def test_ansatz_uses_both_signs():
     sym_row = row._replace(sign_param=None, params=("s",))
     assert not isinstance(is_zero(ansatz_residual(sym_row, 1), mode="symbolic"),
                           ProvedZero)
+
+
+def test_ansatz_weight_is_the_printed_f_coefficient():
+    # the weight the ansatz reads off sum a_k Z_k is 2*a7 - 4*a8, the
+    # f-coefficient of the reduced generators as the source prints it
+    field = _reduced_field([sym(f"a{k}") for k in range(1, 9)])
+    assert normalize(diff(field.coeff("f"), "f")) == normalize(parse("2*a7 - 4*a8"))
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,21 @@ def test_each_command_executes_only_the_modules_it_uses(argv, extra):
     assert set(got["executed"]) == KERNEL | {"cli"} | extra
 
 
+@pytest.mark.parametrize("argv, code, extra", [
+    (("check-symmetry", "--f", "x*y + z^2", "--vf", "1;0;0;0", "--points", "20"), 1,
+     {"jets"}),
+    (("transform", "--case", "6", "--t", "0.3", "--u", "fixture:1,2,3",
+      "--format", "md"), 0, {"flows", "jets"}),
+])
+def test_the_status_rule_executes_no_module_of_its_own(argv, code, extra):
+    # the CLI verdicts follow the suites' status rule, which lives in the
+    # kernel: a fail verdict and the markdown one execute no report module,
+    # like the pass verdicts and `tables g8` in the test above
+    got = _executed(*argv)
+    assert got["code"] == code
+    assert set(got["executed"]) == KERNEL | {"cli"} | extra
+
+
 def test_input_error_executes_no_upper_module():
     # the field fails to parse before check_symmetry is reached, so only
     # main's error handler runs on top of the kernel

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -254,7 +255,7 @@ class TestEval:
             eval_numeric(parse("x^(1/2)"), {"x": -2.0})
 
     def test_binding_from_expr(self):
-        H = OpaqueBinding.from_expr(("a", "b"), parse("sin(a) + exp(b/4)"))
+        H = OpaqueBinding(("a", "b"), parse("sin(a) + exp(b/4)"))
         v = eval_numeric(parse("H_2(x, y)"), {"x": 0.3, "y": 0.8}, {"H": H})
         assert abs(v - 0.25 * math.exp(0.2)) < 1e-12
 
@@ -262,7 +263,7 @@ class TestEval:
     def test_compiled_matches_recursive(self, seed):
         rng = random.Random(3000 + seed)
         nrng = np.random.default_rng(4000 + seed)
-        H = OpaqueBinding.from_expr(("a", "b"), parse("a^2 + b^2 + 1"))
+        H = OpaqueBinding(("a", "b"), parse("a^2 + b^2 + 1"))
         names = ["x", "y", "z", "u"]
         for _ in range(30):
             e = random_expr(rng, 3)
@@ -327,7 +328,7 @@ class TestEval:
         # compiled code raises where the reference does and is never complex
         rng = random.Random(5000)
         nrng = np.random.default_rng(6000)
-        H = OpaqueBinding.from_expr(("a", "b"), parse("a^2 + b^2 + 1"))
+        H = OpaqueBinding(("a", "b"), parse("a^2 + b^2 + 1"))
         names = ["x", "y", "z", "u"]
         raised = 0
         for _ in range(1000):
@@ -353,7 +354,7 @@ class TestEval:
         # evaluates the differentiated bodies recursively, with H and its
         # derivatives behind recursive evaluators as well
         h_params, h_body = ("p", "q"), parse("p^2*q + sin(q) + 1")
-        H = OpaqueBinding.from_expr(h_params, h_body)
+        H = OpaqueBinding(h_params, h_body)
         h_derivs = {
             slots: (lambda d: lambda p, q: eval_numeric(d, {"p": p, "q": q}))(
                 _diff_slots(h_body, h_params, slots))
@@ -366,7 +367,7 @@ class TestEval:
         raised = compared = 0
         for _ in range(500):
             body = substitute(random_expr(rng, 3), rename)
-            W = OpaqueBinding.from_expr(params, body, inner={"H": H})
+            W = OpaqueBinding(params, body, inner={"H": H})
             for slots in ((), (1,), (2,), (1, 2)):
                 ref_body = _diff_slots(body, params, slots)
                 for _ in range(2):
@@ -418,7 +419,7 @@ class TestScaledBody:
     def test_matches_the_reference_bit_for_bit(self, profile):
         # magnitudes from 1e-3 to 1e5, and one point in eight past 1e150,
         # where products overflow and sums overflow inside math.fsum
-        H = OpaqueBinding.from_expr(("a", "b"), parse(profile))
+        H = OpaqueBinding(("a", "b"), parse(profile))
         rng = random.Random(9100 + H_PROFILES.index(profile))
         names = ["x", "y", "z", "u"]
         compared = raised = 0
@@ -473,7 +474,7 @@ class TestScaledBody:
     def test_public_evaluators_return_the_reference_values(self):
         from hessym import expr
 
-        H = OpaqueBinding.from_expr(("a", "b"), parse(H_PROFILES[0]))
+        H = OpaqueBinding(("a", "b"), parse(H_PROFILES[0]))
         rng = random.Random(9200)
         names = ("x", "y", "z", "u")
         for _ in range(100):
@@ -665,6 +666,34 @@ class TestEq:
         for other in (TestHash._deep(5000, leaf="y"), TestHash._deep(5000, changed=2500),
                       TestHash._deep(4999)):
             assert (a == other) is False and (a != other) is True
+
+    def test_shared_dags_are_walked_once(self, monkeypatch):
+        # each level is the product of the one below with itself: 2^60
+        # paths through 61 nodes.  A walk along the paths would not end;
+        # equality and free_symbols visit each node (or pair) once
+        def shared(depth, leaf="x"):
+            e = Sym(leaf)
+            for _ in range(depth):
+                e = Mul((e, e))
+            return e
+
+        a, b = shared(60), shared(60)
+        changed = Mul((shared(59), shared(59, leaf="y")))  # one leaf differs
+        hash(a), hash(b), hash(changed)
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            if len(calls) > 1000:
+                raise AssertionError("a shared subtree was walked again")
+            return children(n)
+
+        monkeypatch.setattr(expr, "children", counted)
+        start = time.perf_counter()
+        assert a is not b and (a == b) is True and (a != b) is False
+        assert (a == changed) is False and (changed == a) is False
+        assert free_symbols(a) == {"x"} and free_symbols(changed) == {"x", "y"}
+        assert time.perf_counter() - start < 0.5
 
     def test_equality_is_structural_on_random_trees(self):
         # against repr, which spells out every field: pairs of random trees

@@ -248,8 +248,7 @@ def test_quadratic_base_instance_value():
 
 def test_corrugated_base_approaches_constant():
     # bounded corrugation: the defect decays with the sharpness parameter
-    binding = {"W": OpaqueBinding.from_expr(("a", "b", "c"),
-                                            parse("sin(a) + cos(b + c/2)"))}
+    binding = {"W": OpaqueBinding(("a", "b", "c"), parse("sin(a) + cos(b + c/2)"))}
     const = float(Fraction(3, 4) * Fraction(-1, 2)
                   + Fraction(3, 4) * Fraction(5, 4)
                   + Fraction(-1, 2) * Fraction(5, 4))
@@ -473,10 +472,12 @@ def test_direct_s2_evaluator_fails_where_the_compiled_one_does():
 
 
 def test_verify_case_differentiates_no_profile(monkeypatch):
-    def no_diff(*_):
+    # the tree route is the one place jets differentiates an S2 argument;
+    # jets.diff itself also serves the weight of the case's field
+    def no_tree(*_):
         raise AssertionError("a profile took the tree route")
 
-    monkeypatch.setattr(jets, "diff", no_diff)
+    monkeypatch.setattr(jets, "_s2_tree", no_tree)
     assert verify_case(case_by_id(7), n_points=4).passed
 
 

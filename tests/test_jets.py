@@ -8,7 +8,8 @@ from functools import partial
 import pytest
 
 from hessym import classify, jets
-from hessym.catalog import classification_rows
+from hessym.catalog import classification_rows, lift_reduced
+from hessym.determining import symmetry_candidate
 from hessym.expr import (
     EvalDomainError, ExprError, OpaqueBinding, ZERO, add, mul, neg, num, opaque,
     pow_, substitute, sym,
@@ -18,12 +19,12 @@ from hessym.flows import _sample_poly
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    s2_of, s2_of_poly, solve_uyy, total_derivative,
+    s2_of, s2_of_poly, s2_weight, solve_uyy, total_derivative,
 )
 from hessym.normalize import DEFAULT_SEED, NonZero, ProvedZero, is_zero, normalize
 from hessym.parse import parse
 
-from _reference import eval_numeric, sample_on_variety
+from _reference import eval_numeric, s2_numerator_minors, sample_on_variety
 
 
 class TestJetTables:
@@ -205,13 +206,31 @@ class TestOperator:
         r = invariance_residual(sc, ZERO)
         assert isinstance(is_zero(add(r, mul(num(4), hessian2()))), ProvedZero)
 
+    @pytest.mark.parametrize("v", [
+        *(lift_reduced([int(i == k) for i in range(8)]) for k in range(8)),
+        symmetry_candidate(),
+    ], ids=[*(f"Z{k + 1}" for k in range(8)), "candidate"])
+    def test_s2_weight_is_the_weight_of_the_operator(self, v):
+        # pr V(F) = s2_weight(V)*F on each lifted generator of g8 and on the
+        # twelve-constant family, with its constants kept symbolic
+        r = invariance_residual(prolong2(v), ZERO)
+        assert isinstance(is_zero(add(r, neg(mul(s2_weight(v), hessian2()))),
+                                  mode="symbolic"), ProvedZero)
+
+    def test_s2_weight_of_a_field_that_does_not_scale_s2_is_no_weight(self):
+        # a shear changes S2 by more than a factor, so no weight fits it
+        v = vf(E4, x="y")
+        r = invariance_residual(prolong2(v), ZERO)
+        assert not isinstance(is_zero(add(r, neg(mul(s2_weight(v), hessian2())))),
+                              ProvedZero)
+
 
 # right-hand sides for the samplers, and whether f has no value on part of
 # the draws: an EvalDomainError from a compiled f, a ZeroDivisionError from
 # a plain one
 VARIETY_RHS = [
     (lambda x, y, z: x * x + y - z, False),
-    (OpaqueBinding.from_expr(("x", "y", "z"), parse("sqrt(x)*y + ln(z + 1)")).fn, True),
+    (OpaqueBinding(("x", "y", "z"), parse("sqrt(x)*y + ln(z + 1)")).fn, True),
     (lambda x, y, z: y / max(x, 0.0), True),
 ]
 
@@ -270,7 +289,7 @@ class TestCheckSymmetry:
         assert chk.passed
 
     def test_profile_binding(self):
-        hb = OpaqueBinding.from_expr(("a", "b"), parse("sin(a) + exp(b/4)"))
+        hb = OpaqueBinding(("a", "b"), parse("sin(a) + exp(b/4)"))
         f = substitute(parse("exp(2*s*x)*H(y, z)", opaque_names={"H"}), {"s": num(1)})
         chk = check_symmetry(vf(E4, x="1", u="u"), f, inner={"H": hb}, n=40)
         assert chk.passed
@@ -363,6 +382,18 @@ class TestS2Routes:
         assert s2_of(u) == tree(u)
         assert calls == [u]
 
+    def test_numerator_matches_the_written_minors(self):
+        # _s2_numerator multiplies out hessian2()'s monomials; the minors
+        # written by hand are the oracle, on seeded integer polynomials
+        rng = random.Random(2024)
+        for _ in range(300):
+            p = {}
+            for _ in range(rng.randint(1, 8)):
+                exps = [rng.choice((0, 0, 0, 1)), *(rng.randint(0, 4) for _ in SPATIAL)]
+                mono = tuple((g, k) for g, k in zip(("t1",) + SPATIAL, exps) if k)
+                p[mono] = rng.choice((-1, 1)) * rng.randint(1, 30)
+            assert jets._s2_numerator(p) == s2_numerator_minors(p)
+
     def test_sparse_route_over_a_cleared_denominator(self):
         # S2[p/den] = S2[p]/den^2
         u = parse("(x^2 + 3*y^2 - x*y*z + z^4)/6")
@@ -380,7 +411,7 @@ def _reference_check(v, f_expr, inner=None, n=100, tol=1e-8, seed=DEFAULT_SEED,
     """check_symmetry as it was before the draws were shared: a fresh
     random.Random(seed) per call and one reference dict sampler per point.
     ``f_failures`` collects the points where f had no value."""
-    binding = OpaqueBinding.from_expr(("x", "y", "z"), f_expr, inner=inner)
+    binding = OpaqueBinding(("x", "y", "z"), f_expr, inner=inner)
     pieces_at = jets._symmetry_pieces(v)({"f": binding})
 
     def f_at(*xyz):

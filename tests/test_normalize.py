@@ -152,7 +152,7 @@ def _scaled(f):
     constant that a gcd leaves free."""
     n, d = f
     s = nz._content_and_sign(d)
-    return nz._pscale(n, 1 / s), nz._pscale(d, 1 / s)
+    return nz._pdivc(n, s), nz._pdivc(d, s)
 
 
 def _sympy_cancel(n, d):
@@ -402,7 +402,7 @@ class TestIsZero:
         assert v.zero_like
 
     def test_bindings(self):
-        H = OpaqueBinding.from_expr(("a", "b"), parse("a*b"))
+        H = OpaqueBinding(("a", "b"), parse("a*b"))
         v = is_zero(parse("H(x, y) - x*y"), mode="numeric", bindings={"H": H})
         assert isinstance(v, NumericallyZero)
 

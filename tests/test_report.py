@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessym import catalog, classify, determining, fields, flows, optimal, report
+from hessym import catalog, classify, cli, determining, fields, flows, jets, optimal, report
 from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
 from hessym.cli import main
 from hessym.expr import ZERO, mul, num
@@ -326,30 +326,36 @@ def test_equivalence_statuses_follow_the_computed_flags(monkeypatch):
         assert statuses(check, reflections)["rhs-coefficient-claims"] == "fail"
 
 
-# the functions of report.py that may name a status value: the one rule
-# that makes a status, and the two that aggregate or count statuses
-STATUS_RULES = {"CheckRecord.status", "overall_status", "SuiteReport.counts"}
+# the scopes of each module that may name a status value: the one rule that
+# makes a status in catalog, and in report the two that aggregate or count
+# statuses
+STATUS_RULES = {
+    catalog: {"check_status"},
+    report: {"overall_status", "SuiteReport.counts"},
+    cli: set(),
+}
 
 
 def test_status_literals_only_in_the_status_rules():
     # a status literal elsewhere is a status decided without the rule; a
     # key that reads a count (counts["pass"]) decides none
-    tree = ast.parse(Path(report.__file__).read_text())
     found = []
 
-    def visit(node, scope):
+    def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
-            visit(node.value, scope)
+            visit(node.value, module, scope)
             return
         elif (isinstance(node, ast.Constant) and node.value in ("pass", "flagged", "fail")
-              and scope not in STATUS_RULES):
-            found.append(f"{scope or '<module>'}:{node.lineno}: {node.value!r}")
+              and scope not in STATUS_RULES[module]):
+            found.append(f"{module.__name__}:{scope or '<module>'}:{node.lineno}: "
+                         f"{node.value!r}")
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child, module, scope)
 
-    visit(tree, "")
+    for module in STATUS_RULES:
+        visit(ast.parse(Path(module.__file__).read_text()), module, "")
     assert found == []
 
 
@@ -381,7 +387,7 @@ def test_numeric_oracle_takes_its_status_from_the_check(monkeypatch, residual,
 
     def check(n, seed, tol):
         given.append(tol)
-        return determining.NumericCheck(residual, n, check_tol)
+        return jets.SymmetryCheck(residual, n, check_tol)
 
     monkeypatch.setattr(determining, "numeric_invariance_check", check)
     for tol in (None, 1e-5):
