@@ -33,7 +33,7 @@ out = apply_case(14, 0.6, u0)
 print(f"\ncase 14 at t=0.6:")
 print(f"  transformed u:  {out.transformed_text}")
 print(f"  S2 factor:      {out.s2_factor:.6f} = exp({out.weight_rate}*t)")
-print(f"  check residual: {out.max_residual:.2e} over {out.n_points} points")
+print(f"  check residual: {out.check.max_residual:.2e} over {out.check.n_points} points")
 for note in out.notes:
     print(f"  note: {note}")
 
@@ -41,7 +41,7 @@ for note in out.notes:
 out = apply_case(11, 0.25, u0, values={"b1": 2})
 print(f"\ncase 11 (rotation, b1=2) at t=0.25:")
 print(f"  transformed u:  {out.transformed_text}")
-print(f"  check residual: {out.max_residual:.2e}")
+print(f"  check residual: {out.check.max_residual:.2e}")
 
 # Case-by-case data is exposed for inspection.
 case = case_by_id(5)

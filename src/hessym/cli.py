@@ -275,6 +275,8 @@ def _parse_profile(text: str):
         if len(vals) == 3:
             return flows.tian_base(*vals, with_bump=False), None
         if len(vals) == 4:
+            if vals[3] == 0:  # the corrugation is eps^5*W(x/eps^2, ...)
+                raise ExprError(f"the fixture's EPS must be nonzero, got {vals[3]}")
             return flows.tian_base(*vals), flows._bindings()
         raise ExprError("fixture takes T1,T2,T3 and an optional EPS")
     return parse(text), None
@@ -293,16 +295,17 @@ def cmd_transform(args) -> int:
     out = flows.apply_case(args.case, args.t, u_expr, values=values,
                            inner=inner, n_points=args.points, tol=args.tol,
                            seed=args.seed)
+    chk = out.check
     if args.format == "json":
         obj = {
             "case": out.case_id,
             "t": out.t,
             "weight_rate": str(out.weight_rate),
             "s2_factor": out.s2_factor,
-            "max_residual": out.max_residual,
-            "n_points": out.n_points,
-            "tol": out.tol,
-            "verdict": check_status(out.passed),
+            "max_residual": chk.max_residual,
+            "n_points": chk.n_points,
+            "tol": chk.tol,
+            "verdict": check_status(chk.passed),
             "transformed": out.transformed_text,
             "preimage": list(out.preimage),
             "scale": out.scale,
@@ -316,13 +319,13 @@ def cmd_transform(args) -> int:
             f"case {out.case_id} at t = {out.t:g}",
             f"transformed solution: {out.transformed_text}",
             f"S2 scales by exp({out.weight_rate}*t) = {out.s2_factor:.12g}",
-            f"verdict: {check_status(out.passed)} "
-            f"(max residual {out.max_residual:.2e} over {out.n_points} "
-            f"points, tol {out.tol:g})",
+            f"verdict: {check_status(chk.passed)} "
+            f"(max residual {chk.max_residual:.2e} over {chk.n_points} "
+            f"points, tol {chk.tol:g})",
         ]
         lines += [f"note: {n}" for n in out.notes]
         _emit("\n".join(lines) + "\n", args)
-    return 0 if out.passed else 1
+    return 0 if chk.passed else 1
 
 
 def cmd_invariants(args) -> int:

@@ -46,12 +46,12 @@ from .expr import (
 from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
-from .jets import SPATIAL, s2_evaluator_of_poly, s2_of, s2_weight
+from .jets import SPATIAL, SymmetryCheck, s2_evaluator_of_poly, s2_of, s2_weight
 from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
 from .parse import parse
 
 __all__ = [
-    "AffineFlow", "flow_of", "field_matrix", "pushforward_value",
+    "AffineFlow", "flow_of", "field_matrix",
     "CaseSpec", "flow_cases", "case_by_id",
     "CaseCheck", "verify_case", "verify_all_cases",
     "TransformOutcome", "apply_case",
@@ -152,19 +152,12 @@ def flow_of(v: VectorField) -> AffineFlow:
     return AffineFlow(field_matrix(v))
 
 
-def pushforward_value(flow: AffineFlow, t: float,
-                      u0: Callable[[float, float, float], float],
-                      x: float, y: float, z: float) -> float:
-    """Value at (x, y, z) of the solution carried by the time-t group
-    element: evaluate u0 at the preimage point and apply the u-row."""
-    return _pushforward_at(flow.matrix(t), *flow.spatial_preimage(t), u0, (x, y, z))
-
-
 def _pushforward_at(M: Rows, B: Rows, c: Sequence[float],
                     u0: Callable[[float, float, float], float],
                     pt: Sequence[float]) -> float:
-    """``pushforward_value`` with the flow matrix M and the preimage map
-    (B, c) of its time already evaluated."""
+    """Value at pt of the solution u0 carried by the group element with
+    flow matrix M and preimage map (B, c): u0 at the preimage point, with
+    the u-row of M applied."""
     p = _affine(B, c, pt)
     m = M[3]
     return m[0] * p[0] + m[1] * p[1] + m[2] * p[2] + m[3] * u0(*p) + m[4]
@@ -315,12 +308,22 @@ class CaseCheck(NamedTuple):
     generator_residual: float
     equivariance_max_residual: float
     weight_rate: Fraction
-    matched_readings: tuple[tuple[int, str], ...]
     reading_residuals: tuple[tuple[tuple[int, str], float], ...]
-    reparametrization: str | None
     field_consistent: bool
     flags: tuple[str, ...]
     tol: float
+
+    @property
+    def matched_readings(self) -> tuple[tuple[int, str], ...]:
+        """The readings whose worst residual is within ``MATCH_TOL``."""
+        return tuple(r for r, res in self.reading_residuals if res <= MATCH_TOL)
+
+    @property
+    def reparametrization(self) -> str | None:
+        matched = self.matched_readings
+        if (-1, "exp") in matched and (-1, "literal") not in matched:
+            return "printed (1 + t) factor read as exp(t)"
+        return None
 
     @property
     def passed(self) -> bool:
@@ -419,7 +422,6 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
     worst_group = 0.0
     worst_gen = 0.0
     worst_equi = 0.0
-    matched = {r: True for r in READINGS}
     residuals = {r: 0.0 for r in READINGS}
     consistent = True
     rate = Fraction(0)
@@ -480,23 +482,18 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                     worst_equi = max(worst_equi,
                                      abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
 
-        # printed formula versus computed pushforward
+        # printed formula versus computed pushforward; the orientation does
+        # not enter the printed template
         cu = normalize(diff(v.coeff("u"), "u"))
+        printed = {mode: _printed_evaluator(case, values, cu, mode)
+                   for mode in ("exp", "literal")}
         for sigma, mode in READINGS:
-            res = _reading_residual(case, values, element, cu, sigma, mode,
-                                    rng, n_points)
+            res = _reading_residual(printed[mode], element, sigma, rng, n_points)
             residuals[(sigma, mode)] = max(residuals[(sigma, mode)], res)
-            if res > MATCH_TOL:
-                matched[(sigma, mode)] = False
 
-    matched_tuple = tuple(r for r in READINGS if matched[r])
-    repar = None
-    if (-1, "exp") in matched_tuple and (-1, "literal") not in matched_tuple:
-        repar = "printed (1 + t) factor read as exp(t)"
     return CaseCheck(case.case_id, case.row_id, worst_group, worst_gen,
-                     worst_equi, rate, matched_tuple,
-                     tuple(sorted(residuals.items())), repar, consistent,
-                     case.flags, tol)
+                     worst_equi, rate, tuple(sorted(residuals.items())),
+                     consistent, case.flags, tol)
 
 
 @lru_cache(maxsize=None)
@@ -506,39 +503,33 @@ def _reading_base() -> tuple[Expr, Callable[..., float]]:
     return u0, compile_evaluator(u0, ["x", "y", "z"], _bindings())
 
 
-@lru_cache(maxsize=64)  # verify all builds 44
-def _printed_evaluator(image_text: tuple[str, str, str], u_scale_text: str,
-                       u_shift_text: str, values: tuple[tuple[str, Fraction], ...],
-                       cu: Expr, mode: str) -> Callable[..., float]:
-    """The printed template scale * u0(image) + shift over (x, y, z, t),
-    with the u-factor taken literally or as the exponential it truncates.
-    It is keyed on everything it is built from, so a case with an altered
-    text gets its own evaluator; the orientation does not enter."""
-    subs = {k: num(v) for k, v in values}
+def _printed_evaluator(case: CaseSpec, values: Mapping[str, Fraction], cu: Expr,
+                       mode: str) -> Callable[..., float]:
+    """The case's printed template scale * u0(image) + shift over
+    (x, y, z, t) at the parameter values, with the u-factor taken
+    literally or as the exponential exp(-cu*t) it truncates."""
+    subs = {k: num(v) for k, v in values.items()}
     img = []
-    for tx in image_text:
+    for tx in case.image_text:
         e = parse(tx)
         img.append(substitute(e, {k: v for k, v in subs.items() if k in free_symbols(e)}))
     if mode == "literal":
-        scale = parse(u_scale_text)
+        scale = parse(case.u_scale_text)
     else:
         scale = (call("exp", mul(num(-1), mul(cu, sym("t"))))
                  if cu != ZERO else num(1))
     u0 = _reading_base()[0]
-    printed = add(mul(scale, substitute(u0, dict(zip(SPATIAL, img)))), parse(u_shift_text))
+    printed = add(mul(scale, substitute(u0, dict(zip(SPATIAL, img)))),
+                  parse(case.u_shift_text))
     return compile_evaluator(printed, ["x", "y", "z", "t"], _bindings())
 
 
-def _reading_residual(case: CaseSpec, values,
+def _reading_residual(printed_fn: Callable[..., float],
                       element: Mapping[float, tuple[Rows, Rows, Sequence[float]]],
-                      cu: Expr, sigma: int, mode: str, rng: random.Random,
-                      n_points: int) -> float:
-    """Worst relative gap between the printed template and the sigma-
-    oriented pushforward, with the printed u-factor taken literally or as
-    the exponential it truncates.  ``element`` maps each time +-t to the
-    flow matrix and preimage map (M, B, c) of that group element."""
-    printed_fn = _printed_evaluator(case.image_text, case.u_scale_text, case.u_shift_text,
-                                    tuple(sorted(values.items())), cu, mode)
+                      sigma: int, rng: random.Random, n_points: int) -> float:
+    """Worst relative gap between a printed template (``_printed_evaluator``)
+    and the sigma-oriented pushforward.  ``element`` maps each time +-t to
+    the flow matrix and preimage map (M, B, c) of that group element."""
     u0_fn = _reading_base()[1]
 
     worst = 0.0
@@ -587,27 +578,21 @@ class TransformOutcome(NamedTuple):
 
     The transformed solution is scale*u(preimage) plus a linear part in
     the preimage coordinates plus a shift; ``transformed_text`` spells it
-    out with 12-digit coefficients.  ``max_residual`` is the relative gap
+    out with 12-digit coefficients.  ``check`` holds the worst relative gap
     between S2 of the transformed profile and s2_factor times S2 of the
-    original at the preimage."""
+    original at the preimage, over the sampled points."""
 
     case_id: int
     t: float
     weight_rate: Fraction
     s2_factor: float
-    max_residual: float
-    n_points: int
-    tol: float
+    check: SymmetryCheck
     scale: float
     preimage: tuple[str, str, str]
     linear: tuple[float, float, float]
     shift: float
     transformed_text: str
     notes: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
 
 
 _FLAG_NOTES = {
@@ -700,5 +685,6 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
         body += f" + {shift:.12g}" if shift > 0 else f" - {-shift:.12g}"
 
     notes = tuple(_FLAG_NOTES[fl] for fl in case.flags if fl in _FLAG_NOTES)
-    return TransformOutcome(case.case_id, t, rate, factor, worst, n_points,
-                            tol, scale, pre_texts, linear, shift, body, notes)
+    return TransformOutcome(case.case_id, t, rate, factor,
+                            SymmetryCheck(worst, n_points, tol), scale, pre_texts,
+                            linear, shift, body, notes)

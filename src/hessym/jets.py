@@ -21,21 +21,21 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
-    _NONFINITE, EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, Sym, ZERO, add,
+    _NONFINITE, EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, ZERO, add,
     compile_template, deriv, diff, free_symbols, mul, neg, num, opaque,
     pow_, substitute, sym,
 )
 from .fields import VectorField
 from .normalize import (
-    DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pdiff, _pmul,
-    _poly_to_expr, as_polynomial, normalize, signed_uniform,
+    DEFAULT_SEED, Poly, _padd, _pdiff, _pmul, as_polynomial, normalize,
+    signed_uniform,
 )
 from .parse import parse
 
 __all__ = [
     "SPATIAL", "JetOrderError", "jet_indices", "jet_symbol", "jet_order",
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
-    "s2_of_poly", "s2_evaluator_of_poly", "s2_weight",
+    "s2_evaluator_of_poly", "s2_weight",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
     "invariance_residual", "SymmetryCheck", "check_symmetry",
 ]
@@ -157,10 +157,11 @@ def prolong2(v: VectorField, dependent: str = "u",
 # F = hessian2() is the one symbolic statement of S2.  What the jet layer
 # needs of the operator is derived from F: the jet derivatives dS2/du_ij
 # (S2_JET_DERIVATIVES), the solution for u_yy on the variety (solve_uyy),
-# the tree route of s2_of (_s2_tree), and the minors that the integer fast
-# path _s2_numerator multiplies out (_S2_TERMS, F's monomials).  The weight
-# by which S2 scales under a linear field is stated once, in s2_weight;
-# the tests check pr V(F) = s2_weight(V)*F on the symmetry generators.
+# S2 of a concrete expression (s2_of, F at its second derivatives), and the
+# minors that the flows' integer fast path _s2_numerator multiplies out
+# (_S2_TERMS, F's monomials).  The weight by which S2 scales under a linear
+# field is stated once, in s2_weight; the tests check pr V(F) =
+# s2_weight(V)*F on the symmetry generators.
 
 def hessian2(dependent: str = "u") -> Expr:
     """F: the sum of the principal 2x2 Hessian minors in jet coordinates."""
@@ -171,26 +172,8 @@ def hessian2(dependent: str = "u") -> Expr:
 
 def s2_of(expr: Expr) -> Expr:
     """The operator applied to a concrete expression in (x, y, z), in
-    canonical form.
-
-    Two routes give the same canonical form.  A polynomial whose
-    generators are all symbols takes the exact sparse route: its canonical
-    polynomial, cleared to integers over one denominator, goes to
-    ``s2_of_poly``.  Anything else (an opaque profile such as W, sqrt, exp,
-    a denominator) takes the tree route: the six second derivatives by
-    ``diff``, substituted into ``hessian2`` and normalized.
-    """
-    try:
-        p, reg = as_polynomial(expr)
-    except NormalizeError:
-        return _s2_tree(expr)
-    if not all(isinstance(a, Sym) for a in reg.values()):
-        return _s2_tree(expr)
-    return s2_of_poly(*_clear(p))
-
-
-def _s2_tree(expr: Expr) -> Expr:
-    """The tree route of ``s2_of``; the sparse route's test oracle."""
+    canonical form: the six second derivatives by ``diff``, substituted
+    into ``hessian2`` and normalized."""
     reps = {f"u_{idx}": diff(diff(expr, idx[0]), idx[1]) for idx in jet_indices(2)}
     return normalize(substitute(hessian2(), reps))
 
@@ -209,25 +192,16 @@ def _s2_numerator(p: Poly) -> Poly:
     return s
 
 
-def s2_of_poly(p: Poly, den: int) -> Expr:
-    """S2[p/den] in canonical form, for a polynomial p over symbol
-    generators with integer coefficients; den^2 divides once."""
-    s = _s2_numerator(p)
-    den2 = den * den
-    return _poly_to_expr({m: Fraction(c, den2) for m, c in s.items()},
-                         {g: sym(g) for m in s for g, _ in m})
-
-
 def s2_evaluator_of_poly(p: Poly, den: int) -> Callable[[float, float, float], float]:
     """(x, y, z) -> S2[p/den] for an integer polynomial p in x, y, z,
     evaluated from the polynomial without building or compiling a tree.
 
-    It makes the float operations that the compiled ``s2_of_poly(p, den)``
-    makes, so the two agree to the bit: the terms in monomial order, each
-    the coefficient c/den^2 (a correctly rounded int division, as the
-    folded literal is) times the powers of its generators left to right,
-    summed left to right.  A power past the float range or a non-finite
-    value raises EvalDomainError, as the compiled body does.
+    It makes the float operations that the compiled canonical form
+    ``s2_of(p/den)`` makes, so the two agree to the bit: the terms in
+    monomial order, each the coefficient c/den^2 (a correctly rounded int
+    division, as the folded literal is) times the powers of its generators
+    left to right, summed left to right.  A power past the float range or
+    a non-finite value raises EvalDomainError, as the compiled body does.
     """
     s = _s2_numerator(p)
     den2 = den * den
@@ -339,9 +313,11 @@ def _variety_point(draw: Callable[[], tuple[float, ...]],
 
 
 class SymmetryCheck(NamedTuple):
-    """Outcome of a sampled invariance check on the solution variety:
-    ``check_symmetry`` keeps its worst point as the witness, and
-    ``determining.numeric_invariance_check`` keeps none."""
+    """Outcome of a sampled check: the worst residual over ``n_points``
+    points against ``tol``.  ``check_symmetry`` keeps its worst point on
+    the solution variety as the witness;
+    ``determining.numeric_invariance_check`` and ``flows.apply_case`` keep
+    none."""
 
     max_residual: float
     n_points: int

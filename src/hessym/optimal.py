@@ -220,9 +220,11 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
         steps.append(ReductionStep("reflect", None, -1.0, note))
 
     def scale(factor: float, note: str) -> None:
-        nonlocal a
+        # the zero cut follows the vector's scale, so that k*a reduces as a
+        nonlocal a, cut
         _finite(factor, note)
         a = tuple([v * factor for v in a])
+        cut = tol * max(map(abs, a))
         steps.append(ReductionStep("scale", None, factor, note))
 
     def adj(gen: int, eps: float, note: str) -> None:

@@ -78,11 +78,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, opaque_names: frozenset[str] | None):
+    def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-        self.opaque_names = opaque_names
 
     def peek(self) -> tuple[str, str, int]:
         return self.toks[self.i]
@@ -165,7 +164,7 @@ class _Parser:
                 raise ParseError(f"{name} takes one argument, got {len(args)}", pos)
             return call(name, args[0])
         m = _DERIV_SUFFIX.match(name)
-        if m and (self.opaque_names is None or m.group(1) in self.opaque_names):
+        if m:
             digits = m.group(2)
             if "".join(sorted(digits)) != digits:
                 raise ParseError(f"derivative slots must be sorted: {name!r}", pos)
@@ -173,43 +172,29 @@ class _Parser:
             if slots[-1] > len(args):
                 raise ParseError(f"derivative slot {slots[-1]} out of range for {len(args)} args", pos)
             return deriv(Opaque(m.group(1), tuple(args)), slots)
-        if self.opaque_names is not None and name not in self.opaque_names:
-            raise ParseError(f"unknown function name {name!r}", pos)
         return opaque(name, *args)
 
 
-# text -> tree for the texts parsed so far without ``opaque_names``; the
-# tree is immutable and a function of the text alone
+# text -> tree for the texts parsed so far; the tree is immutable and a
+# function of the text alone
 _PARSED: dict[str, Expr] = {}
 _PARSED_MAX = 4096  # entries; the table starts over when it is full
 
 
-def parse(text: str, opaque_names: frozenset[str] | set[str] | None = None) -> Expr:
-    """Parse text to an Expr.
-
-    ``opaque_names``: if given, only these names (plus the elementary set)
-    may be applied to arguments; anything else is an 'unknown function
-    name' error.  If None, any non-reserved applied identifier becomes an
-    opaque symbol, and a text parsed before gives the same tree again.
-    """
-    if opaque_names is None:
-        node = _PARSED.get(text)
-        if node is None:
-            node = _parse(text, None)
-            if len(_PARSED) >= _PARSED_MAX:
-                _PARSED.clear()
-            _PARSED[text] = node
-        return node
-    return _parse(text, frozenset(opaque_names))
-
-
-def _parse(text: str, opaque_names: frozenset[str] | None) -> Expr:
-    p = _Parser(text, opaque_names)
-    try:
-        node = p.expr()
-    except RecursionError:
-        raise ExprError("expression nested too deeply to parse") from None
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {val!r}", pos)
+def parse(text: str) -> Expr:
+    """Parse text to an Expr.  Any non-reserved applied identifier becomes
+    an opaque symbol, and a text parsed before gives the same tree again."""
+    node = _PARSED.get(text)
+    if node is None:
+        p = _Parser(text)
+        try:
+            node = p.expr()
+        except RecursionError:
+            raise ExprError("expression nested too deeply to parse") from None
+        kind, val, pos = p.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
+        if len(_PARSED) >= _PARSED_MAX:
+            _PARSED.clear()
+        _PARSED[text] = node
     return node

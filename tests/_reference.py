@@ -17,21 +17,25 @@ rounding.
 
 ``s2_numerator_minors`` writes S2's principal minors out by hand over
 integer polynomials; ``jets._s2_numerator``, which takes its terms from
-``jets.hessian2()``, must give the same polynomial.
+``jets.hessian2()``, must give the same polynomial.  ``s2_of_poly`` turns
+that numerator into the canonical form of S2[p/den]: ``jets.s2_of`` must
+give the same tree, and the compiled tree must evaluate to the floats of
+``jets.s2_evaluator_of_poly``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import Callable, Mapping
 
 from hessym.expr import (
     EXP_GUARD, Add, Call, Deriv, EvalDomainError, EvalError, Expr, ExprError, Mul,
-    Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE,
+    Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE, sym,
 )
 from hessym.jets import SPATIAL, jet_indices
-from hessym.normalize import Poly, _padd, _pdiff, _pmul, signed_uniform
+from hessym.normalize import Poly, _padd, _pdiff, _pmul, _poly_to_expr, signed_uniform
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
@@ -175,3 +179,13 @@ def s2_numerator_minors(p: Poly) -> Poly:
     for idx in ("xy", "yz", "xz"):
         s = _padd(s, {m: -c for m, c in _pmul(d2[idx], d2[idx]).items()})
     return s
+
+
+def s2_of_poly(p: Poly, den: int) -> Expr:
+    """S2[p/den] in canonical form, for a polynomial p over symbol
+    generators with integer coefficients: den^2 divides the numerator of
+    the written minors once."""
+    s = s2_numerator_minors(p)
+    den2 = den * den
+    return _poly_to_expr({m: Fraction(c, den2) for m, c in s.items()},
+                         {g: sym(g) for m in s for g, _ in m})

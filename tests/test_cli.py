@@ -305,13 +305,15 @@ def test_transform_bad_fixture_arity(capsys):
     (["--case", "6", "--t", "0.3", "--param", "g1=1/0", "--u", "fixture:1,2,3"],
      "--param g1"),
     (["--case", "6", "--t", "0.3", "--u", "fixture:1,2,0/0"], "fixture value"),
+    # the corrugation eps^5*W(x/eps^2, ...) has no value at EPS = 0
+    (["--case", "6", "--t", "0.3", "--u", "fixture:1,2,3,0"], "fixture's EPS"),
     (["--case", "6", "--t", "0.3", "--param", "g=2", "--u", "fixture:1,2,3"],
      "no parameter g"),
     # S2 of these is identically 0, but u itself has no value anywhere
     (["--case", "6", "--t", "0.3", "--u", "ln(x-x)"], "valid sample points"),
     (["--case", "6", "--t", "0.3", "--u", "exp(x)/(y-y)"], "valid sample points"),
-], ids=["overflowing-t", "param-over-zero", "fixture-over-zero", "unknown-param",
-        "ln-of-zero", "over-zero"])
+], ids=["overflowing-t", "param-over-zero", "fixture-over-zero", "fixture-eps-zero",
+        "unknown-param", "ln-of-zero", "over-zero"])
 def test_transform_malformed_input_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, "transform", *argv)
     assert code == 2

@@ -66,19 +66,9 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("exp(x, y)")
 
-    def test_unknown_function_with_declared_set(self):
-        parse("H(x)", opaque_names={"H"})
-        with pytest.raises(ParseError, match="unknown function"):
-            parse("G(x)", opaque_names={"H"})
-
     def test_a_text_parsed_again_is_the_same_tree(self):
         text = "sin(x)*G(y, z) + u_xy^2"
         assert parse(text) is parse(text)
-        # the memo serves the unrestricted grammar only: a declared set
-        # still rejects a name the unrestricted parse accepted
-        with pytest.raises(ParseError, match="unknown function"):
-            parse(text, opaque_names={"H"})
-        assert parse(text, opaque_names={"G"}) == parse(text)
         for _ in range(2):  # an error is not memoized
             with pytest.raises(ParseError, match="trailing"):
                 parse("x y")

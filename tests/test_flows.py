@@ -18,6 +18,7 @@ from hessym.flows import (
     AffineFlow,
     W_BODY,
     _case_values,
+    _pushforward_at,
     _pushforward_poly,
     _sample_poly,
     apply_case,
@@ -26,14 +27,15 @@ from hessym.flows import (
     field_matrix,
     flow_cases,
     flow_of,
-    pushforward_value,
     tian_base,
     verify_all_cases,
     verify_case,
 )
-from hessym.jets import s2_evaluator_of_poly, s2_of_poly
+from hessym.jets import s2_evaluator_of_poly
 from hessym.normalize import _clear, as_polynomial, normalize
 from hessym.parse import parse
+
+from _reference import s2_of_poly
 
 CASE_IDS = list(range(1, 16))
 PRINCIPAL = {1, 2, 3, 4}
@@ -102,7 +104,7 @@ def test_shift_by_x_pushforward():
     u0 = lambda x, y, z: 0.5 * (x * x + 2 * y * y - z * z)
     for t in (0.4, -1.1):
         for pt in [(0.7, -0.3, 1.2), (-1.0, 0.5, 0.2)]:
-            got = pushforward_value(flw, t, u0, *pt)
+            got = _pushforward_at(flw.matrix(t), *flw.spatial_preimage(t), u0, pt)
             assert got == pytest.approx(u0(*pt) + t * pt[0], abs=1e-14)
 
 
@@ -415,11 +417,13 @@ def test_sparse_pushforward_of_dyadic_affine_maps():
 
 
 def test_s2_of_pushforward_matches_tree_route():
+    # the integer numerator of the sparse pushforward against s2_of of the
+    # pushforward built as a tree
     rng = random.Random(4)
     for cid, M, B, c in _flows_and_times():
         u = _sample_poly(rng)
         got = s2_of_poly(*_pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c))
-        assert got == jets._s2_tree(_tree_pushforward(u, M, B, c)), cid
+        assert got == s2_of(_tree_pushforward(u, M, B, c)), cid
 
 
 def _bits(fn, pt):
@@ -435,7 +439,7 @@ def test_direct_s2_evaluator_is_the_compiled_one():
     # 200 profiles and their pushforwards, each through 3 of the cases'
     # flows at one of the times, so that every case pushes 40 of them;
     # evaluated at seeded points: the same floats as the compiled
-    # canonical form
+    # canonical form (the reference s2_of_poly, which is s2_of's tree)
     rng = random.Random(6)
     flows = [flow_of(case.field(_case_values(case, 1, Fraction(1)))) for case in flow_cases()]
     for k in range(200):
@@ -472,12 +476,13 @@ def test_direct_s2_evaluator_fails_where_the_compiled_one_does():
 
 
 def test_verify_case_differentiates_no_profile(monkeypatch):
-    # the tree route is the one place jets differentiates an S2 argument;
-    # jets.diff itself also serves the weight of the case's field
+    # s2_of is the one place an S2 argument is differentiated; jets.diff
+    # itself also serves the weight of the case's field
     def no_tree(*_):
         raise AssertionError("a profile took the tree route")
 
-    monkeypatch.setattr(jets, "_s2_tree", no_tree)
+    monkeypatch.setattr(jets, "s2_of", no_tree)
+    monkeypatch.setattr("hessym.flows.s2_of", no_tree)
     assert verify_case(case_by_id(7), n_points=4).passed
 
 

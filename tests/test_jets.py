@@ -19,12 +19,14 @@ from hessym.flows import _sample_poly
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    s2_of, s2_of_poly, s2_weight, solve_uyy, total_derivative,
+    s2_of, s2_weight, solve_uyy, total_derivative,
 )
-from hessym.normalize import DEFAULT_SEED, NonZero, ProvedZero, is_zero, normalize
+from hessym.normalize import (
+    DEFAULT_SEED, ProvedZero, _clear, as_polynomial, is_zero, normalize,
+)
 from hessym.parse import parse
 
-from _reference import eval_numeric, s2_numerator_minors, sample_on_variety
+from _reference import eval_numeric, s2_numerator_minors, s2_of_poly, sample_on_variety
 
 
 class TestJetTables:
@@ -176,7 +178,7 @@ class TestOperator:
         opaque("f", sym("x"), sym("y"), sym("z")),
         sym("f"),
         parse("x^2 + z"),
-        parse("exp(2*x)*H(y, z) + u_xy", opaque_names={"H"}),
+        parse("exp(2*x)*H(y, z) + u_xy"),
     ])
     def test_solve_uyy_is_the_printed_solution(self, rhs):
         assert solve_uyy(rhs) == printed_uyy(rhs)
@@ -290,7 +292,7 @@ class TestCheckSymmetry:
 
     def test_profile_binding(self):
         hb = OpaqueBinding(("a", "b"), parse("sin(a) + exp(b/4)"))
-        f = substitute(parse("exp(2*s*x)*H(y, z)", opaque_names={"H"}), {"s": num(1)})
+        f = substitute(parse("exp(2*s*x)*H(y, z)"), {"s": num(1)})
         chk = check_symmetry(vf(E4, x="1", u="u"), f, inner={"H": hb}, n=40)
         assert chk.passed
 
@@ -331,15 +333,14 @@ class TestCheckSymmetry:
 
 
 class TestS2Routes:
-    """The sparse route of s2_of against the tree route it replaces."""
+    """s2_of's tree route against the integer numerator of the written
+    minors (the reference s2_of_poly), the polynomial route the flows'
+    float path multiplies out."""
 
-    def test_sparse_route_matches_tree_on_sampled_profiles(self, monkeypatch):
+    def test_sparse_route_matches_tree_on_sampled_profiles(self):
         rng = random.Random(11)
         profiles = [_sample_poly(rng) for _ in range(200)]
-        want = [jets._s2_tree(u) for u in profiles]
-        # the sparse route differentiates no tree
-        monkeypatch.setattr(jets, "diff", _no_diff)
-        assert [s2_of(u) for u in profiles] == want
+        assert [s2_of(u) for u in profiles] == [_sparse(u) for u in profiles]
 
     @pytest.mark.parametrize("text", [
         "(1/2)*(t1*x^2 + t2*y^2 + t3*z^2)",
@@ -347,40 +348,17 @@ class TestS2Routes:
         "(3/7)*x*y*z + t1*(x^2 - y^2)/4 + (5/2)*z^4 - 1/3",
         "x + y - 2*z + 9/8",
     ])
-    def test_free_parameter_and_rational_coefficients(self, text, monkeypatch):
+    def test_free_parameter_and_rational_coefficients(self, text):
         u = parse(text)
-        want = jets._s2_tree(u)
-        monkeypatch.setattr(jets, "diff", _no_diff)
-        assert s2_of(u) == want
+        assert s2_of(u) == _sparse(u)
 
-    def test_seeded_parameter_profiles(self, monkeypatch):
+    def test_seeded_parameter_profiles(self):
         rng = random.Random(5)
         profiles = [add(_sample_poly(rng),
                         mul(num(Fraction(rng.randint(-9, 9), rng.randint(1, 7))),
                             sym("t1"), parse(rng.choice(["x^2*y", "y*z", "z^3", "x"]))))
                     for _ in range(30)]
-        want = [jets._s2_tree(u) for u in profiles]
-        monkeypatch.setattr(jets, "diff", _no_diff)
-        assert [s2_of(u) for u in profiles] == want
-
-    @pytest.mark.parametrize("text", [
-        "x^2 + y^2 + W(x, y, z)",
-        "sqrt(x) + y^2*z",
-        "exp(x)*y + z^2",
-        "x^2*y/(1 + z^2)",
-    ])
-    def test_other_inputs_take_the_tree_route(self, text, monkeypatch):
-        u = parse(text)
-        calls = []
-        tree = jets._s2_tree
-
-        def spy(e):
-            calls.append(e)
-            return tree(e)
-
-        monkeypatch.setattr(jets, "_s2_tree", spy)
-        assert s2_of(u) == tree(u)
-        assert calls == [u]
+        assert [s2_of(u) for u in profiles] == [_sparse(u) for u in profiles]
 
     def test_numerator_matches_the_written_minors(self):
         # _s2_numerator multiplies out hessian2()'s monomials; the minors
@@ -399,11 +377,12 @@ class TestS2Routes:
         u = parse("(x^2 + 3*y^2 - x*y*z + z^4)/6")
         p = {(("x", 2),): 1, (("y", 2),): 3, (("x", 1), ("y", 1), ("z", 1)): -1,
              (("z", 4),): 1}
-        assert s2_of_poly(p, 6) == jets._s2_tree(u)
+        assert s2_of(u) == s2_of_poly(p, 6)
 
 
-def _no_diff(*_):
-    raise AssertionError("the tree route ran")
+def _sparse(u):
+    """The reference s2_of_poly of a polynomial profile."""
+    return s2_of_poly(*_clear(as_polynomial(u)[0]))
 
 
 def _reference_check(v, f_expr, inner=None, n=100, tol=1e-8, seed=DEFAULT_SEED,

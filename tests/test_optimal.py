@@ -266,6 +266,26 @@ def test_reduction_is_stable_on_its_own_output():
         assert np.max(np.abs(np.array(again.final) - np.array(tr.final))) < 1e-9
 
 
+PROOF_VECTORS = ([0, 0, 0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0, 1, 0],
+                 [0, 0, 0, 0.5, -0.2, 0.7, 2.0, 1.0])
+
+
+def test_reduction_is_scale_invariant():
+    # k*a spans the subalgebra a spans: the zero cut follows the scale
+    # step, so k*a reaches a's pattern, sign and parameters
+    rng = random.Random(DEFAULT_SEED)
+    vectors = list(PROOF_VECTORS) + [suite_vector(rng) for _ in range(200)]
+    for a in vectors:
+        want = reduce_to_optimal(a)
+        for k in (1e-12, 1e-3, 1e3, 1e9, 1e12, 1e200):
+            got = reduce_to_optimal([k * v for v in a])
+            assert (got.pattern, got.sign) == (want.pattern, want.sign), (k, a)
+            assert got.parameters.keys() == want.parameters.keys()
+            for name, v in want.parameters.items():
+                assert abs(got.parameters[name] - v) <= 1e-9 * max(1.0, abs(v)), (k, a)
+            assert replay_deviation(got) < 1e-9, (k, a)
+
+
 def test_replay_route_matches_on_bulk_random_vectors():
     rng = np.random.default_rng(DEFAULT_SEED + 2)
     reduced = 0
@@ -365,18 +385,20 @@ def replayed(route, trace):
         return str(exc)
 
 
+def suite_vector(rng: random.Random) -> list[float]:
+    """One draw made as the optimal suite makes it."""
+    a = [rng.uniform(-2, 2) for _ in range(8)]
+    for i in rng.sample(range(8), rng.randrange(8)):
+        a[i] = 0.0
+    if a[6] == 0.0 and a[7] == 0.0:
+        a[6] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
+    return a
+
+
 def seeded_traces(seed: int, n: int):
     """n reductions of draws made as the optimal suite makes them."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < n:
-        a = [rng.uniform(-2, 2) for _ in range(8)]
-        for i in rng.sample(range(8), rng.randrange(8)):
-            a[i] = 0.0
-        if a[6] == 0.0 and a[7] == 0.0:
-            a[6] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
-        out.append(reduce_to_optimal(a))
-    return out
+    return [reduce_to_optimal(suite_vector(rng)) for _ in range(n)]
 
 
 def test_sparse_replay_matches_the_dense_route_on_seeded_traces():
