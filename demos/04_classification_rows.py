@@ -24,7 +24,7 @@ for row_id in ("A2", "A11b"):
     chk = verify_row(row)
     print(f"\nrow {row_id}: f = {row.f_text}")
     print(f"  ansatz verdicts:   {[str(v) for v in chk.ansatz_verdicts]}")
-    print(f"  symmetry residual: {chk.symmetry_max_residual:.2e} "
-          f"over {chk.symmetry_n_points} points")
+    print(f"  symmetry residual: {chk.symmetry.max_residual:.2e} "
+          f"over {chk.symmetry.n_points} points")
     print(f"  flags:             {list(chk.flags) or 'none'}")
     print(f"  passed:            {chk.passed}")

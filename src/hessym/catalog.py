@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .expr import ZERO, Expr, free_symbols, num, sym
+from .expr import ZERO, Expr, num, sym
 from .fields import (
     E4, E5, P4, AdjointMatrix, LieBasis, StructureTable, VectorField, adjoint,
     project, structure_table, vf,
@@ -202,7 +202,7 @@ class ClassificationRow(NamedTuple):
             e = parse(c) if c else ZERO
             if values:
                 e = substitute(e, {k: num(v) if not isinstance(v, Expr) else v
-                                   for k, v in values.items() if k in free_symbols(e)})
+                                   for k, v in values.items()})
             out.append(e)
         return tuple(out)
 

@@ -50,7 +50,7 @@ from .expr import (
     to_text,
 )
 from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
-from .jets import SPATIAL, check_symmetry, s2_of
+from .jets import SPATIAL, SymmetryCheck, check_symmetry, s2_of, worst_check
 from .normalize import (
     DEFAULT_SEED,
     Verdict,
@@ -101,11 +101,7 @@ def _bind_field(v: VectorField, values: Mapping[str, object]) -> VectorField:
     if not values:
         return v
     table = {k: _as_num(x) for k, x in values.items()}
-    coeffs = tuple(
-        substitute(c, {k: e for k, e in table.items() if k in free_symbols(c)})
-        for c in v.coeffs
-    )
-    return VectorField(v.space, coeffs, frozenset())
+    return VectorField(v.space, tuple(substitute(c, table) for c in v.coeffs), frozenset())
 
 
 def _reduced_field(coeffs: Sequence[Expr]) -> VectorField:
@@ -150,16 +146,13 @@ class RowCheck(NamedTuple):
     row_id: str
     constraint: str
     ansatz_verdicts: tuple[Verdict, ...]
-    symmetry_max_residual: float
-    symmetry_n_points: int
-    symmetry_tol: float
+    symmetry: SymmetryCheck     # the worst over every sign, value and profile
     used_lifted_v5: bool
     flags: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return (all(v.zero_like for v in self.ansatz_verdicts)
-                and self.symmetry_max_residual <= self.symmetry_tol)
+        return all(v.zero_like for v in self.ansatz_verdicts) and self.symmetry.passed
 
 
 def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
@@ -179,8 +172,7 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
         for s in signs
     )
 
-    worst = 0.0
-    total = 0
+    checks = []
     used_lifted = False
     for s in signs:
         for val in (PARAM_VALUES if row.params else (None,)):
@@ -189,10 +181,8 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
                 values[row.sign_param] = s
             if row.params:
                 values.update({p: Fraction(val) for p in row.params})
-            f_expr = parse(row.f_text)
-            if values:
-                f_expr = substitute(f_expr, {k: _as_num(v) for k, v in values.items()
-                                             if k in free_symbols(f_expr)})
+            f_expr = substitute(parse(row.f_text),
+                                {k: _as_num(v) for k, v in values.items()})
             for _, body in H_INSTANCES:
                 inner = {"H": _h_binding(body)}
                 chk = check_symmetry(_bind_field(row.printed_v5(), values), f_expr,
@@ -203,9 +193,8 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
                     if lifted.max_residual < chk.max_residual:
                         chk = lifted
                         used_lifted = True
-                worst = max(worst, chk.max_residual)
-                total += chk.n_points
-    return RowCheck(row.row_id, row.constraint, ansatz, worst, total, tol,
+                checks.append(chk)
+    return RowCheck(row.row_id, row.constraint, ansatz, worst_check(checks),
                     used_lifted, row.flags)
 
 
@@ -393,9 +382,7 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
 class PrincipalCheck(NamedTuple):
     dimension: int
     family_dimension: int
-    symmetry_max_residual: float
-    n_points: int
-    tol: float
+    symmetry: SymmetryCheck     # the worst over the four principal fields
     span_mismatch: str | None = None  # why the spans differ, when they do
 
     @property
@@ -406,7 +393,7 @@ class PrincipalCheck(NamedTuple):
     def passed(self) -> bool:
         return (self.dimension == 4 and self.matches_principal
                 and self.family_dimension == 12
-                and self.symmetry_max_residual <= self.tol)
+                and self.symmetry.passed)
 
 
 def verify_principal(n: int = 50, seed: int = DEFAULT_SEED) -> PrincipalCheck:
@@ -429,12 +416,6 @@ def verify_principal(n: int = 50, seed: int = DEFAULT_SEED) -> PrincipalCheck:
     conditioned = determining_system(with_condition=True)
 
     generic_f = parse("sin(x) + y^2*z + exp(z/3) + x*y")
-    tol = 1e-8
-    worst = 0.0
-    total = 0
-    for v in principal.fields:
-        chk = check_symmetry(v, generic_f, n=n, tol=tol, seed=seed)
-        worst = max(worst, chk.max_residual)
-        total += chk.n_points
-    return PrincipalCheck(unconditioned.dim, conditioned.dim, worst, total,
-                          tol, span_mismatch)
+    symmetry = worst_check(check_symmetry(v, generic_f, n=n, tol=1e-8, seed=seed)
+                           for v in principal.fields)
+    return PrincipalCheck(unconditioned.dim, conditioned.dim, symmetry, span_mismatch)

@@ -84,7 +84,7 @@ def symmetry_condition(v: VectorField | None = None) -> Expr:
 def determining_residual(v: VectorField | None = None) -> Expr:
     """pr V (S2[u] - f) with f(x, y, z) opaque, before any restriction."""
     v = v or symmetry_candidate()
-    prl = prolong2(v, "u", families=("u",))
+    prl = prolong2(v)
     return invariance_residual(prl, transport_term(v))
 
 
@@ -250,7 +250,7 @@ def equivalence_residual_on_variety(v: VectorField | None = None) -> Expr:
     v = v or equivalence_candidate()
     if v.space != E5:
         raise ExprError("equivalence candidates live on the extended space")
-    prl = prolong2(v, "u", families=("u",))
+    prl = prolong2(v)
     r = invariance_residual(prl, v.coeff("f"))
     return normalize(substitute(r, {"u_yy": solve_uyy(sym("f"))}))
 

@@ -36,7 +36,6 @@ from .expr import (
     call,
     compile_evaluator,
     diff,
-    free_symbols,
     mul,
     num,
     substitute,
@@ -46,8 +45,12 @@ from .expr import (
 from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
-from .jets import SPATIAL, SymmetryCheck, s2_evaluator_of_poly, s2_of, s2_weight
-from .normalize import DEFAULT_SEED, Poly, _clear, _padd, _pmul, as_polynomial, normalize
+from .jets import (
+    SPATIAL, SymmetryCheck, s2_evaluator_of_poly, s2_of, s2_weight, worst_check,
+)
+from .normalize import (
+    DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pmul, as_polynomial, normalize,
+)
 from .parse import parse
 
 __all__ = [
@@ -72,7 +75,7 @@ def tian_base(t1=None, t2=None, t3=None, eps=None, with_bump: bool = True) -> Ex
               else "(1/2)*(t1*x^2 + t2*y^2 + t3*z^2)")
     reps = {}
     for name, val in (("t1", t1), ("t2", t2), ("t3", t3), ("eps", eps)):
-        if val is not None and name in free_symbols(e):
+        if val is not None:
             reps[name] = num(Fraction(val)) if not isinstance(val, Expr) else val
     return substitute(e, reps) if reps else e
 
@@ -89,17 +92,16 @@ def field_matrix(v: VectorField) -> tuple[tuple[Fraction, ...], ...]:
     constant term; the last row is zero."""
     if v.space != E4:
         raise ExprError("flows act on (x, y, z, u)")
+    # the column of each monomial an affine coefficient may hold
+    column = {((w, 1),): j for j, w in enumerate(AFFINE_VARS)} | {(): len(AFFINE_VARS)}
     rows = []
-    zero_pt = {w: ZERO for w in AFFINE_VARS}
     for var in AFFINE_VARS:
-        c = v.coeff(var)
-        row = []
-        for w in AFFINE_VARS:
-            g = normalize(diff(c, w))
-            if free_symbols(g) & set(AFFINE_VARS):
-                raise ExprError(f"coefficient of d_{var} is not affine")
-            row.append(_as_fraction(g))
-        row.append(_as_fraction(normalize(substitute(c, zero_pt))))
+        row = [Fraction(0)] * 5
+        try:
+            for m, c in as_polynomial(v.coeff(var))[0].items():
+                row[column[m]] = Fraction(c)
+        except (KeyError, NormalizeError):
+            raise ExprError(f"coefficient of d_{var} is not affine") from None
         rows.append(tuple(row))
     rows.append((Fraction(0),) * 5)
     return tuple(rows)
@@ -198,13 +200,8 @@ class CaseSpec(NamedTuple):
     notes: str = ""
 
     def field(self, values: Mapping[str, Fraction | int] | None = None) -> VectorField:
-        table = {}
-        for var, text in self.field_text.items():
-            e = parse(text)
-            if values:
-                e = substitute(e, {k: num(v) for k, v in values.items()
-                                   if k in free_symbols(e)})
-            table[var] = e
+        subs = {k: num(v) for k, v in (values or {}).items()}
+        table = {var: substitute(parse(text), subs) for var, text in self.field_text.items()}
         names = self.params + ((self.sign_param,) if self.sign_param else ())
         return vf(E4, params=tuple(n for n in names if not values or n not in values),
                   **table)
@@ -302,21 +299,23 @@ T_VALUES = (0.35, -0.45, 0.8)  # the times of the equivariance and reading check
 
 
 class CaseCheck(NamedTuple):
+    """The sampled checks of one printed transform, each over both signs
+    where the case has a sign parameter."""
+
     case_id: int
     row_id: str | None
-    group_law_residual: float
-    generator_residual: float
-    equivariance_max_residual: float
+    group_law: SymmetryCheck        # over the parameter pairs drawn, 8 per sign
+    generator: SymmetryCheck        # one central difference per sign
+    equivariance: SymmetryCheck     # over the sampled points, against the case bound
     weight_rate: Fraction
-    reading_residuals: tuple[tuple[tuple[int, str], float], ...]
+    readings: tuple[tuple[tuple[int, str], SymmetryCheck], ...]  # in READINGS order
     field_consistent: bool
     flags: tuple[str, ...]
-    tol: float
 
     @property
     def matched_readings(self) -> tuple[tuple[int, str], ...]:
-        """The readings whose worst residual is within ``MATCH_TOL``."""
-        return tuple(r for r, res in self.reading_residuals if res <= MATCH_TOL)
+        """The readings whose check passed, within ``MATCH_TOL``."""
+        return tuple(r for r, chk in self.readings if chk.passed)
 
     @property
     def reparametrization(self) -> str | None:
@@ -327,9 +326,8 @@ class CaseCheck(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return (self.group_law_residual <= GROUP_LAW_TOL
-                and self.generator_residual <= GENERATOR_TOL
-                and self.equivariance_max_residual <= self.tol
+        return (self.group_law.passed and self.generator.passed
+                and self.equivariance.passed
                 and (-1, "exp") in self.matched_readings
                 and self.field_consistent)
 
@@ -419,10 +417,8 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
     rng = random.Random(seed + case.case_id)
     signs = (1, -1) if case.sign_param else (1,)
 
-    worst_group = 0.0
-    worst_gen = 0.0
-    worst_equi = 0.0
-    residuals = {r: 0.0 for r in READINGS}
+    group_law, generator, equivariance = [], [], []
+    readings = {r: [] for r in READINGS}
     consistent = True
     rate = Fraction(0)
 
@@ -440,6 +436,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         consistent &= (v == target)
 
         # group law and inverse, on random parameter pairs
+        worst_group = 0.0
         for _ in range(8):
             a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
             Ma = flw.matrix(a)
@@ -449,14 +446,16 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                               max_abs_diff(matmul(Ma, flw.matrix(b)), M) / scale)
             worst_group = max(worst_group,
                               max_abs_diff(matmul(Ma, flw.matrix(-a)), identity(5)))
+        group_law.append(SymmetryCheck(worst_group, 8, GROUP_LAW_TOL))
 
         # central-difference generator recovery
         h = 1e-6
         D = [[(p - m) / (2 * h) for p, m in zip(rp, rm)]
              for rp, rm in zip(flw.matrix(h), flw.matrix(-h))]
         L = [[float(x) for x in row] for row in flw.L]
-        worst_gen = max(worst_gen, max_abs_diff(D, L)
-                        / (1.0 + max(abs(v) for row in L for v in row)))
+        generator.append(SymmetryCheck(
+            max_abs_diff(D, L) / (1.0 + max(abs(v) for row in L for v in row)),
+            1, GENERATOR_TOL))
 
         # the group element (M, B, c) at each time the checks below use,
         # evaluated once
@@ -467,6 +466,8 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                     element[st] = (flw.matrix(st), *flw.spatial_preimage(st))
 
         # finite equivariance on polynomial profiles
+        worst_equi = 0.0
+        n_equi = 0
         for _ in range(2):
             p0, den0 = _clear(as_polynomial(_sample_poly(rng))[0])
             s2_u0_fn = s2_evaluator_of_poly(p0, den0)
@@ -481,6 +482,8 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                     rhs = w_t * s2_u0_fn(*pre)
                     worst_equi = max(worst_equi,
                                      abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+                    n_equi += 1
+        equivariance.append(SymmetryCheck(worst_equi, n_equi, tol))
 
         # printed formula versus computed pushforward; the orientation does
         # not enter the printed template
@@ -488,12 +491,13 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         printed = {mode: _printed_evaluator(case, values, cu, mode)
                    for mode in ("exp", "literal")}
         for sigma, mode in READINGS:
-            res = _reading_residual(printed[mode], element, sigma, rng, n_points)
-            residuals[(sigma, mode)] = max(residuals[(sigma, mode)], res)
+            readings[(sigma, mode)].append(
+                _reading_check(printed[mode], element, sigma, rng, n_points))
 
-    return CaseCheck(case.case_id, case.row_id, worst_group, worst_gen,
-                     worst_equi, rate, tuple(sorted(residuals.items())),
-                     consistent, case.flags, tol)
+    return CaseCheck(case.case_id, case.row_id, worst_check(group_law),
+                     worst_check(generator), worst_check(equivariance), rate,
+                     tuple((r, worst_check(readings[r])) for r in READINGS),
+                     consistent, case.flags)
 
 
 @lru_cache(maxsize=None)
@@ -509,10 +513,7 @@ def _printed_evaluator(case: CaseSpec, values: Mapping[str, Fraction], cu: Expr,
     (x, y, z, t) at the parameter values, with the u-factor taken
     literally or as the exponential exp(-cu*t) it truncates."""
     subs = {k: num(v) for k, v in values.items()}
-    img = []
-    for tx in case.image_text:
-        e = parse(tx)
-        img.append(substitute(e, {k: v for k, v in subs.items() if k in free_symbols(e)}))
+    img = [substitute(parse(tx), subs) for tx in case.image_text]
     if mode == "literal":
         scale = parse(case.u_scale_text)
     else:
@@ -524,23 +525,25 @@ def _printed_evaluator(case: CaseSpec, values: Mapping[str, Fraction], cu: Expr,
     return compile_evaluator(printed, ["x", "y", "z", "t"], _bindings())
 
 
-def _reading_residual(printed_fn: Callable[..., float],
-                      element: Mapping[float, tuple[Rows, Rows, Sequence[float]]],
-                      sigma: int, rng: random.Random, n_points: int) -> float:
+def _reading_check(printed_fn: Callable[..., float],
+                   element: Mapping[float, tuple[Rows, Rows, Sequence[float]]],
+                   sigma: int, rng: random.Random, n_points: int) -> SymmetryCheck:
     """Worst relative gap between a printed template (``_printed_evaluator``)
-    and the sigma-oriented pushforward.  ``element`` maps each time +-t to
-    the flow matrix and preimage map (M, B, c) of that group element."""
+    and the sigma-oriented pushforward, against ``MATCH_TOL``.  ``element``
+    maps each time +-t to the flow matrix and preimage map (M, B, c) of
+    that group element."""
     u0_fn = _reading_base()[1]
+    per_time = max(3, n_points // len(T_VALUES))
 
     worst = 0.0
     for t in T_VALUES:
         M, B, c = element[sigma * t]
-        for _ in range(max(3, n_points // len(T_VALUES))):
+        for _ in range(per_time):
             pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
             want = printed_fn(*pt, t)
             got = _pushforward_at(M, B, c, u0_fn, pt)
             worst = max(worst, abs(want - got) / (1.0 + abs(want) + abs(got)))
-    return worst
+    return SymmetryCheck(worst, per_time * len(T_VALUES), MATCH_TOL)
 
 
 def verify_all_cases(**kwargs) -> tuple[CaseCheck, ...]:
@@ -550,27 +553,24 @@ def verify_all_cases(**kwargs) -> tuple[CaseCheck, ...]:
 # ---------------------------------------------------------------------------
 # applying one transform to a user-supplied solution
 
+def _signed_sum(terms: Sequence[tuple[float, str]]) -> str:
+    """The sum of (v, text) terms, each text spelling |v|'s term, signed by
+    the v: "a - b + c", or "-a + b" when the first v is negative."""
+    text = "".join((" - " if v < 0 else " + ") + magnitude for v, magnitude in terms)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+def _times(v: float, name: str) -> str:
+    """|v|*name to 12 digits, or name alone when |v| is 1."""
+    return name if abs(abs(v) - 1.0) < 1e-14 else f"{abs(v):.12g}*{name}"
+
+
 def _affine_text(coeffs: Sequence[float], const: float) -> str:
-    text = ""
-    for v, name in zip(coeffs, SPATIAL):
-        if abs(v) < 1e-14:
-            continue
-        head = name if abs(v - 1.0) < 1e-14 else f"{v:.12g}*{name}"
-        if not text:
-            text = head
-        elif head.startswith("-"):
-            text += " - " + head[1:]
-        else:
-            text += " + " + head
-    if abs(const) >= 1e-14 or not text:
-        cs = f"{const:.12g}"
-        if not text:
-            text = cs
-        elif cs.startswith("-"):
-            text += " - " + cs[1:]
-        else:
-            text += " + " + cs
-    return text
+    """coeffs . (x, y, z) + const, leaving out the terms below 1e-14."""
+    terms = [(v, _times(v, name)) for v, name in zip(coeffs, SPATIAL) if abs(v) >= 1e-14]
+    if abs(const) >= 1e-14 or not terms:
+        terms.append((const, f"{abs(const):.12g}"))
+    return _signed_sum(terms)
 
 
 class TransformOutcome(NamedTuple):
@@ -675,16 +675,13 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
         done += 1
 
-    body = f"u({', '.join(pre_texts)})"
-    if abs(scale - 1.0) >= 1e-14:
-        body = f"{scale:.12g}*{body}"
-    for lj, px in zip(linear, pre_texts):
-        if abs(lj) >= 1e-14:
-            body += f" + {lj:.12g}*({px})"
+    terms = [(scale, _times(scale, f"u({', '.join(pre_texts)})"))]
+    terms += [(lj, f"{abs(lj):.12g}*({px})")
+              for lj, px in zip(linear, pre_texts) if abs(lj) >= 1e-14]
     if abs(shift) >= 1e-14:
-        body += f" + {shift:.12g}" if shift > 0 else f" - {-shift:.12g}"
+        terms.append((shift, f"{abs(shift):.12g}"))
 
     notes = tuple(_FLAG_NOTES[fl] for fl in case.flags if fl in _FLAG_NOTES)
     return TransformOutcome(case.case_id, t, rate, factor,
                             SymmetryCheck(worst, n_points, tol), scale, pre_texts,
-                            linear, shift, body, notes)
+                            linear, shift, _signed_sum(terms), notes)

@@ -1,9 +1,10 @@
 """Second-order prolongation machinery for scalar equations on (x, y, z).
 
 Jet coordinates are plain symbols named ``u``, ``u_x``, ``u_xy``, ... with
-sorted index strings; a second dependent family (``f``, ``f_x``, ...) is
-used when the right-hand side transforms too.  The prolonged coefficient
-of d/du_J is built with the recursive rule
+sorted index strings; u is the one dependent variable, and a right-hand
+side f enters either as an opaque function of (x, y, z) or, for the
+equivalence algebra, as a plain coordinate.  The prolonged coefficient of
+d/du_J is built with the recursive rule
 
     phi^{J,i} = D_i(phi^J) - sum_j D_i(xi^j) * u_{J,j}
 
@@ -18,10 +19,10 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .expr import (
-    _NONFINITE, EvalDomainError, Expr, ExprError, Opaque, OpaqueBinding, ZERO, add,
+    _NONFINITE, EvalDomainError, Expr, ExprError, OpaqueBinding, ZERO, add,
     compile_template, deriv, diff, free_symbols, mul, neg, num, opaque,
     pow_, substitute, sym,
 )
@@ -37,7 +38,7 @@ __all__ = [
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
     "s2_evaluator_of_poly", "s2_weight",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
-    "invariance_residual", "SymmetryCheck", "check_symmetry",
+    "invariance_residual", "SymmetryCheck", "worst_check", "check_symmetry",
 ]
 
 SPATIAL = ("x", "y", "z")
@@ -62,42 +63,39 @@ def jet_indices(order: int) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def jet_symbol(family: str, idx: str) -> Expr:
-    return sym(family if not idx else f"{family}_{''.join(sorted(idx))}")
+def jet_symbol(idx: str) -> Expr:
+    """The jet coordinate u_idx (u itself for the empty index)."""
+    return sym("u" if not idx else f"u_{''.join(sorted(idx))}")
 
 
-def jet_order(name: str, families: Sequence[str]) -> int | None:
-    """Order of a jet symbol name, or None if not a jet of these families."""
-    for fam in families:
-        if name == fam:
-            return 0
-        if name.startswith(fam + "_"):
-            idx = name[len(fam) + 1:]
-            if idx and all(c in "xyz" for c in idx) and "".join(sorted(idx)) == idx:
-                return len(idx)
+def jet_order(name: str) -> int | None:
+    """Order of a jet symbol name, or None if it names no jet of u."""
+    if name == "u":
+        return 0
+    idx = name[len("u_"):]
+    if (name.startswith("u_") and idx and all(c in "xyz" for c in idx)
+            and "".join(sorted(idx)) == idx):
+        return len(idx)
     return None
 
 
-def total_derivative(e: Expr, var: str, families: Sequence[str] = ("u",),
-                     max_order: int = 3) -> Expr:
-    """Total derivative D_var treating each family as a function of (x,y,z).
+def total_derivative(e: Expr, var: str) -> Expr:
+    """Total derivative D_var treating u as a function of (x, y, z).
 
-    Jets up to ``max_order`` are available; differentiating an expression
-    that references top-order jets would need the next table and raises.
+    Jets up to order three are available; differentiating an expression
+    that references third-order jets would need the next table and raises.
     """
     if var not in SPATIAL:
         raise ExprError(f"total derivative along {var!r}; expected one of {SPATIAL}")
     terms = [diff(e, var)]
     for name in sorted(free_symbols(e)):
-        order = jet_order(name, families)
+        order = jet_order(name)
         if order is None:
             continue
-        if order >= max_order:
+        if order >= 3:
             raise JetOrderError(
                 f"total derivative of {name} needs jets of order {order + 1}")
-        fam = name.split("_")[0]
-        idx = name.split("_")[1] if "_" in name else ""
-        terms.append(mul(diff(e, name), jet_symbol(fam, idx + var)))
+        terms.append(mul(diff(e, name), jet_symbol(name[len("u_"):] + var)))
     return add(*terms)
 
 
@@ -107,48 +105,39 @@ def total_derivative(e: Expr, var: str, families: Sequence[str] = ("u",),
 class Prolongation(NamedTuple):
     """Coefficients of d/du_J for |J| = 1, 2 of the prolonged field."""
 
-    field: VectorField
-    dependent: str
     phi: Mapping[str, Expr]     # keys like 'x', 'xy' (jet index strings)
 
     def coeff(self, idx: str) -> Expr:
         return self.phi["".join(sorted(idx))]
 
 
-def prolong2(v: VectorField, dependent: str = "u",
-             families: Sequence[str] | None = None) -> Prolongation:
-    """Second prolongation of a point field on (x, y, z, dependent, ...).
+def prolong2(v: VectorField) -> Prolongation:
+    """Second prolongation of a point field on (x, y, z, u, ...); any
+    coordinate past u (the f of the equivalence space) is a plain variable.
 
     Coefficients are normalized; by construction they involve jets of
     order at most two (asserted defensively).
     """
-    vars_ = v.space.variables
-    if dependent not in vars_:
-        raise ExprError(f"{dependent!r} is not a coordinate of {v.space.name}")
-    if families is None:
-        families = tuple(n for n in vars_ if n not in SPATIAL)
+    if "u" not in v.space.variables:
+        raise ExprError(f"'u' is not a coordinate of {v.space.name}")
     xi = {s: v.coeff(s) for s in SPATIAL}
-    phi0 = v.coeff(dependent)
-
-    def D(e: Expr, s: str) -> Expr:
-        return total_derivative(e, s, families=families)
+    D = total_derivative
 
     phi: dict[str, Expr] = {}
     for i in SPATIAL:
-        phi[i] = normalize(add(D(phi0, i),
-                               *[neg(mul(D(xi[j], i), jet_symbol(dependent, j)))
-                                 for j in SPATIAL]))
+        phi[i] = normalize(add(D(v.coeff("u"), i),
+                               *[neg(mul(D(xi[j], i), jet_symbol(j))) for j in SPATIAL]))
     for idx in jet_indices(2):
         base, i = idx[:-1], idx[-1]
         phi[idx] = normalize(add(D(phi[base], i),
-                                 *[neg(mul(D(xi[j], i), jet_symbol(dependent, base + j)))
+                                 *[neg(mul(D(xi[j], i), jet_symbol(base + j)))
                                    for j in SPATIAL]))
     for idx, e in phi.items():
         for name in free_symbols(e):
-            order = jet_order(name, (dependent,))
+            order = jet_order(name)
             if order is not None and order > 2:
                 raise JetOrderError(f"prolongation coefficient {idx} kept {name}")
-    return Prolongation(v, dependent, phi)
+    return Prolongation(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +152,9 @@ def prolong2(v: VectorField, dependent: str = "u",
 # field is stated once, in s2_weight; the tests check pr V(F) =
 # s2_weight(V)*F on the symmetry generators.
 
-def hessian2(dependent: str = "u") -> Expr:
+def hessian2() -> Expr:
     """F: the sum of the principal 2x2 Hessian minors in jet coordinates."""
-    d = dependent
-    return parse(f"{d}_xx*{d}_yy + {d}_xx*{d}_zz + {d}_yy*{d}_zz"
-                 f" - {d}_xy^2 - {d}_yz^2 - {d}_xz^2")
+    return parse("u_xx*u_yy + u_xx*u_zz + u_yy*u_zz - u_xy^2 - u_yz^2 - u_xz^2")
 
 
 def s2_of(expr: Expr) -> Expr:
@@ -253,13 +240,11 @@ def solve_uyy(rhs: Expr) -> Expr:
     return normalize(mul(add(rhs, neg(rest)), pow_(pivot, num(-1))))
 
 
-def transport_term(v: VectorField, target: Expr | None = None) -> Expr:
+def transport_term(v: VectorField) -> Expr:
     """How the field transports a right-hand side f(x, y, z): the spatial
     part applied through formal derivatives of an opaque f, i.e.
     xi*f_1 + zeta*f_2 + eta*f_3 evaluated at (x, y, z)."""
-    f = opaque("f", sym("x"), sym("y"), sym("z")) if target is None else target
-    if not isinstance(f, Opaque):
-        raise ExprError("transport target must be an opaque application")
+    f = opaque("f", sym("x"), sym("y"), sym("z"))
     return add(*[mul(v.coeff(s), deriv(f, (i + 1,)))
                  for i, s in enumerate(SPATIAL) if v.coeff(s) != ZERO])
 
@@ -314,10 +299,14 @@ def _variety_point(draw: Callable[[], tuple[float, ...]],
 
 class SymmetryCheck(NamedTuple):
     """Outcome of a sampled check: the worst residual over ``n_points``
-    points against ``tol``.  ``check_symmetry`` keeps its worst point on
+    points against ``tol``, and the one place where a residual meets its
+    tolerance.  ``check_symmetry`` returns one and keeps its worst point on
     the solution variety as the witness;
-    ``determining.numeric_invariance_check`` and ``flows.apply_case`` keep
-    none."""
+    ``determining.numeric_invariance_check`` and ``flows.apply_case``
+    return one without a witness.  ``classify.RowCheck.symmetry`` and
+    ``classify.PrincipalCheck.symmetry`` hold the ``worst_check`` of their
+    ``check_symmetry`` calls, and ``flows.CaseCheck`` holds one each for
+    its group law, its recovered generator and its equivariance."""
 
     max_residual: float
     n_points: int
@@ -327,6 +316,17 @@ class SymmetryCheck(NamedTuple):
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol
+
+
+def worst_check(checks: Iterable[SymmetryCheck]) -> SymmetryCheck:
+    """The checks as one: the worst residual with its witness, over all
+    their points, against the tolerance they share."""
+    checks = tuple(checks)
+    tols = {c.tol for c in checks}
+    if len(tols) != 1:
+        raise ValueError(f"checks must share one tolerance, got {sorted(tols)}")
+    worst = max(checks, key=lambda c: c.max_residual)
+    return worst._replace(n_points=sum(c.n_points for c in checks))
 
 
 # per seed, the generator and the candidate points drawn from it so far,
@@ -366,7 +366,7 @@ def _symmetry_pieces(v: VectorField) -> Callable[[Mapping[str, OpaqueBinding]], 
     per call.  A classification row checks its printed field and its lift
     against each profile in turn, so the last few fields are all that is
     kept."""
-    prl = prolong2(v, "u", families=("u",))
+    prl = prolong2(v)
     pieces = [mul(prl.coeff(idx), S2_JET_DERIVATIVES[idx]) for idx in jet_indices(2)]
     fop = opaque("f", sym("x"), sym("y"), sym("z"))
     for i, s in enumerate(SPATIAL):

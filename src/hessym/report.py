@@ -301,11 +301,11 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float = 1e-8,
     span = ("matching the principal algebra" if pr.matches_principal
             else "that differs from the principal algebra")
     records.append(CheckRecord(
-        "principal-span", pr.passed, pr.symmetry_max_residual,
+        "principal-span", pr.passed, pr.symmetry.max_residual,
         f"generic right-hand side leaves a {pr.dimension}-dimensional span "
         f"{span}; conditioned family has dimension "
         f"{pr.family_dimension}; worst on-variety residual "
-        f"{pr.symmetry_max_residual:.2e} over {pr.n_points} points"
+        f"{pr.symmetry.max_residual:.2e} over {pr.symmetry.n_points} points"
         + (f"; span mismatch: {pr.span_mismatch}" if pr.span_mismatch else ""),
         "principal-algebra"))
     return SuiteReport("determining", seed, tuple(records))
@@ -358,14 +358,14 @@ def suite_classification(seed: int = DEFAULT_SEED, tol: float = 1e-8,
     records = []
     for chk in classify.verify_all_rows(seed=seed, tol=tol, n_points=points):
         details = ("ansatz " + ", ".join(str(v) for v in chk.ansatz_verdicts)
-                   + f"; symmetry max residual {chk.symmetry_max_residual:.2e} "
-                   f"over {chk.symmetry_n_points} points")
+                   + f"; symmetry max residual {chk.symmetry.max_residual:.2e} "
+                   f"over {chk.symmetry.n_points} points")
         if chk.used_lifted_v5:
             details += "; lifted operator used in place of the printed one"
         if chk.flags:
             details += "; flags: " + ", ".join(chk.flags)
         records.append(CheckRecord(
-            f"row[{chk.row_id}]", chk.passed, chk.symmetry_max_residual,
+            f"row[{chk.row_id}]", chk.passed, chk.symmetry.max_residual,
             details, f"classification-table:{chk.row_id}", chk.flags))
     return SuiteReport("classification", seed, tuple(records))
 
@@ -398,15 +398,15 @@ def suite_flows(seed: int = DEFAULT_SEED, tol: float = 1e-7,
         "base-family")]
     for chk in flows.verify_all_cases(seed=seed, tol=tol, n_points=points):
         matched = ", ".join(f"({s:+d},{m})" for s, m in chk.matched_readings)
-        details = (f"group law {chk.group_law_residual:.1e}; generator "
-                   f"{chk.generator_residual:.1e}; equivariance "
-                   f"{chk.equivariance_max_residual:.1e} at rate "
+        details = (f"group law {chk.group_law.max_residual:.1e}; generator "
+                   f"{chk.generator.max_residual:.1e}; equivariance "
+                   f"{chk.equivariance.max_residual:.1e} at rate "
                    f"{chk.weight_rate}; printed formula matches readings "
                    f"[{matched}]")
         if chk.reparametrization:
             details += f"; {chk.reparametrization}"
         records.append(CheckRecord(
-            f"case[{chk.case_id}]", chk.passed, chk.equivariance_max_residual,
+            f"case[{chk.case_id}]", chk.passed, chk.equivariance.max_residual,
             details, f"transform-case:{chk.case_id}", chk.flags))
     return SuiteReport("flows", seed, tuple(records))
 

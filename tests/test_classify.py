@@ -20,9 +20,8 @@ from hessym.classify import (
     verify_invariants,
     verify_principal,
     verify_reflection,
-    verify_row,
 )
-from hessym.expr import diff, free_symbols, num, substitute, sym
+from hessym.expr import diff, num, substitute, sym
 from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
 from hessym.normalize import (
@@ -43,7 +42,7 @@ def row_checks():
 @pytest.mark.parametrize("row_id", [r.row_id for r in classification_rows()])
 def test_row_passes(row_checks, row_id):
     rc = row_checks[row_id]
-    assert rc.passed, f"{row_id}: ansatz={rc.ansatz_verdicts} sym={rc.symmetry_max_residual:.2e}"
+    assert rc.passed, f"{row_id}: ansatz={rc.ansatz_verdicts} sym={rc.symmetry.max_residual:.2e}"
 
 
 @pytest.mark.parametrize("row_id", [r.row_id for r in classification_rows()])
@@ -66,8 +65,8 @@ def test_lifted_extra_symmetry_used_exactly_where_flagged(row_checks):
 
 def test_symmetry_sampling_is_substantial(row_checks):
     for rc in row_checks.values():
-        assert rc.symmetry_n_points >= 100
-        assert rc.symmetry_max_residual < 1e-10
+        assert rc.symmetry.n_points >= 100
+        assert rc.symmetry.max_residual < 1e-10
 
 
 def test_corrected_constraint_row_is_flagged(row_checks):
@@ -209,7 +208,7 @@ def test_principal_algebra():
     assert p.dimension == 4
     assert p.matches_principal
     assert p.family_dimension == 12
-    assert p.symmetry_max_residual <= p.tol
+    assert p.symmetry.max_residual <= p.symmetry.tol
     assert p.span_mismatch is None
 
 

@@ -272,6 +272,17 @@ def test_transform_shift_on_quadratic_fixture(capsys):
     assert "exp(0*t) = 1" in out
 
 
+@pytest.mark.parametrize("case, t, want", [
+    ("2", "-0.3", "u(x, y, z) - 0.3*(x)"),
+    ("8", "3.141592653589793", "23.1406926328*u(-x, y, -z)"),
+])
+def test_transform_spells_each_sign_once(capsys, case, t, want):
+    code, out, _ = run(capsys, "transform", "--case", case, "--t", t,
+                       "--u", "fixture:1,2,3")
+    assert code == 0
+    assert f"transformed solution: {want}\n" in out
+
+
 def test_transform_rotation_with_parameter(capsys):
     code, out, _ = run(capsys, "transform", "--case", "6", "--t", "0.5",
                        "--param", "g1=2", "--u", "x*y + z^2 + x^2")
@@ -836,6 +847,28 @@ def test_every_export_is_defined_or_imported():
         if filename == "__init__.py":
             known |= served
         bad += [f"{filename}: {name}" for name in exports if name not in known]
+    assert bad == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name counts as used where the module reads it or lists it in its
+    # __all__ (the package's re-exports); __future__ imports change syntax
+    package = Path(hessym.__file__).resolve().parent
+    paths = sorted(package.rglob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    bad = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(n for node in tree.body if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)
+                    for n in ast.literal_eval(node.value))
+        bad += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert bad == []
 
 

@@ -9,7 +9,7 @@ from hessym.determining import (
     CONSTANT_TO_EQUIVALENCE, EQUIVALENCE_CONSTANTS, FREE_CONSTANTS,
     SYMMETRY_CONSTANTS, bila_auxiliary_residual, determining_system,
     equivalence_candidate, equivalence_residual_on_variety,
-    free_constants_absent, general_candidate, numeric_invariance_check,
+    free_constants_absent, numeric_invariance_check,
     residual_on_variety, symmetry_candidate, symmetry_condition,
 )
 from hessym.normalize import NonZero, ProvedZero, is_zero

@@ -13,7 +13,7 @@ from hessym import expr
 from hessym.expr import (
     ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Frozen, Mul,
     Num, Opaque, OpaqueBinding, Pow, Sym, add, call, children, compile_evaluator, deriv,
-    diff, div, free_symbols, mul, neg, num, opaque, pow_, rebuild,
+    diff, free_symbols, mul, num, opaque, pow_, rebuild,
     sub, substitute, sym, to_text,
 )
 from hessym.fields import E4, AdjointMatrix, LieBasis, VectorField, vf

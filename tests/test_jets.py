@@ -15,11 +15,11 @@ from hessym.expr import (
     pow_, substitute, sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
-from hessym.flows import _sample_poly
+from hessym.flows import _sample_poly, case_by_id, verify_case
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    s2_of, s2_weight, solve_uyy, total_derivative,
+    s2_of, s2_weight, solve_uyy, total_derivative, worst_check,
 )
 from hessym.normalize import (
     DEFAULT_SEED, ProvedZero, _clear, as_polynomial, is_zero, normalize,
@@ -36,11 +36,11 @@ class TestJetTables:
         assert len(jet_indices(3)) == 10
 
     def test_jet_order_parses_names(self):
-        assert jet_order("u", ("u",)) == 0
-        assert jet_order("u_xy", ("u",)) == 2
-        assert jet_order("f_z", ("u", "f")) == 1
-        assert jet_order("v_x", ("u",)) is None
-        assert jet_order("u_yx", ("u",)) is None  # unsorted is not a jet name
+        assert jet_order("u") == 0
+        assert jet_order("u_xy") == 2
+        assert jet_order("f_z") is None  # u is the one dependent variable
+        assert jet_order("v_x") is None
+        assert jet_order("u_yx") is None  # unsorted is not a jet name
 
 
 class TestTotalDerivative:
@@ -48,10 +48,6 @@ class TestTotalDerivative:
         assert total_derivative(sym("u"), "x") == sym("u_x")
         got = total_derivative(parse("y*u_x"), "y")
         assert normalize(got) == normalize(parse("u_x + y*u_xy"))
-
-    def test_two_families(self):
-        got = total_derivative(parse("u_x*f"), "z", families=("u", "f"))
-        assert normalize(got) == normalize(parse("u_xz*f + u_x*f_z"))
 
     def test_top_order_raises(self):
         with pytest.raises(JetOrderError):
@@ -70,16 +66,16 @@ def oracle_phi(v: VectorField, idx: str) -> tuple:
     records whether third-order jets appeared before cancellation."""
     q = v.coeff("u")
     for j in SPATIAL:
-        q = add(q, neg(mul(v.coeff(j), jet_symbol("u", j))))
+        q = add(q, neg(mul(v.coeff(j), jet_symbol(j))))
     e = q
     for ch in idx:
-        e = total_derivative(e, ch, families=("u",), max_order=3)
+        e = total_derivative(e, ch)
     for j in SPATIAL:
-        e = add(e, mul(v.coeff(j), jet_symbol("u", "".join(sorted(idx + j)))))
+        e = add(e, mul(v.coeff(j), jet_symbol("".join(sorted(idx + j)))))
     from hessym.expr import free_symbols
-    had3 = any(jet_order(nm, ("u",)) == 3 for nm in free_symbols(e))
+    had3 = any(jet_order(nm) == 3 for nm in free_symbols(e))
     out = normalize(e)
-    survivors = {nm for nm in free_symbols(out) if jet_order(nm, ("u",)) == 3}
+    survivors = {nm for nm in free_symbols(out) if jet_order(nm) == 3}
     assert not survivors, f"order-3 jets failed to cancel: {survivors}"
     return out, had3
 
@@ -330,6 +326,40 @@ class TestCheckSymmetry:
         # d/dx is not a symmetry when f depends on x
         chk = check_symmetry(vf(E4, x="1"), parse("x*y + z^2"), n=20)
         assert not chk.passed and chk.max_residual > 1e-3
+
+
+class TestWorstCheck:
+    def test_worst_residual_with_its_witness_over_all_points(self):
+        checks = [SymmetryCheck(2e-9, 10, 1e-8, {"x": 1.0}),
+                  SymmetryCheck(5e-9, 20, 1e-8, {"x": 2.0}),
+                  SymmetryCheck(0.0, 30, 1e-8)]
+        assert worst_check(checks) == SymmetryCheck(5e-9, 60, 1e-8, {"x": 2.0})
+        assert worst_check(iter(checks[2:])) == checks[2]
+
+    def test_the_checks_share_one_tolerance(self):
+        with pytest.raises(ValueError, match="one tolerance"):
+            worst_check([SymmetryCheck(0.0, 1, 1e-8), SymmetryCheck(0.0, 1, 1e-7)])
+
+
+# each record that holds a SymmetryCheck, and the field that holds it
+_HELD_CHECKS = {
+    "RowCheck.symmetry": lambda: classify.verify_row(classification_rows()[0], n_points=5),
+    "PrincipalCheck.symmetry": lambda: classify.verify_principal(n=5),
+    "CaseCheck.group_law": lambda: verify_case(case_by_id(5), n_points=4),
+    "CaseCheck.generator": lambda: verify_case(case_by_id(5), n_points=4),
+    "CaseCheck.equivariance": lambda: verify_case(case_by_id(5), n_points=4),
+}
+
+
+@pytest.mark.parametrize("where", _HELD_CHECKS)
+def test_a_failing_held_check_fails_its_record(where):
+    record = _HELD_CHECKS[where]()
+    field = where.split(".")[1]
+    held = getattr(record, field)
+    assert record.passed and held.passed
+    failing = held._replace(max_residual=2 * held.tol)
+    assert not failing.passed
+    assert not record._replace(**{field: failing}).passed
 
 
 class TestS2Routes:

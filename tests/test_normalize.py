@@ -9,13 +9,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import hessym
-from hessym.expr import (
-    ZERO, ExprError, OpaqueBinding, add, call, mul, num, pow_, sub, sym, to_text,
-)
+from hessym.expr import ExprError, OpaqueBinding, call, sub, sym
 from hessym.normalize import (
     NonZero, NormalizeError, NumericallyZero, ProvedZero, as_polynomial,
     is_zero, normalize, print_canonical,
