@@ -332,8 +332,8 @@ def cmd_invariants(args) -> int:
     rep = report.run_suite("invariants", seed=args.seed)
     records = rep.records
     if args.label != "all":
-        records = tuple(r for r in rep.records
-                        if r.check_id == f"invariants[{args.label}]")
+        records = tuple(r for r in rep.records if r.check_id in
+                        (f"invariants[{args.label}]", "suite-error[invariants]"))
         if not records:
             known = ", ".join(r.check_id[len("invariants["):-1]
                               for r in rep.records)

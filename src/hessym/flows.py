@@ -38,6 +38,7 @@ from .expr import (
     diff,
     mul,
     num,
+    sub,
     substitute,
     sym,
     to_text,
@@ -46,10 +47,10 @@ from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
 from .jets import (
-    SPATIAL, SymmetryCheck, s2_evaluator_of_poly, s2_of, s2_weight, worst_check,
+    SPATIAL, SymmetryCheck, jet_indices, s2_of, s2_of_hessian, s2_weight, worst_check,
 )
 from .normalize import (
-    DEFAULT_SEED, NormalizeError, Poly, _clear, _padd, _pmul, as_polynomial, normalize,
+    DEFAULT_SEED, NormalizeError, Poly, _pdiff, as_polynomial, normalize,
 )
 from .parse import parse
 
@@ -58,7 +59,7 @@ __all__ = [
     "CaseSpec", "flow_cases", "case_by_id",
     "CaseCheck", "verify_case", "verify_all_cases",
     "TransformOutcome", "apply_case",
-    "tian_base", "BASE_SOLUTION_TEXT", "equivariance_weight",
+    "tian_base", "base_family_holds", "BASE_SOLUTION_TEXT", "equivariance_weight",
 ]
 
 
@@ -78,6 +79,13 @@ def tian_base(t1=None, t2=None, t3=None, eps=None, with_bump: bool = True) -> Ex
         if val is not None:
             reps[name] = num(Fraction(val)) if not isinstance(val, Expr) else val
     return substitute(e, reps) if reps else e
+
+
+def base_family_holds() -> bool:
+    """Whether S2 of the quadratic base is t1*t2 + t1*t3 + t2*t3 exactly,
+    by ``jets.s2_of``'s canonical form."""
+    return normalize(sub(s2_of(tian_base(with_bump=False)),
+                         parse("t1*t2 + t1*t3 + t2*t3"))) == ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +176,32 @@ def _pushforward_at(M: Rows, B: Rows, c: Sequence[float],
 def _affine(B: Rows, c: Sequence[float], pt: Sequence[float]) -> tuple[float, ...]:
     """B pt + c."""
     return tuple(v + ci for v, ci in zip(matvec(B, pt), c))
+
+
+# the (row, column) of the Hessian entry in each slot of jet_indices(2)
+_HESSIAN_ENTRIES = tuple((SPATIAL.index(a), SPATIAL.index(b)) for a, b in jet_indices(2))
+
+
+def _pushed_hessian(h: Sequence[float], s: float, B: Rows) -> tuple[float, ...]:
+    """The six second derivatives at x of s*u0(B x + c) plus an affine
+    function of x, by the chain rule s*B^T H B, from the six ``h`` of u0 at
+    B x + c; both in ``jet_indices(2)`` order."""
+    H = [[0.0] * 3 for _ in range(3)]
+    for (i, j), v in zip(_HESSIAN_ENTRIES, h):
+        H[i][j] = H[j][i] = v
+    BtHB = matmul(tuple(zip(*B)), matmul(H, B))
+    return tuple(s * BtHB[i][j] for i, j in _HESSIAN_ENTRIES)
+
+
+def _equivariance_gap(h: Sequence[float], s: float, B: Rows, factor: float) -> float:
+    """Gap between S2 of the pushed profile s*u0(B x + c) + ... at x and
+    ``factor`` > 0 times S2 of u0 at B x + c, both from the six second
+    derivatives ``h`` of u0 at B x + c, relative to the scale of their
+    terms: S2 that cancels in large second derivatives rounds at that
+    scale."""
+    lhs, lhs_scale = s2_of_hessian(_pushed_hessian(h, s, B))
+    rhs, rhs_scale = s2_of_hessian(h)
+    return abs(lhs - factor * rhs) / (1.0 + lhs_scale + factor * rhs_scale)
 
 
 def equivariance_weight(v: VectorField) -> Fraction:
@@ -351,47 +385,20 @@ def _sample_poly(rng: random.Random) -> Expr:
     return add(*terms)
 
 
-_LINEAR_MONOMIALS = ((("x", 1),), (("y", 1),), (("z", 1),), ())
+def _poly_hessian(p: Poly) -> Callable[..., tuple[float, ...]]:
+    """(x, y, z) -> the six second derivatives of the polynomial ``p`` in
+    ``jet_indices(2)`` order, each taken exactly by ``_pdiff`` and
+    evaluated term by term with its coefficients as floats."""
+    slot = {g: i for i, g in enumerate(SPATIAL)}
+    second = [[(float(c), tuple((slot[g], k) for g, k in m))
+               for m, c in _pdiff(_pdiff(p, idx[0]), idx[1]).items()]
+              for idx in jet_indices(2)]
 
+    def hessian_at(*pt: float) -> tuple[float, ...]:
+        return tuple(math.fsum(c * math.prod(pt[i] ** k for i, k in m) for c, m in terms)
+                     for terms in second)
 
-def _pushforward_poly(p: Poly, den: int, M: Rows, B: Rows,
-                      c: Sequence[float]) -> tuple[Poly, int]:
-    """(N, T) with N/T = M[3][3] u(B x + c) + M[3][:3] (B x + c) + M[3][4]
-    for u = p/den, p an integer polynomial in x, y, z.  The float entries
-    are exact dyadic rationals, so N/T is exactly the profile that
-    substituting them as numbers into u's tree would give."""
-    image, e = _over_common_denominator([v for i in range(3) for v in (*B[i], c[i])])
-    # e times the image coordinates, and their powers up to u's degree n
-    lin = [{m: v for m, v in zip(_LINEAR_MONOMIALS, image[4 * i:4 * i + 4]) if v}
-           for i in range(3)]
-    n = max([1] + [sum(k for _, k in m) for m in p])
-    powers = {g: [{(): 1}] for g in SPATIAL}
-    for g, img in zip(SPATIAL, lin):
-        for _ in range(n):
-            powers[g].append(_pmul(powers[g][-1], img))
-    pulled: Poly = {}  # den e^n u(B x + c)
-    for m, a in p.items():
-        term: Poly = {(): a * e ** (n - sum(k for _, k in m))}
-        for g, k in m:
-            term = _pmul(term, powers[g][k])
-        pulled = _padd(pulled, term)
-    w, f = _over_common_denominator(M[3])
-    # f den e^n u_new = w3 pulled + den e^(n-1) (w0 lin0 + w1 lin1 + w2 lin2 + w4 e);
-    # a zero coefficient in tail drops out of the last sum
-    tail: Poly = {(): w[4] * e}
-    for wj, img in zip(w, lin):
-        tail = _padd(tail, {m: wj * v for m, v in img.items()})
-    out = _padd({m: w[3] * v for m, v in pulled.items()},
-                {m: den * e ** (n - 1) * v for m, v in tail.items()})
-    return out, den * e ** n * f
-
-
-def _over_common_denominator(values: Sequence[float]) -> tuple[list[int], int]:
-    """(N, D) with values[k] = N[k]/D exactly, D the least common
-    denominator of the floats (dyadic rationals)."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
+    return hessian_at
 
 
 def _case_values(case: CaseSpec, sign: int, pval: Fraction) -> dict[str, Fraction]:
@@ -410,9 +417,10 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
 
     Group law and generator recovery test the matrix route on its own;
     the equivariance check ties the flow to the operator through the
-    factor exp(w t) of the S2 weight w, and ``tol`` bounds its residual; the
-    printed formula is then compared against the computed pushforward
-    under the four readings.
+    factor exp(w t) of the S2 weight w, with S2 of each pushed profile from
+    the profile's exact Hessian at the preimage by the chain rule, and
+    ``tol`` bounds its residual; the printed formula is then compared
+    against the computed pushforward under the four readings.
     """
     rng = random.Random(seed + case.case_id)
     signs = (1, -1) if case.sign_param else (1,)
@@ -469,19 +477,14 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         worst_equi = 0.0
         n_equi = 0
         for _ in range(2):
-            p0, den0 = _clear(as_polynomial(_sample_poly(rng))[0])
-            s2_u0_fn = s2_evaluator_of_poly(p0, den0)
+            hessian_at = _poly_hessian(as_polynomial(_sample_poly(rng))[0])
             for t in T_VALUES:
                 M, B, c = element[t]
-                s2_new_fn = s2_evaluator_of_poly(*_pushforward_poly(p0, den0, M, B, c))
                 w_t = math.exp(float(rate) * t)
                 for _ in range(n_points // len(T_VALUES) + 1):
                     pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
-                    pre = _affine(B, c, pt)
-                    lhs = s2_new_fn(*pt)
-                    rhs = w_t * s2_u0_fn(*pre)
-                    worst_equi = max(worst_equi,
-                                     abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+                    h = hessian_at(*_affine(B, c, pt))
+                    worst_equi = max(worst_equi, _equivariance_gap(h, M[3][3], B, w_t))
                     n_equi += 1
         equivariance.append(SymmetryCheck(worst_equi, n_equi, tol))
 
@@ -643,18 +646,10 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     linear = M[3][:3]
     shift = M[3][4]
 
-    img = [add(*[mul(num(Fraction(B[i][j])), sym(w))
-                 for j, w in enumerate(SPATIAL)],
-               num(Fraction(c[i])))
-           for i in range(3)]
-    pulled = substitute(u_expr, dict(zip(SPATIAL, img)))
-    u_new = add(mul(num(Fraction(scale)), pulled),
-                *[mul(num(Fraction(lj)), img[j]) for j, lj in enumerate(linear)],
-                num(Fraction(shift)))
-
-    u_fn = compile_evaluator(u_expr, ["x", "y", "z"], inner)
-    s2_new_fn = compile_evaluator(s2_of(u_new), ["x", "y", "z"], inner)
-    s2_u0_fn = compile_evaluator(s2_of(u_expr), ["x", "y", "z"], inner)
+    # u and its six second derivatives, compiled once
+    u_and_hessian = compile_evaluator(
+        (u_expr, *[diff(diff(u_expr, idx[0]), idx[1]) for idx in jet_indices(2)]),
+        SPATIAL, inner)
 
     rng = random.Random(seed)
     worst = 0.0
@@ -665,18 +660,15 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
                 f"could not find {n_points} valid sample points in {attempts} attempts")
         attempts += 1
         pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
-        pre = _affine(B, c, pt)
         try:
-            u_fn(*pre)
-            lhs = s2_new_fn(*pt)
-            rhs = factor * s2_u0_fn(*pre)
+            gap = _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor)
         except EvalDomainError:
             continue
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs)))
+        worst = max(worst, gap)
         done += 1
 
     terms = [(scale, _times(scale, f"u({', '.join(pre_texts)})"))]
-    terms += [(lj, f"{abs(lj):.12g}*({px})")
+    terms += [(lj, _times(lj, f"({px})"))
               for lj, px in zip(linear, pre_texts) if abs(lj) >= 1e-14]
     if abs(shift) >= 1e-14:
         terms.append((shift, f"{abs(shift):.12g}"))

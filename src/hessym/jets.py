@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     _NONFINITE, EvalDomainError, Expr, ExprError, OpaqueBinding, ZERO, add,
@@ -27,16 +27,13 @@ from .expr import (
     pow_, substitute, sym,
 )
 from .fields import VectorField
-from .normalize import (
-    DEFAULT_SEED, Poly, _padd, _pdiff, _pmul, as_polynomial, normalize,
-    signed_uniform,
-)
+from .normalize import DEFAULT_SEED, as_polynomial, normalize, signed_uniform
 from .parse import parse
 
 __all__ = [
     "SPATIAL", "JetOrderError", "jet_indices", "jet_symbol", "jet_order",
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
-    "s2_evaluator_of_poly", "s2_weight",
+    "s2_of_hessian", "s2_weight",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
     "invariance_residual", "SymmetryCheck", "worst_check", "check_symmetry",
 ]
@@ -146,11 +143,11 @@ def prolong2(v: VectorField) -> Prolongation:
 # F = hessian2() is the one symbolic statement of S2.  What the jet layer
 # needs of the operator is derived from F: the jet derivatives dS2/du_ij
 # (S2_JET_DERIVATIVES), the solution for u_yy on the variety (solve_uyy),
-# S2 of a concrete expression (s2_of, F at its second derivatives), and the
-# minors that the flows' integer fast path _s2_numerator multiplies out
-# (_S2_TERMS, F's monomials).  The weight by which S2 scales under a linear
-# field is stated once, in s2_weight; the tests check pr V(F) =
-# s2_weight(V)*F on the symmetry generators.
+# S2 of a concrete expression (s2_of, F at its second derivatives, in
+# canonical form), and S2 in floats from the six second derivatives of a
+# profile at a point (s2_of_hessian, F's monomials _S2_TERMS).  The weight
+# by which S2 scales under a linear field is stated once, in s2_weight; the
+# tests check pr V(F) = s2_weight(V)*F on the symmetry generators.
 
 def hessian2() -> Expr:
     """F: the sum of the principal 2x2 Hessian minors in jet coordinates."""
@@ -165,52 +162,17 @@ def s2_of(expr: Expr) -> Expr:
     return normalize(substitute(hessian2(), reps))
 
 
-def _s2_numerator(p: Poly) -> Poly:
-    """den^2 S2[p/den] for an integer polynomial p: the second derivatives
-    lower exponents, and F's monomials in them are integer products."""
-    d1 = {v: _pdiff(p, v) for v in SPATIAL}
-    d2 = {idx: _pdiff(d1[idx[0]], idx[1]) for idx in jet_indices(2)}
-    s: Poly = {}
-    for c, factors in _S2_TERMS:
-        term: Poly = {(): c}
-        for idx in factors:
-            term = _pmul(term, d2[idx])
-        s = _padd(s, term)
-    return s
-
-
-def s2_evaluator_of_poly(p: Poly, den: int) -> Callable[[float, float, float], float]:
-    """(x, y, z) -> S2[p/den] for an integer polynomial p in x, y, z,
-    evaluated from the polynomial without building or compiling a tree.
-
-    It makes the float operations that the compiled canonical form
-    ``s2_of(p/den)`` makes, so the two agree to the bit: the terms in
-    monomial order, each the coefficient c/den^2 (a correctly rounded int
-    division, as the folded literal is) times the powers of its generators
-    left to right, summed left to right.  A power past the float range or
-    a non-finite value raises EvalDomainError, as the compiled body does.
-    """
-    s = _s2_numerator(p)
-    den2 = den * den
-    slot = {g: i for i, g in enumerate(SPATIAL)}
-    terms = [(c, tuple((slot[g], k) for g, k in m)) for m, c in sorted(s.items())]
-
-    def s2_at(x: float, y: float, z: float) -> float:
-        xyz = (x, y, z)
-        total = 0.0
-        try:
-            for i, (c, factors) in enumerate(terms):
-                t = c / den2
-                for j, k in factors:
-                    t = t * (xyz[j] if k == 1 else xyz[j] ** k)
-                total = t if i == 0 else total + t
-        except OverflowError:
-            raise EvalDomainError(_NONFINITE) from None
-        if total - total:  # inf or NaN
-            raise EvalDomainError(_NONFINITE)
-        return total
-
-    return s2_at
+def s2_of_hessian(h: Sequence[float]) -> tuple[float, float]:
+    """S2 in floats from the six second derivatives ``h`` of a profile at
+    a point, in ``jet_indices(2)`` order, with its scale: F's monomials
+    (``_S2_TERMS``) summed left to right, and the largest |monomial|, the
+    size at which the sum rounds.  A non-finite value raises
+    EvalDomainError."""
+    terms = [c * h[i] * h[j] for c, i, j in _S2_TERMS]
+    s = sum(terms)
+    if not math.isfinite(s):
+        raise EvalDomainError(_NONFINITE)
+    return s, max(map(abs, terms))
 
 
 def s2_weight(v: VectorField) -> Expr:
@@ -223,9 +185,10 @@ def s2_weight(v: VectorField) -> Expr:
 S2_JET_DERIVATIVES: dict[str, Expr] = {
     idx: normalize(diff(hessian2(), f"u_{idx}")) for idx in jet_indices(2)}
 
-# F's monomials: each integer coefficient with the index of each second
-# derivative it multiplies, once per power, as in (-1, ('xy', 'xy'))
-_S2_TERMS = tuple((int(c), tuple(g[len("u_"):] for g, k in m for _ in range(k)))
+# F's monomials: each integer coefficient with the slots in jet_indices(2)
+# of the two second derivatives it multiplies, as in (-1, 1, 1) for -u_xy^2
+_S2_TERMS = tuple((int(c), *(jet_indices(2).index(g[len("u_"):]) for g, k in m
+                             for _ in range(k)))
                   for m, c in sorted(as_polynomial(hessian2())[0].items()))
 
 

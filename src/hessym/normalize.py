@@ -579,9 +579,12 @@ def clear_canonical_table() -> None:
 def normalize(e: Expr) -> Expr:
     """Canonical form: expanded numerator over reduced denominator.
 
-    Idempotent; equal rational functions in the kernel atoms normalize to
-    structurally identical trees, and ``normalize(normalize(e))`` is
-    ``normalize(e)`` itself.
+    Idempotent: ``normalize(normalize(e))`` is ``normalize(e)`` itself.
+    Equal rational functions in the kernel atoms normalize to structurally
+    identical trees whenever their common factors cancel; where the
+    heuristic gcd gives up, the fraction stays unreduced and two equal
+    ones need not be identical.  A zero is still exactly ``ZERO``, since
+    it reads the numerator alone.
     """
     c = _CANONICAL.get(e)
     if c is None:

@@ -16,11 +16,12 @@ rounding.
 ``jets._variety_point`` must reproduce point for point.
 
 ``s2_numerator_minors`` writes S2's principal minors out by hand over
-integer polynomials; ``jets._s2_numerator``, which takes its terms from
-``jets.hessian2()``, must give the same polynomial.  ``s2_of_poly`` turns
-that numerator into the canonical form of S2[p/den]: ``jets.s2_of`` must
-give the same tree, and the compiled tree must evaluate to the floats of
-``jets.s2_evaluator_of_poly``.
+integer polynomials, and ``s2_of_poly`` turns that numerator into the
+canonical form of S2[p/den]: ``jets.s2_of``, which takes its terms from
+``jets.hessian2()``, must give the same tree.  The float route
+``jets.s2_of_hessian`` has its own hand-written minors in
+tests/test_jets.py, and the chain rule of the flows is checked against
+``jets.s2_of`` of the pushforward built as a tree in tests/test_flows.py.
 """
 
 from __future__ import annotations

@@ -5,16 +5,24 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
 import hessym
 from hessym import report
+from hessym.catalog import SUITE_NAMES
 from hessym.cli import main
+from hessym.expr import substitute, to_text
+from hessym.fields import NotInSpanError
+from hessym.parse import parse
+
+from _gen import random_expr
 
 
 def run(capsys, *argv):
@@ -274,13 +282,34 @@ def test_transform_shift_on_quadratic_fixture(capsys):
 
 @pytest.mark.parametrize("case, t, want", [
     ("2", "-0.3", "u(x, y, z) - 0.3*(x)"),
+    ("2", "-1", "u(x, y, z) - (x)"),
     ("8", "3.141592653589793", "23.1406926328*u(-x, y, -z)"),
 ])
 def test_transform_spells_each_sign_once(capsys, case, t, want):
+    # and no unit coefficient
     code, out, _ = run(capsys, "transform", "--case", case, "--t", t,
                        "--u", "fixture:1,2,3")
     assert code == 0
     assert f"transformed solution: {want}\n" in out
+    assert "1*(" not in out
+
+
+def test_transform_fuzz_ends_in_an_exit_code(capsys):
+    # seeded random profiles through random cases and times: each answers
+    # with a verdict or one error line, never a traceback; the "--u=" form
+    # takes a profile that starts with a minus
+    rng = random.Random(21)
+    start = time.perf_counter()
+    for _ in range(50):
+        u = substitute(random_expr(rng, allow_opaque=False), {"u": parse("y*z")})
+        argv = ["transform", "--case", str(rng.randint(1, 15)),
+                "--t", f"{rng.uniform(-2, 2):.3f}", f"--u={to_text(u)}"]
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert (out.startswith("case ") and err == "") if code < 2 else (
+            out == "" and err.startswith("error: ") and err.count("\n") == 1), argv
+    assert time.perf_counter() - start < 10
 
 
 def test_transform_rotation_with_parameter(capsys):
@@ -508,6 +537,38 @@ def test_each_suite_gets_only_the_options_it_reads(monkeypatch, capsys):
         received.clear()
         assert run(capsys, "verify", name, "--seed", "5")[0] == 0
         assert received == {name: {"seed": 5}}
+
+
+def test_a_raising_suite_is_one_failed_record(monkeypatch, capsys):
+    # the other suites still report, and the run exits 1, not 2
+    def broken(seed):
+        raise NotInSpanError("field is not in the span of basis 'equivalence'", None)
+
+    monkeypatch.setitem(report._SUITES, "equivalence", broken)
+    code, out, _ = run(capsys, "verify", "all", "--points", "4", "--format", "json")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["status"] == "fail"
+    assert [rep["suite"] for rep in obj["suites"]] == list(SUITE_NAMES)
+    for rep in obj["suites"]:
+        if rep["suite"] == "equivalence":
+            assert rep["checks"] == [{
+                "id": "suite-error[equivalence]", "status": "fail", "residual": None,
+                "details": "NotInSpanError: field is not in the span of basis 'equivalence'",
+                "anchor": "suite:equivalence"}]
+        else:
+            assert rep["status"] in ("pass", "flagged") and rep["checks"]
+
+
+def test_a_raising_invariants_suite_fails_a_labelled_run(monkeypatch, capsys):
+    # the suite's error is the answer for any label, not an unknown label
+    def broken(seed):
+        raise ValueError("no invariants today")
+
+    monkeypatch.setitem(report._SUITES, "invariants", broken)
+    code, out, err = run(capsys, "invariants", "A3")
+    assert code == 1 and err == ""
+    assert "| suite-error[invariants] | fail |" in out
 
 
 def test_verify_all_takes_tol_and_points(capsys):

@@ -1,5 +1,6 @@
 """One-parameter transforms: flow matrices, pushforwards, printed formulas."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -10,16 +11,18 @@ import pytest
 from hessym import jets
 from hessym.classify import s2_of
 from hessym.expr import (
-    EvalDomainError, ExprError, OpaqueBinding, ZERO, add, compile_evaluator, mul, num, pow_, sub,
-    substitute, sym,
+    ExprError, OpaqueBinding, ZERO, add, compile_evaluator, diff, mul, num,
+    pow_, sub, substitute, sym,
 )
 from hessym.fields import E4, vf
 from hessym.flows import (
     AffineFlow,
     W_BODY,
+    _affine,
     _case_values,
+    _poly_hessian,
+    _pushed_hessian,
     _pushforward_at,
-    _pushforward_poly,
     _sample_poly,
     apply_case,
     case_by_id,
@@ -31,11 +34,9 @@ from hessym.flows import (
     verify_all_cases,
     verify_case,
 )
-from hessym.jets import s2_evaluator_of_poly
-from hessym.normalize import _clear, as_polynomial, normalize
+from hessym.jets import jet_indices, s2_of_hessian
+from hessym.normalize import as_polynomial, normalize
 from hessym.parse import parse
-
-from _reference import s2_of_poly
 
 CASE_IDS = list(range(1, 16))
 PRINCIPAL = {1, 2, 3, 4}
@@ -370,11 +371,11 @@ def test_field_mismatch_is_detected():
 
 
 # ---------------------------------------------------------------------------
-# the exact pushforward of the equivariance profiles
+# S2 of a pushed-forward profile, by the chain rule
 
 def _tree_pushforward(u, M, B, c):
-    """The pushed-forward profile built as a tree, the route the sparse
-    pushforward replaces."""
+    """The pushed-forward profile built as a tree, the oracle of the chain
+    rule."""
     img = [add(*[mul(num(Fraction(float(B[i][j]))), sym(w)) for j, w in enumerate("xyz")],
                num(Fraction(float(c[i]))))
            for i in range(3)]
@@ -391,20 +392,30 @@ def _flows_and_times():
             yield case.case_id, flw.matrix(t), *flw.spatial_preimage(t)
 
 
-def test_sparse_pushforward_is_the_tree_pushforward():
-    # 200 profiles, each pushed through every case at every time
-    rng = random.Random(3)
-    profiles = [_sample_poly(rng) for _ in range(200)]
-    cleared = [_clear(as_polynomial(u)[0]) for u in profiles]
-    flows = list(_flows_and_times())
-    for k, (u, (p, den)) in enumerate(zip(profiles, cleared)):
-        for cid, M, B, c in flows[k % 9::9]:
-            n, d = _pushforward_poly(p, den, M, B, c)
-            want = as_polynomial(_tree_pushforward(u, M, B, c))[0]
-            assert {m: Fraction(v, d) for m, v in n.items()} == want, cid
+def _chain_rule_s2(u, M, B, c, pt):
+    """S2 of the pushforward of the polynomial profile u at pt, from u's
+    exact Hessian at the preimage."""
+    h = _poly_hessian(as_polynomial(u)[0])(*_affine(B, c, pt))
+    return s2_of_hessian(_pushed_hessian(h, M[3][3], B))[0]
 
 
-def test_sparse_pushforward_of_dyadic_affine_maps():
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_s2_of_pushforward_matches_tree_route():
+    # every case at the three times, against the compiled canonical form
+    # of S2 of the pushforward built as a tree, at seeded points
+    rng = random.Random(4)
+    for cid, M, B, c in _flows_and_times():
+        u = _sample_poly(rng)
+        tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
+        for _ in range(5):
+            pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
+            assert _close(_chain_rule_s2(u, M, B, c, pt), tree(*pt)), (cid, pt)
+
+
+def test_chain_rule_s2_of_dyadic_affine_maps():
     # every entry of M's u-row and of (B, c) nonzero, as no case has them
     rng = random.Random(8)
     for _ in range(40):
@@ -412,68 +423,38 @@ def test_sparse_pushforward_of_dyadic_affine_maps():
                              for _ in range(k)]).reshape(shape)
                    for k, shape in ((25, (5, 5)), (9, (3, 3)), (3, (3,))))
         u = _sample_poly(rng)
-        n, d = _pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c)
-        want = as_polynomial(_tree_pushforward(u, M, B, c))[0]
-        assert {m: Fraction(v, d) for m, v in n.items()} == want
+        tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
+        pt = [rng.uniform(-2, 2) for _ in range(3)]
+        assert _close(_chain_rule_s2(u, M, B, c, pt), tree(*pt)), pt
 
 
-def test_s2_of_pushforward_matches_tree_route():
-    # the integer numerator of the sparse pushforward against s2_of of the
-    # pushforward built as a tree
-    rng = random.Random(4)
+def test_chain_rule_of_compiled_second_derivatives():
+    # apply_case's route: a non-polynomial profile's compiled second
+    # derivatives, against the tree route, at every case and time
+    u = parse("sin(x - 2*y) + exp(z/3)*x^2 + y^3*z")
+    second = compile_evaluator([diff(diff(u, i), j) for i, j in jet_indices(2)],
+                               ["x", "y", "z"])
+    rng = random.Random(9)
     for cid, M, B, c in _flows_and_times():
-        u = _sample_poly(rng)
-        got = s2_of_poly(*_pushforward_poly(*_clear(as_polynomial(u)[0]), M, B, c))
-        assert got == s2_of(_tree_pushforward(u, M, B, c)), cid
+        tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
+        for _ in range(3):
+            pt = [rng.uniform(-1.5, 1.5) for _ in range(3)]
+            h = second(*_affine(B, c, pt))
+            got = s2_of_hessian(_pushed_hessian(h, M[3][3], B))[0]
+            assert _close(got, tree(*pt)), (cid, pt)
 
 
-def _bits(fn, pt):
-    """fn(*pt) with the sign of a zero, or the domain error it raises."""
-    try:
-        v = fn(*pt)
-    except EvalDomainError:
-        return "EvalDomainError"
-    return v, math.copysign(1.0, v)
-
-
-def test_direct_s2_evaluator_is_the_compiled_one():
-    # 200 profiles and their pushforwards, each through 3 of the cases'
-    # flows at one of the times, so that every case pushes 40 of them;
-    # evaluated at seeded points: the same floats as the compiled
-    # canonical form (the reference s2_of_poly, which is s2_of's tree)
+def test_poly_hessian_s2_is_the_compiled_s2_of():
+    # the base side: S2 from the exact Hessian of a sampled profile against
+    # the compiled canonical form of s2_of
     rng = random.Random(6)
-    flows = [flow_of(case.field(_case_values(case, 1, Fraction(1)))) for case in flow_cases()]
-    for k in range(200):
-        p, den = _clear(as_polynomial(_sample_poly(rng))[0])
-        t = (0.35, -0.45, 0.8)[k % 3]
-        polys = [(p, den)] + [_pushforward_poly(p, den, flw.matrix(t),
-                                                *flw.spatial_preimage(t))
-                              for flw in flows[k % 5::5]]
-        for q, d in polys:
-            direct = s2_evaluator_of_poly(q, d)
-            compiled = compile_evaluator(s2_of_poly(q, d), ["x", "y", "z"])
-            for _ in range(2):
-                pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
-                assert _bits(direct, pt) == _bits(compiled, pt)
-
-
-def test_direct_s2_evaluator_fails_where_the_compiled_one_does():
-    rng = random.Random(7)
-    points = [(1e200, 1.0, 1.0), (1.0, -1e200, 1.0), (1e100, 1e100, 1e100),
-              (3e77, -2e77, 1.0), (1e300, 0.0, 0.0), (0.0, 0.0, 0.0),
-              (-0.0, 0.0, -0.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0)]
-    outcomes = set()
-    for _ in range(40):
-        p, den = _clear(as_polynomial(_sample_poly(rng))[0])
-        direct = s2_evaluator_of_poly(p, den)
-        compiled = compile_evaluator(s2_of_poly(p, den), ["x", "y", "z"])
-        for pt in points:
-            got = _bits(direct, pt)
-            assert got == _bits(compiled, pt), pt
-            outcomes.add(got == "EvalDomainError")
-    assert outcomes == {True, False}
-    for poly in ({}, {(): 12}, {(("x", 1),): 5}):  # S2 = 0
-        assert _bits(s2_evaluator_of_poly(poly, 2), (1.0, 2.0, 3.0)) == (0.0, 1.0)
+    for _ in range(100):
+        u = _sample_poly(rng)
+        hessian_at = _poly_hessian(as_polynomial(u)[0])
+        compiled = compile_evaluator(s2_of(u), ["x", "y", "z"])
+        for _ in range(2):
+            pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
+            assert _close(s2_of_hessian(hessian_at(*pt))[0], compiled(*pt))
 
 
 def test_verify_case_differentiates_no_profile(monkeypatch):
@@ -485,6 +466,30 @@ def test_verify_case_differentiates_no_profile(monkeypatch):
     monkeypatch.setattr(jets, "s2_of", no_tree)
     monkeypatch.setattr("hessym.flows.s2_of", no_tree)
     assert verify_case(case_by_id(7), n_points=4).passed
+
+
+def test_a_wrong_weight_fails_the_equivariance(monkeypatch):
+    # the chain rule's gap, taken at the scale of S2's terms, still sees a
+    # factor exp(w t) off by a tenth in w
+    real = equivariance_weight
+    monkeypatch.setattr("hessym.flows.equivariance_weight",
+                        lambda v: real(v) + Fraction(1, 10))
+    chk = verify_case(case_by_id(7), n_points=4)
+    assert not chk.passed and chk.equivariance.max_residual > 1e-3
+    assert not apply_case(14, 0.5, parse("x^2 + y^2*z + exp(z)")).check.passed
+
+
+def test_apply_case_builds_no_canonical_s2(monkeypatch):
+    # the canonical form of S2 of this pushed profile took about a minute,
+    # most of it in the heuristic gcd; the chain rule needs neither
+    def no_canonical(*_):
+        raise AssertionError("transform built a canonical form")
+
+    monkeypatch.setattr(jets, "s2_of", no_canonical)
+    monkeypatch.setattr("hessym.flows.s2_of", no_canonical)
+    monkeypatch.setattr(importlib.import_module("hessym.normalize"), "_heu_gcd", no_canonical)
+    out = apply_case(6, -1.2, parse("atan(exp(x) + 1/y^2)"))
+    assert out.check.passed and out.check.n_points == 40
 
 
 def test_printed_evaluator_is_keyed_on_the_texts():

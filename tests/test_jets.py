@@ -26,7 +26,7 @@ from hessym.normalize import (
 )
 from hessym.parse import parse
 
-from _reference import eval_numeric, s2_numerator_minors, s2_of_poly, sample_on_variety
+from _reference import eval_numeric, s2_of_poly, sample_on_variety
 
 
 class TestJetTables:
@@ -364,8 +364,8 @@ def test_a_failing_held_check_fails_its_record(where):
 
 class TestS2Routes:
     """s2_of's tree route against the integer numerator of the written
-    minors (the reference s2_of_poly), the polynomial route the flows'
-    float path multiplies out."""
+    minors (the reference s2_of_poly), and the float route s2_of_hessian
+    against the written minors."""
 
     def test_sparse_route_matches_tree_on_sampled_profiles(self):
         rng = random.Random(11)
@@ -390,17 +390,27 @@ class TestS2Routes:
                     for _ in range(30)]
         assert [s2_of(u) for u in profiles] == [_sparse(u) for u in profiles]
 
-    def test_numerator_matches_the_written_minors(self):
-        # _s2_numerator multiplies out hessian2()'s monomials; the minors
-        # written by hand are the oracle, on seeded integer polynomials
+    def test_s2_of_hessian_matches_the_written_minors(self):
+        # s2_of_hessian sums hessian2()'s monomials; the minors written by
+        # hand are the oracle, exactly on small integers and to rounding on
+        # seeded floats
         rng = random.Random(2024)
-        for _ in range(300):
-            p = {}
-            for _ in range(rng.randint(1, 8)):
-                exps = [rng.choice((0, 0, 0, 1)), *(rng.randint(0, 4) for _ in SPATIAL)]
-                mono = tuple((g, k) for g, k in zip(("t1",) + SPATIAL, exps) if k)
-                p[mono] = rng.choice((-1, 1)) * rng.randint(1, 30)
-            assert jets._s2_numerator(p) == s2_numerator_minors(p)
+        for k in range(300):
+            draw = (partial(rng.randint, -30, 30) if k % 2 else partial(rng.uniform, -5, 5))
+            h = [draw() for _ in range(6)]
+            xx, xy, xz, yy, yz, zz = h
+            want = xx * (yy + zz) + yy * zz - xy ** 2 - yz ** 2 - xz ** 2
+            got, scale = jets.s2_of_hessian(h)
+            assert scale == max(abs(xx * yy), abs(xx * zz), abs(yy * zz),
+                                xy ** 2, yz ** 2, xz ** 2)
+            assert got == want if k % 2 else abs(got - want) <= 1e-13 * (1 + scale)
+
+    def test_s2_of_hessian_rejects_a_non_finite_value(self):
+        assert jets.s2_of_hessian((0.0,) * 6) == (0.0, 0.0)
+        for h in [(1e200, 0, 0, 1e200, 0, 0), (0, 1e160, 0, 0, 0, 0),
+                  (math.inf, 0, 0, 1, 0, 0), (math.nan, 0, 0, 0, 0, 0)]:
+            with pytest.raises(EvalDomainError):
+                jets.s2_of_hessian(h)
 
     def test_sparse_route_over_a_cleared_denominator(self):
         # S2[p/den] = S2[p]/den^2
