@@ -4,20 +4,22 @@ An expression is flattened to a pair of sparse polynomials (numerator,
 denominator) whose generators are the variables plus *kernel atoms*:
 every elementary-function application, opaque application, formal
 derivative and symbolic-exponent power, with arguments canonicalized
-recursively.  No identities between atoms are applied (exp(x)^2 and
-exp(2*x) are distinct atoms); equality holds exactly for expressions
-equal as rational functions in these atoms.
+recursively.  One relation between atoms is applied: sqrt(P)^2 = P
+when the argument's canonical form P is a polynomial, so numerator and
+denominator are taken modulo it and keep each such sqrt atom to the
+power 0 or 1.  The sqrt of a non-polynomial argument stays an opaque
+atom, and no other identity is applied (exp(x)^2 and exp(2*x) are
+distinct atoms).
 
-The denominator is reduced against the numerator (common polynomial
-factors cancelled, content and sign normalized), which makes the form
-canonical: two expressions equal as rational functions in the atoms
-produce structurally identical trees.  The gcd needs no general
-algorithm in the common cases: a single-term numerator shares only a
-monomial with the denominator, and a denominator of total degree 1 is
-irreducible, so one trial division decides whether it cancels.  The
-remaining denominators go to a heuristic gcd over the integers whose
-every answer is checked by exact division; where it gives up, the
-fraction is left unreduced, which costs canonicity but never
+The denominator is then reduced against the numerator without a general
+gcd: a single-term numerator shares only a monomial with the
+denominator, and a denominator of total degree 1 is irreducible, so one
+trial division decides whether it cancels.  Content and sign are
+normalized.  Any other common factor stays in both, so the form is
+canonical only up to non-linear common factors: two expressions equal
+as rational functions in the atoms (modulo the sqrt relation) give
+identical trees when those factors cancel, and may give different but
+equal fractions when they do not.  That costs canonicity but never
 correctness, since the zero test looks at the numerator alone.
 
 Monomial order: generators sort by their printed text; monomials compare
@@ -50,9 +52,6 @@ Monomial = tuple[tuple[str, int], ...]
 # a coefficient is an int while the arithmetic that made it stayed in the
 # integers, else a Fraction (an integral Fraction is not turned back)
 Poly = dict[Monomial, int | Fraction]
-# the same polynomials over exponent vectors of fixed generators
-Vec = tuple[int, ...]
-VPoly = dict[Vec, int | Fraction]
 
 _ONE_M: Monomial = ()
 
@@ -170,13 +169,6 @@ def _pdiff(p: Poly, g: str) -> Poly:
     return out
 
 
-def _clear(p: Poly) -> tuple[Poly, int]:
-    """(P, D) with p = P/D, P over the integers and D the least common
-    denominator of p's coefficients."""
-    den = math.lcm(*(c.denominator for c in p.values()))
-    return {m: c.numerator * (den // c.denominator) for m, c in p.items()}, den
-
-
 def _content_and_sign(p: Poly) -> Fraction:
     """Positive scale s with p/s integer, coprime; sign fixed by the leading
     (largest-monomial) coefficient being positive."""
@@ -190,39 +182,36 @@ def _content_and_sign(p: Poly) -> Fraction:
     return scale if lead > 0 else -scale
 
 
-def _coding(*polys: Poly):
-    """Maps between monomials and exponent vectors over the sorted
-    generators of polys."""
-    gens = sorted({g for p in polys for m in p for g, _ in m})
+def _poly_div(a: Poly, b: Poly) -> Poly | None:
+    """Exact quotient a/b, or None if b does not divide a.
+
+    Divides over exponent vectors of the sorted generators of a and b, in
+    plain lex order, which is multiplicative; the canonical display order
+    is not."""
+    if not b:
+        raise NormalizeError("polynomial division by zero")
+    if not a:
+        return {}
+    if len(b) == 1 and _ONE_M in b:
+        return _pdivc(a, b[_ONE_M])
+    gens = sorted({g for p in (a, b) for m in p for g, _ in m})
     gi = {g: i for i, g in enumerate(gens)}
 
-    def vec(m: Monomial) -> Vec:
+    def vec(m: Monomial) -> tuple[int, ...]:
         v = [0] * len(gens)
         for g, k in m:
             v[gi[g]] = k
         return tuple(v)
 
-    def unvec(v: Vec) -> Monomial:
-        return tuple((gens[i], k) for i, k in enumerate(v) if k)
-
-    return vec, unvec
-
-
-# exact sparse division (single divisor).  Uses plain lex order on exponent
-# vectors, which is multiplicative; the canonical display order is not.
-
-def _vdiv(a: VPoly, b: VPoly, quo) -> VPoly | None:
-    """Exact quotient a/b over exponent vectors, or None if b does not
-    divide a.  quo(c, lc) divides a coefficient by the leading coefficient
-    of b, returning None when that is not exact."""
-    bl = max(b)
-    blc = b[bl]
+    r = {vec(m): c for m, c in a.items()}
+    bv = {vec(m): c for m, c in b.items()}
+    bl = max(bv)
+    blc = bv[bl]
     # if b divides a, each generator's degree in a/b is its degree in a
     # minus its degree in b; a quotient term past that bound ends the search
-    room = [max(v[i] for v in a) - max(v[i] for v in b) for i in range(len(bl))]
+    room = [max(v[i] for v in r) - max(v[i] for v in bv) for i in range(len(gens))]
     if any(x < 0 for x in room):
         return None
-    r = dict(a)
     q = {}
     # leading-term cancellation; divisibility fails as soon as lt(r) is not
     # a multiple of lt(b)
@@ -231,32 +220,15 @@ def _vdiv(a: VPoly, b: VPoly, quo) -> VPoly | None:
         qv = tuple(x - y for x, y in zip(rl, bl))
         if any(x < 0 or x > m for x, m in zip(qv, room)):
             return None
-        qc = quo(r[rl], blc)
-        if qc is None:
-            return None
-        q[qv] = qc
-        for mv, c in b.items():
+        qc = q[qv] = _quo(r[rl], blc)
+        for mv, c in bv.items():
             m = tuple(x + y for x, y in zip(qv, mv))
             s = r.get(m, 0) - qc * c
             if s:
                 r[m] = s
             else:
                 r.pop(m, None)
-    return q
-
-
-def _poly_div(a: Poly, b: Poly) -> Poly | None:
-    """Exact quotient a/b, or None if b does not divide a."""
-    if not b:
-        raise NormalizeError("polynomial division by zero")
-    if not a:
-        return {}
-    if len(b) == 1 and _ONE_M in b:
-        return _pdivc(a, b[_ONE_M])
-    vec, unvec = _coding(a, b)
-    q = _vdiv({vec(m): c for m, c in a.items()}, {vec(m): c for m, c in b.items()},
-              _quo)
-    return None if q is None else {unvec(v): c for v, c in q.items()}
+    return {tuple((gens[i], k) for i, k in enumerate(v) if k): c for v, c in q.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,121 +372,65 @@ def _mono_cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
             {_mono_div(m, g): c for m, c in d.items()})
 
 
-# heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989) over
-# integer polynomials keyed by exponent vectors.  Each level evaluates the
-# last generator at an integer xi, takes the gcd of the images one level
-# down and lifts it back by xi-adic interpolation.  A lifted candidate is
-# accepted only when exact division shows it divides both inputs.
-
-_HEU_RETRIES = 6  # values of xi tried per level before giving up
-
-
-def _zquo(a: int, b: int) -> int | None:
-    q, r = divmod(a, b)
-    return None if r else q
-
-
-def _eval_last(p: dict[Vec, int], xi: int) -> dict[Vec, int]:
-    """p with its last generator set to xi."""
-    out: dict[Vec, int] = {}
-    for m, c in p.items():
-        key = m[:-1]
-        s = out.get(key, 0) + c * xi ** m[-1]
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _interpolate(p: dict[Vec, int], xi: int) -> dict[Vec, int]:
-    """The polynomial in one more generator whose coefficients are the
-    symmetric base-xi digits of p's: its value at xi is p."""
-    out: dict[Vec, int] = {}
-    half = xi // 2
-    for m, c in p.items():
-        e = 0
-        while c:
-            r = c % xi
-            if r > half:
-                r -= xi
-            if r:
-                out[m + (e,)] = r
-            c = (c - r) // xi
-            e += 1
-    return out
-
-
-def _divides_both(f: dict[Vec, int], g: dict[Vec, int], h: dict[Vec, int] | None):
-    """(h, f/h, g/h) when h divides both f and g exactly, else None."""
-    if h is None:
-        return None
-    qf = _vdiv(f, h, _zquo)
-    qg = None if qf is None else _vdiv(g, h, _zquo)
-    return None if qg is None else (h, qf, qg)
-
-
-def _heu_gcd(f: dict[Vec, int], g: dict[Vec, int]):
-    """(h, f/h, g/h) with h = gcd(f, g) for nonzero integer polynomials,
-    or None when the heuristic gives up."""
-    cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
-    c = math.gcd(cf, cg)
-    if not next(iter(f)):  # no generators left: integers
-        return {(): c}, {(): f[()] // c}, {(): g[()] // c}
-    f = {m: v // cf for m, v in f.items()}
-    g = {m: v // cg for m, v in g.items()}
-    nf = max(abs(v) for v in f.values())
-    ng = max(abs(v) for v in g.values())
-    # an exactly dividing candidate is the gcd when xi >= 2 min(|f|, |g|) + 2
-    xi = 2 * min(nf, ng) + 29
-    for _ in range(_HEU_RETRIES):
-        ff, gg = _eval_last(f, xi), _eval_last(g, xi)
-        if ff and gg:
-            sub = _heu_gcd(ff, gg)
-            if sub is None:
-                return None
-            h, hf, hg = sub
-            lifted = _interpolate(h, xi)
-            hc = math.gcd(*lifted.values())
-            found = _divides_both(f, g, {m: v // hc for m, v in lifted.items()})
-            # the lifted cofactors can succeed where the lifted gcd does not
-            if found is None:
-                found = _divides_both(f, g, _vdiv(f, _interpolate(hf, xi), _zquo))
-            if found is None:
-                found = _divides_both(f, g, _vdiv(g, _interpolate(hg, xi), _zquo))
-            if found is not None:
-                h, qf, qg = found
-                return ({m: c * v for m, v in h.items()},
-                        {m: cf // c * v for m, v in qf.items()},
-                        {m: cg // c * v for m, v in qg.items()})
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
 def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     """Divide n and d (d not a monomial) by their gcd, up to a constant.
 
     Two exact rules avoid a general gcd: the divisors of a single term are
     monomials, so its gcd with d is a monomial gcd; and a polynomial of
     total degree 1 is irreducible, so its gcd with n is d or 1, which one
-    trial division decides.  Anything else goes to the heuristic gcd on
-    n and d scaled to integer coefficients; if it gives up, n/d is
-    returned unreduced.
+    trial division decides.  Anything else is returned unreduced: a
+    non-linear common factor stays in both n and d.
     """
     if len(n) == 1:
         return _mono_cancel(n, d)
     if max(sum(k for _, k in m) for m in d) == 1:
         q = _poly_div(n, d)
         return (n, d) if q is None else (q, dict(_PONE))
-    vec, unvec = _coding(n, d)
-    (pn, ln), (pd, ld) = _clear(n), _clear(d)
-    found = _heu_gcd({vec(m): c for m, c in pn.items()}, {vec(m): c for m, c in pd.items()})
-    if found is None:
-        return n, d
-    _, qn, qd = found
-    # n/d = (qn/ln)/(qd/ld)
-    return ({unvec(v): _quo(c * ld, ln) for v, c in qn.items()},
-            {unvec(v): c for v, c in qd.items()})
+    return n, d
+
+
+def _fold_sqrt(p: Poly, reg: dict[str, Expr]) -> Poly:
+    """p modulo sqrt(P)^2 = P for every sqrt atom of reg whose argument
+    has a polynomial canonical form P: the atom's exponent e becomes
+    e mod 2, and its term is multiplied by P^(e div 2).
+
+    P may hold sqrt atoms of its own, so a term that gains P is folded
+    again; P never holds the atom it came from, so this ends.  The
+    leading terms sqrt_i^2 are pairwise coprime, so the reduced form is
+    unique (Buchberger's first criterion).  The sqrt of a non-polynomial
+    argument, such as sqrt(1/x), stays an opaque atom.
+    """
+    if not any(node.__class__ is Call and node.fn == "sqrt" for node in reg.values()):
+        return p
+    args: dict[str, Poly | None] = {}
+
+    def arg(g: str) -> Poly | None:
+        if g not in args:
+            node = reg[g]
+            args[g] = None
+            if node.__class__ is Call and node.fn == "sqrt":
+                n, d = _to_frac(node.arg, reg)
+                if d == _PONE:
+                    args[g] = n
+        return args[g]
+
+    out: Poly = {}
+    todo = list(p.items())
+    while todo:
+        m, c = todo.pop()
+        for i, (g, k) in enumerate(m):
+            if k > 1 and (root := arg(g)) is not None:
+                rest = m[:i] + (((g, 1),) if k % 2 else ()) + m[i + 1:]
+                todo.extend(_pmul({rest: c}, _ppow(root, k // 2)).items())
+                break
+        else:
+            s = out.get(m)
+            s = c if s is None else s + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
 
 
 def _reduce(n: Poly, d: Poly) -> Frac:
@@ -529,7 +445,7 @@ def _reduce(n: Poly, d: Poly) -> Frac:
         return _pdivc(n, dc), ({dm: 1} if dm else dict(_PONE))
     n, d = _cancel(n, d)
     if len(d) == 1:
-        return _reduce(n, d)  # gcd exposed a monomial denominator
+        return _reduce(n, d)  # d divided n
     scale = _content_and_sign(d)
     return _pdivc(n, scale), _pdivc(d, scale)
 
@@ -577,20 +493,20 @@ def clear_canonical_table() -> None:
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical form: expanded numerator over reduced denominator.
+    """Canonical form: expanded numerator over reduced denominator, both
+    modulo sqrt(P)^2 = P for each sqrt atom of a polynomial P.
 
     Idempotent: ``normalize(normalize(e))`` is ``normalize(e)`` itself.
     Equal rational functions in the kernel atoms normalize to structurally
-    identical trees whenever their common factors cancel; where the
-    heuristic gcd gives up, the fraction stays unreduced and two equal
-    ones need not be identical.  A zero is still exactly ``ZERO``, since
-    it reads the numerator alone.
+    identical trees up to non-linear common factors: only monomials and
+    denominators of total degree 1 are cancelled, so two equal fractions
+    that share another factor need not be identical.  A zero is still
+    exactly ``ZERO``, since it reads the numerator alone.
     """
     c = _CANONICAL.get(e)
     if c is None:
-        reg: dict[str, Expr] = {}
-        n, d = _to_frac(e, reg)
-        c = _frac_to_expr(_reduce(n, d), reg)
+        n, d, reg = as_rational(e)
+        c = _frac_to_expr((n, d), reg)
         if len(_CANONICAL) >= _CANONICAL_MAX:
             _CANONICAL.clear()
         c = _CANONICAL.setdefault(c, c)
@@ -605,17 +521,21 @@ def print_canonical(e: Expr) -> str:
 
 def as_polynomial(e: Expr) -> tuple[Poly, dict[str, Expr]]:
     """Canonical polynomial form; raises if a nontrivial denominator remains."""
-    reg: dict[str, Expr] = {}
-    n, d = _reduce(*_to_frac(e, reg))
+    n, d, reg = as_rational(e)
     if len(d) != 1 or _ONE_M not in d or d[_ONE_M] != 1:
         raise NormalizeError(f"not a polynomial: {to_text(e)}")
     return n, reg
 
 
 def as_rational(e: Expr) -> tuple[Poly, Poly, dict[str, Expr]]:
-    """Reduced numerator and denominator polynomials over the atom registry."""
+    """Reduced numerator and denominator polynomials over the atom registry,
+    each taken modulo sqrt(P)^2 = P (``_fold_sqrt``) before the reduction."""
     reg: dict[str, Expr] = {}
-    n, d = _reduce(*_to_frac(e, reg))
+    n, d = _to_frac(e, reg)
+    d = _fold_sqrt(d, reg)
+    if not d:
+        raise NormalizeError("division by an expression that is identically zero")
+    n, d = _reduce(_fold_sqrt(n, reg), d)
     return n, d, reg
 
 

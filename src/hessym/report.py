@@ -434,6 +434,13 @@ def _reads(name: str) -> tuple[str, ...]:
     return code.co_varnames[:code.co_argcount]
 
 
+def _refuse_zero_points(points: int | None) -> None:
+    """No check passes on zero points: refuse a count below 1 before any
+    suite runs."""
+    if points is not None and points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
+
+
 def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
               points: int | None = None) -> SuiteReport:
     """Run suite ``name``; a ``tol`` or ``points`` left at None takes the
@@ -441,8 +448,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
     raised before the suite runs.  A suite that raises reports one failed
     ``suite-error[<name>]`` record with the exception in its details."""
     reads = _reads(name)
-    if points is not None and points < 1:  # no check passes on zero points
-        raise ValueError(f"points must be at least 1, got {points}")
+    _refuse_zero_points(points)
     options = {k: v for k, v in (("tol", tol), ("points", points)) if v is not None}
     for key in options:
         if key not in reads:
@@ -459,10 +465,13 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, tol: float | None = None,
 def run_suites(names, seed: int = DEFAULT_SEED, tol: float | None = None,
                points: int | None = None) -> tuple[SuiteReport, ...]:
     """Run each suite of ``names``, giving ``tol`` and ``points`` only to
-    the suites that read them."""
+    the suites that read them.  A bad count or an unknown name is refused
+    before any suite runs."""
+    _refuse_zero_points(points)
+    reads = {n: _reads(n) for n in names}
     return tuple(run_suite(n, seed=seed,
-                           tol=tol if "tol" in _reads(n) else None,
-                           points=points if "points" in _reads(n) else None)
+                           tol=tol if "tol" in reads[n] else None,
+                           points=points if "points" in reads[n] else None)
                  for n in names)
 
 

@@ -25,12 +25,11 @@ from hessym.expr import diff, num, substitute, sym
 from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
 from hessym.normalize import (
-    NonZero, NumericallyZero, ProvedZero, is_zero, normalize, sample_point,
+    NonZero, ProvedZero, is_zero, normalize, sample_point,
 )
 from hessym.parse import parse
 from hessym.report import run_suite
 
-ROWS_NEEDING_NUMERIC_ANSATZ = {"A7", "A9b"}
 ROWS_NEEDING_LIFTED_V5 = {"A11b", "A12b"}
 
 
@@ -48,12 +47,9 @@ def test_row_passes(row_checks, row_id):
 @pytest.mark.parametrize("row_id", [r.row_id for r in classification_rows()])
 def test_ansatz_verdict_kind(row_checks, row_id):
     rc = row_checks[row_id]
+    # A7 and A9b too: their sqrt(a^2 + g^2) atoms square to polynomials
     for v in rc.ansatz_verdicts:
-        if row_id in ROWS_NEEDING_NUMERIC_ANSATZ:
-            # square roots of parameter sums stay opaque to the exact route
-            assert isinstance(v, NumericallyZero)
-        else:
-            assert isinstance(v, ProvedZero)
+        assert isinstance(v, ProvedZero)
 
 
 def test_lifted_extra_symmetry_used_exactly_where_flagged(row_checks):

@@ -933,6 +933,28 @@ def test_no_module_imports_a_name_it_never_uses():
     assert bad == []
 
 
+# private functions that no hessym module reads, each with why it stays
+UNREAD_PRIVATE_FUNCTIONS = {
+    "normalize._sympy_cancel": "read by perfbench/tracer.py, ROADMAP item 10",
+}
+
+
+def test_every_private_function_has_a_reader():
+    # a private module-level function is read by name or as an attribute
+    # somewhere in hessym, outside its own body, or it is dead code
+    package = Path(hessym.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+    defs = {(module, node.name): node for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+    inside = {id(n): key for key, node in defs.items() for n in ast.walk(node)}
+    read = {key for key in defs for tree in trees.values() for n in ast.walk(tree)
+            if (getattr(n, "id", None) == key[1] or getattr(n, "attr", None) == key[1])
+            and inside.get(id(n)) != key}
+    unread = {f"{module}.{name}" for module, name in defs.keys() - read}
+    assert unread == set(UNREAD_PRIVATE_FUNCTIONS)
+
+
 def test_package_serves_each_export_from_its_home_module():
     namespace: dict = {}
     exec("from hessym import *", namespace)

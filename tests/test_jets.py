@@ -22,7 +22,7 @@ from hessym.jets import (
     s2_of, s2_weight, solve_uyy, total_derivative, worst_check,
 )
 from hessym.normalize import (
-    DEFAULT_SEED, ProvedZero, _clear, as_polynomial, is_zero, normalize,
+    DEFAULT_SEED, ProvedZero, as_polynomial, is_zero, normalize,
 )
 from hessym.parse import parse
 
@@ -421,8 +421,11 @@ class TestS2Routes:
 
 
 def _sparse(u):
-    """The reference s2_of_poly of a polynomial profile."""
-    return s2_of_poly(*_clear(as_polynomial(u)[0]))
+    """The reference s2_of_poly of a polynomial profile, its coefficients
+    cleared to integers over their least common denominator."""
+    p = as_polynomial(u)[0]
+    den = math.lcm(*(c.denominator for c in p.values()))
+    return s2_of_poly({m: c.numerator * (den // c.denominator) for m, c in p.items()}, den)
 
 
 def _reference_check(v, f_expr, inner=None, n=100, tol=1e-8, seed=DEFAULT_SEED,

@@ -56,6 +56,21 @@ def test_no_suite_runs_on_zero_points(name):
             run_suite(name, points=points)
 
 
+def test_run_suites_refuses_before_any_suite(monkeypatch):
+    ran = []
+
+    def spy(name, **kw):
+        ran.append(name)
+        return run_suite(name, **kw)
+
+    monkeypatch.setattr(report, "run_suite", spy)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suites(SUITE_NAMES, points=0)
+    with pytest.raises(KeyError, match="unknown suite"):
+        run_suites((*SUITE_NAMES, "nope"))
+    assert ran == []
+
+
 # ---------------------------------------------------------------------------
 # per-suite outcomes
 
