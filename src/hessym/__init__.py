@@ -84,28 +84,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # kernel
-    "Expr", "ExprError", "ParseError", "parse",
-    "normalize", "print_canonical", "is_zero",
-    "Verdict", "ProvedZero", "NumericallyZero", "NonZero", "DEFAULT_SEED",
-    # algebra
-    "VectorField", "vf", "commutator", "structure_table", "adjoint",
-    "equivalence_basis", "reduced_basis", "principal_basis",
-    "classification_rows", "row_by_id", "OPTIMAL_PATTERNS",
-    # invariance machinery
-    "prolong2", "solve_uyy", "check_symmetry", "SymmetryCheck",
-    "residual_on_variety", "symmetry_condition",
-    "numeric_invariance_check", "free_constants_absent",
-    # optimal system
-    "ReductionError", "ReductionTrace", "reduce_to_optimal", "replay",
-    # classification and flows
-    "verify_row", "verify_all_rows", "verify_bila_procedure",
-    "verify_reflection", "verify_invariants", "verify_principal",
-    "verify_case", "verify_all_cases", "apply_case", "case_by_id",
-    "tian_base",
-    # reporting
-    "SUITE_NAMES", "SuiteReport", "run_suite", "run_suites",
-    "overall_status", "render_json", "render_markdown",
-]
+__all__ = ["__version__", *_EXPORTS]

@@ -50,7 +50,8 @@ from .jets import (
     SPATIAL, SymmetryCheck, jet_indices, s2_of, s2_of_hessian, s2_weight, worst_check,
 )
 from .normalize import (
-    DEFAULT_SEED, NormalizeError, Poly, _pdiff, as_polynomial, normalize,
+    DEFAULT_SEED, NormalizeError, Poly, _pdiff, as_polynomial, integer, normalize,
+    signed, subset, uniform,
 )
 from .parse import parse
 
@@ -377,8 +378,8 @@ def _sample_poly(rng: random.Random) -> Expr:
     terms = []
     monos = ["x^2", "y^2", "z^2", "x*y", "y*z", "x*z",
              "x^3", "x^2*y", "y^2*z", "x*y*z", "x^4", "y^3*z", "x^2*z^2"]
-    for m in rng.sample(monos, 7):
-        c = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+    for m in subset(rng, monos, 7):
+        c = Fraction(integer(rng, -8, 8), integer(rng, 1, 4))
         if c:
             terms.append(mul(num(c), parse(m)))
     terms.append(parse("x^2 + y^2 + z^2"))  # keep the Hessian nondegenerate
@@ -446,7 +447,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         # group law and inverse, on random parameter pairs
         worst_group = 0.0
         for _ in range(8):
-            a, b = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            a, b = uniform(rng, -1, 1), uniform(rng, -1, 1)
             Ma = flw.matrix(a)
             M = flw.matrix(a + b)
             scale = max(1.0, max(abs(v) for row in M for v in row))
@@ -482,7 +483,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                 M, B, c = element[t]
                 w_t = math.exp(float(rate) * t)
                 for _ in range(n_points // len(T_VALUES) + 1):
-                    pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
+                    pt = [signed(rng, 0.2, 1.8) for _ in range(3)]
                     h = hessian_at(*_affine(B, c, pt))
                     worst_equi = max(worst_equi, _equivariance_gap(h, M[3][3], B, w_t))
                     n_equi += 1
@@ -542,7 +543,7 @@ def _reading_check(printed_fn: Callable[..., float],
     for t in T_VALUES:
         M, B, c = element[sigma * t]
         for _ in range(per_time):
-            pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
+            pt = [signed(rng, 0.2, 1.6) for _ in range(3)]
             want = printed_fn(*pt, t)
             got = _pushforward_at(M, B, c, u0_fn, pt)
             worst = max(worst, abs(want - got) / (1.0 + abs(want) + abs(got)))
@@ -659,7 +660,7 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
             raise EvalDomainError(
                 f"could not find {n_points} valid sample points in {attempts} attempts")
         attempts += 1
-        pt = [rng.uniform(0.2, 1.6) * rng.choice([-1, 1]) for _ in range(3)]
+        pt = [signed(rng, 0.2, 1.6) for _ in range(3)]
         try:
             gap = _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor)
         except EvalDomainError:

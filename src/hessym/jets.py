@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
@@ -292,35 +292,6 @@ def worst_check(checks: Iterable[SymmetryCheck]) -> SymmetryCheck:
     return worst._replace(n_points=sum(c.n_points for c in checks))
 
 
-# per seed, the generator and the candidate points drawn from it so far,
-# shared by every check_symmetry call with that seed in this process
-_STREAMS: dict[int, tuple[random.Random, list]] = {}
-_STREAMS_MAX = 16      # seeds; the table starts over when it is full
-_KEPT = 1024           # candidates kept per seed; later ones are not
-
-
-def _candidates(seed: int):
-    """The candidates that ``random.Random(seed)`` gives ``_draw``, in draw
-    order.  The first ``_KEPT`` are drawn once per process and replayed;
-    past them a copy of the generator draws on."""
-    entry = _STREAMS.get(seed)
-    if entry is None:
-        if len(_STREAMS) >= _STREAMS_MAX:
-            _STREAMS.clear()
-        entry = _STREAMS[seed] = (random.Random(seed), [])
-    rng, kept = entry
-    i = 0
-    while i < _KEPT:
-        if i == len(kept):
-            kept.append(_draw(rng))
-        yield kept[i]
-        i += 1
-    rng = random.Random()
-    rng.setstate(entry[0].getstate())
-    while True:
-        yield _draw(rng)
-
-
 @lru_cache(maxsize=4)
 def _symmetry_pieces(v: VectorField) -> Callable[[Mapping[str, OpaqueBinding]], Callable]:
     """The terms of pr V (S2[u] - f) with f left opaque: the prolonged
@@ -351,8 +322,8 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     so the check is independent of the symbolic route.
 
     The points are those of ``n`` calls of ``_variety_point`` on the
-    candidates of ``random.Random(seed)``, which are drawn once and shared
-    by every call with this seed.  ``n`` must be at least 1.
+    candidates that this call draws from its own ``random.Random(seed)``.
+    ``n`` must be at least 1.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -366,7 +337,7 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     binding = OpaqueBinding(("x", "y", "z"), f_expr, inner)
     pieces_at = _symmetry_pieces(v)({"f": binding})
 
-    draw = _candidates(seed).__next__
+    draw = partial(_draw, random.Random(seed))
     worst = 0.0
     worst_args: list[float] | None = None
     for _ in range(n):

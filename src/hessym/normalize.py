@@ -7,9 +7,10 @@ derivative and symbolic-exponent power, with arguments canonicalized
 recursively.  One relation between atoms is applied: sqrt(P)^2 = P
 when the argument's canonical form P is a polynomial, so numerator and
 denominator are taken modulo it and keep each such sqrt atom to the
-power 0 or 1.  The sqrt of a non-polynomial argument stays an opaque
-atom, and no other identity is applied (exp(x)^2 and exp(2*x) are
-distinct atoms).
+power 0 or 1; one left in a monomial denominator moves up, as in
+1/sqrt(P) = sqrt(P)/P.  The sqrt of a non-polynomial argument stays an
+opaque atom, and no other identity is applied (exp(x)^2 and exp(2*x)
+are distinct atoms).
 
 The denominator is then reduced against the numerator without a general
 gcd: a single-term numerator shares only a monomial with the
@@ -44,9 +45,8 @@ __all__ = [
     "normalize", "print_canonical", "is_zero", "as_polynomial", "as_rational",
     "ProvedZero", "NumericallyZero", "NonZero", "Verdict", "NormalizeError",
     "DEFAULT_SEED", "sample_point", "signed_uniform", "clear_canonical_table",
+    "uniform", "signed", "integer", "choice", "subset",
 ]
-
-DEFAULT_SEED = 20240229
 
 Monomial = tuple[tuple[str, int], ...]
 # a coefficient is an int while the arithmetic that made it stayed in the
@@ -389,6 +389,15 @@ def _cancel(n: Poly, d: Poly) -> tuple[Poly, Poly]:
     return n, d
 
 
+def _sqrt_argument(node: Expr, reg: dict[str, Expr]) -> Poly | None:
+    """P when ``node`` is sqrt(P) with P a polynomial canonical form, else None."""
+    if node.__class__ is Call and node.fn == "sqrt":
+        n, d = _to_frac(node.arg, reg)
+        if d == _PONE:
+            return n
+    return None
+
+
 def _fold_sqrt(p: Poly, reg: dict[str, Expr]) -> Poly:
     """p modulo sqrt(P)^2 = P for every sqrt atom of reg whose argument
     has a polynomial canonical form P: the atom's exponent e becomes
@@ -406,12 +415,7 @@ def _fold_sqrt(p: Poly, reg: dict[str, Expr]) -> Poly:
 
     def arg(g: str) -> Poly | None:
         if g not in args:
-            node = reg[g]
-            args[g] = None
-            if node.__class__ is Call and node.fn == "sqrt":
-                n, d = _to_frac(node.arg, reg)
-                if d == _PONE:
-                    args[g] = n
+            args[g] = _sqrt_argument(reg[g], reg)
         return args[g]
 
     out: Poly = {}
@@ -533,10 +537,68 @@ def as_rational(e: Expr) -> tuple[Poly, Poly, dict[str, Expr]]:
     reg: dict[str, Expr] = {}
     n, d = _to_frac(e, reg)
     d = _fold_sqrt(d, reg)
+    # 1/sqrt(P) = sqrt(P)/P: the sqrt atoms of a monomial denominator, odd
+    # after folding, move to the numerator.  P holds only atoms nested
+    # inside sqrt(P), so moving the ones P brings along ends
+    while len(d) == 1:
+        [m] = d
+        up = tuple((g, 1) for g, k in m if k % 2 and _sqrt_argument(reg[g], reg) is not None)
+        if not up:
+            break
+        n, d = _pmul(n, {up: 1}), _fold_sqrt(_pmul(d, {up: 1}), reg)
     if not d:
         raise NormalizeError("division by an expression that is identically zero")
     n, d = _reduce(_fold_sqrt(n, reg), d)
     return n, d, reg
+
+
+# ---------------------------------------------------------------------------
+# sampling.  Every draw is a call of Random.random(), the one method besides
+# seed() whose stream Python keeps stable for a seed across versions.
+
+DEFAULT_SEED = 20240229
+
+
+def uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """A float in [lo, hi), the draw of ``Random.uniform``."""
+    return lo + (hi - lo) * rng.random()
+
+
+def signed(rng: random.Random, lo: float, hi: float) -> float:
+    """A magnitude uniform in [lo, hi), then a random sign."""
+    mag = uniform(rng, lo, hi)
+    return mag if rng.random() < 0.5 else -mag
+
+
+def integer(rng: random.Random, lo: int, hi: int) -> int:
+    """An integer in [lo, hi], both ends included."""
+    return lo + int((hi - lo + 1) * rng.random())
+
+
+def choice(rng: random.Random, seq: Sequence):
+    """One element of ``seq``."""
+    return seq[int(len(seq) * rng.random())]
+
+
+def subset(rng: random.Random, seq: Sequence, k: int) -> list:
+    """``k`` distinct elements of ``seq`` in random order: the first ``k``
+    steps of a Fisher-Yates shuffle."""
+    pool = list(seq)
+    for i in range(k):
+        j = integer(rng, i, len(pool) - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def signed_uniform(rng: random.Random) -> float:
+    """Magnitude uniform in [0.1, 2] with a random sign."""
+    return signed(rng, 0.1, 2.0)
+
+
+def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
+    """Magnitudes uniform in [0.1, 2] with random sign, keeping samples away
+    from zero."""
+    return {v: signed_uniform(rng) for v in names}
 
 
 # ---------------------------------------------------------------------------
@@ -572,18 +634,6 @@ class NonZero(NamedTuple):
 
 
 Verdict = ProvedZero | NumericallyZero | NonZero
-
-
-def signed_uniform(rng: random.Random) -> float:
-    """Magnitude uniform in [0.1, 2] with a random sign."""
-    mag = rng.uniform(0.1, 2.0)
-    return mag if rng.random() < 0.5 else -mag
-
-
-def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
-    """Magnitudes uniform in [0.1, 2] with random sign, keeping samples away
-    from zero."""
-    return {v: signed_uniform(rng) for v in names}
 
 
 def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,

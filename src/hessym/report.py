@@ -37,7 +37,7 @@ from .expr import add
 from .fields import (
     Rows, format_combination, identity, matmul, max_abs_diff,
 )
-from .normalize import DEFAULT_SEED, is_zero, normalize
+from .normalize import DEFAULT_SEED, choice, integer, is_zero, normalize, signed, subset, uniform
 from .parse import parse
 
 __all__ = [
@@ -195,14 +195,14 @@ def _scrambled_normal_form(pid: str, rng: random.Random,
         if role == "1":
             a[j - 1] = 1.0
         elif role == "pm":
-            sign = rng.choice((1, -1))
+            sign = choice(rng, (1, -1))
             a[j - 1] = float(sign)
         else:  # parameters away from 0, so the representative keeps its pattern
-            a[j - 1] = params[role] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
+            a[j - 1] = params[role] = signed(rng, 0.3, 2.0)
     gens = (1, 8) if 8 in spec else (1, 2, 3, 8)
-    for _ in range(rng.randint(1, 5)):
-        a = optimal.published_adjoint_vector(rng.choice(gens), a, rng.uniform(-1.5, 1.5))
-    scale = rng.uniform(0.2, 5.0) * rng.choice((1.0, -1.0))
+    for _ in range(integer(rng, 1, 5)):
+        a = optimal.published_adjoint_vector(choice(rng, gens), a, uniform(rng, -1.5, 1.5))
+    scale = signed(rng, 0.2, 5.0)
     return [v * scale for v in a], sign, params
 
 
@@ -216,12 +216,12 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
     failures = 0
     seen: dict[str, int] = {}
     for _ in range(points):
-        a = [rng.uniform(-2, 2) for _ in range(8)]
-        for i in rng.sample(range(8), rng.randrange(8)):
+        a = [uniform(rng, -2, 2) for _ in range(8)]
+        for i in subset(rng, range(8), integer(rng, 0, 7)):
             a[i] = 0.0
         if a[6] == 0.0 and a[7] == 0.0:
             # the normal forms all contain Z7 or Z8; stay in their orbits
-            a[6] = rng.uniform(0.3, 2.0) * rng.choice((1.0, -1.0))
+            a[6] = signed(rng, 0.3, 2.0)
         try:
             tr = optimal.reduce_to_optimal(a)
         except optimal.ReductionError:

@@ -884,6 +884,14 @@ def _defined_or_imported(tree: ast.Module) -> set[str]:
     return names
 
 
+def _listed_exports(tree: ast.Module) -> list[str]:
+    """The names that a module's ``__all__`` spells out.  The package's
+    also unpacks ``_EXPORTS``, whose names the ``_HOMES`` checks cover."""
+    return [elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts if isinstance(elt, ast.Constant)]
+
+
 def test_every_export_is_defined_or_imported():
     # a walker deleted from a module but left in its __all__ would pass
     # every test that never star-imports the module.  The package serves
@@ -900,10 +908,7 @@ def test_every_export_is_defined_or_imported():
            for name in names if name not in _defined_or_imported(trees[f"{home}.py"])]
     served = {name for names in homes.values() for name in names}
     for filename, tree in trees.items():
-        exports = [n for node in tree.body if isinstance(node, ast.Assign)
-                   and any(isinstance(t, ast.Name) and t.id == "__all__"
-                           for t in node.targets)
-                   for n in ast.literal_eval(node.value)]
+        exports = _listed_exports(tree)
         known = _defined_or_imported(tree)
         if filename == "__init__.py":
             known |= served
@@ -925,10 +930,7 @@ def test_no_module_imports_a_name_it_never_uses():
                     and getattr(node, "module", None) != "__future__"
                     for a in node.names}
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        used.update(n for node in tree.body if isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__"
-                            for t in node.targets)
-                    for n in ast.literal_eval(node.value))
+        used.update(_listed_exports(tree))
         bad += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert bad == []
 
@@ -953,6 +955,20 @@ def test_every_private_function_has_a_reader():
             and inside.get(id(n)) != key}
     unread = {f"{module}.{name}" for module, name in defs.keys() - read}
     assert unread == set(UNREAD_PRIVATE_FUNCTIONS)
+
+
+def test_every_draw_is_a_call_of_random():
+    # Python keeps the stream of a seed stable for seed() and random()
+    # alone, so hessym calls no other method of random.Random: every draw
+    # goes through normalize.py's sampler helpers, which call random()
+    methods = {name for name in dir(random.Random) if not name.startswith("_")} - {"random"}
+    package = Path(hessym.__file__).resolve().parent
+    bad = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+           for path in sorted(package.rglob("*.py"))
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+           and node.func.attr in methods]
+    assert bad == []
 
 
 def test_package_serves_each_export_from_its_home_module():

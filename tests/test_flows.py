@@ -393,9 +393,9 @@ def _flows_and_times():
 
 def _chain_rule_s2(u, M, B, c, pt):
     """S2 of the pushforward of the polynomial profile u at pt, from u's
-    exact Hessian at the preimage."""
+    exact Hessian at the preimage, with the scale of its terms."""
     h = _poly_hessian(as_polynomial(u)[0])(*_affine(B, c, pt))
-    return s2_of_hessian(_pushed_hessian(h, M[3][3], B))[0]
+    return s2_of_hessian(_pushed_hessian(h, M[3][3], B))
 
 
 def _close(got, want):
@@ -411,7 +411,7 @@ def test_s2_of_pushforward_matches_tree_route():
         tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
         for _ in range(5):
             pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
-            assert _close(_chain_rule_s2(u, M, B, c, pt), tree(*pt)), (cid, pt)
+            assert _close(_chain_rule_s2(u, M, B, c, pt)[0], tree(*pt)), (cid, pt)
 
 
 def test_chain_rule_s2_of_dyadic_affine_maps():
@@ -424,7 +424,10 @@ def test_chain_rule_s2_of_dyadic_affine_maps():
         u = _sample_poly(rng)
         tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
         pt = [rng.uniform(-2, 2) for _ in range(3)]
-        assert _close(_chain_rule_s2(u, M, B, c, pt), tree(*pt)), pt
+        # relative to the scale of S2's terms, as _equivariance_gap measures:
+        # S2 that cancels in large terms rounds at that scale
+        got, scale = _chain_rule_s2(u, M, B, c, pt)
+        assert abs(got - tree(*pt)) <= 1e-12 * (1.0 + scale), pt
 
 
 def test_chain_rule_of_compiled_second_derivatives():

@@ -529,24 +529,6 @@ class TestSharedDraws:
                     outcomes.add("sampled")
         assert outcomes == {"gave up", "sampled"}
 
-    def test_the_candidates_are_the_draws_of_a_fresh_generator(self, monkeypatch):
-        monkeypatch.setattr(jets, "_STREAMS", {})
-        monkeypatch.setattr(jets, "_KEPT", 7)
-        rng = random.Random(43)
-        want = [jets._draw(rng) for _ in range(30)]
-        for n in (3, 30, 12):
-            stream = jets._candidates(43)
-            assert [next(stream) for _ in range(n)] == want[:n]
-
-    def test_draws_past_the_kept_candidates(self, monkeypatch):
-        monkeypatch.setattr(jets, "_STREAMS", {})
-        monkeypatch.setattr(jets, "_KEPT", 7)
-        v, f = vf(E4, x="1"), parse("sqrt(x)*y + z")
-        for n in (3, 25, 25):
-            _same_check(check_symmetry(v, f, n=n, seed=41),
-                        _reference_check(v, f, n=n, seed=41))
-        assert len(jets._STREAMS[41][1]) == 7
-
 
 class TestSymmetryPieces:
     def test_classification_compiles_pieces_once_per_field(self, monkeypatch):

@@ -111,6 +111,14 @@ class TestSqrtRelation:
         # sqrt(x) a second square to fold
         assert print_canonical(parse("sqrt(sqrt(x) + 1)^2*sqrt(x)")) == "sqrt(x) + x"
 
+    @pytest.mark.parametrize("text, other, canonical", [
+        ("1/sqrt(x)", "sqrt(x)/x", "sqrt(x)/x"),
+        ("1/sqrt(sqrt(x))", "sqrt(sqrt(x))/sqrt(x)", "sqrt(sqrt(x))*sqrt(x)/x")])
+    def test_a_root_leaves_a_monomial_denominator(self, text, other, canonical):
+        # 1/sqrt(P) = sqrt(P)/P, so both spellings give one tree
+        assert normalize(parse(text)) == normalize(parse(other))
+        assert print_canonical(parse(text)) == canonical
+
     def test_non_polynomial_argument_stays_opaque(self):
         assert print_canonical(parse("sqrt(1/x)^2")) == "sqrt(1/x)^2"
 

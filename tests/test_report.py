@@ -536,3 +536,17 @@ def test_run_suites_order_preserved():
     reps = run_suites(("adjoint", "commutators"))
     assert [r.suite for r in reps] == ["adjoint", "commutators"]
     assert all(r.wall_time > 0 for r in reps)
+
+
+# (id, status) of every check of `hessym verify all --format json --seed S`
+# at three seeds, by suite.  Residual bytes are not pinned: a change to the
+# draws may move them, but no id or status.
+GOLDEN_STATUSES = Path(__file__).with_name("verify_all_statuses.json")
+
+
+@pytest.mark.parametrize("seed", ["7", "11", "12345"])
+def test_verify_all_statuses_match_the_golden_file(seed, capsys):
+    main(["verify", "all", "--format", "json", "--seed", seed])
+    out = json.loads(capsys.readouterr().out)
+    got = {s["suite"]: [[c["id"], c["status"]] for c in s["checks"]] for s in out["suites"]}
+    assert got == json.loads(GOLDEN_STATUSES.read_text())[seed]
