@@ -30,13 +30,13 @@ import sys
 _HOMES = {
     "expr": ("Expr", "ExprError"),
     "parse": ("ParseError", "parse"),
-    "normalize": ("DEFAULT_SEED", "NonZero", "NumericallyZero", "ProvedZero",
-                  "Verdict", "is_zero", "normalize", "print_canonical"),
+    "normalize": ("DEFAULT_SEED", "NonZero", "NumericallyZero", "ProvedZero", "SymmetryCheck",
+                  "Unproved", "Verdict", "is_zero", "normalize", "print_canonical"),
     "fields": ("VectorField", "commutator", "structure_table", "adjoint", "vf"),
     "catalog": ("OPTIMAL_PATTERNS", "SUITE_NAMES", "classification_rows",
                 "equivalence_basis", "principal_basis", "reduced_basis",
                 "row_by_id"),
-    "jets": ("SymmetryCheck", "check_symmetry", "prolong2", "solve_uyy"),
+    "jets": ("check_symmetry", "prolong2", "solve_uyy"),
     "determining": ("free_constants_absent", "numeric_invariance_check",
                     "residual_on_variety", "symmetry_condition"),
     "optimal": ("ReductionError", "ReductionTrace", "reduce_to_optimal", "replay"),

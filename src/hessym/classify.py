@@ -50,13 +50,15 @@ from .expr import (
     to_text,
 )
 from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
-from .jets import SPATIAL, SymmetryCheck, check_symmetry, s2_of, worst_check
+from .jets import SPATIAL, check_symmetry, s2_of
 from .normalize import (
     DEFAULT_SEED,
+    SymmetryCheck,
     Verdict,
     is_zero,
     normalize,
     sample_point,
+    worst_check,
 )
 from .parse import parse
 

@@ -208,7 +208,7 @@ def cmd_reduce(args) -> int:
               file=sys.stderr)
         return 2
     trace = optimal.reduce_to_optimal(coeffs)
-    dev = optimal.replay_deviation(trace)
+    chk = optimal.replay_check(trace, 1e-9 if args.tol is None else args.tol)
     if args.format == "json":
         obj = {
             "input": list(trace.initial),
@@ -219,13 +219,13 @@ def cmd_reduce(args) -> int:
             "pattern": trace.pattern,
             "sign": trace.sign,
             "parameters": dict(sorted(trace.parameters.items())),
-            "replay_deviation": dev,
+            "replay_deviation": chk.max_residual,
         }
         _emit(_json(obj), args)
     else:
         _emit(trace.describe()
-              + f"\nreplay deviation (recomputed adjoints): {dev:.2e}\n", args)
-    return 0 if dev < (1e-9 if args.tol is None else args.tol) else 1
+              + f"\nreplay deviation (recomputed adjoints): {chk.max_residual:.2e}\n", args)
+    return 0 if chk.passed else 1
 
 
 def cmd_check_symmetry(args) -> int:

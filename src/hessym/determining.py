@@ -28,11 +28,11 @@ from .expr import (
 )
 from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
-    _PIECE_VARS, SPATIAL, SymmetryCheck, _draw, _variety_point, invariance_residual,
+    _PIECE_VARS, SPATIAL, _draw, _variety_point, invariance_residual,
     prolong2, s2_weight, solve_uyy, transport_term,
 )
 from .normalize import (
-    DEFAULT_SEED, Monomial, NormalizeError, as_rational, normalize, uniform,
+    DEFAULT_SEED, Monomial, NormalizeError, SymmetryCheck, as_rational, normalize, uniform,
 )
 from .parse import parse
 

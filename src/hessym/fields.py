@@ -382,24 +382,27 @@ def structure_table(basis: LieBasis, names: Sequence[str] | None = None) -> Stru
 # ---------------------------------------------------------------------------
 # adjoint representation
 
+EPS_NAME = "eps"   # the group parameter of every adjoint matrix
+# exp_closed_form's last power: by Cayley-Hamilton, agreement up to it is a proof
+_WINDOW = 16
+
+
 class AdjointDetectionError(ExprError):
     pass
 
 
-class AdjointMatrix(Frozen, fields=("generator", "names", "entries", "eps_name")):
+class AdjointMatrix(Frozen, fields=("generator", "names", "entries")):
     """A(eps) with Ad(exp(eps*B_i)) B_j = sum_k A[k][j](eps) B_k."""
 
     generator: int  # 0-based index into the basis
     names: tuple[str, ...]
     entries: tuple[tuple[Expr, ...], ...]
-    eps_name: str
 
     def __init__(self, generator: int, names: tuple[str, ...],
-                 entries: tuple[tuple[Expr, ...], ...], eps_name: str = "eps") -> None:
+                 entries: tuple[tuple[Expr, ...], ...]) -> None:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "eps_name", eps_name)
 
     def eval_at(self, eps: float) -> Rows:
         flat = self._compiled(float(eps))
@@ -410,7 +413,7 @@ class AdjointMatrix(Frozen, fields=("generator", "names", "entries", "eps_name")
     def _compiled(self):
         """All n*n entries, row by row, as one compiled function of eps."""
         return compile_evaluator(tuple(e for row in self.entries for e in row),
-                                 [self.eps_name])
+                                 [EPS_NAME])
 
     def apply(self, eps: float, a: Sequence[float]) -> tuple[float, ...]:
         """A(eps) a, equal to ``matvec(self.eval_at(eps), a)`` up to the sign
@@ -431,13 +434,13 @@ class AdjointMatrix(Frozen, fields=("generator", "names", "entries", "eps_name")
             terms = tuple(x if e == ONE else Mul((e, x))
                           for e, x in zip(row, coords) if e != ZERO)
             rows.append(Add(terms) if len(terms) > 1 else terms[0] if terms else ZERO)
-        return compile_evaluator(tuple(rows), [self.eps_name, *self.names])
+        return compile_evaluator(tuple(rows), [EPS_NAME, *self.names])
 
     def column(self, j: int) -> tuple[Expr, ...]:
         return tuple(self.entries[k][j] for k in range(len(self.names)))
 
     def to_markdown(self) -> str:
-        head = f"| Ad(exp({self.eps_name}*{self.names[self.generator]})) | " + \
+        head = f"| Ad(exp({EPS_NAME}*{self.names[self.generator]})) | " + \
             " | ".join(self.names) + " |"
         sep = "|" + "---|" * (len(self.names) + 1)
         cells = [format_combination(self.column(j), self.names)
@@ -459,8 +462,6 @@ def _closed_form(seq: list[Fraction], eps: Expr) -> Expr:
 
     Detects terminating, geometric (e^{c*eps}) and second-order
     w'' = -c*w (sin/cos) patterns, allowing one off-pattern leading term.
-    The window length is long enough that, combined with Cayley-Hamilton
-    for the matrix, agreement on the window is a proof.
     """
     L = len(seq) - 1
     last = max((m for m, s in enumerate(seq) if s != 0), default=-1)
@@ -523,11 +524,10 @@ def _div_frac(s: Fraction, omega: Expr) -> Expr:
     return div(num(s), omega)
 
 
-def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr,
-                    window: int = 16) -> tuple[tuple[Expr, ...], ...]:
+def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr) -> tuple[tuple[Expr, ...], ...]:
     """Closed-form entries of exp(eps*M) for an exact square matrix M.
 
-    With D the common denominator of M, the powers (D M)^0 .. (D M)^window
+    With D the common denominator of M, the powers (D M)^0 .. (D M)^_WINDOW
     are integer products taken over the nonzeros of each row of D M only
     (ad and flow generators are very sparse), and M^m = (D M)^m / D^m.
     Each entry's sequence sum_m M^m[k][j]/m! * eps^m that is not all zero
@@ -537,14 +537,14 @@ def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr,
     den = math.lcm(*(v.denominator for row in M for v in row))
     sparse = [[(t, int(v * den)) for t, v in enumerate(row) if v] for row in M]
     powers: list[list[list[int]]] = [[[int(r == c) for c in range(n)] for r in range(n)]]
-    for _ in range(window):
+    for _ in range(_WINDOW):
         prev = powers[-1]
         powers.append([[sum(v * prev[t][c] for t, v in row) for c in range(n)]
                        for row in sparse])
-    scales = [den ** m for m in range(window + 1)]
+    scales = [den ** m for m in range(_WINDOW + 1)]
 
     def entry(k: int, j: int) -> Expr:
-        seq = [powers[m][k][j] for m in range(window + 1)]
+        seq = [powers[m][k][j] for m in range(_WINDOW + 1)]
         if not any(seq):
             return ZERO
         return _closed_form([Fraction(p, d) for p, d in zip(seq, scales)], eps)
@@ -552,8 +552,7 @@ def exp_closed_form(M: Sequence[Sequence[Fraction]], eps: Expr,
     return tuple(tuple(entry(k, j) for j in range(n)) for k in range(n))
 
 
-def adjoint(table: StructureTable, i: int, eps_name: str = "eps",
-            window: int = 16) -> AdjointMatrix:
+def adjoint(table: StructureTable, i: int) -> AdjointMatrix:
     """Closed-form matrix of Ad(exp(eps*B_i)) on basis coordinates.
 
     The Lie series sum_m (-eps)^m/m! ad_i^m is exp(eps*(-ad_i)), so the
@@ -562,8 +561,7 @@ def adjoint(table: StructureTable, i: int, eps_name: str = "eps",
     cheap to check numerically via eval_at.
     """
     neg_ad = [[-v for v in row] for row in table.ad_matrix(i)]
-    entries = exp_closed_form(neg_ad, sym(eps_name), window)
-    return AdjointMatrix(i, table.names, entries, eps_name)
+    return AdjointMatrix(i, table.names, exp_closed_form(neg_ad, sym(EPS_NAME)))
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,10 @@ from .expr import (
 from .fields import (
     E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
 )
-from .jets import (
-    SPATIAL, SymmetryCheck, jet_indices, s2_of, s2_of_hessian, s2_weight, worst_check,
-)
+from .jets import SPATIAL, jet_indices, s2_of, s2_of_hessian, s2_weight
 from .normalize import (
-    DEFAULT_SEED, NormalizeError, Poly, _pdiff, as_polynomial, integer, normalize,
-    signed, subset, uniform,
+    DEFAULT_SEED, NormalizeError, Poly, SymmetryCheck, _pdiff, as_polynomial, integer,
+    normalize, signed, subset, uniform, worst_check,
 )
 from .parse import parse
 

@@ -19,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     _NONFINITE, EvalDomainError, Expr, ExprError, OpaqueBinding, ZERO, add,
@@ -27,7 +27,7 @@ from .expr import (
     pow_, substitute, sym,
 )
 from .fields import VectorField
-from .normalize import DEFAULT_SEED, as_polynomial, normalize, signed_uniform
+from .normalize import DEFAULT_SEED, SymmetryCheck, as_polynomial, normalize, signed_uniform
 from .parse import parse
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "total_derivative", "Prolongation", "prolong2", "hessian2", "s2_of",
     "s2_of_hessian", "s2_weight",
     "S2_JET_DERIVATIVES", "solve_uyy", "transport_term",
-    "invariance_residual", "SymmetryCheck", "worst_check", "check_symmetry",
+    "invariance_residual", "check_symmetry",
 ]
 
 SPATIAL = ("x", "y", "z")
@@ -258,38 +258,6 @@ def _variety_point(draw: Callable[[], tuple[float, ...]],
                     + vals[_UXZ] ** 2) / (uxx + uzz)
         return pt
     raise EvalDomainError("could not sample a well-conditioned variety point")
-
-
-class SymmetryCheck(NamedTuple):
-    """Outcome of a sampled check: the worst residual over ``n_points``
-    points against ``tol``, and the one place where a residual meets its
-    tolerance.  ``check_symmetry`` returns one and keeps its worst point on
-    the solution variety as the witness;
-    ``determining.numeric_invariance_check`` and ``flows.apply_case``
-    return one without a witness.  ``classify.RowCheck.symmetry`` and
-    ``classify.PrincipalCheck.symmetry`` hold the ``worst_check`` of their
-    ``check_symmetry`` calls, and ``flows.CaseCheck`` holds one each for
-    its group law, its recovered generator and its equivariance."""
-
-    max_residual: float
-    n_points: int
-    tol: float
-    witness: dict[str, float] | None = None   # worst sampled point
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def worst_check(checks: Iterable[SymmetryCheck]) -> SymmetryCheck:
-    """The checks as one: the worst residual with its witness, over all
-    their points, against the tolerance they share."""
-    checks = tuple(checks)
-    tols = {c.tol for c in checks}
-    if len(tols) != 1:
-        raise ValueError(f"checks must share one tolerance, got {sorted(tols)}")
-    worst = max(checks, key=lambda c: c.max_residual)
-    return worst._replace(n_points=sum(c.n_points for c in checks))
 
 
 @lru_cache(maxsize=4)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
@@ -43,9 +43,9 @@ from .expr import (
 
 __all__ = [
     "normalize", "print_canonical", "is_zero", "as_polynomial", "as_rational",
-    "ProvedZero", "NumericallyZero", "NonZero", "Verdict", "NormalizeError",
-    "DEFAULT_SEED", "sample_point", "signed_uniform", "clear_canonical_table",
-    "uniform", "signed", "integer", "choice", "subset",
+    "ProvedZero", "NumericallyZero", "NonZero", "Unproved", "Verdict", "SymmetryCheck",
+    "worst_check", "NormalizeError", "DEFAULT_SEED", "sample_point", "signed_uniform",
+    "clear_canonical_table", "uniform", "signed", "integer", "choice", "subset",
 ]
 
 Monomial = tuple[tuple[str, int], ...]
@@ -509,8 +509,11 @@ def normalize(e: Expr) -> Expr:
     """
     c = _CANONICAL.get(e)
     if c is None:
-        n, d, reg = as_rational(e)
-        c = _frac_to_expr((n, d), reg)
+        try:
+            n, d, reg = as_rational(e)
+            c = _frac_to_expr((n, d), reg)
+        except RecursionError:  # a tree walk deeper than Python's stack
+            raise NormalizeError("expression nested too deeply to canonicalize") from None
         if len(_CANONICAL) >= _CANONICAL_MAX:
             _CANONICAL.clear()
         c = _CANONICAL.setdefault(c, c)
@@ -602,7 +605,7 @@ def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# zero testing
+# verdicts and the zero test
 
 class ProvedZero(NamedTuple):
     """Exact zero: the canonical form is the zero polynomial."""
@@ -625,7 +628,7 @@ class NumericallyZero(NamedTuple):
 
 
 class NonZero(NamedTuple):
-    witness: dict[str, float] | None
+    witness: dict[str, float]   # a sampled point past the tolerance
     residual: float
     zero_like: bool = False
 
@@ -633,32 +636,65 @@ class NonZero(NamedTuple):
         return f"NonZero(residual={self.residual:.3e})"
 
 
-Verdict = ProvedZero | NumericallyZero | NonZero
+class Unproved(NamedTuple):
+    """The canonical form could not prove zero, and nothing was sampled."""
+
+    zero_like: bool = False
+
+    def __str__(self) -> str:
+        return "Unproved"
+
+
+Verdict = ProvedZero | NumericallyZero | NonZero | Unproved
+
+
+class SymmetryCheck(NamedTuple):
+    """The worst residual of a sampled or replayed check over ``n_points``
+    points against ``tol``; ``passed`` is the one rule by which a residual
+    meets its tolerance.  ``jets.check_symmetry`` keeps its worst point on
+    the solution variety as the witness."""
+
+    max_residual: float
+    n_points: int
+    tol: float
+    witness: dict[str, float] | None = None   # worst sampled point
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.tol
+
+
+def worst_check(checks: Iterable[SymmetryCheck]) -> SymmetryCheck:
+    """The checks as one: the worst residual with its witness, over all
+    their points, against the tolerance they share."""
+    checks = tuple(checks)
+    tols = {c.tol for c in checks}
+    if len(tols) != 1:
+        raise ValueError(f"checks must share one tolerance, got {sorted(tols)}")
+    worst = max(checks, key=lambda c: c.max_residual)
+    return worst._replace(n_points=sum(c.n_points for c in checks))
 
 
 def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
             seed: int = DEFAULT_SEED,
             bindings: Mapping[str, OpaqueBinding] | None = None) -> Verdict:
-    """Three-way zero test.
+    """Zero test by the canonical form; where it proves nothing, mode 'auto'
+    samples and mode 'symbolic' answers ``Unproved``.
 
-    mode 'symbolic': canonicalize and test the zero polynomial; 'numeric':
-    sampled evaluation only; 'auto': symbolic first, numeric fallback.
     Numeric comparisons are relative: a point passes when
     |value| <= tol * (1 + scale) with scale the largest intermediate
     magnitude, both from the scaled compiled body of ``e``, compiled once
     per call.  Domain errors trigger resampling, at most 10*n attempts;
     ``n`` must be at least 1, so that no verdict rests on zero points.
     """
-    if mode not in ("auto", "symbolic", "numeric"):
+    if mode not in ("auto", "symbolic"):
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    if mode in ("auto", "symbolic"):
-        if normalize(e) == ZERO:
-            return ProvedZero()
-        if mode == "symbolic":
-            # not the zero rational function in the atoms; no numeric witness
-            return NonZero(witness=None, residual=float("inf"))
+    if normalize(e) == ZERO:
+        return ProvedZero()
+    if mode == "symbolic":
+        return Unproved()
     names = sorted(free_symbols(e))
     at = compile_evaluator(e, names, bindings, scaled=True)
     rng = random.Random(seed)

@@ -24,11 +24,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .catalog import OPTIMAL_PATTERNS, reduced_adjoints
 from .expr import EXP_GUARD
+from .normalize import SymmetryCheck
 
 __all__ = [
     "ReductionError", "ReductionStep", "ReductionTrace",
     "published_adjoint_vector", "reduce_to_optimal", "replay",
-    "replay_deviation", "classify_vector",
+    "replay_deviation", "replay_check", "classify_vector",
 ]
 
 
@@ -331,3 +332,8 @@ def replay_deviation(trace: ReductionTrace) -> float:
     to the vector scale."""
     final = trace.final
     return max(map(abs, map(operator.sub, replay(trace), final))) / max(1.0, *map(abs, final))
+
+
+def replay_check(trace: ReductionTrace, tol: float) -> SymmetryCheck:
+    """The replay deviation of one trace against ``tol``."""
+    return SymmetryCheck(replay_deviation(trace), 1, tol)

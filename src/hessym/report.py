@@ -37,7 +37,9 @@ from .expr import add
 from .fields import (
     Rows, format_combination, identity, matmul, max_abs_diff,
 )
-from .normalize import DEFAULT_SEED, choice, integer, is_zero, normalize, signed, subset, uniform
+from .normalize import (
+    DEFAULT_SEED, SymmetryCheck, choice, integer, is_zero, normalize, signed, subset, uniform,
+)
 from .parse import parse
 
 __all__ = [
@@ -171,7 +173,7 @@ def suite_adjoint(seed: int = DEFAULT_SEED, tol: float = 1e-10) -> SuiteReport:
         for eps in (0.1, 0.7, 1.3):
             minus = [[-eps * float(x) for x in row] for row in A]
             dev = max(dev, max_abs_diff(ad.eval_at(eps), _expm(minus)))
-        ok = not mismatches and dev <= tol
+        ok = not mismatches and SymmetryCheck(dev, 3, tol).passed
         details = (f"64 entries match the published closed forms; "
                    f"max deviation from expm(-eps ad) is {dev:.2e}"
                    if not mismatches else "; ".join(mismatches))
@@ -229,7 +231,7 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
             continue
         seen[tr.pattern] = seen.get(tr.pattern, 0) + 1
         worst = max(worst, optimal.replay_deviation(tr))
-    ok = failures == 0 and worst < tol
+    ok = failures == 0 and SymmetryCheck(worst, points - failures, tol).passed
     # random draws reach some patterns rarely (A7 in about 1% of them), so
     # coverage rests on one scrambled representative of each normal form
     lost = []
@@ -264,10 +266,9 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
     )
     for cid, vec, want in picked:
         tr = optimal.reduce_to_optimal(vec)
-        dev = optimal.replay_deviation(tr)
-        ok = tr.pattern == want and dev < tol
+        chk = optimal.replay_check(tr, tol)
         records.append(CheckRecord(
-            cid, ok, dev,
+            cid, tr.pattern == want and chk.passed, chk.max_residual,
             f"{vec} -> pattern {tr.pattern} in {len(tr.steps)} steps",
             f"optimal-system:{want}"))
     return SuiteReport("optimal", seed, tuple(records))

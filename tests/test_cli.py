@@ -971,6 +971,69 @@ def test_every_draw_is_a_call_of_random():
     assert bad == []
 
 
+# the orderings of a value against a tolerance outside the one rule,
+# SymmetryCheck.passed, by enclosing definition, each with why it stays
+TOLERANCE_COMPARISONS = {
+    "normalize.is_zero": "the per-point early exit: the first sampled point past tol "
+                         "is the NonZero witness, so sampling stops there",
+    "classify.numeric_rank": "_RANK_TOL is the elimination's pivot threshold: it "
+                             "decides a rank, not whether a residual passes",
+}
+
+
+def _tolerance_comparisons(tree: ast.AST) -> list[tuple[str, int, str]]:
+    """(dotted name of the enclosing definitions, line, text) of each <, <=,
+    > or >= with a tolerance on either side: a name or attribute called
+    ``tol`` or ending in ``_TOL``."""
+    def is_tol(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name is not None and (name == "tol" or name.endswith("_TOL"))
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Compare)
+                    and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+                            for op in child.ops)
+                    and any(is_tol(n) for side in (child.left, *child.comparators)
+                            for n in ast.walk(side))):
+                found.append((".".join(scope), child.lineno, ast.unparse(child)))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("line,flagged", [
+    ("ok = not mismatches and dev <= tol", True),
+    ("ok = failures == 0 and worst < tol", True),
+    ("return 0 if dev < (1e-9 if args.tol is None else args.tol) else 1", True),
+    ("stop = p <= _RANK_TOL", True),
+    ("ok = abs(v) <= cut", False),
+    ("ok = SymmetryCheck(dev, 3, tol).passed", False),
+])
+def test_tolerance_comparisons_are_found(line, flagged):
+    assert bool(_tolerance_comparisons(ast.parse(line))) == flagged
+
+
+def test_one_rule_judges_a_value_against_its_tolerance():
+    # SymmetryCheck.passed (max_residual <= tol) is the rule; any other
+    # ordering against a tolerance in hessym is a second rule, unless listed
+    package = Path(hessym.__file__).resolve().parent
+    sites: dict[str, list[tuple[str, str]]] = {}
+    for path in sorted(package.rglob("*.py")):
+        for scope, line, text in _tolerance_comparisons(ast.parse(path.read_text())):
+            sites.setdefault(f"{path.stem}.{scope}", []).append((f"{path.name}:{line}", text))
+    rule = sites.pop("normalize.SymmetryCheck.passed")
+    assert [text for _, text in rule] == ["self.max_residual <= self.tol"]
+    assert {k: v for k, v in sites.items() if k not in TOLERANCE_COMPARISONS} == {}
+    assert {k: len(v) for k, v in sites.items()} == dict.fromkeys(TOLERANCE_COMPARISONS, 1)
+
+
 def test_package_serves_each_export_from_its_home_module():
     namespace: dict = {}
     exec("from hessym import *", namespace)

@@ -577,7 +577,7 @@ _L = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
 FROZEN_VALUES = [
     (_FIELD, (_FIELD.space, _FIELD.coeffs)),
     (LieBasis("B", (_FIELD,)), ("B", (_FIELD,))),
-    (AdjointMatrix(0, ("Z1",), ((ONE,),)), (0, ("Z1",), ((ONE,),), "eps")),
+    (AdjointMatrix(0, ("Z1",), ((ONE,),)), (0, ("Z1",), ((ONE,),))),
     (AffineFlow(_L), (_L,)),
 ]
 

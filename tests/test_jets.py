@@ -17,12 +17,12 @@ from hessym.expr import (
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
 from hessym.flows import _sample_poly, case_by_id, verify_case
 from hessym.jets import (
-    JetOrderError, S2_JET_DERIVATIVES, SPATIAL, SymmetryCheck, check_symmetry, hessian2,
+    JetOrderError, S2_JET_DERIVATIVES, SPATIAL, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
-    s2_of, s2_weight, solve_uyy, total_derivative, worst_check,
+    s2_of, s2_weight, solve_uyy, total_derivative,
 )
 from hessym.normalize import (
-    DEFAULT_SEED, ProvedZero, as_polynomial, is_zero, normalize,
+    DEFAULT_SEED, ProvedZero, SymmetryCheck, as_polynomial, is_zero, normalize, worst_check,
 )
 from hessym.parse import parse
 

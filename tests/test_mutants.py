@@ -1,9 +1,12 @@
-"""Kernel mutants: each breaks one rule of the canonical form in a fresh
-process, and the report must see it.
+"""Mutants: each breaks one rule of the kernel or one entry of a catalog,
+and the report must see it.
 
-A mutant replaces one line of one function of ``hessym.normalize`` and
-redefines the function in the module, so every caller inside the module
-runs the broken rule."""
+A kernel mutant replaces one line of one function of ``hessym.normalize``
+in a fresh process and redefines the function in the module, so every
+caller inside the module runs the broken rule.  A catalog mutant tampers
+with one published artifact in this process, and the record anchored on
+that artifact must turn to fail, or the mutant is listed as a survivor
+with the reason it survives."""
 
 import json
 import os
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import hessym
-from hessym.report import SUITE_NAMES
+from hessym import catalog, flows, optimal
+from hessym.report import SUITE_NAMES, run_suite
 
 # (function, the line as written, the broken line)
 MUTANTS = {
@@ -64,3 +68,71 @@ def test_sqrt_fold_mutant_fails_the_sqrt_rows():
     assert out.returncode == 1, out.stderr
     failed = {r["id"] for r in json.loads(out.stdout)["checks"] if r["status"] == "fail"}
     assert failed == {"row[A7]", "row[A9b]"}
+
+
+def _move_pattern_role(pid: str, old: int, new: int):
+    """Normal form ``pid`` with the role of Z_old written on Z_new."""
+    def tamper(m: pytest.MonkeyPatch) -> None:
+        spec = dict(catalog.OPTIMAL_PATTERNS[pid])
+        spec[new] = spec.pop(old)
+        m.setitem(catalog.OPTIMAL_PATTERNS, pid, dict(sorted(spec.items())))
+    return tamper
+
+
+def _flip_a3_invariant_exponent(m: pytest.MonkeyPatch) -> None:
+    a3, *rest = catalog.invariant_datasets()
+    assert a3.label == "A3" and a3.invariants[2] == "f*exp(-(2/g1)*atan(y/z))"
+    flipped = a3._replace(invariants=(*a3.invariants[:2], "f*exp((2/g1)*atan(y/z))"))
+    m.setattr(catalog, "_INVARIANTS", (flipped, *rest))
+
+
+def _rescale_case_6(m: pytest.MonkeyPatch) -> None:
+    assert flows.case_by_id(6).u_scale_text == "1/(1 + t)"
+    m.setattr(flows, "_CASES", tuple(c._replace(u_scale_text="1/(1 + 2*t)") if c.case_id == 6
+                                     else c for c in flows.flow_cases()))
+
+
+# name -> (suite, the record anchored on the tampered artifact, tamper)
+CATALOG_MUTANTS = {
+    "pattern-A3-g-on-Z4": ("optimal", "pattern-coverage", _move_pattern_role("A3", 6, 4)),
+    "pattern-A3-g-on-Z5": ("optimal", "pattern-coverage", _move_pattern_role("A3", 6, 5)),
+    "invariant-A3-exponent-sign": ("invariants", "invariants[A3]", _flip_a3_invariant_exponent),
+    "case-6-u-scale": ("flows", "case[6]", _rescale_case_6),
+}
+
+# the catalog mutants whose record stays short of fail, each with why
+SURVIVORS = {
+    "pattern-A3-g-on-Z5": "classify_vector takes the first pattern that fits and nothing "
+                          "checks that the normal forms are disjoint: the reduction tree's "
+                          "(Z6, Z7) vectors then read as A7 with a = 0, its (Z5, Z7) "
+                          "vectors as the moved A3 ahead of A9 with a = 0, and the moved "
+                          "representative reduces back to itself",
+    "case-6-u-scale": "the printed-scale-first-order flag rests on its catalog label "
+                      "alone: the record passes on the (-1, exp) reading, and the "
+                      "literal reading, the one that reads u_scale_text, only "
+                      "fills the details",
+}
+
+_OPTIONS = {"optimal": {"points": 200}, "invariants": {}, "flows": {"points": 4}}
+
+
+def _status(suite: str, record: str) -> str:
+    rep = run_suite(suite, **_OPTIONS[suite])
+    return next(r.status for r in rep.records if r.check_id == record)
+
+
+@pytest.mark.parametrize("name", CATALOG_MUTANTS)
+def test_catalog_mutant_fails_its_record(monkeypatch, name):
+    suite, record, tamper = CATALOG_MUTANTS[name]
+    assert _status(suite, record) != "fail"
+    try:
+        with monkeypatch.context() as m:
+            tamper(m)
+            optimal._candidates.cache_clear()  # the patterns' support index
+            status = _status(suite, record)
+    finally:
+        optimal._candidates.cache_clear()
+    if name in SURVIVORS:
+        assert status != "fail", f"{name} is killed now: drop it from SURVIVORS"
+    else:
+        assert status == "fail"

@@ -14,7 +14,7 @@ import pytest
 import hessym
 from hessym.expr import ExprError, OpaqueBinding, call, sub, sym
 from hessym.normalize import (
-    NonZero, NormalizeError, NumericallyZero, ProvedZero, as_polynomial,
+    NonZero, NormalizeError, NumericallyZero, ProvedZero, Unproved, as_polynomial,
     is_zero, normalize, print_canonical,
 )
 from hessym.parse import parse
@@ -373,18 +373,26 @@ class TestIsZero:
         assert v.witness is not None and "x" in v.witness
         assert v.residual > 1e-3
 
-    def test_numeric_mode_skips_symbolic(self):
-        v = is_zero(parse("exp(x)*exp(-x) - 1"), mode="numeric")
-        assert isinstance(v, NumericallyZero)
+    def test_unproved_symbolically_and_sampled_in_auto(self):
+        # exp(t) and exp(-t) are independent atoms: the canonical form
+        # cannot prove the identity, and only sampling can see it
+        e = parse("exp(t)*exp(-t) - 1")
+        v = is_zero(e, mode="symbolic")
+        assert v == Unproved() and not v.zero_like and str(v) == "Unproved"
+        assert isinstance(is_zero(e), NumericallyZero)
+
+    def test_numeric_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown mode 'numeric'"):
+            is_zero(parse("exp(x)*exp(-x) - 1"), mode="numeric")
 
     def test_resampling_on_domain_errors(self):
         # ln(x) only defined for x > 0; half the default box hits errors
-        v = is_zero(parse("ln(x) - ln(x)"), mode="numeric", n=20)
-        assert v.zero_like
+        v = is_zero(parse("exp(ln(x)) - x"), n=20)
+        assert isinstance(v, NumericallyZero) and v.n_points == 20
 
     def test_bindings(self):
         H = OpaqueBinding(("a", "b"), parse("a*b"))
-        v = is_zero(parse("H(x, y) - x*y"), mode="numeric", bindings={"H": H})
+        v = is_zero(parse("H(x, y) - x*y"), bindings={"H": H})
         assert isinstance(v, NumericallyZero)
 
     def test_seeded_determinism(self):
@@ -403,13 +411,13 @@ class TestIsZero:
             return real_compile(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "compile", counting)
-        v = is_zero(parse("sin(x)^2 + cos(x)^2 - 1 + y - y"), mode="numeric", n=50)
+        v = is_zero(parse("sin(x)^2 + cos(x)^2 - 1 + y - y"), n=50)
         assert isinstance(v, NumericallyZero) and v.n_points == 50
         assert filenames.count("<expr>") == 1
 
     def test_residual_is_the_reference_ratio(self):
         e = parse("exp(x)*y - y*exp(x) + x/y")
-        v = is_zero(e, mode="numeric")
+        v = is_zero(e)
         value, scale = _reference.eval_with_scale(e, v.witness)
         assert v.residual == abs(value) / (1.0 + scale)
 
@@ -419,17 +427,20 @@ class TestIsZero:
         v = is_zero(parse("10^12*(sin(x)^2 + cos(x)^2 - 1)"))
         assert isinstance(v, NumericallyZero)
 
-    @pytest.mark.parametrize("mode", ["auto", "symbolic", "numeric"])
+    @pytest.mark.parametrize("mode", ["auto", "symbolic"])
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_verdict_from_zero_points(self, mode, n):
         with pytest.raises(ValueError, match="at least 1"):
             is_zero(parse("x - y"), mode=mode, n=n)
 
     def test_nesting_past_the_compiler_is_an_expr_error(self):
-        # 300 nested calls: too deep to compile, so the sampled route
-        # refuses the tree instead of walking it
+        # 300 nested calls: too deep to canonicalize or compile, so both
+        # routes refuse the tree instead of walking it
         e = sym("x")
         for _ in range(300):
             e = call("sin", e)
+        nz.clear_canonical_table()
+        with pytest.raises(NormalizeError, match="nested too deeply to canonicalize"):
+            normalize(e)
         with pytest.raises(ExprError, match="nested too deeply"):
-            is_zero(e, mode="numeric")
+            is_zero(e)

@@ -17,7 +17,7 @@ import pytest
 
 from hessym.catalog import OPTIMAL_PATTERNS, reduced_adjoints, reduced_basis, Z_NAMES
 from hessym.expr import EvalDomainError
-from hessym.normalize import DEFAULT_SEED
+from hessym.normalize import DEFAULT_SEED, SymmetryCheck
 from hessym.fields import adjoint, matvec, structure_table
 from hessym.optimal import (
     ReductionError,
@@ -27,6 +27,7 @@ from hessym.optimal import (
     published_adjoint_vector,
     reduce_to_optimal,
     replay,
+    replay_check,
     replay_deviation,
 )
 from hessym.report import _scrambled_normal_form
@@ -126,6 +127,15 @@ def test_reduce_translation_plus_scaling():
     assert tr.pattern == "A2"
     assert tr.sign == 1
     assert replay_deviation(tr) < 1e-9
+
+
+def test_replay_check_passes_a_deviation_equal_to_its_tolerance():
+    # a residual passes iff it is at most its tolerance: the two routes
+    # agree exactly on this trace, so even a zero bound passes
+    tr = reduce_to_optimal([1, 0, 0, 0, 0, 0, 1, 0])
+    chk = replay_check(tr, 0.0)
+    assert chk == SymmetryCheck(replay_deviation(tr), 1, 0.0) == SymmetryCheck(0.0, 1, 0.0)
+    assert chk.passed and not replay_check(tr, -1e-300).passed
 
 
 def test_reduce_generic_case2_vector():

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessym import catalog, classify, cli, determining, fields, flows, jets, optimal, report
+from hessym import catalog, classify, cli, determining, fields, flows, optimal, report
 from hessym.catalog import PUBLISHED_ADJOINT, PUBLISHED_BRACKETS, Z_NAMES, reduced_basis
 from hessym.cli import main
 from hessym.expr import ZERO, mul, num
 from hessym.fields import structure_table
+from hessym.normalize import SymmetryCheck
 from hessym.report import (
     CheckRecord,
     SUITE_NAMES,
@@ -243,8 +244,7 @@ def _tampered_adjoints(gen, k, j, factor):
     rows = [list(row) for row in m.entries]
     assert rows[k][j] != ZERO
     rows[k][j] = mul(num(factor), rows[k][j])
-    mats[gen - 1] = fields.AdjointMatrix(m.generator, m.names,
-                                         tuple(map(tuple, rows)), m.eps_name)
+    mats[gen - 1] = fields.AdjointMatrix(m.generator, m.names, tuple(map(tuple, rows)))
     return tuple(mats)
 
 
@@ -402,7 +402,7 @@ def test_numeric_oracle_takes_its_status_from_the_check(monkeypatch, residual,
 
     def check(n, seed, tol):
         given.append(tol)
-        return jets.SymmetryCheck(residual, n, check_tol)
+        return SymmetryCheck(residual, n, check_tol)
 
     monkeypatch.setattr(determining, "numeric_invariance_check", check)
     for tol in (None, 1e-5):
