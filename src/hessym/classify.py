@@ -159,9 +159,12 @@ class RowCheck(NamedTuple):
 
 def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
                seed: int = DEFAULT_SEED) -> RowCheck:
-    """Run the exact ansatz check and the randomized symmetry check.
+    """Run the ansatz check and the randomized symmetry check.
 
-    The symmetry check tries the printed extra symmetry first and falls
+    The ansatz residual goes through ``is_zero(mode="auto")`` with one H
+    instance bound: it is proved zero where its canonical form cancels,
+    as it does for every published row, and sampled otherwise.  The
+    symmetry check tries the printed extra symmetry first and falls
     back to the lift of the row's generator; resorting to the lift is
     recorded, it is what the ``printed-v5-incomplete`` rows need.
     """

@@ -118,8 +118,7 @@ def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
     cond = symmetry_condition()
     total = add(r_raw, cond)
     var_order = SYMMETRY_CONSTANTS + _PIECE_VARS
-    fn = compile_evaluator(total, var_order, {"f": binding})
-    scale_fn = compile_evaluator(r_raw, var_order, {"f": binding})
+    total_and_raw = compile_evaluator((total, r_raw), var_order, {"f": binding})
 
     draw = partial(_draw, rng)
     worst = 0.0
@@ -127,9 +126,8 @@ def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
         # each point's constants come first from the same generator
         cs = [uniform(rng, -2, 2) for _ in SYMMETRY_CONSTANTS]
         args = cs + _variety_point(draw, binding.fn)
-        val = fn(*args)
-        scale = abs(scale_fn(*args))
-        worst = max(worst, abs(val) / (1.0 + scale))
+        val, raw = total_and_raw(*args)
+        worst = max(worst, abs(val) / (1.0 + abs(raw)))
     return SymmetryCheck(worst, n, tol)
 
 

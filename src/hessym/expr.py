@@ -31,7 +31,7 @@ __all__ = [
     "ELEMENTARY", "EXP_GUARD", "ExprError", "EvalError", "EvalDomainError",
     "children", "rebuild", "diff", "substitute", "free_symbols",
     "eval_numeric", "eval_with_scale", "OpaqueBinding",
-    "compile_evaluator", "compile_template", "to_text",
+    "compile_evaluator", "compile_template", "compile_with_scale", "to_text",
 ]
 
 
@@ -691,25 +691,6 @@ def _slot_template(body: Expr, params: tuple[str, ...], slots: tuple[int, ...]):
 _NONFINITE = "evaluation overflowed or produced NaN"
 
 
-def eval_numeric(e: Expr, env: Mapping[str, float],
-                 bindings: Mapping[str, OpaqueBinding] | None = None) -> float:
-    """Evaluate at a float assignment; raises EvalError family on problems.
-    The value of ``eval_with_scale``."""
-    return compile_evaluator(e, list(env), bindings, scaled=True)(*env.values())[0]
-
-
-def eval_with_scale(e: Expr, env: Mapping[str, float],
-                    bindings: Mapping[str, OpaqueBinding] | None = None) -> tuple[float, float]:
-    """Evaluate returning (value, scale) where scale is the largest |subterm|.
-
-    The scale feeds relative-tolerance zero tests: massive cancellation shows
-    up as |value| << scale.  This compiles the scaled body for one point; a
-    loop over points compiles it once with ``compile_evaluator(...,
-    scaled=True)``.
-    """
-    return compile_evaluator(e, list(env), bindings, scaled=True)(*env.values())
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation: the one way to turn an Expr into floats
 
@@ -761,150 +742,101 @@ def _domain_error(exc: ArithmeticError | ValueError) -> EvalDomainError:
                            else _NONFINITE)
 
 
-# The nodes of a scaled body: each checks its value finite and appends it
-# to ``sc``, whose largest |entry| is the scale; a sum appends its terms
-# instead of its own value.  Calls and powers go through the plain guards,
-# which agree with an unguarded call wherever the argument is finite.
-
-def _scaled_call(sc: list, fn: Callable[..., float], *args: float) -> float:
-    v = fn(*args)
-    if not math.isfinite(v):
-        raise EvalDomainError(_NONFINITE)
-    sc.append(v)
-    return v
-
-
-def _scaled_mul(sc: list, *factors: float) -> float:
-    return _scaled_call(sc, math.prod, (1.0, *factors))  # 1.0*f1*f2*...
-
-
-def _scaled_add(sc: list, *terms: float) -> float:
-    sc += terms  # a sum's terms count in the scale, its own value does not
-    return _scaled_call([], math.fsum, terms)
-
-
 _COMPILED_GLOBALS = {
     "_exp": _guarded_exp, "_ln": _guarded_ln, "_sin": math.sin, "_cos": math.cos,
     "_tan": math.tan, "_atan": _guarded_atan, "_sqrt": _guarded_sqrt,
     "_pow": _guarded_pow, "_nonfinite": _nonfinite, "_domain_error": _domain_error,
     "_EvalDomainError": EvalDomainError, "_NONFINITE": _NONFINITE,
     "_all": all, "_map": map, "_sum": sum, "_isfinite": math.isfinite,
-    "_A": _scaled_add, "_M": _scaled_mul, "_C": _scaled_call, "_max": max, "_abs": abs,
 }
 
 
 def compile_evaluator(e: Expr | Sequence[Expr], var_order: Sequence[str],
                       bindings: Mapping[str, OpaqueBinding] | None = None,
-                      scaled: bool = False) -> Callable[..., float | tuple[float, ...]]:
+                      ) -> Callable[..., float | tuple[float, ...]]:
     """Compile to a Python callable taking floats in ``var_order`` order.
 
-    The plain body (the default) serves the sampling loops.  A tuple of
-    expressions compiles to one callable returning the tuple of their
-    values, each emitted exactly as it would be on its own, except that an
-    integer constant entry is the float of the same value.
+    A tuple of expressions compiles to one callable returning the tuple of
+    their values, each emitted exactly as it would be on its own, except
+    that an integer constant entry is the float of the same value.
 
     Domain errors and overflow raise EvalDomainError: ln, sqrt and
     non-integer powers are guarded, exp is guarded at 700, ``0.0 ** -n``,
     a power past the float range and sin/cos/tan of inf are mapped to
-    EvalDomainError, and a non-finite result is rejected, so a result is
-    never complex, inf or NaN.  The plain body checks only the nodes that
-    would turn an intermediate inf into a finite value (the argument of
-    exp and atan, the base of a negative power), so ``1/(x*y)`` at
-    x = y = 1e200 raises; its sums use ``+``.
-
-    ``scaled=True`` compiles one expression to the scaled body, which
-    returns ``(value, scale)``: it checks every node finite, sums with
-    ``math.fsum``, and takes as scale the largest |value| of a leaf or of a
-    node other than a sum (whose terms count instead).  At finite variable
-    values, with opaque evaluators that raise only EvalError, it is the
-    recursive evaluator of the tests compiled: the same value and scale,
-    bit for bit, or the same exception class.
+    EvalDomainError, and a non-finite result (any entry of a tuple) is
+    rejected, so a result is never complex, inf or NaN.  Inside an
+    expression only the nodes that would turn an intermediate inf into a
+    finite value are checked (the argument of exp and atan, the base of a
+    negative power), so ``1/(x*y)`` at x = y = 1e200 raises.  Sums add
+    left to right with ``+``.
     """
-    return compile_template(e, var_order, scaled)(bindings or {})
+    return compile_template(e, var_order)(bindings or {})
 
 
 def compile_template(e: Expr | Sequence[Expr], var_order: Sequence[str],
-                     scaled: bool = False,
                      ) -> Callable[[Mapping[str, OpaqueBinding]], Callable]:
     """``compile_evaluator`` with the opaque evaluators left open: compile
     once, then bind each set of bindings without compiling again.  The
     evaluators of the opaque applications are arguments of the compiled
     closure, so the emitted arithmetic is the same however they are bound.
+    This is the one place where hessym compiles Python source.
 
     An expression nested too deeply for Python to compile (past some 200
     nested sums, products and calls) is an ExprError.
     """
     names = {v: f"_v{i}" for i, v in enumerate(var_order)}
     opaques: list[tuple[str, tuple[int, ...] | None]] = []
-    leaves: dict[str, str] = {}  # scaled: the text of each distinct leaf
 
     def emit(n: Expr) -> str:
         if isinstance(n, Num):
-            if scaled:  # a float even for an integer, as n/d
-                text = f"({n.value.numerator}/{n.value.denominator})"
-                return leaves.setdefault(text, text)
             if n.value.denominator == 1:
                 return f"({n.value.numerator})" if n.value < 0 else str(n.value.numerator)
             return f"({n.value.numerator}/{n.value.denominator})"
         if isinstance(n, Sym):
             if n.name not in names:
                 raise EvalError(f"unbound variable {n.name!r} in compiled expression")
-            return leaves.setdefault(names[n.name], names[n.name]) if scaled else names[n.name]
+            return names[n.name]
         if isinstance(n, Add):
-            if scaled:
-                return "_A(_sc," + ",".join(emit(t) for t in n.terms) + ")"
             return "(" + "+".join(emit(t) for t in n.terms) + ")"
         if isinstance(n, Mul):
-            if scaled:
-                return "_M(_sc," + ",".join(emit(f) for f in n.factors) + ")"
             return "(" + "*".join(emit(f) for f in n.factors) + ")"
         if isinstance(n, Pow):
             if isinstance(n.exponent, Num) and _is_int(n.exponent.value):
                 base = emit(n.base)
-                if scaled:  # the exponent's value counts in the scale
-                    emit(n.exponent)
-                    return f"_C(_sc,pow,{base},{n.exponent.value.numerator})"
                 if n.exponent.value < 0:  # inf ** -k is 0.0: reject the inf
                     base = f"(_g if (_g := {base}) - _g == 0.0 else _nonfinite())"
                 return "(" + base + "**" + emit(n.exponent) + ")"
-            if scaled:
-                return f"_C(_sc,_pow,{emit(n.base)},{emit(n.exponent)})"
             return f"_pow({emit(n.base)},{emit(n.exponent)})"
         if isinstance(n, Call):
-            return f"_C(_sc,_{n.fn},{emit(n.arg)})" if scaled else f"_{n.fn}({emit(n.arg)})"
+            return f"_{n.fn}({emit(n.arg)})"
         if isinstance(n, (Opaque, Deriv)):
             target = n.target if isinstance(n, Deriv) else n
             opaques.append((target.fn, n.slots if isinstance(n, Deriv) else None))
-            args = ",".join(emit(a) for a in target.args)
-            return f"_C(_sc,_f{len(opaques) - 1},{args})" if scaled else \
-                f"_f{len(opaques) - 1}({args})"
+            return f"_f{len(opaques) - 1}({','.join(emit(a) for a in target.args)})"
         raise ExprError(f"unknown node {n!r}")
 
     try:
-        start, result = "", "_r"
-        if isinstance(e, Expr) or scaled:
+        if isinstance(e, Expr):
             # x - x is 0 for a finite x and NaN, which is truthy, for inf and NaN
             body, nonfinite = emit(e), "_r - _r"
-            if scaled:  # each distinct leaf counts in the scale once
-                start, result = f"_sc = [{','.join(leaves)}]; ", "_r, _max(_map(_abs, _sc))"
         else:
             # an integer constant entry as a float literal, so that a
-            # matrix of entries is a tuple of floats
-            body = "(" + "".join((f"{x.value.numerator}.0" if isinstance(x, Num) and
-                                  x.value.denominator == 1 else emit(x)) + ","
-                                 for x in e) + ")"
+            # matrix of entries is a tuple of floats; a bare tuple nests
+            # no deeper than its entries
+            body = "".join((f"{x.value.numerator}.0" if isinstance(x, Num) and
+                            x.value.denominator == 1 else emit(x)) + "," for x in e) or "()"
             # a finite sum has finite terms; only an inf or NaN sum (or an
             # overflowing one) needs the entry-by-entry test
             nonfinite = "not _isfinite(_sum(_r)) and not _all(_map(_isfinite, _r))"
         src = (f"def _make({''.join(f'_f{i}, ' for i in range(len(opaques)))}):\n"
                f"    def _compiled({', '.join(names[v] for v in var_order)}):\n"
                f"        try:\n"
-               f"            {start}_r = {body}\n"
+               f"            _r = {body}\n"
                f"        except (OverflowError, ZeroDivisionError, ValueError) as exc:\n"
                f"            raise _domain_error(exc) from exc\n"
                f"        if {nonfinite}:\n"
                f"            raise _EvalDomainError(_NONFINITE)\n"
-               f"        return {result}\n"
+               f"        return _r\n"
                f"    return _compiled\n")
         code = compile(src, "<expr>", "exec")
     except (SyntaxError, RecursionError) as exc:  # the parser's or the tree walk's depth
@@ -922,3 +854,48 @@ def compile_template(e: Expr | Sequence[Expr], var_order: Sequence[str],
         return make(*fns)
 
     return bind
+
+
+def compile_with_scale(e: Expr, var_order: Sequence[str],
+                       bindings: Mapping[str, OpaqueBinding] | None = None,
+                       ) -> Callable[..., tuple[float, float]]:
+    """Compile ``e`` to a callable returning ``(value, scale)``, where the
+    scale is the largest |value| of a subtree that is not a sum or is a
+    term of one: massive cancellation shows up as |value| << scale.
+
+    It compiles the tuple of ``e`` and its distinct subtrees, so every
+    node is checked finite; the code grows with nodes times depth.  At
+    finite variable values, with opaque evaluators that raise only
+    EvalError, it is the recursive evaluator of the tests compiled: the
+    same value and scale, bit for bit, or the same exception class.
+    """
+    counts = {e: e.__class__ is not Add}  # each distinct subtree: does it count
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        for k in children(n):
+            if k not in counts:
+                stack.append(k)
+            counts[k] = counts.get(k, False) or k.__class__ is not Add or n.__class__ is Add
+    at = compile_evaluator(tuple(counts), var_order, bindings)
+    in_scale = [i for i, c in enumerate(counts.values()) if c]
+
+    def value_and_scale(*point: float) -> tuple[float, float]:
+        r = at(*point)
+        return r[0], max([abs(r[i]) for i in in_scale])
+
+    return value_and_scale
+
+
+def eval_numeric(e: Expr, env: Mapping[str, float],
+                 bindings: Mapping[str, OpaqueBinding] | None = None) -> float:
+    """Evaluate at a float assignment; raises EvalError family on problems.
+    The value of ``eval_with_scale``."""
+    return compile_with_scale(e, list(env), bindings)(*env.values())[0]
+
+
+def eval_with_scale(e: Expr, env: Mapping[str, float],
+                    bindings: Mapping[str, OpaqueBinding] | None = None) -> tuple[float, float]:
+    """``compile_with_scale`` at one point; a loop over points compiles it
+    once."""
+    return compile_with_scale(e, list(env), bindings)(*env.values())

@@ -49,7 +49,7 @@ from .fields import (
 from .jets import SPATIAL, jet_indices, s2_of, s2_of_hessian, s2_weight
 from .normalize import (
     DEFAULT_SEED, NormalizeError, Poly, SymmetryCheck, _pdiff, as_polynomial, integer,
-    normalize, signed, subset, uniform, worst_check,
+    normalize, signed, subset, uniform, valid_samples, worst_check,
 )
 from .parse import parse
 
@@ -651,20 +651,10 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
         SPATIAL, inner)
 
     rng = random.Random(seed)
-    worst = 0.0
-    done = attempts = 0
-    while done < n_points:
-        if attempts >= 10 * n_points:
-            raise EvalDomainError(
-                f"could not find {n_points} valid sample points in {attempts} attempts")
-        attempts += 1
-        pt = [signed(rng, 0.2, 1.6) for _ in range(3)]
-        try:
-            gap = _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor)
-        except EvalDomainError:
-            continue
-        worst = max(worst, gap)
-        done += 1
+    gaps = valid_samples(
+        n_points, lambda: [signed(rng, 0.2, 1.6) for _ in range(3)],
+        lambda pt: _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor))
+    worst = max(0.0, *(gap for _, gap in gaps))
 
     terms = [(scale, _times(scale, f"u({', '.join(pre_texts)})"))]
     terms += [(lj, _times(lj, f"({px})"))

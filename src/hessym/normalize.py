@@ -33,12 +33,12 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
     ExprError, Mul, Num, Opaque, OpaqueBinding, Pow, Sym, add,
-    children, compile_evaluator, free_symbols, mul, num, pow_, rebuild, to_text,
+    children, compile_with_scale, free_symbols, mul, num, pow_, rebuild, to_text,
 )
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "ProvedZero", "NumericallyZero", "NonZero", "Unproved", "Verdict", "SymmetryCheck",
     "worst_check", "NormalizeError", "DEFAULT_SEED", "sample_point", "signed_uniform",
     "clear_canonical_table", "uniform", "signed", "integer", "choice", "subset",
+    "valid_samples",
 ]
 
 Monomial = tuple[tuple[str, int], ...]
@@ -604,6 +605,26 @@ def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
     return {v: signed_uniform(rng) for v in names}
 
 
+def valid_samples(n: int, draw: Callable[[], object],
+                  at: Callable[[object], object]) -> Iterator[tuple]:
+    """Yield ``(point, at(point))`` for ``n`` points from ``draw()``.  A
+    point where ``at`` raises EvalDomainError is drawn again, at most 10*n
+    draws in all; EvalDomainError when they run out."""
+    done = attempts = 0
+    while done < n:
+        if attempts >= 10 * n:
+            raise EvalDomainError(
+                f"could not find {n} valid sample points in {attempts} attempts")
+        attempts += 1
+        point = draw()
+        try:
+            value = at(point)
+        except EvalDomainError:
+            continue
+        done += 1
+        yield point, value
+
+
 # ---------------------------------------------------------------------------
 # verdicts and the zero test
 
@@ -683,8 +704,8 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
 
     Numeric comparisons are relative: a point passes when
     |value| <= tol * (1 + scale) with scale the largest intermediate
-    magnitude, both from the scaled compiled body of ``e``, compiled once
-    per call.  Domain errors trigger resampling, at most 10*n attempts;
+    magnitude, both from ``compile_with_scale`` of ``e``, compiled once
+    per call.  Domain errors trigger resampling through ``valid_samples``;
     ``n`` must be at least 1, so that no verdict rests on zero points.
     """
     if mode not in ("auto", "symbolic"):
@@ -696,24 +717,13 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
     if mode == "symbolic":
         return Unproved()
     names = sorted(free_symbols(e))
-    at = compile_evaluator(e, names, bindings, scaled=True)
+    at = compile_with_scale(e, names, bindings)
     rng = random.Random(seed)
     max_ratio = 0.0
-    done = 0
-    attempts = 0
-    while done < n:
-        if attempts >= 10 * n:
-            raise EvalDomainError(
-                f"could not find {n} valid sample points in {attempts} attempts")
-        attempts += 1
-        env = sample_point(names, rng)
-        try:
-            v, s = at(*env.values())
-        except EvalDomainError:
-            continue
+    for env, (v, s) in valid_samples(n, lambda: sample_point(names, rng),
+                                     lambda env: at(*env.values())):
         ratio = abs(v) / (1.0 + s)
         if ratio > tol:
             return NonZero(witness=env, residual=ratio)
         max_ratio = max(max_ratio, ratio)
-        done += 1
-    return NumericallyZero(max_residual=max_ratio, n_points=done)
+    return NumericallyZero(max_residual=max_ratio, n_points=n)

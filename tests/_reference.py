@@ -5,12 +5,12 @@ The recursive reference evaluator is the oracle of the compiled bodies.
 hessym evaluates an expression only through ``expr.compile_template``.
 This module keeps the tree walk that the compiled code reproduces: each
 node is evaluated after its children, left to right, and checked
-finite; a sum is the ``math.fsum`` of its terms; and the scale is the
-largest |value| of a subterm.  At finite variable values,
-``compile_evaluator(e, names, scaled=True)`` must return what
-``eval_with_scale`` returns, bit for bit, or raise the same exception
-class, and the plain compiled bodies must agree with ``eval_numeric`` to
-rounding.
+finite; a sum adds its terms left to right; and the scale is the
+largest |value| of a subtree that is not a sum or is a term of one.  At
+finite variable values, ``expr.compile_with_scale(e, names)`` must
+return what ``eval_with_scale`` returns, bit for bit, or raise the same
+exception class, and ``compile_evaluator`` must agree with
+``eval_numeric`` to rounding.
 
 ``sample_on_variety`` is the dict sampler of on-variety jet points that
 ``jets._variety_point`` must reproduce point for point.
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+import operator
 from typing import Callable, Mapping
 
 from hessym.expr import (
@@ -59,7 +61,7 @@ def _eval_checked(e: Expr, env: Mapping[str, float],
                   b: Mapping[str, OpaqueBinding]) -> tuple[float, float]:
     try:
         return _eval(e, env, b)
-    except OverflowError as exc:  # a float power or an fsum past the range
+    except OverflowError as exc:  # a float power past the range
         raise EvalDomainError(_NONFINITE) from exc
 
 
@@ -85,7 +87,7 @@ def _eval(e: Expr, env: Mapping[str, float], b: Mapping[str, OpaqueBinding]) -> 
             v, s = _eval(t, env, b)
             vals.append(v)
             scale = max(scale, s, abs(v))
-        return _check(math.fsum(vals)), scale
+        return _check(reduce(operator.add, vals)), scale
     if cls is Mul:
         v, scale = 1.0, 0.0
         for f in e.factors:

@@ -935,6 +935,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert bad == []
 
 
+def test_only_compile_template_compiles_source():
+    # one numeric evaluator: the builtins compile and exec are called in
+    # expr.compile_template and nowhere else in hessym
+    package = Path(hessym.__file__).resolve().parent
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        inside = {id(n): d.name for d in defs for n in ast.walk(d)}  # innermost wins
+        calls += [f"{path.stem}.{inside.get(id(node))}: {node.func.id}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("compile", "exec")]
+    assert sorted(calls) == ["expr.compile_template: compile", "expr.compile_template: exec"]
+
+
 # private functions that no hessym module reads, each with why it stays
 UNREAD_PRIVATE_FUNCTIONS = {
     "normalize._sympy_cancel": "read by perfbench/tracer.py, ROADMAP item 10",

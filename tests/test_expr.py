@@ -12,8 +12,8 @@ import pytest
 from hessym import expr
 from hessym.expr import (
     ONE, ZERO, Add, Call, Deriv, EvalDomainError, EvalError, ExprError, Frozen, Mul,
-    Num, Opaque, OpaqueBinding, Pow, Sym, add, call, children, compile_evaluator, deriv,
-    diff, free_symbols, mul, num, opaque, pow_, rebuild,
+    Num, Opaque, OpaqueBinding, Pow, Sym, add, call, children, compile_evaluator,
+    compile_with_scale, deriv, diff, free_symbols, mul, num, opaque, pow_, rebuild,
     sub, substitute, sym, to_text,
 )
 from hessym.fields import E4, AdjointMatrix, LieBasis, VectorField, vf
@@ -402,20 +402,20 @@ def _same_bits(got, want) -> bool:
 
 
 class TestScaledBody:
-    """``compile_evaluator(..., scaled=True)`` against the recursive
-    reference evaluator of tests/_reference.py."""
+    """``compile_with_scale`` against the recursive reference evaluator of
+    tests/_reference.py."""
 
     @pytest.mark.parametrize("profile", H_PROFILES)
     def test_matches_the_reference_bit_for_bit(self, profile):
         # magnitudes from 1e-3 to 1e5, and one point in eight past 1e150,
-        # where products overflow and sums overflow inside math.fsum
+        # where products and sums overflow
         H = OpaqueBinding(("a", "b"), parse(profile))
         rng = random.Random(9100 + H_PROFILES.index(profile))
         names = ["x", "y", "z", "u"]
         compared = raised = 0
         for _ in range(500):
             e = random_expr(rng, 5)
-            at = compile_evaluator(e, names, {"H": H}, scaled=True)
+            at = compile_with_scale(e, names, {"H": H})
             for _ in range(4):
                 big = rng.random() < 0.125
                 pt = [rng.choice((-1.0, 1.0)) * 10.0 ** (rng.uniform(150, 308) if big
@@ -431,7 +431,7 @@ class TestScaledBody:
         assert compared > 1000 and raised > 100
 
     @pytest.mark.parametrize("text,point", [
-        ("x + y + z", (1e308, 1e308, -1e308)),   # fsum's partials overflow
+        ("x + y + z", (1e308, 1e308, -1e308)),   # the partial sum overflows
         ("x + y", (1e308, 1e308)),
         ("x*y + 1", (1e200, 1e200)),
         ("(x + y)^2", (1e200, 1e200)),
@@ -445,21 +445,24 @@ class TestScaledBody:
         names = sorted(free_symbols(e))
         want = _outcome(_reference.eval_with_scale, e, dict(zip(names, point)))
         assert want is EvalDomainError
-        assert _outcome(compile_evaluator(e, names, scaled=True), *point) is want
+        assert _outcome(compile_with_scale(e, names), *point) is want
 
-    def test_sums_are_exact_and_the_scale_follows_the_reference_rules(self):
-        # math.fsum, not left-to-right +, so 1e16 + 1 - 1e16 is 1
-        at = compile_evaluator(parse("x + y + z"), ["x", "y", "z"], scaled=True)
-        assert at(1e16, 1.0, -1e16) == (1.0, 1e16)
+    def test_sums_run_left_to_right_and_the_scale_follows_the_reference_rules(self):
+        # left-to-right +, as in every compiled body, so 1e16 + 1 - 1e16 is 0
+        at = compile_with_scale(parse("x + y + z"), ["x", "y", "z"])
+        assert at(1e16, 1.0, -1e16) == (0.0, 1e16)
         # a sum's own value does not count: 1 + 1 under sin leaves scale 1
-        assert compile_evaluator(parse("sin(x + y)"), ["x", "y"], scaled=True)(1.0, 1.0) \
+        assert compile_with_scale(parse("sin(x + y)"), ["x", "y"])(1.0, 1.0) \
             == (math.sin(2.0), 1.0)
         # an integer exponent counts in the scale, a sum that is a term of
         # a sum counts too, and so does every other node
-        assert compile_evaluator(parse("x^3"), ["x"], scaled=True)(0.5) == (0.125, 3.0)
+        assert compile_with_scale(parse("x^3"), ["x"])(0.5) == (0.125, 3.0)
         nested = Add((Add((sym("x"), sym("y"))), num(1)))
-        assert compile_evaluator(nested, ["x", "y"], scaled=True)(2.0, 2.0) == (5.0, 4.0)
-        assert compile_evaluator(parse("x*y"), ["x", "y"], scaled=True)(3.0, 4.0) == (12.0, 12.0)
+        assert compile_with_scale(nested, ["x", "y"])(2.0, 2.0) == (5.0, 4.0)
+        assert compile_with_scale(parse("x*y"), ["x", "y"])(3.0, 4.0) == (12.0, 12.0)
+        # a sum that is both a term and an argument counts
+        both = Add((call("sin", Add((sym("x"), sym("y")))), Add((sym("x"), sym("y")))))
+        assert compile_with_scale(both, ["x", "y"])(1.0, 2.0) == (math.sin(3.0) + 3.0, 3.0)
 
     def test_public_evaluators_return_the_reference_values(self):
         from hessym import expr
@@ -475,8 +478,7 @@ class TestScaledBody:
             value = _outcome(expr.eval_numeric, e, env, {"H": H})
             assert value is want if isinstance(want, type) else value == want[0]
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_nesting_past_the_compiler_is_an_expr_error(self, scaled):
+    def test_nesting_past_the_compiler_is_an_expr_error(self):
         # 200 nested calls, or 200 nested sums and products, compile; past
         # that, Python's parser refuses the source, and far past it the
         # emitting walk runs out of stack
@@ -486,11 +488,14 @@ class TestScaledBody:
         for depth in range(1, 1001):
             calls = call("sin", calls)
             if depth == 200:
-                compile_evaluator(calls, ["x"], scaled=scaled)
-                compile_evaluator(sums, ["x"], scaled=scaled)
+                compile_evaluator(calls, ["x"])
+                compile_evaluator(sums, ["x"])
+                compile_with_scale(calls, ["x"])
+                compile_with_scale(sums, ["x"])
             if depth in (201, 1000):
-                with pytest.raises(ExprError, match="nested too deeply to compile"):
-                    compile_evaluator(calls, ["x"], scaled=scaled)
+                for compiler in (compile_evaluator, compile_with_scale):
+                    with pytest.raises(ExprError, match="nested too deeply to compile"):
+                        compiler(calls, ["x"])
 
 
 def _diff_slots(body, params, slots):

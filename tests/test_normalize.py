@@ -427,6 +427,16 @@ class TestIsZero:
         v = is_zero(parse("10^12*(sin(x)^2 + cos(x)^2 - 1)"))
         assert isinstance(v, NumericallyZero)
 
+    @pytest.mark.parametrize("text", [
+        "exp(10^12*(sin(x)^2 + cos(x)^2 - 1)) - 1",
+        "sin(10^8*(sin(x)^2 + cos(x)^2)) - sin(10^8)",
+    ])
+    def test_scale_counts_the_nodes_inside_an_atom_argument(self, text):
+        # the canonical numerator's terms are exp(...) and 1, or sin(...)
+        # and sin(10^8): measured against them alone, the rounding inside
+        # the argument would read as a residual of 6e-05 or 3e-09
+        assert isinstance(is_zero(parse(text)), NumericallyZero)
+
     @pytest.mark.parametrize("mode", ["auto", "symbolic"])
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_verdict_from_zero_points(self, mode, n):
