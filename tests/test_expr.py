@@ -478,24 +478,24 @@ class TestScaledBody:
             value = _outcome(expr.eval_numeric, e, env, {"H": H})
             assert value is want if isinstance(want, type) else value == want[0]
 
-    def test_nesting_past_the_compiler_is_an_expr_error(self):
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_nesting_past_the_compiler_is_an_expr_error(self, scaled):
         # 200 nested calls, or 200 nested sums and products, compile; past
         # that, Python's parser refuses the source, and far past it the
-        # emitting walk runs out of stack
+        # emitting walk runs out of stack; the scale-returning compiler
+        # keeps the same limits
+        compiler = compile_with_scale if scaled else compile_evaluator
         calls, sums = sym("x"), sym("x")
         for _ in range(100):
             sums = add(mul(sym("x"), sums), ONE)
         for depth in range(1, 1001):
             calls = call("sin", calls)
             if depth == 200:
-                compile_evaluator(calls, ["x"])
-                compile_evaluator(sums, ["x"])
-                compile_with_scale(calls, ["x"])
-                compile_with_scale(sums, ["x"])
+                compiler(calls, ["x"])
+                compiler(sums, ["x"])
             if depth in (201, 1000):
-                for compiler in (compile_evaluator, compile_with_scale):
-                    with pytest.raises(ExprError, match="nested too deeply to compile"):
-                        compiler(calls, ["x"])
+                with pytest.raises(ExprError, match="nested too deeply to compile"):
+                    compiler(calls, ["x"])
 
 
 def _diff_slots(body, params, slots):
