@@ -2,8 +2,8 @@
 
 ``reduce_to_optimal`` drives a coefficient vector over (Z1..Z8) to one of
 twelve normal-form patterns using the published adjoint actions, recorded
-step by step.  The steps are hand-transcribed closed forms (the printed
-table); ``replay`` re-applies the same trace through the independently
+step by step.  The steps read the printed table, ``catalog.PUBLISHED_ADJOINT``,
+entry by entry; ``replay`` re-applies the same trace through the independently
 recomputed adjoint matrices from the structure constants, so every
 reduction doubles as a cross-check of the printed table.
 
@@ -22,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .catalog import OPTIMAL_PATTERNS, reduced_adjoints
+from .catalog import OPTIMAL_PATTERNS, PUBLISHED_ADJOINT, reduced_adjoints
 from .expr import EXP_GUARD
 from .normalize import SymmetryCheck
 
@@ -42,40 +42,40 @@ def arccot(x: float) -> float:
     return math.atan2(1.0, x)
 
 
-def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> tuple[float, ...]:
-    """Action of Ad(exp(eps*Z_gen)) on coefficient vectors, transcribed
-    entry by entry from the printed adjoint table (1-based gen)."""
-    return _published_adjoint(gen, tuple(map(float, a)), eps)
+# the entry forms PUBLISHED_ADJOINT may hold, as functions of eps (1 adds a_j)
+_ENTRY_FORMS = {"1": None, "eps": float, "-eps": operator.neg, "cos(eps)": math.cos,
+                "sin(eps)": math.sin, "-sin(eps)": lambda eps: -math.sin(eps),
+                "exp(eps)": math.exp}
 
 
-def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[float, ...]:
-    a1, a2, a3, a4, a5, a6, a7, a8 = a
-    if gen == 1:
-        out = (a1 - eps * a8, a2 + eps * a5, a3 + eps * a4, a4, a5, a6, a7, a8)
-    elif gen == 2:
-        out = (a1 - eps * a5, a2 - eps * a8, a3 + eps * a6, a4, a5, a6, a7, a8)
-    elif gen == 3:
-        out = (a1 - eps * a4, a2 - eps * a6, a3 - eps * a8, a4, a5, a6, a7, a8)
-    elif gen == 4:
-        c, s = math.cos(eps), math.sin(eps)
-        out = (a1 * c + a3 * s, a2, -a1 * s + a3 * c,
-               a4, a5 * c - a6 * s, a5 * s + a6 * c, a7, a8)
-    elif gen == 5:
-        c, s = math.cos(eps), math.sin(eps)
-        out = (a1 * c + a2 * s, -a1 * s + a2 * c, a3,
-               a4 * c + a6 * s, a5, -a4 * s + a6 * c, a7, a8)
-    elif gen == 6:
-        c, s = math.cos(eps), math.sin(eps)
-        out = (a1, a2 * c + a3 * s, -a2 * s + a3 * c,
-               a4 * c - a5 * s, a4 * s + a5 * c, a6, a7, a8)
-    elif gen == 7:
-        out = (a1, a2, a3, a4, a5, a6, a7, a8)
-    elif gen == 8:
-        e = math.exp(eps)
-        out = (a1 * e, a2 * e, a3 * e, a4, a5, a6, a7, a8)
-    else:
+@lru_cache(maxsize=None)
+def _printed_rows(gen: int) -> tuple[tuple[int, tuple], ...]:
+    """The rows of Ad(exp(eps*Z_gen)) in ``PUBLISHED_ADJOINT`` other than the
+    identity's: (row index, its (column, entry form) terms in column order)."""
+    if gen not in PUBLISHED_ADJOINT:
         raise ReductionError(f"no generator Z{gen}")
-    return out
+    rows: list[list] = [[] for _ in range(8)]
+    for k in range(8):
+        for j, entry in PUBLISHED_ADJOINT[gen].get(k + 1, {k + 1: "1"}).items():
+            if entry not in _ENTRY_FORMS:
+                raise ReductionError(f"Ad(exp(eps*Z{gen})) entry ({j},{k + 1}) is {entry!r}, "
+                                     "not one of the printed forms")
+            rows[j - 1].append((k, _ENTRY_FORMS[entry]))
+    return tuple((j, tuple(row)) for j, row in enumerate(rows) if row != [(j, None)])
+
+
+def published_adjoint_vector(gen: int, a: Sequence[float], eps: float) -> tuple[float, ...]:
+    """Ad(exp(eps*Z_gen)) (1-based gen) on a coefficient vector, as printed in
+    ``PUBLISHED_ADJOINT``: terms added left to right, identity rows copied."""
+    a = tuple(map(float, a))
+    out = list(a)
+    for j, terms in _printed_rows(gen):
+        total = None
+        for k, form in terms:
+            term = a[k] if form is None else form(eps) * a[k]
+            total = term if total is None else total + term
+        out[j] = total
+    return tuple(out)
 
 
 class ReductionStep(NamedTuple):
@@ -87,7 +87,7 @@ class ReductionStep(NamedTuple):
     def apply(self, a: tuple[float, ...]) -> tuple[float, ...]:
         """The step on a tuple of floats, adjoint maps by the printed table."""
         if self.kind == "adjoint":
-            return _published_adjoint(self.generator, a, self.value)
+            return published_adjoint_vector(self.generator, a, self.value)
         if self.kind == "scale":
             return tuple([v * self.value for v in a])
         if self.kind == "reflect":
@@ -238,7 +238,7 @@ def reduce_to_optimal(a: Sequence[float], tol: float = 1e-9) -> ReductionTrace:
                     f"step '{note}' takes eps = {eps!r}, past the exp argument "
                     f"{EXP_GUARD:g} that the recomputed adjoints evaluate: the "
                     "coefficients span more than the float range")
-            a = _published_adjoint(gen, a, eps)
+            a = published_adjoint_vector(gen, a, eps)
             steps.append(ReductionStep("adjoint", gen, eps, note))
 
     def unit(x: float) -> float:

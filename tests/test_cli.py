@@ -952,6 +952,72 @@ def test_only_compile_template_compiles_source():
     assert sorted(calls) == ["expr.compile_template: compile", "expr.compile_template: exec"]
 
 
+# the hand-written Ad(exp(eps*Z_gen)) that hessym.optimal once ran beside
+# the printed table: the lint below must flag it
+HAND_WRITTEN_ADJOINT = """
+def _published_adjoint(gen: int, a: tuple[float, ...], eps: float) -> tuple[float, ...]:
+    a1, a2, a3, a4, a5, a6, a7, a8 = a
+    if gen == 1:
+        out = (a1 - eps * a8, a2 + eps * a5, a3 + eps * a4, a4, a5, a6, a7, a8)
+    elif gen == 2:
+        out = (a1 - eps * a5, a2 - eps * a8, a3 + eps * a6, a4, a5, a6, a7, a8)
+    elif gen == 3:
+        out = (a1 - eps * a4, a2 - eps * a6, a3 - eps * a8, a4, a5, a6, a7, a8)
+    elif gen == 4:
+        c, s = math.cos(eps), math.sin(eps)
+        out = (a1 * c + a3 * s, a2, -a1 * s + a3 * c,
+               a4, a5 * c - a6 * s, a5 * s + a6 * c, a7, a8)
+    elif gen == 5:
+        c, s = math.cos(eps), math.sin(eps)
+        out = (a1 * c + a2 * s, -a1 * s + a2 * c, a3,
+               a4 * c + a6 * s, a5, -a4 * s + a6 * c, a7, a8)
+    elif gen == 6:
+        c, s = math.cos(eps), math.sin(eps)
+        out = (a1, a2 * c + a3 * s, -a2 * s + a3 * c,
+               a4 * c - a5 * s, a4 * s + a5 * c, a6, a7, a8)
+    elif gen == 7:
+        out = (a1, a2, a3, a4, a5, a6, a7, a8)
+    elif gen == 8:
+        e = math.exp(eps)
+        out = (a1 * e, a2 * e, a3 * e, a4, a5, a6, a7, a8)
+    else:
+        raise ReductionError(f"no generator Z{gen}")
+    return out
+"""
+
+
+def _closed_forms_outside_the_entry_table(tree: ast.AST) -> list[str]:
+    """Each math.cos, math.sin or math.exp, read as an attribute or
+    imported by name, outside the assignment of ``_ENTRY_FORMS``."""
+    forms = {"cos", "sin", "exp"}
+    table = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "_ENTRY_FORMS" for t in node.targets)
+             for n in ast.walk(node)}
+    found = [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in forms
+             and getattr(node.value, "id", None) == "math" and id(node) not in table]
+    found += [f"{node.lineno}: from math import {a.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "math"
+              for a in node.names if a.name in forms | {"*"}]
+    return found
+
+
+def test_the_closed_form_lint_flags_a_hand_written_adjoint():
+    assert _closed_forms_outside_the_entry_table(ast.parse(HAND_WRITTEN_ADJOINT)) == [
+        f"{line}: math.{form}" for line in (11, 15, 19) for form in ("cos", "sin")
+    ] + ["25: math.exp"]
+    assert _closed_forms_outside_the_entry_table(ast.parse("from math import sin")) == [
+        "1: from math import sin"]
+
+
+def test_the_reduction_evaluates_closed_forms_only_in_the_entry_table():
+    # one printed adjoint route: hessym.optimal reads Ad(exp(eps*Z_gen)) from
+    # catalog.PUBLISHED_ADJOINT through its closed table of entry forms, so
+    # cos, sin and exp appear nowhere else there
+    tree = ast.parse((Path(hessym.__file__).resolve().parent / "optimal.py").read_text())
+    assert _closed_forms_outside_the_entry_table(tree) == []
+
+
 # private functions that no hessym module reads, each with why it stays
 UNREAD_PRIVATE_FUNCTIONS = {
     "normalize._sympy_cancel": "read by perfbench/tracer.py, ROADMAP item 10",

@@ -6,7 +6,9 @@ in a fresh process and redefines the function in the module, so every
 caller inside the module runs the broken rule.  A catalog mutant tampers
 with one published artifact in this process, and the record anchored on
 that artifact must turn to fail, or the mutant is listed as a survivor
-with the reason it survives."""
+with the reason it survives.  Each entry mutant of the printed adjoint
+table must fail both the entry's ``adjoint`` record and the reduction
+that reads the table."""
 
 import json
 import os
@@ -100,7 +102,21 @@ CATALOG_MUTANTS = {
     "case-6-u-scale": ("flows", "case[6]", _rescale_case_6),
 }
 
-# the catalog mutants whose record stays short of fail, each with why
+# each entry of the printed adjoint table other than 1, with its mutant:
+# eps and sin change sign, cos and exp become 1
+_ENTRY_MUTANTS = {"eps": "-eps", "-eps": "eps", "sin(eps)": "-sin(eps)",
+                  "-sin(eps)": "sin(eps)", "cos(eps)": "1", "exp(eps)": "1"}
+
+# name -> (generator, column, row, the tampered entry)
+ADJOINT_MUTANTS = {f"adjoint-Z{g}-col{k}-row{j}": (g, k, j, _ENTRY_MUTANTS[entry])
+                   for g, cols in catalog.PUBLISHED_ADJOINT.items()
+                   for k, col in cols.items() for j, entry in col.items() if entry != "1"}
+
+_COLUMN_8_UNREAD = ("the reduction tree applies Z2 and Z3 only where a8 = 0, and the "
+                    "scrambled representatives use only Z1 and Z8 when a pattern holds "
+                    "Z8, so no step multiplies this entry by a nonzero a8")
+
+# the catalog mutants whose records stay short of fail, each with why
 SURVIVORS = {
     "pattern-A3-g-on-Z5": "classify_vector takes the first pattern that fits and nothing "
                           "checks that the normal forms are disjoint: the reduction tree's "
@@ -111,14 +127,20 @@ SURVIVORS = {
                       "alone: the record passes on the (-1, exp) reading, and the "
                       "literal reading, the one that reads u_scale_text, only "
                       "fills the details",
+    "adjoint-Z2-col8-row2": _COLUMN_8_UNREAD,
+    "adjoint-Z3-col8-row3": _COLUMN_8_UNREAD,
 }
 
-_OPTIONS = {"optimal": {"points": 200}, "invariants": {}, "flows": {"points": 4}}
+_OPTIONS = {"optimal": {"points": 200}, "invariants": {}, "flows": {"points": 4},
+            "adjoint": {}}
+
+
+def _statuses(suite: str) -> dict[str, str]:
+    return {r.check_id: r.status for r in run_suite(suite, **_OPTIONS[suite]).records}
 
 
 def _status(suite: str, record: str) -> str:
-    rep = run_suite(suite, **_OPTIONS[suite])
-    return next(r.status for r in rep.records if r.check_id == record)
+    return _statuses(suite)[record]
 
 
 @pytest.mark.parametrize("name", CATALOG_MUTANTS)
@@ -136,3 +158,32 @@ def test_catalog_mutant_fails_its_record(monkeypatch, name):
         assert status != "fail", f"{name} is killed now: drop it from SURVIVORS"
     else:
         assert status == "fail"
+
+
+def test_every_printed_adjoint_entry_has_a_mutant():
+    assert len(ADJOINT_MUTANTS) == 36
+
+
+@pytest.mark.parametrize("name", ADJOINT_MUTANTS)
+def test_adjoint_entry_mutant_fails_adjoint_and_the_reduction(monkeypatch, name):
+    # the adjoint suite compares the entry with its recomputed closed form,
+    # and the reduction tree and the scrambled representatives read it
+    gen, col, row, entry = ADJOINT_MUTANTS[name]
+    assert _status("adjoint", f"adjoint[Z{gen}]") == "pass"
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(catalog.PUBLISHED_ADJOINT[gen][col], row, entry)
+            optimal._printed_rows.cache_clear()  # the rows read from the table
+            adjoint = _status("adjoint", f"adjoint[Z{gen}]")
+            reduction = _statuses("optimal")
+    finally:
+        optimal._printed_rows.cache_clear()
+    assert adjoint == "fail"
+    # a proof case that no longer reduces raises, and the suite becomes one
+    # suite-error record in place of the two below
+    killed = "fail" in (reduction.get("random-reduction"), reduction.get("pattern-coverage"),
+                        reduction.get("suite-error[optimal]"))
+    if name in SURVIVORS:
+        assert not killed, f"{name} is killed now: drop it from SURVIVORS"
+    else:
+        assert killed, reduction

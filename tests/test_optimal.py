@@ -1,13 +1,14 @@
 """Reduction of algebra elements to the normal-form patterns.
 
-Two independent routes are compared throughout: the hand-transcribed
-published adjoint formulas drive the reducer, and every recorded trace is
+Two independent routes are compared throughout: the printed adjoint table,
+read from the catalog, drives the reducer, and every recorded trace is
 replayed through adjoint matrices recomputed from the structure constants.
 """
 
 import math
 import numbers
 import random
+import struct
 from collections.abc import Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -15,13 +16,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hessym.catalog import OPTIMAL_PATTERNS, reduced_adjoints, reduced_basis, Z_NAMES
+from hessym.catalog import (
+    OPTIMAL_PATTERNS, PUBLISHED_ADJOINT, reduced_adjoints, reduced_basis, Z_NAMES,
+)
+from hessym.cli import main
 from hessym.expr import EvalDomainError
 from hessym.normalize import DEFAULT_SEED, SymmetryCheck
 from hessym.fields import adjoint, matvec, structure_table
 from hessym.optimal import (
     ReductionError,
     _coefficients,
+    _printed_rows,
     arccot,
     classify_vector,
     published_adjoint_vector,
@@ -110,6 +115,48 @@ def test_published_known_images():
         out = published_adjoint_vector(gen, np.arange(1.0, 9.0), 0.47)
         assert out[6] == 7.0
         assert out[7] == 8.0
+
+
+def _bits(v: tuple[float, ...]) -> list[bytes]:
+    return [struct.pack("<d", x) for x in v]
+
+
+def test_identity_rows_keep_the_sign_of_zero():
+    # Z7 acts as the identity: every -0.0 comes back unchanged
+    a = (-0.0, 1.0, -0.0, 0.0, -0.0, 2.5, -0.0, -0.0)
+    assert _bits(published_adjoint_vector(7, a, 0.5)) == _bits(a)
+
+
+def test_printed_rows_add_in_column_order_to_the_bit():
+    # row 1 of Ad(exp(0.5*Z1)) is a1 + (-0.5)*a8 = -0.0 + 0.0 = +0.0; the
+    # other rows are -0.0 + -0.0 or copies of -0.0
+    out = published_adjoint_vector(1, (-0.0,) * 8, 0.5)
+    assert _bits(out) == _bits((0.0,) + (-0.0,) * 7)
+
+
+@pytest.mark.parametrize("gen", [0, 9])
+def test_unknown_generator_is_a_reduction_error(gen):
+    with pytest.raises(ReductionError, match=f"no generator Z{gen}"):
+        published_adjoint_vector(gen, [1.0] * 8, 0.5)
+
+
+@pytest.fixture
+def entry_2eps(monkeypatch):
+    """Ad(exp(eps*Z1)) with its (1,8) entry, printed -eps, read as 2*eps."""
+    monkeypatch.setitem(PUBLISHED_ADJOINT[1][8], 1, "2*eps")
+    _printed_rows.cache_clear()
+    yield
+    _printed_rows.cache_clear()
+
+
+def test_an_entry_outside_the_printed_forms_is_named(entry_2eps):
+    with pytest.raises(ReductionError, match=r"Z1\)\) entry \(1,8\) is '2\*eps'"):
+        published_adjoint_vector(1, [1.0] * 8, 0.5)
+
+
+def test_an_entry_outside_the_printed_forms_fails_verify_optimal(entry_2eps, capsys):
+    assert main(["verify", "optimal"]) == 1
+    assert "'2*eps', not one of the printed forms" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
