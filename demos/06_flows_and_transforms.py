@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from hessym import apply_case, case_by_id, tian_base, verify_case
 from hessym.fields import E4, vf
-from hessym.flows import equivariance_weight, flow_cases
+from hessym.catalog import flow_cases
+from hessym.flows import equivariance_weight
 
 print(f"{'case':>4} {'row':<6} {'rate':>5}  readings matched")
 for case in flow_cases():

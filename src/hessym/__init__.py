@@ -33,7 +33,7 @@ _HOMES = {
     "normalize": ("DEFAULT_SEED", "NonZero", "NumericallyZero", "ProvedZero", "SymmetryCheck",
                   "Unproved", "Verdict", "is_zero", "normalize", "print_canonical"),
     "fields": ("VectorField", "commutator", "structure_table", "adjoint", "vf"),
-    "catalog": ("OPTIMAL_PATTERNS", "SUITE_NAMES", "classification_rows",
+    "catalog": ("OPTIMAL_PATTERNS", "SUITE_NAMES", "case_by_id", "classification_rows",
                 "equivalence_basis", "principal_basis", "reduced_basis",
                 "row_by_id"),
     "jets": ("check_symmetry", "prolong2", "solve_uyy"),
@@ -42,8 +42,7 @@ _HOMES = {
     "optimal": ("ReductionError", "ReductionTrace", "reduce_to_optimal", "replay"),
     "classify": ("verify_all_rows", "verify_bila_procedure", "verify_invariants",
                  "verify_principal", "verify_reflection", "verify_row"),
-    "flows": ("apply_case", "case_by_id", "tian_base", "verify_all_cases",
-              "verify_case"),
+    "flows": ("apply_case", "tian_base", "verify_all_cases", "verify_case"),
     "report": ("SuiteReport", "overall_status", "render_json", "render_markdown",
                "run_suite", "run_suites"),
 }

@@ -4,13 +4,18 @@ S2 is the second elementary symmetric function of the Hessian eigenvalues,
 
     S2[u] = u_xx*u_yy + u_xx*u_zz + u_yy*u_zz - u_xy^2 - u_yz^2 - u_xz^2.
 
-This module records the equivalence algebra on (x, y, z, u, f), its
-projection to (x, y, z, f) used for classification, the principal
-symmetries, and the classification rows (invariant right-hand sides f
-with their extra symmetry), as plain data the verification routines
-consume, and the one rule that turns a check's outcome into a status.
-Row constants: s is a sign (+1 or -1), the a*/b*/g* names are
-continuous parameters restricted by the row's constraints.
+This module is the one transcription of the source paper.  It records
+the equivalence algebra on (x, y, z, u, f), its projection to
+(x, y, z, f) used for classification, the principal symmetries, the
+printed twelve-constant symmetry and equivalence families, the printed
+commutator and adjoint tables, the optimal system, the classification
+rows (invariant right-hand sides f with their extra symmetry), the
+worked invariants and the printed solution transforms, as plain data the
+verification routines consume, and the one rule that turns a check's
+outcome into a status.  Each flow case reads its operator from the
+principal basis or from its classification row; no other module holds
+a printed field.  Row constants: s is a sign (+1 or -1), the a*/b*/g*
+names are continuous parameters restricted by the row's constraints.
 """
 
 from __future__ import annotations
@@ -19,17 +24,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .expr import ZERO, Expr, num, sym
+from .expr import ZERO, Expr, num, substitute, sym
 from .fields import (
     E4, E5, P4, AdjointMatrix, LieBasis, StructureTable, VectorField, adjoint,
     project, structure_table, vf,
 )
+from .parse import parse
 
 __all__ = [
     "equivalence_basis", "reduced_basis", "principal_basis",
     "reduced_table", "reduced_adjoints",
     "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced",
+    "SYMMETRY_CONSTANTS", "EQUIVALENCE_CONSTANTS", "FREE_CONSTANTS",
+    "CONSTANT_TO_EQUIVALENCE", "symmetry_candidate", "equivalence_candidate",
     "ClassificationRow", "classification_rows", "row_by_id",
+    "CaseSpec", "flow_cases", "case_by_id",
     "InvariantDataset", "invariant_datasets", "OPTIMAL_PATTERNS",
     "PUBLISHED_BRACKETS", "PUBLISHED_ADJOINT", "SUITE_NAMES", "check_status",
 ]
@@ -114,6 +123,48 @@ def lift_reduced(coeffs: Sequence[Expr | Fraction | int | str]) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
+# the printed solution families of the determining equations
+
+SYMMETRY_CONSTANTS = tuple(f"c{i}" for i in range(1, 13))
+FREE_CONSTANTS = ("c1", "c3", "c4", "c5")
+
+EQUIVALENCE_CONSTANTS = SYMMETRY_CONSTANTS
+
+# one-hot value of each equivalence constant -> index (1-based) of the
+# generator it produces in equivalence_basis()
+CONSTANT_TO_EQUIVALENCE = {
+    "c1": 5, "c2": 6, "c3": 11, "c4": 4, "c5": 7, "c6": 12,
+    "c7": 8, "c8": 1, "c9": 9, "c10": 10, "c11": 2, "c12": 3,
+}
+
+
+def symmetry_candidate() -> VectorField:
+    """The twelve-constant family solving the determining equations:
+    rotations, translations, the two scalings tied together, and the
+    additive part of u."""
+    return vf(
+        E4, params=SYMMETRY_CONSTANTS,
+        x="c6*x + c7*y + c8*z + c9",
+        y="c10*z + c6*y - c7*x + c11",
+        z="-c10*y + c6*z - c8*x + c12",
+        u="c1*x + c2*u + c3*y + c4*z + c5",
+    )
+
+
+def equivalence_candidate() -> VectorField:
+    """Twelve-constant family acting on the extended space, with the
+    f-component tied to the scalings: psi = (2*c3 - 4*c6)*f."""
+    return vf(
+        E5, params=EQUIVALENCE_CONSTANTS,
+        x="c6*x + c9*y + c7*z + c8",
+        y="c10*z + c6*y - c9*x + c11",
+        z="-c10*y + c6*z - c7*x + c12",
+        u="c1*x + c3*u + c2*y + c5*z + c4",
+        f="(2*c3 - 4*c6)*f",
+    )
+
+
+# ---------------------------------------------------------------------------
 # optimal system patterns (coefficients over Z1..Z8; parameter names are the
 # free entries, 'pm' entries are +1 or -1 after reduction)
 
@@ -193,24 +244,19 @@ class ClassificationRow(NamedTuple):
     flags: tuple[str, ...] = ()
     notes: str = ""
 
-    def generator_coeffs(self, values: Mapping[str, float | Fraction | Expr] | None = None,
+    def generator_coeffs(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                          ) -> tuple[Expr, ...]:
-        from .parse import parse
-        from .expr import substitute
-        out = []
-        for c in self.generator:
-            e = parse(c) if c else ZERO
-            if values:
-                e = substitute(e, {k: num(v) if not isinstance(v, Expr) else v
-                                   for k, v in values.items()})
-            out.append(e)
-        return tuple(out)
+        table = {k: v if isinstance(v, Expr) else num(v) for k, v in (values or {}).items()}
+        return tuple(substitute(parse(c), table) if c else ZERO for c in self.generator)
 
-    def printed_v5(self) -> VectorField:
-        return vf(E4, params=tuple(self.all_params()), **self.v5_text)
+    def printed_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
+                   ) -> VectorField:
+        """The printed extra symmetry, with ``values`` bound."""
+        return vf(E4, params=self.all_params(), **self.v5_text).bound(values or {})
 
-    def lifted_v5(self, values: Mapping[str, float | Fraction | Expr] | None = None,
+    def lifted_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                   ) -> VectorField:
+        """The lift of ``generator``, with ``values`` bound."""
         return lift_reduced(self.generator_coeffs(values))
 
     def all_params(self) -> tuple[str, ...]:
@@ -331,6 +377,92 @@ def row_by_id(row_id: str) -> ClassificationRow:
         if r.row_id == row_id:
             return r
     raise KeyError(f"no classification row {row_id!r}")
+
+
+# ---------------------------------------------------------------------------
+# printed solution transforms
+
+class CaseSpec(NamedTuple):
+    """One printed solution transform.
+
+    ``image_text`` gives the printed arguments of the base solution,
+    ``u_scale_text`` / ``u_shift_text`` the printed prefactor and additive
+    part, so printed = scale * u0(image) + shift.  ``row_id`` ties the
+    operator to its classification row, whose printed extra symmetry,
+    parameters and sign the case takes; a principal case (``row_id``
+    None) acts by principal symmetry ``case_id``.
+    """
+
+    case_id: int
+    row_id: str | None
+    image_text: tuple[str, str, str]
+    u_scale_text: str
+    u_shift_text: str
+    flags: tuple[str, ...] = ()
+    notes: str = ""
+
+    @property
+    def row(self) -> ClassificationRow | None:
+        return None if self.row_id is None else row_by_id(self.row_id)
+
+    def field(self, values: Mapping[str, Fraction | int] | None = None) -> VectorField:
+        """The operator: the row's printed extra symmetry with ``values``
+        bound, or the principal symmetry."""
+        if self.row_id is None:
+            return principal_basis().fields[self.case_id - 1]
+        return self.row.printed_v5(values)
+
+
+_ROT_YZ = ("z*sin(%s*t) + y*cos(%s*t)", "z*cos(%s*t) - y*sin(%s*t)")
+_ROT_XZ = ("z*sin(%s*t) + x*cos(%s*t)", "z*cos(%s*t) - x*sin(%s*t)")
+_ROT_XY = ("y*sin(%s*t) + x*cos(%s*t)", "y*cos(%s*t) - x*sin(%s*t)")
+
+
+def _r(tmpl: str, p: str) -> str:
+    return tmpl % (p, p)
+
+
+_FIRST_ORDER = ("printed-scale-first-order",)
+
+_CASES: tuple[CaseSpec, ...] = (
+    CaseSpec(1, None, ("x", "y", "z"), "1", "-t"),
+    CaseSpec(2, None, ("x", "y", "z"), "1", "-t*x"),
+    CaseSpec(3, None, ("x", "y", "z"), "1", "-t*y"),
+    CaseSpec(4, None, ("x", "y", "z"), "1", "-t*z"),
+    CaseSpec(5, "A2", ("x + s*t", "y", "z"), "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(6, "A3", ("x", _r(_ROT_YZ[0], "g1"), _r(_ROT_YZ[1], "g1")),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(7, "A4", ("x + s*t", _r(_ROT_YZ[0], "g2"), _r(_ROT_YZ[1], "g2")),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(8, "A5", (_r(_ROT_XZ[0], "a1"), "y", _r(_ROT_XZ[1], "a1")),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(9, "A6a", ("x", "y + s*t", "z"), "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(10, "A6b", (_r(_ROT_XZ[0], "a2"), "y + s*t", _r(_ROT_XZ[1], "a2")),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(11, "A9a", (_r(_ROT_XY[0], "b1"), _r(_ROT_XY[1], "b1"), "z"),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(12, "A10a", ("x", "y", "z + s*t"), "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(13, "A10b", (_r(_ROT_XY[0], "b2"), _r(_ROT_XY[1], "b2"), "z + s*t"),
+             "1/(1 + t)", "0", _FIRST_ORDER),
+    CaseSpec(14, "A11a", ("exp(t)*x", "exp(t)*y", "exp(t)*z"), "1", "0",
+             flags=("printed-exponent-generalized",),
+             notes="the stated right-hand power law carries a free exponent "
+                   "the u-less dilation only preserves at its zero value"),
+    CaseSpec(15, "A12a", ("exp(t)*x", "exp(t)*y + s*exp(t) - s", "exp(t)*z"), "1", "0",
+             flags=("printed-exponent-generalized",),
+             notes="same exponent caveat as the plain dilation case"),
+)
+
+
+def flow_cases() -> tuple[CaseSpec, ...]:
+    return _CASES
+
+
+def case_by_id(case_id: int) -> CaseSpec:
+    for c in _CASES:
+        if c.case_id == case_id:
+            return c
+    raise KeyError(f"no flow case {case_id}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import (
+    CONSTANT_TO_EQUIVALENCE,
+    EQUIVALENCE_CONSTANTS,
     ClassificationRow,
     Y_NAMES,
     classification_rows,
     equivalence_basis,
+    equivalence_candidate,
     invariant_datasets,
     principal_basis,
     reduced_basis,
 )
 from .determining import (
-    CONSTANT_TO_EQUIVALENCE,
-    EQUIVALENCE_CONSTANTS,
     bila_auxiliary_residual,
     determining_system,
-    equivalence_candidate,
     equivalence_residual_on_variety,
 )
 from .expr import (
@@ -88,22 +88,6 @@ PARAM_VALUES: tuple[float, ...] = (1.0, -1.5)
 def _h_binding(body: str) -> OpaqueBinding:
     """One binding per profile body, so that each derivative compiles once."""
     return OpaqueBinding(("a", "b"), parse(body))
-
-
-def _as_num(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, float):
-        return num(Fraction(v))
-    return num(v)
-
-
-def _bind_field(v: VectorField, values: Mapping[str, object]) -> VectorField:
-    """Substitute parameter values into a field's coefficients."""
-    if not values:
-        return v
-    table = {k: _as_num(x) for k, x in values.items()}
-    return VectorField(v.space, tuple(substitute(c, table) for c in v.coeffs), frozenset())
 
 
 def _reduced_field(coeffs: Sequence[Expr]) -> VectorField:
@@ -187,10 +171,11 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
             if row.params:
                 values.update({p: Fraction(val) for p in row.params})
             f_expr = substitute(parse(row.f_text),
-                                {k: _as_num(v) for k, v in values.items()})
+                                {k: num(v) for k, v in values.items()})
+            printed = row.printed_v5(values)
             for _, body in H_INSTANCES:
                 inner = {"H": _h_binding(body)}
-                chk = check_symmetry(_bind_field(row.printed_v5(), values), f_expr,
+                chk = check_symmetry(printed, f_expr,
                                      inner=inner, n=n_points, tol=tol, seed=seed)
                 if not chk.passed:
                     lifted = check_symmetry(row.lifted_v5(values), f_expr,
@@ -257,7 +242,7 @@ def verify_bila_procedure() -> BilaCheck:
     matched = 0
     for c in EQUIVALENCE_CONSTANTS:
         one_hot = {k: 1 if k == c else 0 for k in EQUIVALENCE_CONSTANTS}
-        coords = decompose(_bind_field(cand, one_hot), basis)
+        coords = decompose(cand.bound(one_hot), basis)
         target = CONSTANT_TO_EQUIVALENCE[c]
         hits = [i + 1 for i, w in enumerate(coords) if w != 0]
         if hits == [target] and coords[target - 1] == 1:

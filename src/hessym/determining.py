@@ -12,7 +12,9 @@ Two dual routes are kept deliberately separate:
 The module also extracts the full linear determining system for a generic
 degree-one candidate and solves it exactly, which recovers the principal
 algebra (no condition allowed on f) and the twelve-constant classification
-family (transport condition allowed).
+family (transport condition allowed).  It holds computations only: the
+printed twelve-constant families it checks, ``catalog.symmetry_candidate``
+and ``catalog.equivalence_candidate``, are catalog data.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from .catalog import (
+    FREE_CONSTANTS, SYMMETRY_CONSTANTS, equivalence_candidate, symmetry_candidate,
+)
 from .expr import (
     Expr, ExprError, OpaqueBinding, add, compile_evaluator, diff,
-    free_symbols, mul, neg, num, opaque, substitute, sym,
+    free_symbols, mul, neg, opaque, substitute, sym,
 )
 from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
@@ -37,38 +42,12 @@ from .normalize import (
 from .parse import parse
 
 __all__ = [
-    "SYMMETRY_CONSTANTS", "EQUIVALENCE_CONSTANTS", "symmetry_candidate",
     "symmetry_condition", "determining_residual", "residual_on_variety",
     "free_constants_absent", "numeric_invariance_check",
     "general_candidate", "DeterminingSystem", "determining_system",
-    "equivalence_candidate", "equivalence_residual_on_variety",
+    "equivalence_residual_on_variety",
     "bila_auxiliary_residual",
 ]
-
-SYMMETRY_CONSTANTS = tuple(f"c{i}" for i in range(1, 13))
-FREE_CONSTANTS = ("c1", "c3", "c4", "c5")
-
-EQUIVALENCE_CONSTANTS = SYMMETRY_CONSTANTS
-
-# one-hot value of each equivalence constant -> index (1-based) of the
-# generator it produces in catalog.equivalence_basis()
-CONSTANT_TO_EQUIVALENCE = {
-    "c1": 5, "c2": 6, "c3": 11, "c4": 4, "c5": 7, "c6": 12,
-    "c7": 8, "c8": 1, "c9": 9, "c10": 10, "c11": 2, "c12": 3,
-}
-
-
-def symmetry_candidate() -> VectorField:
-    """The twelve-constant family solving the determining equations:
-    rotations, translations, the two scalings tied together, and the
-    additive part of u."""
-    return vf(
-        E4, params=SYMMETRY_CONSTANTS,
-        x="c6*x + c7*y + c8*z + c9",
-        y="c10*z + c6*y - c7*x + c11",
-        z="-c10*y + c6*z - c8*x + c12",
-        u="c1*x + c2*u + c3*y + c4*z + c5",
-    )
 
 
 def symmetry_condition(v: VectorField | None = None) -> Expr:
@@ -161,12 +140,8 @@ class DeterminingSystem(NamedTuple):
     vectors: tuple[tuple[Fraction, ...], ...]
 
     def fields(self) -> tuple[VectorField, ...]:
-        out = []
-        for vec in self.vectors:
-            subs = {k: num(val) for k, val in zip(self.constants, vec)}
-            g = general_candidate()
-            out.append(VectorField(E4, tuple(substitute(c, subs) for c in g.coeffs)))
-        return tuple(out)
+        g = general_candidate()
+        return tuple(g.bound(dict(zip(self.constants, vec))) for vec in self.vectors)
 
 
 def _strip_constant(mono: Monomial, names: frozenset[str]) -> tuple[str | None, Monomial]:
@@ -227,19 +202,6 @@ def _nullspace(mat: list[list[Fraction]], n: int) -> list[tuple[Fraction, ...]]:
 
 # ---------------------------------------------------------------------------
 # equivalence transformations on (x, y, z, u, f)
-
-def equivalence_candidate() -> VectorField:
-    """Twelve-constant family acting on the extended space, with the
-    f-component tied to the scalings: psi = (2*c3 - 4*c6)*f."""
-    return vf(
-        E5, params=EQUIVALENCE_CONSTANTS,
-        x="c6*x + c9*y + c7*z + c8",
-        y="c10*z + c6*y - c9*x + c11",
-        z="-c10*y + c6*z - c7*x + c12",
-        u="c1*x + c3*u + c2*y + c5*z + c4",
-        f="(2*c3 - 4*c6)*f",
-    )
-
 
 def equivalence_residual_on_variety(v: VectorField | None = None) -> Expr:
     """pr V (S2[u] - f) for a field on (x, y, z, u, f), with f a coordinate

@@ -16,11 +16,11 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     ONE, ZERO, Add, Expr, ExprError, Frozen, Mul, Num, add, call, compile_evaluator,
-    diff, div, free_symbols, mul, num, pow_, sub, sym, to_text,
+    diff, div, free_symbols, mul, num, pow_, sub, substitute, sym, to_text,
 )
 from .normalize import Monomial, as_polynomial, normalize
 from .parse import parse
@@ -92,6 +92,13 @@ class VectorField(Frozen, unkeyed=("params",)):
             factor = num(factor)
         return VectorField(self.space, tuple(mul(factor, c) for c in self.coeffs),
                            self.params | free_symbols(factor))
+
+    def bound(self, values: Mapping[str, Expr | Fraction | int]) -> "VectorField":
+        """The field with each parameter named in ``values`` replaced by its
+        value, a number taken as an exact constant."""
+        table = {k: v if isinstance(v, Expr) else num(v) for k, v in values.items()}
+        return VectorField(self.space, tuple(substitute(c, table) for c in self.coeffs),
+                           self.params.difference(table))
 
     def plus(self, other: "VectorField") -> "VectorField":
         if other.space != self.space:

@@ -3,11 +3,13 @@
 Every tabulated generator is affine in (x, y, z, u), so its flow is the
 matrix exponential of a 5x5 generator matrix acting on (x, y, z, u, 1),
 taken in closed form from the exact power series of that matrix.
-The module rebuilds each printed solution transform from that flow and
-compares it with the printed formula under four readings: the group
-orientation (push forward by +t or -t) times the interpretation of the
-printed u-factor (as literally printed, or with the first-order (1 + t)
-factor read as the exponential it approximates).
+The module rebuilds each printed solution transform of
+``catalog.flow_cases()`` from that flow and compares it with the printed
+formula under four readings: the group orientation (push forward by +t
+or -t) times the interpretation of the printed u-factor (as literally
+printed, or with the first-order (1 + t) factor read as the exponential
+it approximates).  It holds computations only; the printed cases and
+their operators are catalog data.
 
 The base solution is the quadratic-plus-corrugation local family
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .catalog import principal_basis, row_by_id
+from .catalog import CaseSpec, case_by_id, flow_cases
 from .expr import (
     EvalDomainError,
     Expr,
@@ -44,7 +46,7 @@ from .expr import (
     to_text,
 )
 from .fields import (
-    E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff, vf,
+    E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff,
 )
 from .jets import SPATIAL, jet_indices, s2_of, s2_of_hessian, s2_weight
 from .normalize import (
@@ -55,7 +57,6 @@ from .parse import parse
 
 __all__ = [
     "AffineFlow", "flow_of", "field_matrix",
-    "CaseSpec", "flow_cases", "case_by_id",
     "CaseCheck", "verify_case", "verify_all_cases",
     "TransformOutcome", "apply_case",
     "tian_base", "base_family_holds", "BASE_SOLUTION_TEXT", "equivariance_weight",
@@ -210,118 +211,6 @@ def equivariance_weight(v: VectorField) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# case data
-
-class CaseSpec(NamedTuple):
-    """One printed solution transform.
-
-    ``image_text`` gives the printed arguments of the base solution,
-    ``u_scale_text`` / ``u_shift_text`` the printed prefactor and additive
-    part, so printed = scale * u0(image) + shift.  ``row_id`` ties the
-    operator to its classification row (None for the principal cases).
-    """
-
-    case_id: int
-    row_id: str | None
-    sign_param: str | None
-    params: tuple[str, ...]
-    field_text: Mapping[str, str]
-    image_text: tuple[str, str, str]
-    u_scale_text: str
-    u_shift_text: str
-    flags: tuple[str, ...] = ()
-    notes: str = ""
-
-    def field(self, values: Mapping[str, Fraction | int] | None = None) -> VectorField:
-        subs = {k: num(v) for k, v in (values or {}).items()}
-        table = {var: substitute(parse(text), subs) for var, text in self.field_text.items()}
-        names = self.params + ((self.sign_param,) if self.sign_param else ())
-        return vf(E4, params=tuple(n for n in names if not values or n not in values),
-                  **table)
-
-
-_ROT_YZ = ("z*sin(%s*t) + y*cos(%s*t)", "z*cos(%s*t) - y*sin(%s*t)")
-_ROT_XZ = ("z*sin(%s*t) + x*cos(%s*t)", "z*cos(%s*t) - x*sin(%s*t)")
-_ROT_XY = ("y*sin(%s*t) + x*cos(%s*t)", "y*cos(%s*t) - x*sin(%s*t)")
-
-
-def _r(tmpl: str, p: str) -> str:
-    return tmpl % (p, p)
-
-
-_CASES: tuple[CaseSpec, ...] = (
-    CaseSpec(1, None, None, (), {"u": "1"}, ("x", "y", "z"), "1", "-t"),
-    CaseSpec(2, None, None, (), {"u": "x"}, ("x", "y", "z"), "1", "-t*x"),
-    CaseSpec(3, None, None, (), {"u": "y"}, ("x", "y", "z"), "1", "-t*y"),
-    CaseSpec(4, None, None, (), {"u": "z"}, ("x", "y", "z"), "1", "-t*z"),
-    CaseSpec(5, "A2", "s", (),
-             {"x": "s", "u": "u"},
-             ("x + s*t", "y", "z"), "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(6, "A3", None, ("g1",),
-             {"y": "g1*z", "z": "-g1*y", "u": "u"},
-             ("x", _r(_ROT_YZ[0], "g1"), _r(_ROT_YZ[1], "g1")),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(7, "A4", "s", ("g2",),
-             {"x": "s", "y": "g2*z", "z": "-g2*y", "u": "u"},
-             ("x + s*t", _r(_ROT_YZ[0], "g2"), _r(_ROT_YZ[1], "g2")),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(8, "A5", None, ("a1",),
-             {"x": "a1*z", "z": "-a1*x", "u": "u"},
-             (_r(_ROT_XZ[0], "a1"), "y", _r(_ROT_XZ[1], "a1")),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(9, "A6a", "s", (),
-             {"y": "s", "u": "u"},
-             ("x", "y + s*t", "z"), "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(10, "A6b", "s", ("a2",),
-             {"x": "a2*z", "y": "s", "z": "-a2*x", "u": "u"},
-             (_r(_ROT_XZ[0], "a2"), "y + s*t", _r(_ROT_XZ[1], "a2")),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(11, "A9a", None, ("b1",),
-             {"x": "b1*y", "y": "-b1*x", "u": "u"},
-             (_r(_ROT_XY[0], "b1"), _r(_ROT_XY[1], "b1"), "z"),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(12, "A10a", "s", (),
-             {"z": "s", "u": "u"},
-             ("x", "y", "z + s*t"), "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(13, "A10b", "s", ("b2",),
-             {"x": "b2*y", "y": "-b2*x", "z": "s", "u": "u"},
-             (_r(_ROT_XY[0], "b2"), _r(_ROT_XY[1], "b2"), "z + s*t"),
-             "1/(1 + t)", "0",
-             flags=("printed-scale-first-order",)),
-    CaseSpec(14, "A11a", None, (),
-             {"x": "x", "y": "y", "z": "z"},
-             ("exp(t)*x", "exp(t)*y", "exp(t)*z"), "1", "0",
-             flags=("printed-exponent-generalized",),
-             notes="the stated right-hand power law carries a free exponent "
-                   "the u-less dilation only preserves at its zero value"),
-    CaseSpec(15, "A12a", "s", (),
-             {"x": "x", "y": "y + s", "z": "z"},
-             ("exp(t)*x", "exp(t)*y + s*exp(t) - s", "exp(t)*z"), "1", "0",
-             flags=("printed-exponent-generalized",),
-             notes="same exponent caveat as the plain dilation case"),
-)
-
-
-def flow_cases() -> tuple[CaseSpec, ...]:
-    return _CASES
-
-
-def case_by_id(case_id: int) -> CaseSpec:
-    for c in _CASES:
-        if c.case_id == case_id:
-            return c
-    raise KeyError(f"no flow case {case_id}")
-
-
-# ---------------------------------------------------------------------------
 # verification
 
 READINGS = ((-1, "exp"), (-1, "literal"), (1, "exp"), (1, "literal"))
@@ -401,12 +290,12 @@ def _poly_hessian(p: Poly) -> Callable[..., tuple[float, ...]]:
 
 
 def _case_values(case: CaseSpec, sign: int, pval: Fraction) -> dict[str, Fraction]:
-    values: dict[str, Fraction] = {}
-    if case.sign_param:
-        values[case.sign_param] = Fraction(sign)
-    for p in case.params:
-        values[p] = pval
-    return values
+    """The parameters of the case's row at ``pval`` and its sign at ``sign``."""
+    row = case.row
+    if row is None:
+        return {}
+    values = {row.sign_param: Fraction(sign)} if row.sign_param else {}
+    return values | dict.fromkeys(row.params, pval)
 
 
 def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
@@ -422,7 +311,8 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
     against the computed pushforward under the four readings.
     """
     rng = random.Random(seed + case.case_id)
-    signs = (1, -1) if case.sign_param else (1,)
+    row = case.row
+    signs = (1, -1) if row and row.sign_param else (1,)
 
     group_law, generator, equivariance = [], [], []
     readings = {r: [] for r in READINGS}
@@ -435,12 +325,9 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
         flw = flow_of(v)
         rate = equivariance_weight(v)
 
-        # operator data agrees with the catalogs
-        if case.row_id is None:
-            target = principal_basis().fields[case.case_id - 1]
-        else:
-            target = row_by_id(case.row_id).lifted_v5(values)
-        consistent &= (v == target)
+        # the row's printed operator agrees with the lift of its generator
+        if row is not None:
+            consistent &= v == row.lifted_v5(values)
 
         # group law and inverse, on random parameter pairs
         worst_group = 0.0
@@ -549,7 +436,7 @@ def _reading_check(printed_fn: Callable[..., float],
 
 
 def verify_all_cases(**kwargs) -> tuple[CaseCheck, ...]:
-    return tuple(verify_case(c, **kwargs) for c in _CASES)
+    return tuple(verify_case(c, **kwargs) for c in flow_cases())
 
 
 # ---------------------------------------------------------------------------

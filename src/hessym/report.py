@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from . import classify, determining, flows, optimal
 from .catalog import (
+    FREE_CONSTANTS,
     OPTIMAL_PATTERNS,
     PUBLISHED_ADJOINT,
     PUBLISHED_BRACKETS,
@@ -33,7 +34,7 @@ from .catalog import (
     reduced_adjoints,
     reduced_table,
 )
-from .expr import add
+from .expr import EvalDomainError, add
 from .fields import (
     Rows, format_combination, identity, matmul, max_abs_diff,
 )
@@ -236,10 +237,10 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
     # coverage rests on one scrambled representative of each normal form
     lost = []
     for pid in OPTIMAL_PATTERNS:
-        a, sign, params = _scrambled_normal_form(pid, rng)
         try:
+            a, sign, params = _scrambled_normal_form(pid, rng)
             tr = optimal.reduce_to_optimal(a)
-        except optimal.ReductionError as exc:
+        except (optimal.ReductionError, EvalDomainError) as exc:
             lost.append(f"{pid}: {exc}")
             continue
         if (tr.pattern != pid or tr.sign != sign
@@ -265,8 +266,14 @@ def suite_optimal(seed: int = DEFAULT_SEED, tol: float = 1e-9,
         ("proof-case-A11", [0, 0, 0, 0.5, -0.2, 0.7, 2.0, 1.0], "A11"),
     )
     for cid, vec, want in picked:
-        tr = optimal.reduce_to_optimal(vec)
-        chk = optimal.replay_check(tr, tol)
+        try:
+            tr = optimal.reduce_to_optimal(vec)
+            chk = optimal.replay_check(tr, tol)
+        except (optimal.ReductionError, EvalDomainError) as exc:
+            records.append(CheckRecord(cid, False, None,
+                                       f"{vec} -> {type(exc).__name__}: {exc}",
+                                       f"optimal-system:{want}"))
+            continue
         records.append(CheckRecord(
             cid, tr.pattern == want and chk.passed, chk.max_residual,
             f"{vec} -> pattern {tr.pattern} in {len(tr.steps)} steps",
@@ -295,7 +302,7 @@ def suite_determining(seed: int = DEFAULT_SEED, tol: float = 1e-8,
 
     records.append(CheckRecord(
         "free-constants", determining.free_constants_absent(), None,
-        f"additive constants {', '.join(determining.FREE_CONSTANTS)} impose no condition",
+        f"additive constants {', '.join(FREE_CONSTANTS)} impose no condition",
         "determining-system"))
 
     pr = classify.verify_principal(seed=seed)

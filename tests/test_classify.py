@@ -9,7 +9,6 @@ from hessym import classify
 from hessym.catalog import classification_rows, invariant_datasets, row_by_id
 from hessym.classify import (
     H_INSTANCES,
-    _bind_field,
     _h_binding,
     _reduced_field,
     ansatz_residual,
@@ -79,7 +78,7 @@ def test_tampered_ansatz_is_rejected():
 
 def test_mismatched_symmetry_is_rejected():
     # the A2 generator against the A10a right-hand side
-    field = _bind_field(row_by_id("A2").printed_v5(), {"s": 1})
+    field = row_by_id("A2").printed_v5({"s": 1})
     f_expr = substitute(parse(row_by_id("A10a").f_text), {"s": num(1)})
     chk = check_symmetry(field, f_expr, inner={"H": _h_binding(H_INSTANCES[0][1])},
                          n=30, tol=1e-8)

@@ -1026,18 +1026,54 @@ UNREAD_PRIVATE_FUNCTIONS = {
 
 def test_every_private_function_has_a_reader():
     # a private module-level function is read by name or as an attribute
-    # somewhere in hessym, outside its own body, or it is dead code
+    # somewhere in hessym, outside its own body, or it is dead code.  One
+    # walk of each module collects every name read with the private
+    # definition it sits in (None outside any)
     package = Path(hessym.__file__).resolve().parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
-    defs = {(module, node.name): node for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name.startswith("_") and not node.name.startswith("__")}
-    inside = {id(n): key for key, node in defs.items() for n in ast.walk(node)}
-    read = {key for key in defs for tree in trees.values() for n in ast.walk(tree)
-            if (getattr(n, "id", None) == key[1] or getattr(n, "attr", None) == key[1])
-            and inside.get(id(n)) != key}
-    unread = {f"{module}.{name}" for module, name in defs.keys() - read}
+    defs = set()
+    readers: dict[str, set] = {}
+    for path in sorted(package.rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = None
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                owner = (path.stem, stmt.name)
+                defs.add(owner)
+            for n in ast.walk(stmt):
+                name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+                if name is not None:
+                    readers.setdefault(name, set()).add(owner)
+    unread = {f"{module}.{name}" for module, name in defs
+              if not readers.get(name, set()) - {(module, name)}}
     assert unread == set(UNREAD_PRIVATE_FUNCTIONS)
+
+
+def _literal_field_calls(tree: ast.AST) -> list[str]:
+    """Each call of ``vf`` or ``fields.vf`` that passes a string literal
+    as a coefficient: a printed field written out."""
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "vf" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(isinstance(kw.value, ast.Constant) and isinstance(kw.value.value, str)
+                    for kw in node.keywords if kw.arg != "params")]
+
+
+def test_the_printed_field_lint_flags_a_literal_coefficient():
+    tree = ast.parse("v = fields.vf(E4, params=('g1',), y='g1*z')\n"
+                     "w = vf(E4, params=names, **table)\n"
+                     "p = vf(E4, x=parts[0], u=parts[3])\n")
+    assert _literal_field_calls(tree) == ["1: fields.vf(E4, params=('g1',), y='g1*z')"]
+
+
+def test_printed_fields_are_written_only_in_the_catalog():
+    # one transcription of each printed field: a field with a literal
+    # coefficient lives in catalog.py.  The CLI's user input and
+    # determining's generated candidate are not literals
+    package = Path(hessym.__file__).resolve().parent
+    found = {path.name: _literal_field_calls(ast.parse(path.read_text()))
+             for path in sorted(package.rglob("*.py"))}
+    assert found.pop("catalog.py")
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 def test_every_draw_is_a_call_of_random():

@@ -4,13 +4,14 @@ import pytest
 
 from hessym.expr import add, free_symbols, neg, num, substitute
 from hessym.fields import E4, E5, VectorField, decompose, vf
-from hessym.catalog import equivalence_basis, principal_basis
+from hessym.catalog import (
+    CONSTANT_TO_EQUIVALENCE, EQUIVALENCE_CONSTANTS, FREE_CONSTANTS, SYMMETRY_CONSTANTS,
+    equivalence_basis, equivalence_candidate, principal_basis, symmetry_candidate,
+)
 from hessym.determining import (
-    CONSTANT_TO_EQUIVALENCE, EQUIVALENCE_CONSTANTS, FREE_CONSTANTS,
-    SYMMETRY_CONSTANTS, bila_auxiliary_residual, determining_system,
-    equivalence_candidate, equivalence_residual_on_variety,
-    free_constants_absent, numeric_invariance_check,
-    residual_on_variety, symmetry_candidate, symmetry_condition,
+    bila_auxiliary_residual, determining_system, equivalence_residual_on_variety,
+    free_constants_absent, numeric_invariance_check, residual_on_variety,
+    symmetry_condition,
 )
 from hessym.normalize import ProvedZero, Unproved, is_zero
 from hessym.parse import parse

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from hessym.catalog import (
-    V_NAMES, Y_NAMES, Z_NAMES, classification_rows, equivalence_basis,
+    V_NAMES, Y_NAMES, Z_NAMES, classification_rows, equivalence_basis, flow_cases,
     lift_reduced, principal_basis, reduced_basis,
 )
 from hessym.expr import ExprError, compile_evaluator, num, sym
@@ -17,7 +17,7 @@ from hessym.fields import (
     adjoint, commutator, decompose, exp_closed_form, format_combination, project,
     structure_table, vf,
 )
-from hessym.flows import _case_values, field_matrix, flow_cases
+from hessym.flows import _case_values, field_matrix
 from hessym.normalize import normalize
 from hessym.parse import parse
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hessym import jets
+from hessym import catalog, jets
+from hessym.catalog import case_by_id, flow_cases
 from hessym.classify import s2_of
 from hessym.expr import (
     ExprError, OpaqueBinding, ZERO, add, compile_evaluator, diff, mul, num,
@@ -24,10 +25,8 @@ from hessym.flows import (
     _pushforward_at,
     _sample_poly,
     apply_case,
-    case_by_id,
     equivariance_weight,
     field_matrix,
-    flow_cases,
     flow_of,
     tian_base,
     verify_all_cases,
@@ -69,9 +68,7 @@ def test_case_by_id_unknown():
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_case_texts_parse(cid):
     case = case_by_id(cid)
-    allowed = {"x", "y", "z", "t", *case.params}
-    if case.sign_param:
-        allowed.add(case.sign_param)
+    allowed = {"x", "y", "z", "t", *(case.row.all_params() if case.row else ())}
     from hessym.expr import free_symbols
     for tx in (*case.image_text, case.u_scale_text, case.u_shift_text):
         assert free_symbols(parse(tx)) <= allowed
@@ -137,11 +134,8 @@ def test_matrix_at_zero_is_identity():
 def _case_flows(params=(Fraction(3, 2),)):
     for case in flow_cases():
         for pval in params:
-            values = {p: pval for p in case.params}
-            for sign in ((1, -1) if case.sign_param else (1,)):
-                if case.sign_param:
-                    values[case.sign_param] = Fraction(sign)
-                yield case.case_id, flow_of(case.field(values))
+            for sign in ((1, -1) if case.row and case.row.sign_param else (1,)):
+                yield case.case_id, flow_of(case.field(_case_values(case, sign, pval)))
 
 
 def _fraction_powers(L):
@@ -360,10 +354,13 @@ def test_tampered_dilation_rate_matches_nothing():
     assert not chk.passed
 
 
-def test_field_mismatch_is_detected():
-    # flow and readings stay self-consistent, the catalog tie-in catches it
-    bad = case_by_id(5)._replace(field_text={"x": "s", "u": "2*u"})
-    chk = verify_case(bad)
+def test_field_mismatch_is_detected(monkeypatch):
+    # a tampered printed field of the case's row: flow and readings stay
+    # self-consistent, the lift of the row's generator catches it
+    a2, *rest = catalog.classification_rows()
+    assert a2.row_id == "A2" and a2.v5_text == {"x": "s", "u": "u"}
+    monkeypatch.setattr(catalog, "_ROWS", (a2._replace(v5_text={"x": "s", "u": "2*u"}), *rest))
+    chk = verify_case(case_by_id(5))
     assert not chk.field_consistent
     assert not chk.passed
     assert (-1, "exp") in chk.matched_readings

@@ -8,14 +8,13 @@ from functools import partial
 import pytest
 
 from hessym import classify, jets
-from hessym.catalog import classification_rows, lift_reduced
-from hessym.determining import symmetry_candidate
+from hessym.catalog import case_by_id, classification_rows, lift_reduced, symmetry_candidate
 from hessym.expr import (
     EvalDomainError, ExprError, OpaqueBinding, ZERO, add, mul, neg, num, opaque,
     pow_, substitute, sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
-from hessym.flows import _sample_poly, case_by_id, verify_case
+from hessym.flows import _sample_poly, verify_case
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,

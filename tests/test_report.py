@@ -236,6 +236,40 @@ def test_pattern_coverage_catches_a_lost_pattern(monkeypatch):
     assert "except A7 -> A8;" in rec.details
 
 
+def test_a_raising_representative_is_a_lost_pattern(monkeypatch):
+    scrambled = report._scrambled_normal_form
+
+    def broken(pid, rng):
+        if pid == "A7":
+            raise optimal.ReductionError("no representative")
+        return scrambled(pid, rng)
+
+    monkeypatch.setattr(report, "_scrambled_normal_form", broken)
+    rec = _coverage(run_suite("optimal", points=50))
+    assert rec.status == "fail"
+    assert "except A7: no representative;" in rec.details
+
+
+def test_a_raising_proof_case_fails_only_its_own_record(monkeypatch):
+    # with entry (6,6) of the printed Ad(exp(eps*Z4)) tampered to 1, the
+    # A11 proof vector reduces to no pattern: that case fails with the
+    # error, and the other records of the suite are still reported
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(PUBLISHED_ADJOINT[4][6], 6, "1")
+            optimal._printed_rows.cache_clear()  # the rows read from the table
+            rep = run_suite("optimal", seed=7, points=200)
+    finally:
+        optimal._printed_rows.cache_clear()
+    by_id = {r.check_id: r for r in rep.records}
+    assert list(by_id) == ["random-reduction", "pattern-coverage",
+                           "proof-case-A1", "proof-case-A2", "proof-case-A11"]
+    assert by_id["random-reduction"].status == "fail"
+    assert by_id["proof-case-A11"].status == "fail"
+    assert "ReductionError: reduced vector matches no pattern" in by_id["proof-case-A11"].details
+    assert by_id["proof-case-A1"].status == by_id["proof-case-A2"].status == "pass"
+
+
 def _tampered_adjoints(gen, k, j, factor):
     """The recomputed adjoint matrices with entry (k, j) of Ad(exp(eps*Z_gen))
     multiplied by ``factor``."""
