@@ -10,14 +10,15 @@ separates rows with an f family from the one that has none.
 
 from hessym import verify_invariants
 from hessym.catalog import invariant_datasets
+from hessym.expr import ONE, ZERO, to_text
 
 datasets = {d.label: d for d in invariant_datasets()}
 checks = {c.label: c for c in verify_invariants()}
 
 for label, ds in datasets.items():
     chk = checks[label]
-    gen = " + ".join(f"({c})*Z{i + 1}" if c != "1" else f"Z{i + 1}"
-                     for i, c in enumerate(ds.coeffs) if c != "0")
+    gen = " + ".join(f"({to_text(c)})*Z{i + 1}" if c != ONE else f"Z{i + 1}"
+                     for i, c in enumerate(ds.coeffs) if c != ZERO)
     print(f"dataset {label}: generator {gen}")
     for text, verdict in zip(ds.invariants, chk.annihilation):
         print(f"  X({text}) = 0: {verdict}")

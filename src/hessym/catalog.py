@@ -14,8 +14,10 @@ worked invariants and the printed solution transforms, as plain data the
 verification routines consume, and the one rule that turns a check's
 outcome into a status.  Each flow case reads its operator from the
 principal basis or from its classification row; no other module holds
-a printed field.  Row constants: s is a sign (+1 or -1), the a*/b*/g*
-names are continuous parameters restricted by the row's constraints.
+a printed field, and rows and worked invariants read their parameters
+from their generators over Z1..Z8.  Row constants: s is a sign (+1 or
+-1), the a*/b*/g* names are continuous parameters restricted by the
+row's constraints.
 """
 
 from __future__ import annotations
@@ -24,17 +26,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .expr import ZERO, Expr, num, substitute, sym
+from .expr import ZERO, Expr, free_symbols, num, substitute
 from .fields import (
-    E4, E5, P4, AdjointMatrix, LieBasis, StructureTable, VectorField, adjoint,
-    project, structure_table, vf,
+    E4, E5, P4, AdjointMatrix, BaseSpace, LieBasis, StructureTable, VectorField,
+    adjoint, project, structure_table, vf,
 )
 from .parse import parse
 
 __all__ = [
     "equivalence_basis", "reduced_basis", "principal_basis",
     "reduced_table", "reduced_adjoints",
-    "Z_NAMES", "Y_NAMES", "Z_TO_Y", "lift_reduced",
+    "Z_NAMES", "Y_NAMES", "Z_TO_Y", "reduced_field", "FLAG_NOTES",
     "SYMMETRY_CONSTANTS", "EQUIVALENCE_CONSTANTS", "FREE_CONSTANTS",
     "CONSTANT_TO_EQUIVALENCE", "symmetry_candidate", "equivalence_candidate",
     "ClassificationRow", "classification_rows", "row_by_id",
@@ -106,20 +108,30 @@ def principal_basis() -> LieBasis:
     return LieBasis("principal", tuple(V))
 
 
-def lift_reduced(coeffs: Sequence[Expr | Fraction | int | str]) -> VectorField:
-    """Lift a combination of the reduced generators to a symmetry field on
-    (x, y, z, u): replace each Z_k by its equivalence preimage and drop the
-    f-component.  Coefficients may be symbolic."""
+def reduced_field(coeffs: Sequence[Expr | Fraction | int], space: BaseSpace) -> VectorField:
+    """The combination sum a_k Z_k of the equivalence preimages Y[Z_TO_Y[k]],
+    projected to ``space``: P4 gives the reduced field, E4 its lift to a
+    symmetry on (x, y, z, u).  Coefficients may be symbolic."""
     if len(coeffs) != 8:
         raise ValueError("expected 8 coefficients")
     eq = equivalence_basis()
-    total = vf(E4)
+    total = vf(E5)
     for c, yi in zip(coeffs, Z_TO_Y):
-        ce = sym(c) if isinstance(c, str) else (num(c) if not isinstance(c, Expr) else c)
-        if ce == ZERO:
-            continue
-        total = total.plus(project(eq.fields[yi - 1], E4).scaled(ce))
-    return total
+        c = c if isinstance(c, Expr) else num(c)
+        if c != ZERO:
+            total = total.plus(eq.fields[yi - 1].scaled(c))
+    return project(total, space)
+
+
+def _coefficients(texts: Sequence[str], values: Mapping | None = None) -> tuple[Expr, ...]:
+    """Coefficient strings over Z1..Z8, parsed, with ``values`` bound."""
+    table = {k: v if isinstance(v, Expr) else num(v) for k, v in (values or {}).items()}
+    return tuple(substitute(parse(c), table) for c in texts)
+
+
+def _names(coeffs: Sequence[Expr]) -> tuple[str, ...]:
+    """The parameters the coefficients name, in generator order."""
+    return tuple(dict.fromkeys(n for c in coeffs for n in sorted(free_symbols(c))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,149 +233,169 @@ PUBLISHED_ADJOINT: dict[int, dict[int, dict[int, str]]] = {
 # ---------------------------------------------------------------------------
 # classification rows
 
+# the one note for each flag a row or a flow case declares
+FLAG_NOTES = {
+    "constraint-corrected":
+        "source table states the parameter constraint the other way around; "
+        "the stated f is invariant exactly when the Z4 coefficient vanishes "
+        "and the Z5 one does not",
+    "printed-v5-incomplete":
+        "source table omits the u*d_u part of the extra symmetry, weighted by "
+        "the Z7 coefficient; the printed field only generates the invariance "
+        "where that coefficient vanishes",
+    "printed-scale-first-order":
+        "the published closed form for this case carries a (1 + t) factor "
+        "that reads as exp(t) under the exact flow",
+    "printed-exponent-generalized":
+        "the published right-hand side for this case carries a free "
+        "exponent the operator only preserves at its zero value",
+}
+
+
 class ClassificationRow(NamedTuple):
     """One invariant right-hand side with its extra symmetry.
 
     ``generator`` gives the reduced combination A = sum a_k Z_k the row
-    descends from, as coefficient strings over Z1..Z8 ('s' the sign,
-    other names continuous parameters).  ``f_text`` is the invariant
-    right-hand side with a free two-argument profile H.  ``v5_text``
-    is the extra symmetry as printed in the source table; the lift of
-    ``generator`` is the recomputed version (they differ exactly on the
-    rows flagged ``printed-v5-incomplete``).
+    descends from, as coefficient strings over Z1..Z8; ``sign_param`` is
+    's' when an entry names it, and ``params`` are the other names, in
+    generator order.  ``f_text`` is the invariant right-hand side with a
+    free two-argument profile H.  ``v5_text`` is the extra symmetry as
+    printed in the source table; the lift of ``generator`` is the
+    recomputed version (they differ exactly on the rows flagged
+    ``printed-v5-incomplete``).
     """
 
     row_id: str
     pattern: str
     constraint: str
-    sign_param: str | None
-    params: tuple[str, ...]
     generator: tuple[str, ...]          # 8 coefficient strings over Z1..Z8
     f_text: str
     v5_text: Mapping[str, str]          # printed extra symmetry on (x,y,z,u)
     flags: tuple[str, ...] = ()
-    notes: str = ""
 
-    def generator_coeffs(self, values: Mapping[str, Fraction | int | Expr] | None = None,
-                         ) -> tuple[Expr, ...]:
-        table = {k: v if isinstance(v, Expr) else num(v) for k, v in (values or {}).items()}
-        return tuple(substitute(parse(c), table) if c else ZERO for c in self.generator)
+    @property
+    def sign_param(self) -> str | None:
+        return "s" if "s" in _names(self.generator_coeffs()) else None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(n for n in _names(self.generator_coeffs()) if n != "s")
+
+    def values(self, sign: int = 1, value: Fraction | int | float = 1) -> dict[str, Fraction]:
+        """The sign at ``sign`` and each continuous parameter at ``value``."""
+        return {n: Fraction(sign if n == "s" else value)
+                for n in _names(self.generator_coeffs())}
+
+    def generator_coeffs(self, values: Mapping | None = None) -> tuple[Expr, ...]:
+        return _coefficients(self.generator, values)
 
     def printed_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                    ) -> VectorField:
         """The printed extra symmetry, with ``values`` bound."""
-        return vf(E4, params=self.all_params(), **self.v5_text).bound(values or {})
+        names = _names(self.generator_coeffs())
+        return vf(E4, params=names, **self.v5_text).bound(values or {})
 
     def lifted_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                   ) -> VectorField:
         """The lift of ``generator``, with ``values`` bound."""
-        return lift_reduced(self.generator_coeffs(values))
-
-    def all_params(self) -> tuple[str, ...]:
-        return self.params + ((self.sign_param,) if self.sign_param else ())
+        return reduced_field(self.generator_coeffs(values), E4)
 
 
 _ROWS: tuple[ClassificationRow, ...] = (
     ClassificationRow(
-        "A2", "A2", "s^2 = 1", "s", (),
+        "A2", "A2", "s^2 = 1",
         ("s", "0", "0", "0", "0", "0", "1", "0"),
         "exp(2*s*x)*H(y, z)",
         {"x": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A3", "A3", "g1 != 0", None, ("g1",),
+        "A3", "A3", "g1 != 0",
         ("0", "0", "0", "0", "0", "g1", "1", "0"),
         "exp((2/g1)*atan(y/z))*H(x, y^2 + z^2)",
         {"y": "g1*z", "z": "-g1*y", "u": "u"},
     ),
     ClassificationRow(
-        "A4", "A4", "s^2 = 1, g2 != 0", "s", ("g2",),
+        "A4", "A4", "s^2 = 1, g2 != 0",
         ("s", "0", "0", "0", "0", "g2", "1", "0"),
         "exp((2/g2)*atan(y/z))*H(y^2 + z^2, x - (s/g2)*atan(y/z))",
         {"x": "s", "y": "g2*z", "z": "-g2*y", "u": "u"},
     ),
     ClassificationRow(
-        "A5", "A5", "a1 != 0", None, ("a1",),
+        "A5", "A5", "a1 != 0",
         ("0", "0", "0", "a1", "0", "0", "1", "0"),
         "exp((2/a1)*atan(x/z))*H(y, x^2 + z^2)",
         {"x": "a1*z", "z": "-a1*x", "u": "u"},
     ),
     ClassificationRow(
-        "A6a", "A6", "s^2 = 1, a2 = 0", "s", (),
+        "A6a", "A6", "s^2 = 1, a2 = 0",
         ("0", "s", "0", "0", "0", "0", "1", "0"),
         "exp(2*s*y)*H(x, z)",
         {"y": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A6b", "A6", "s^2 = 1, a2 != 0", "s", ("a2",),
+        "A6b", "A6", "s^2 = 1, a2 != 0",
         ("0", "s", "0", "a2", "0", "0", "1", "0"),
         "exp((2/a2)*atan(x/z))*H(x^2 + z^2, y - (s/a2)*atan(x/z))",
         {"x": "a2*z", "y": "s", "z": "-a2*x", "u": "u"},
     ),
     ClassificationRow(
-        "A7", "A7", "a3 != 0, g3 != 0", None, ("a3", "g3"),
+        "A7", "A7", "a3 != 0, g3 != 0",
         ("0", "0", "0", "a3", "0", "g3", "1", "0"),
         "exp((2/sqrt(a3^2 + g3^2))*atan((a3*x + g3*y)/(z*sqrt(a3^2 + g3^2))))"
         "*H(y - (g3/a3)*x, (1 - g3^2/a3^2)*x^2 + (2*g3/a3)*x*y + z^2)",
         {"x": "a3*z", "y": "g3*z", "z": "-a3*x - g3*y", "u": "u"},
     ),
     ClassificationRow(
-        "A9a", "A9", "a5 = 0, b1 != 0", None, ("b1",),
+        "A9a", "A9", "a5 = 0, b1 != 0",
         ("0", "0", "0", "0", "b1", "0", "1", "0"),
         "exp((2/b1)*atan(x/y))*H(z, x^2 + y^2)",
         {"x": "b1*y", "y": "-b1*x", "u": "u"},
     ),
     ClassificationRow(
-        "A9b", "A9", "a5 != 0, b1 != 0", None, ("a5", "b1"),
+        "A9b", "A9", "a5 != 0, b1 != 0",
         ("0", "0", "0", "a5", "b1", "0", "1", "0"),
         "exp((-2/sqrt(b1^2 + a5^2))*atan((b1*y + a5*z)/(x*sqrt(b1^2 + a5^2))))"
         "*H(z - (a5/b1)*y, x^2 + (1 - a5^2/b1^2)*y^2 + (2*a5/b1)*y*z)",
         {"x": "a5*z + b1*y", "y": "-b1*x", "z": "-a5*x", "u": "u"},
     ),
     ClassificationRow(
-        "A10a", "A10", "s^2 = 1, a6 = 0, b2 = 0", "s", (),
+        "A10a", "A10", "s^2 = 1, a6 = 0, b2 = 0",
         ("0", "0", "s", "0", "0", "0", "1", "0"),
         "exp(2*s*z)*H(x, y)",
         {"z": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A10b", "A10", "s^2 = 1, a6 = 0, b2 != 0", "s", ("b2",),
+        "A10b", "A10", "s^2 = 1, a6 = 0, b2 != 0",
         ("0", "0", "s", "0", "b2", "0", "1", "0"),
         "exp((2/b2)*atan(x/y))*H(x^2 + y^2, z - (s/b2)*atan(x/y))",
         {"x": "b2*y", "y": "-b2*x", "z": "s", "u": "u"},
         flags=("constraint-corrected",),
-        notes="source table states the parameter constraint the other way "
-              "around; the stated f is invariant exactly when the Z4 "
-              "coefficient vanishes and the Z5 one does not",
     ),
     ClassificationRow(
-        "A11a", "A11", "a7 = 0, b3 = 0, g5 = 0", None, (),
+        "A11a", "A11", "a7 = 0, b3 = 0, g5 = 0",
         ("0", "0", "0", "0", "0", "0", "0", "1"),
         "x^(-4)*H(y/x, z/x)",
         {"x": "x", "y": "y", "z": "z"},
     ),
     ClassificationRow(
-        "A11b", "A11", "a7 = 0, b3 = 0, g5 != 0", None, ("g5",),
+        "A11b", "A11", "a7 = 0, b3 = 0, g5 != 0",
         ("0", "0", "0", "0", "0", "0", "g5", "1"),
         "x^(2*g5 - 4)*H(y/x, z/x)",
         {"x": "x", "y": "y", "z": "z"},
         flags=("printed-v5-incomplete",),
-        notes="source table omits the g5*u*d_u part of the extra symmetry; "
-              "the printed field only generates the g5 = 0 invariance",
     ),
     ClassificationRow(
-        "A12a", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 = 0", "s", (),
+        "A12a", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 = 0",
         ("0", "s", "0", "0", "0", "0", "0", "1"),
         "x^(-4)*H((y + s)/x, z/x)",
         {"x": "x", "y": "y + s", "z": "z"},
     ),
     ClassificationRow(
-        "A12b", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 != 0", "s", ("g6",),
+        "A12b", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 != 0",
         ("0", "s", "0", "0", "0", "0", "g6", "1"),
         "x^(2*g6 - 4)*H((y + s)/x, z/x)",
         {"x": "x", "y": "y + s", "z": "z"},
         flags=("printed-v5-incomplete",),
-        notes="source table omits the g6*u*d_u part of the extra symmetry",
     ),
 )
 
@@ -399,11 +431,14 @@ class CaseSpec(NamedTuple):
     u_scale_text: str
     u_shift_text: str
     flags: tuple[str, ...] = ()
-    notes: str = ""
 
     @property
     def row(self) -> ClassificationRow | None:
         return None if self.row_id is None else row_by_id(self.row_id)
+
+    def values(self, sign: int = 1, value: Fraction | int = 1) -> dict[str, Fraction]:
+        """Its row's ``values``; a principal case has none."""
+        return {} if self.row_id is None else self.row.values(sign, value)
 
     def field(self, values: Mapping[str, Fraction | int] | None = None) -> VectorField:
         """The operator: the row's printed extra symmetry with ``values``
@@ -445,12 +480,9 @@ _CASES: tuple[CaseSpec, ...] = (
     CaseSpec(13, "A10b", (_r(_ROT_XY[0], "b2"), _r(_ROT_XY[1], "b2"), "z + s*t"),
              "1/(1 + t)", "0", _FIRST_ORDER),
     CaseSpec(14, "A11a", ("exp(t)*x", "exp(t)*y", "exp(t)*z"), "1", "0",
-             flags=("printed-exponent-generalized",),
-             notes="the stated right-hand power law carries a free exponent "
-                   "the u-less dilation only preserves at its zero value"),
+             flags=("printed-exponent-generalized",)),
     CaseSpec(15, "A12a", ("exp(t)*x", "exp(t)*y + s*exp(t) - s", "exp(t)*z"), "1", "0",
-             flags=("printed-exponent-generalized",),
-             notes="same exponent caveat as the plain dilation case"),
+             flags=("printed-exponent-generalized",)),
 )
 
 
@@ -469,29 +501,31 @@ def case_by_id(case_id: int) -> CaseSpec:
 # invariant datasets for the characteristic-equation route
 
 class InvariantDataset(NamedTuple):
-    """A reduced generator together with the stated functional invariants.
+    """A normal form of the optimal system with its stated invariants,
+    expressions in (x, y, z, f) that the generator annihilates.
 
-    ``invariants`` are expressions in (x, y, z, f) annihilated by the
-    generator; an invariant right-hand side is I3 = H(I1, I2) solved for f.
-    ``f_solvable`` records whether one invariant actually involves f.
+    ``coeffs`` over Z1..Z8 and ``params`` are read from the normal form
+    ``OPTIMAL_PATTERNS[label]`` when asked for.  An invariant right-hand
+    side is I3 = H(I1, I2) solved for f; ``f_solvable`` records whether
+    one invariant actually involves f.
     """
 
     label: str
-    coeffs: tuple[str, ...]             # over Z1..Z8
-    params: tuple[str, ...]
     invariants: tuple[str, ...]
     f_solvable: bool
 
+    @property
+    def coeffs(self) -> tuple[Expr, ...]:
+        return _coefficients([OPTIMAL_PATTERNS[self.label].get(k, "0") for k in range(1, 9)])
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return _names(self.coeffs)
+
 
 _INVARIANTS = (
-    InvariantDataset(
-        "A3", ("0", "0", "0", "0", "0", "g1", "1", "0"), ("g1",),
-        ("x", "y^2 + z^2", "f*exp(-(2/g1)*atan(y/z))"), True,
-    ),
-    InvariantDataset(
-        "A1", ("0", "0", "0", "0", "0", "0", "1", "0"), (),
-        ("x", "y", "z"), False,
-    ),
+    InvariantDataset("A3", ("x", "y^2 + z^2", "f*exp(-(2/g)*atan(y/z))"), True),
+    InvariantDataset("A1", ("x", "y", "z"), False),
 )
 
 

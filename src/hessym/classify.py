@@ -13,7 +13,6 @@ invariants, and the principal algebra.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -27,7 +26,7 @@ from .catalog import (
     equivalence_candidate,
     invariant_datasets,
     principal_basis,
-    reduced_basis,
+    reduced_field,
 )
 from .determining import (
     bila_auxiliary_residual,
@@ -49,7 +48,7 @@ from .expr import (
     sym,
     to_text,
 )
-from .fields import LieBasis, NotInSpanError, P4, VectorField, decompose
+from .fields import LieBasis, NotInSpanError, P4, decompose
 from .jets import SPATIAL, check_symmetry, s2_of
 from .normalize import (
     DEFAULT_SEED,
@@ -90,16 +89,6 @@ def _h_binding(body: str) -> OpaqueBinding:
     return OpaqueBinding(("a", "b"), parse(body))
 
 
-def _reduced_field(coeffs: Sequence[Expr]) -> VectorField:
-    """Combination sum c_k Z_k on (x, y, z, f) with symbolic coefficients."""
-    basis = reduced_basis()
-    total = VectorField(P4, (ZERO,) * 4)
-    for c, zk in zip(coeffs, basis.fields):
-        if c != ZERO:
-            total = total.plus(zk.scaled(c))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # row checks
 
@@ -112,12 +101,9 @@ def ansatz_residual(row: ClassificationRow, sign_value: int = 1) -> Expr:
     sign parameter is substituted (its constraint s^2 = 1 is not a rational
     identity); continuous parameters stay symbolic.
     """
-    values = {row.sign_param: sign_value} if row.sign_param else None
-    coeffs = row.generator_coeffs(values)
-    field = _reduced_field(coeffs)
-    F = parse(row.f_text)
-    if row.sign_param:
-        F = substitute(F, {row.sign_param: num(sign_value)})
+    values = {row.sign_param: num(sign_value)} if row.sign_param else {}
+    field = reduced_field(row.generator_coeffs(values), P4)
+    F = substitute(parse(row.f_text), values)
     terms = [mul(diff(field.coeff("f"), "f"), F)]
     for s in SPATIAL:
         xi = field.coeff(s)
@@ -152,10 +138,10 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
     back to the lift of the row's generator; resorting to the lift is
     recorded, it is what the ``printed-v5-incomplete`` rows need.
     """
-    signs = (1, -1) if row.sign_param else (None,)
+    signs = (1, -1) if row.sign_param else (1,)
 
     ansatz = tuple(
-        is_zero(ansatz_residual(row, s if s is not None else 1), mode="auto",
+        is_zero(ansatz_residual(row, s), mode="auto",
                 bindings={"H": _h_binding(H_INSTANCES[1][1])}, n=40,
                 tol=1e-9, seed=seed)
         for s in signs
@@ -164,14 +150,9 @@ def verify_row(row: ClassificationRow, *, n_points: int = 60, tol: float = 1e-8,
     checks = []
     used_lifted = False
     for s in signs:
-        for val in (PARAM_VALUES if row.params else (None,)):
-            values: dict[str, object] = {}
-            if row.sign_param:
-                values[row.sign_param] = s
-            if row.params:
-                values.update({p: Fraction(val) for p in row.params})
-            f_expr = substitute(parse(row.f_text),
-                                {k: num(v) for k, v in values.items()})
+        for val in (PARAM_VALUES if row.params else (1,)):
+            values = row.values(s, val)
+            f_expr = substitute(parse(row.f_text), {k: num(v) for k, v in values.items()})
             printed = row.printed_v5(values)
             for _, body in H_INSTANCES:
                 inner = {"H": _h_binding(body)}
@@ -348,8 +329,7 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
     rng = random.Random(seed)
     out = []
     for ds in invariant_datasets():
-        coeffs = tuple(parse(c) if c not in ("", "0") else ZERO for c in ds.coeffs)
-        field = _reduced_field(coeffs)
+        field = reduced_field(ds.coeffs, P4)
         invs = [parse(t) for t in ds.invariants]
         verdicts = tuple(is_zero(normalize(field.apply(I)), mode="symbolic")
                          for I in invs)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .catalog import CaseSpec, case_by_id, flow_cases
+from .catalog import FLAG_NOTES, CaseSpec, case_by_id, flow_cases
 from .expr import (
     EvalDomainError,
     Expr,
@@ -289,15 +289,6 @@ def _poly_hessian(p: Poly) -> Callable[..., tuple[float, ...]]:
     return hessian_at
 
 
-def _case_values(case: CaseSpec, sign: int, pval: Fraction) -> dict[str, Fraction]:
-    """The parameters of the case's row at ``pval`` and its sign at ``sign``."""
-    row = case.row
-    if row is None:
-        return {}
-    values = {row.sign_param: Fraction(sign)} if row.sign_param else {}
-    return values | dict.fromkeys(row.params, pval)
-
-
 def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
                 tol: float = 1e-7, param_value: Fraction = Fraction(1),
                 ) -> CaseCheck:
@@ -320,7 +311,7 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
     rate = Fraction(0)
 
     for sign in signs:
-        values = _case_values(case, sign, param_value)
+        values = case.values(sign, param_value)
         v = case.field(values)
         flw = flow_of(v)
         rate = equivariance_weight(v)
@@ -484,16 +475,6 @@ class TransformOutcome(NamedTuple):
     notes: tuple[str, ...]
 
 
-_FLAG_NOTES = {
-    "printed-scale-first-order":
-        "the published closed form for this case carries a (1 + t) factor "
-        "that reads as exp(t) under the exact flow",
-    "printed-exponent-generalized":
-        "the published right-hand side for this case carries a free "
-        "exponent the operator only preserves at its zero value",
-}
-
-
 def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
                values: Mapping[str, Fraction | int] | None = None,
                inner: Mapping[str, OpaqueBinding] | None = None,
@@ -505,18 +486,21 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     A point where u at the preimage or either S2 value is undefined (a
     restricted domain such as sqrt or ln) is drawn again, at most
     10*n_points draws in all; EvalDomainError when they run out, when the
-    S2 factor overflows, and ValueError for a parameter the case lacks or
-    an ``n_points`` below 1."""
+    S2 factor overflows, and ValueError for a parameter the case lacks, a
+    sign other than 1 or -1, or an ``n_points`` below 1."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     if isinstance(case, int):
         case = case_by_id(case)
-    vals = _case_values(case, 1, Fraction(1))
+    vals = case.values()
     unknown = sorted(set(values or ()) - set(vals))
     if unknown:
         raise ValueError(f"case {case.case_id} has no parameter "
                          f"{', '.join(unknown)} (it takes: {', '.join(vals) or 'none'})")
     vals.update({k: Fraction(v) for k, v in (values or {}).items()})
+    sign = case.row.sign_param if case.row else None
+    if vals.get(sign, 1) not in (1, -1):
+        raise ValueError(f"case {case.case_id}: sign {sign} must be 1 or -1, got {vals[sign]}")
     v = case.field(vals)
     flw = flow_of(v)
     rate = equivariance_weight(v)
@@ -549,7 +533,7 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     if abs(shift) >= 1e-14:
         terms.append((shift, f"{abs(shift):.12g}"))
 
-    notes = tuple(_FLAG_NOTES[fl] for fl in case.flags if fl in _FLAG_NOTES)
+    notes = tuple(FLAG_NOTES[fl] for fl in case.flags)
     return TransformOutcome(case.case_id, t, rate, factor,
                             SymmetryCheck(worst, n_points, tol), scale, pre_texts,
                             linear, shift, _signed_sum(terms), notes)

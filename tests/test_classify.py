@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from hessym import classify
-from hessym.catalog import classification_rows, invariant_datasets, row_by_id
+from hessym import catalog, classify
+from hessym.catalog import classification_rows, invariant_datasets, reduced_field, row_by_id
 from hessym.classify import (
     H_INSTANCES,
     _h_binding,
-    _reduced_field,
     ansatz_residual,
     numeric_rank,
     s2_of,
@@ -20,7 +19,7 @@ from hessym.classify import (
     verify_principal,
     verify_reflection,
 )
-from hessym.expr import diff, num, substitute, sym
+from hessym.expr import Opaque, Sym, children, diff, num, substitute, sym
 from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
 from hessym.normalize import (
@@ -86,12 +85,53 @@ def test_mismatched_symmetry_is_rejected():
     assert chk.max_residual > 1e-2
 
 
+def _names(text: str) -> set[str]:
+    """The symbols and the opaque functions a printed text names."""
+    out, stack = set(), [parse(text)]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Sym, Opaque)):
+            out.add(e.name if isinstance(e, Sym) else e.fn)
+        stack.extend(children(e))
+    return out
+
+
+@pytest.mark.parametrize("row_id", [r.row_id for r in classification_rows()])
+def test_row_texts_name_only_the_parameters_of_their_generator(row_id):
+    # the generator is the one transcription of the row's parameters: f
+    # names all of them, and the printed v5 all of them unless it is
+    # flagged incomplete (A11b and A12b print no g5 and g6)
+    row = row_by_id(row_id)
+    own = set(row.params) | ({row.sign_param} if row.sign_param else set())
+    assert _names(row.f_text) - {"x", "y", "z", "H"} == own
+    printed = set().union(*map(_names, row.v5_text.values())) - {"x", "y", "z", "u"}
+    assert printed <= own
+    assert (printed != own) == ("printed-v5-incomplete" in row.flags)
+
+
+def test_invariants_name_only_the_parameters_of_their_pattern():
+    for ds in invariant_datasets():
+        for text in ds.invariants:
+            assert _names(text) - {"x", "y", "z", "f"} <= set(ds.params), (ds.label, text)
+    a3 = next(ds for ds in invariant_datasets() if ds.label == "A3")
+    assert a3.params == ("g",) and a3.coeffs == (num(0),) * 5 + (sym("g"), num(1), num(0))
+
+
+def test_invariant_datasets_read_their_pattern_when_asked(monkeypatch):
+    a3 = next(ds for ds in invariant_datasets() if ds.label == "A3")
+    monkeypatch.setitem(catalog.OPTIMAL_PATTERNS, "A3", {5: "h", 7: "1"})
+    assert a3.coeffs[4] == sym("h") and a3.coeffs[5] == num(0) and a3.params == ("h",)
+
+
 def test_ansatz_uses_both_signs():
     row = row_by_id("A2")
     for s in (1, -1):
         assert isinstance(is_zero(ansatz_residual(row, s), mode="symbolic"), ProvedZero)
-    # leaving the sign symbolic must NOT prove: s^2 = 1 is not rational
-    sym_row = row._replace(sign_param=None, params=("s",))
+    # leaving the sign symbolic must NOT prove: s^2 = 1 is not rational.
+    # Named r, it is a continuous parameter of the row, not its sign
+    sym_row = row._replace(generator=tuple(c.replace("s", "r") for c in row.generator),
+                           f_text=row.f_text.replace("s", "r"))
+    assert sym_row.sign_param is None and sym_row.params == ("r",)
     assert not isinstance(is_zero(ansatz_residual(sym_row, 1), mode="symbolic"),
                           ProvedZero)
 
@@ -99,7 +139,7 @@ def test_ansatz_uses_both_signs():
 def test_ansatz_weight_is_the_printed_f_coefficient():
     # the weight the ansatz reads off sum a_k Z_k is 2*a7 - 4*a8, the
     # f-coefficient of the reduced generators as the source prints it
-    field = _reduced_field([sym(f"a{k}") for k in range(1, 9)])
+    field = reduced_field([sym(f"a{k}") for k in range(1, 9)], P4)
     assert normalize(diff(field.coeff("f"), "f")) == normalize(parse("2*a7 - 4*a8"))
 
 

@@ -333,6 +333,21 @@ def test_transform_bad_param_spec(capsys):
     assert "NAME=VALUE" in err
 
 
+@pytest.mark.parametrize("value", ["3", "0"])
+def test_transform_rejects_a_sign_other_than_one_or_minus_one(capsys, value):
+    # s is row A4's sign, s^2 = 1
+    code, out, err = run(capsys, "transform", "--case", "7", "--t", "0.5",
+                         "--u", "x^2", "--param", f"s={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: case 7: sign s must be 1 or -1, got {value}\n"
+
+
+def test_transform_takes_the_negative_sign(capsys):
+    code, out, _ = run(capsys, "transform", "--case", "7", "--t", "0.5",
+                       "--u", "x^2", "--param", "s=-1")
+    assert code == 0 and "verdict: pass" in out
+
+
 def test_transform_bad_fixture_arity(capsys):
     code, _, err = run(capsys, "transform", "--case", "1", "--t", "1",
                        "--u", "fixture:1,1")

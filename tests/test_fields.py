@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 from hessym.catalog import (
-    V_NAMES, Y_NAMES, Z_NAMES, classification_rows, equivalence_basis, flow_cases,
-    lift_reduced, principal_basis, reduced_basis,
+    V_NAMES, Y_NAMES, Z_NAMES, Z_TO_Y, classification_rows, equivalence_basis, flow_cases,
+    principal_basis, reduced_basis, reduced_field,
 )
 from hessym.expr import ExprError, compile_evaluator, num, sym
 from hessym.fields import (
@@ -17,7 +17,7 @@ from hessym.fields import (
     adjoint, commutator, decompose, exp_closed_form, format_combination, project,
     structure_table, vf,
 )
-from hessym.flows import _case_values, field_matrix
+from hessym.flows import field_matrix
 from hessym.normalize import normalize
 from hessym.parse import parse
 
@@ -346,7 +346,7 @@ class TestAdjoint:
         # over integers after clearing the common denominator
         seen = 0
         for case in flow_cases():
-            L = field_matrix(case.field(_case_values(case, -1, pval)))
+            L = field_matrix(case.field(case.values(-1, pval)))
             seen += any(v.denominator != 1 for row in L for v in row)
             assert exp_closed_form(L, sym("t")) == _dense_exp(L, sym("t")), case.case_id
         assert seen >= 5
@@ -375,12 +375,27 @@ class TestProjectAndLift:
             project(vf(E5, x="f"), E4)
 
     def test_lift_of_f_scaling_is_u_scaling(self):
-        v = lift_reduced((0, 0, 0, 0, 0, 0, 1, 0))
+        v = reduced_field((0, 0, 0, 0, 0, 0, 1, 0), E4)
         assert v == vf(E4, u="u")
 
     def test_lift_of_space_scaling(self):
-        v = lift_reduced((0, 0, 0, 0, 0, 0, 0, 1))
+        v = reduced_field((0, 0, 0, 0, 0, 0, 0, 1), E4)
         assert v == vf(E4, x="x", y="y", z="z")
+
+    def test_one_combination_projects_to_the_reduced_field_and_its_lift(self):
+        # sum a_k Z_k on P4 is the sum of the reduced generators, and on E4
+        # the sum of the equivalence preimages with the f-part dropped
+        a = [sym(f"a{k}") for k in range(1, 9)]
+        eq = equivalence_basis()
+        on_p4, on_e4 = vf(P4), vf(E4)
+        for ak, zk, yk in zip(a, reduced_basis().fields, Z_TO_Y):
+            on_p4 = on_p4.plus(zk.scaled(ak))
+            on_e4 = on_e4.plus(project(eq.fields[yk - 1], E4).scaled(ak))
+        assert reduced_field(a, P4) == on_p4
+        assert reduced_field(a, E4) == on_e4
+        assert reduced_field(a, E4).params == frozenset(f"a{k}" for k in range(1, 9))
+        with pytest.raises(ValueError, match="8 coefficients"):
+            reduced_field(a[:7], P4)
 
     def test_printed_extra_symmetries_match_lift_except_flagged_rows(self):
         for row in classification_rows():

@@ -19,7 +19,6 @@ from hessym.flows import (
     AffineFlow,
     W_BODY,
     _affine,
-    _case_values,
     _poly_hessian,
     _pushed_hessian,
     _pushforward_at,
@@ -68,7 +67,8 @@ def test_case_by_id_unknown():
 @pytest.mark.parametrize("cid", CASE_IDS)
 def test_case_texts_parse(cid):
     case = case_by_id(cid)
-    allowed = {"x", "y", "z", "t", *(case.row.all_params() if case.row else ())}
+    row = case.row
+    allowed = {"x", "y", "z", "t", *(row.params + (row.sign_param,) if row else ())}
     from hessym.expr import free_symbols
     for tx in (*case.image_text, case.u_scale_text, case.u_shift_text):
         assert free_symbols(parse(tx)) <= allowed
@@ -83,6 +83,19 @@ def test_case_flags(cid):
         assert case.flags == ("printed-exponent-generalized",)
     else:
         assert case.flags == ()
+
+
+def test_each_declared_flag_has_one_note():
+    declared = {fl for item in (*flow_cases(), *catalog.classification_rows())
+                for fl in item.flags}
+    assert declared == set(catalog.FLAG_NOTES)
+
+
+def test_a_transform_notes_only_its_own_flags():
+    # case 13 acts by row A10b, whose constraint-corrected flag is the row's
+    out = apply_case(13, 0.3, parse("x^2 + y^2 + z^2"), values={"b2": 1}, n_points=2)
+    assert out.notes == (catalog.FLAG_NOTES["printed-scale-first-order"],)
+    assert apply_case(1, 0.3, parse("x^2"), n_points=2).notes == ()
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +148,7 @@ def _case_flows(params=(Fraction(3, 2),)):
     for case in flow_cases():
         for pval in params:
             for sign in ((1, -1) if case.row and case.row.sign_param else (1,)):
-                yield case.case_id, flow_of(case.field(_case_values(case, sign, pval)))
+                yield case.case_id, flow_of(case.field(case.values(sign, pval)))
 
 
 def _fraction_powers(L):
@@ -383,7 +396,7 @@ def _tree_pushforward(u, M, B, c):
 
 def _flows_and_times():
     for case in flow_cases():
-        flw = flow_of(case.field(_case_values(case, 1, Fraction(1))))
+        flw = flow_of(case.field(case.values()))
         for t in (0.35, -0.45, 0.8):
             yield case.case_id, flw.matrix(t), *flw.spatial_preimage(t)
 

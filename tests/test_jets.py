@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from hessym import classify, jets
-from hessym.catalog import case_by_id, classification_rows, lift_reduced, symmetry_candidate
+from hessym.catalog import case_by_id, classification_rows, reduced_field, symmetry_candidate
 from hessym.expr import (
     EvalDomainError, ExprError, OpaqueBinding, ZERO, add, mul, neg, num, opaque,
     pow_, substitute, sym,
@@ -204,7 +204,7 @@ class TestOperator:
         assert isinstance(is_zero(add(r, mul(num(4), hessian2()))), ProvedZero)
 
     @pytest.mark.parametrize("v", [
-        *(lift_reduced([int(i == k) for i in range(8)]) for k in range(8)),
+        *(reduced_field([int(i == k) for i in range(8)], E4) for k in range(8)),
         symmetry_candidate(),
     ], ids=[*(f"Z{k + 1}" for k in range(8)), "candidate"])
     def test_s2_weight_is_the_weight_of_the_operator(self, v):

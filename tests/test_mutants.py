@@ -83,8 +83,8 @@ def _move_pattern_role(pid: str, old: int, new: int):
 
 def _flip_a3_invariant_exponent(m: pytest.MonkeyPatch) -> None:
     a3, *rest = catalog.invariant_datasets()
-    assert a3.label == "A3" and a3.invariants[2] == "f*exp(-(2/g1)*atan(y/z))"
-    flipped = a3._replace(invariants=(*a3.invariants[:2], "f*exp((2/g1)*atan(y/z))"))
+    assert a3.label == "A3" and a3.invariants[2] == "f*exp(-(2/g)*atan(y/z))"
+    flipped = a3._replace(invariants=(*a3.invariants[:2], "f*exp((2/g)*atan(y/z))"))
     m.setattr(catalog, "_INVARIANTS", (flipped, *rest))
 
 
@@ -106,7 +106,8 @@ def _double_a3_printed_u(m: pytest.MonkeyPatch) -> None:
 # name -> (suite, the record anchored on the tampered artifact, tamper)
 CATALOG_MUTANTS = {
     "pattern-A3-g-on-Z4": ("optimal", "pattern-coverage", _move_pattern_role("A3", 6, 4)),
-    "pattern-A3-g-on-Z5": ("optimal", "pattern-coverage", _move_pattern_role("A3", 6, 5)),
+    # the worked invariants of A3 read its generator from the pattern
+    "pattern-A3-g-on-Z5": ("invariants", "invariants[A3]", _move_pattern_role("A3", 6, 5)),
     "invariant-A3-exponent-sign": ("invariants", "invariants[A3]", _flip_a3_invariant_exponent),
     "case-6-u-scale": ("flows", "case[6]", _rescale_case_6),
     "row-A3-printed-u-doubled": ("flows", "case[6]", _double_a3_printed_u),
@@ -128,11 +129,6 @@ _COLUMN_8_UNREAD = ("the reduction tree applies Z2 and Z3 only where a8 = 0, and
 
 # the catalog mutants whose records stay short of fail, each with why
 SURVIVORS = {
-    "pattern-A3-g-on-Z5": "classify_vector takes the first pattern that fits and nothing "
-                          "checks that the normal forms are disjoint: the reduction tree's "
-                          "(Z6, Z7) vectors then read as A7 with a = 0, its (Z5, Z7) "
-                          "vectors as the moved A3 ahead of A9 with a = 0, and the moved "
-                          "representative reduces back to itself",
     "case-6-u-scale": "the printed-scale-first-order flag rests on its catalog label "
                       "alone: the record passes on the (-1, exp) reading, and the "
                       "literal reading, the one that reads u_scale_text, only "
