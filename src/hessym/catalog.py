@@ -123,15 +123,16 @@ def reduced_field(coeffs: Sequence[Expr | Fraction | int], space: BaseSpace) -> 
     return project(total, space)
 
 
-def _coefficients(texts: Sequence[str], values: Mapping | None = None) -> tuple[Expr, ...]:
-    """Coefficient strings over Z1..Z8, parsed, with ``values`` bound."""
-    table = {k: v if isinstance(v, Expr) else num(v) for k, v in (values or {}).items()}
-    return tuple(substitute(parse(c), table) for c in texts)
+@lru_cache(maxsize=None)
+def _parsed(texts: tuple[str, ...]) -> tuple[Expr, ...]:
+    """Coefficient strings over Z1..Z8, parsed once per process."""
+    return tuple(parse(c) for c in texts)
 
 
-def _names(coeffs: Sequence[Expr]) -> tuple[str, ...]:
-    """The parameters the coefficients name, in generator order."""
-    return tuple(dict.fromkeys(n for c in coeffs for n in sorted(free_symbols(c))))
+@lru_cache(maxsize=None)
+def _names(texts: tuple[str, ...]) -> tuple[str, ...]:
+    """The parameters the coefficient strings name, in generator order."""
+    return tuple(dict.fromkeys(n for c in _parsed(texts) for n in sorted(free_symbols(c))))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,6 @@ class ClassificationRow(NamedTuple):
     """
 
     row_id: str
-    pattern: str
     constraint: str
     generator: tuple[str, ...]          # 8 coefficient strings over Z1..Z8
     f_text: str
@@ -275,25 +275,24 @@ class ClassificationRow(NamedTuple):
 
     @property
     def sign_param(self) -> str | None:
-        return "s" if "s" in _names(self.generator_coeffs()) else None
+        return "s" if "s" in _names(self.generator) else None
 
     @property
     def params(self) -> tuple[str, ...]:
-        return tuple(n for n in _names(self.generator_coeffs()) if n != "s")
+        return tuple(n for n in _names(self.generator) if n != "s")
 
     def values(self, sign: int = 1, value: Fraction | int | float = 1) -> dict[str, Fraction]:
         """The sign at ``sign`` and each continuous parameter at ``value``."""
-        return {n: Fraction(sign if n == "s" else value)
-                for n in _names(self.generator_coeffs())}
+        return {n: Fraction(sign if n == "s" else value) for n in _names(self.generator)}
 
     def generator_coeffs(self, values: Mapping | None = None) -> tuple[Expr, ...]:
-        return _coefficients(self.generator, values)
+        table = {k: v if isinstance(v, Expr) else num(v) for k, v in (values or {}).items()}
+        return tuple(substitute(c, table) for c in _parsed(self.generator))
 
     def printed_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                    ) -> VectorField:
         """The printed extra symmetry, with ``values`` bound."""
-        names = _names(self.generator_coeffs())
-        return vf(E4, params=names, **self.v5_text).bound(values or {})
+        return vf(E4, params=_names(self.generator), **self.v5_text).bound(values or {})
 
     def lifted_v5(self, values: Mapping[str, Fraction | int | Expr] | None = None,
                   ) -> VectorField:
@@ -303,95 +302,95 @@ class ClassificationRow(NamedTuple):
 
 _ROWS: tuple[ClassificationRow, ...] = (
     ClassificationRow(
-        "A2", "A2", "s^2 = 1",
+        "A2", "s^2 = 1",
         ("s", "0", "0", "0", "0", "0", "1", "0"),
         "exp(2*s*x)*H(y, z)",
         {"x": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A3", "A3", "g1 != 0",
+        "A3", "g1 != 0",
         ("0", "0", "0", "0", "0", "g1", "1", "0"),
         "exp((2/g1)*atan(y/z))*H(x, y^2 + z^2)",
         {"y": "g1*z", "z": "-g1*y", "u": "u"},
     ),
     ClassificationRow(
-        "A4", "A4", "s^2 = 1, g2 != 0",
+        "A4", "s^2 = 1, g2 != 0",
         ("s", "0", "0", "0", "0", "g2", "1", "0"),
         "exp((2/g2)*atan(y/z))*H(y^2 + z^2, x - (s/g2)*atan(y/z))",
         {"x": "s", "y": "g2*z", "z": "-g2*y", "u": "u"},
     ),
     ClassificationRow(
-        "A5", "A5", "a1 != 0",
+        "A5", "a1 != 0",
         ("0", "0", "0", "a1", "0", "0", "1", "0"),
         "exp((2/a1)*atan(x/z))*H(y, x^2 + z^2)",
         {"x": "a1*z", "z": "-a1*x", "u": "u"},
     ),
     ClassificationRow(
-        "A6a", "A6", "s^2 = 1, a2 = 0",
+        "A6a", "s^2 = 1, a2 = 0",
         ("0", "s", "0", "0", "0", "0", "1", "0"),
         "exp(2*s*y)*H(x, z)",
         {"y": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A6b", "A6", "s^2 = 1, a2 != 0",
+        "A6b", "s^2 = 1, a2 != 0",
         ("0", "s", "0", "a2", "0", "0", "1", "0"),
         "exp((2/a2)*atan(x/z))*H(x^2 + z^2, y - (s/a2)*atan(x/z))",
         {"x": "a2*z", "y": "s", "z": "-a2*x", "u": "u"},
     ),
     ClassificationRow(
-        "A7", "A7", "a3 != 0, g3 != 0",
+        "A7", "a3 != 0, g3 != 0",
         ("0", "0", "0", "a3", "0", "g3", "1", "0"),
         "exp((2/sqrt(a3^2 + g3^2))*atan((a3*x + g3*y)/(z*sqrt(a3^2 + g3^2))))"
         "*H(y - (g3/a3)*x, (1 - g3^2/a3^2)*x^2 + (2*g3/a3)*x*y + z^2)",
         {"x": "a3*z", "y": "g3*z", "z": "-a3*x - g3*y", "u": "u"},
     ),
     ClassificationRow(
-        "A9a", "A9", "a5 = 0, b1 != 0",
+        "A9a", "a5 = 0, b1 != 0",
         ("0", "0", "0", "0", "b1", "0", "1", "0"),
         "exp((2/b1)*atan(x/y))*H(z, x^2 + y^2)",
         {"x": "b1*y", "y": "-b1*x", "u": "u"},
     ),
     ClassificationRow(
-        "A9b", "A9", "a5 != 0, b1 != 0",
+        "A9b", "a5 != 0, b1 != 0",
         ("0", "0", "0", "a5", "b1", "0", "1", "0"),
         "exp((-2/sqrt(b1^2 + a5^2))*atan((b1*y + a5*z)/(x*sqrt(b1^2 + a5^2))))"
         "*H(z - (a5/b1)*y, x^2 + (1 - a5^2/b1^2)*y^2 + (2*a5/b1)*y*z)",
         {"x": "a5*z + b1*y", "y": "-b1*x", "z": "-a5*x", "u": "u"},
     ),
     ClassificationRow(
-        "A10a", "A10", "s^2 = 1, a6 = 0, b2 = 0",
+        "A10a", "s^2 = 1, a6 = 0, b2 = 0",
         ("0", "0", "s", "0", "0", "0", "1", "0"),
         "exp(2*s*z)*H(x, y)",
         {"z": "s", "u": "u"},
     ),
     ClassificationRow(
-        "A10b", "A10", "s^2 = 1, a6 = 0, b2 != 0",
+        "A10b", "s^2 = 1, a6 = 0, b2 != 0",
         ("0", "0", "s", "0", "b2", "0", "1", "0"),
         "exp((2/b2)*atan(x/y))*H(x^2 + y^2, z - (s/b2)*atan(x/y))",
         {"x": "b2*y", "y": "-b2*x", "z": "s", "u": "u"},
         flags=("constraint-corrected",),
     ),
     ClassificationRow(
-        "A11a", "A11", "a7 = 0, b3 = 0, g5 = 0",
+        "A11a", "a7 = 0, b3 = 0, g5 = 0",
         ("0", "0", "0", "0", "0", "0", "0", "1"),
         "x^(-4)*H(y/x, z/x)",
         {"x": "x", "y": "y", "z": "z"},
     ),
     ClassificationRow(
-        "A11b", "A11", "a7 = 0, b3 = 0, g5 != 0",
+        "A11b", "a7 = 0, b3 = 0, g5 != 0",
         ("0", "0", "0", "0", "0", "0", "g5", "1"),
         "x^(2*g5 - 4)*H(y/x, z/x)",
         {"x": "x", "y": "y", "z": "z"},
         flags=("printed-v5-incomplete",),
     ),
     ClassificationRow(
-        "A12a", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 = 0",
+        "A12a", "s^2 = 1, a8 = 0, b4 = 0, g6 = 0",
         ("0", "s", "0", "0", "0", "0", "0", "1"),
         "x^(-4)*H((y + s)/x, z/x)",
         {"x": "x", "y": "y + s", "z": "z"},
     ),
     ClassificationRow(
-        "A12b", "A12", "s^2 = 1, a8 = 0, b4 = 0, g6 != 0",
+        "A12b", "s^2 = 1, a8 = 0, b4 = 0, g6 != 0",
         ("0", "s", "0", "0", "0", "0", "g6", "1"),
         "x^(2*g6 - 4)*H((y + s)/x, z/x)",
         {"x": "x", "y": "y + s", "z": "z"},
@@ -504,9 +503,9 @@ class InvariantDataset(NamedTuple):
     """A normal form of the optimal system with its stated invariants,
     expressions in (x, y, z, f) that the generator annihilates.
 
-    ``coeffs`` over Z1..Z8 and ``params`` are read from the normal form
-    ``OPTIMAL_PATTERNS[label]`` when asked for.  An invariant right-hand
-    side is I3 = H(I1, I2) solved for f; ``f_solvable`` records whether
+    ``generator`` over Z1..Z8, ``coeffs`` and ``params`` are read from the
+    normal form ``OPTIMAL_PATTERNS[label]`` when asked for.  An invariant
+    right-hand side is I3 = H(I1, I2) solved for f; ``f_solvable`` records whether
     one invariant actually involves f.
     """
 
@@ -515,12 +514,17 @@ class InvariantDataset(NamedTuple):
     f_solvable: bool
 
     @property
+    def generator(self) -> tuple[str, ...]:
+        """The normal form as 8 coefficient strings over Z1..Z8."""
+        return tuple(OPTIMAL_PATTERNS[self.label].get(k, "0") for k in range(1, 9))
+
+    @property
     def coeffs(self) -> tuple[Expr, ...]:
-        return _coefficients([OPTIMAL_PATTERNS[self.label].get(k, "0") for k in range(1, 9)])
+        return _parsed(self.generator)
 
     @property
     def params(self) -> tuple[str, ...]:
-        return _names(self.coeffs)
+        return _names(self.generator)
 
 
 _INVARIANTS = (

@@ -337,8 +337,7 @@ def verify_invariants(seed: int = DEFAULT_SEED) -> tuple[InvariantCheck, ...]:
         fns = _invariant_gradients(invs, ds.params)
         rank = 0
         for _ in range(3):
-            pt = sample_point(P4.variables, rng)
-            args = [pt[v] for v in P4.variables]
+            args = sample_point(P4.variables, rng)
             rank = max(rank, numeric_rank([[fn(*args) for fn in row] for row in fns]))
 
         solvable = any(normalize(diff(I, "f")) != ZERO for I in invs)

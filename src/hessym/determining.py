@@ -33,11 +33,12 @@ from .expr import (
 )
 from .fields import E4, E5, VectorField, rref, vf
 from .jets import (
-    _PIECE_VARS, SPATIAL, _draw, _variety_point, invariance_residual,
+    _PIECE_VARS, SPATIAL, _variety_point, invariance_residual,
     prolong2, s2_weight, solve_uyy, transport_term,
 )
 from .normalize import (
-    DEFAULT_SEED, Monomial, NormalizeError, SymmetryCheck, as_rational, normalize, uniform,
+    DEFAULT_SEED, Monomial, NormalizeError, SymmetryCheck, as_rational, normalize,
+    sample_point, uniform,
 )
 from .parse import parse
 
@@ -99,7 +100,7 @@ def numeric_invariance_check(n: int = 200, seed: int = DEFAULT_SEED,
     var_order = SYMMETRY_CONSTANTS + _PIECE_VARS
     total_and_raw = compile_evaluator((total, r_raw), var_order, {"f": binding})
 
-    draw = partial(_draw, rng)
+    draw = partial(sample_point, _PIECE_VARS, rng)
     worst = 0.0
     for _ in range(n):
         # each point's constants come first from the same generator

@@ -16,7 +16,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     ONE, ZERO, Add, Expr, ExprError, Frozen, Mul, Num, add, call, compile_evaluator,
@@ -30,7 +30,7 @@ __all__ = [
     "StructureTable", "AdjointMatrix", "NotInSpanError", "vf",
     "commutator", "decompose", "structure_table", "adjoint", "exp_closed_form",
     "project", "format_combination", "rref",
-    "Rows", "identity", "matmul", "matvec", "max_abs_diff",
+    "Rows", "compile_rows", "identity", "matmul", "matvec", "max_abs_diff",
 ]
 
 
@@ -179,6 +179,15 @@ def rref(rows: Sequence[Sequence[Fraction]],
 Rows = tuple[tuple[float, ...], ...]
 
 
+def compile_rows(entries: Sequence[Sequence[Expr]], var: str) -> Callable[[float], Rows]:
+    """The square matrix of closed-form ``entries`` in one variable as a
+    function of its value: all n*n entries compiled, row by row, into one
+    evaluator, its result cut into rows of n."""
+    evaluate = compile_evaluator(tuple(e for row in entries for e in row), [var])
+    n = len(entries)
+    return lambda value: tuple(zip(*[iter(evaluate(float(value)))] * n))
+
+
 def identity(n: int) -> Rows:
     return tuple(tuple(float(r == c) for c in range(n)) for r in range(n))
 
@@ -200,18 +209,24 @@ def max_abs_diff(A: Sequence[Sequence[float]], B: Sequence[Sequence[float]]) -> 
 
 
 def _solve_exact(columns: Sequence[dict[_CoeffKey, Fraction]],
-                 target: dict[_CoeffKey, Fraction]) -> tuple[Fraction, ...] | None:
-    """Solve sum_j c_j * col_j = target exactly; None if inconsistent."""
-    keys = sorted({k for col in columns for k in col} | set(target))
+                 targets: Sequence[dict[_CoeffKey, Fraction]],
+                 ) -> tuple[list[tuple[Fraction, ...] | None], int]:
+    """Solve sum_j c_j * col_j = target exactly for every target at once:
+    one ``rref`` of the columns augmented with all the targets.  Returns
+    each target's coordinates, None for a target outside the span, and
+    the rank of the columns."""
+    keys = sorted({k for col in (*columns, *targets) for k in col})
     n = len(columns)
-    rows, pivots = rref([[col.get(k, Fraction(0)) for col in columns]
-                         + [target.get(k, Fraction(0))] for k in keys], n)
-    if any(row[n] != 0 for row in rows[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * n
-    for row, c in zip(rows, pivots):
-        sol[c] = row[n]
-    return tuple(sol)
+    rows, pivots = rref([[col.get(k, Fraction(0)) for col in (*columns, *targets)]
+                         for k in keys], n)
+
+    def coordinates(b: int) -> tuple[Fraction, ...] | None:
+        if any(row[b] != 0 for row in rows[len(pivots):]):
+            return None
+        at = dict(zip(pivots, (row[b] for row in rows)))
+        return tuple(at.get(c, Fraction(0)) for c in range(n))
+
+    return [coordinates(b) for b in range(n, n + len(targets))], len(pivots)
 
 
 class LieBasis(Frozen):
@@ -225,10 +240,7 @@ class LieBasis(Frozen):
         spaces = {f.space for f in fields}
         if len(spaces) != 1:
             raise ExprError("basis fields must share one base space")
-        cols = [_field_vector(f) for f in fields]
-        keys = sorted({k for col in cols for k in col})
-        mat = [[col.get(k, Fraction(0)) for col in cols] for k in keys]
-        if len(rref(mat, len(cols))[1]) != len(fields):
+        if _solve_exact([_field_vector(f) for f in fields], [])[1] != len(fields):
             raise ExprError(f"basis {name!r} is linearly dependent")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", fields)
@@ -248,15 +260,15 @@ def decompose(v: VectorField, basis: LieBasis) -> tuple[Fraction, ...]:
     if v.space != basis.space:
         raise ExprError("field and basis live on different spaces")
     cols = [_field_vector(f) for f in basis.fields]
-    sol = _solve_exact(cols, _field_vector(v))
+    target = _field_vector(v)
+    # the second target, v on the keys the basis spans, gives the error
+    # report a best-effort projection
+    span_keys = {k for col in cols for k in col}
+    (sol, part), _ = _solve_exact(
+        cols, [target, {k: val for k, val in target.items() if k in span_keys}])
     if sol is None:
-        # best-effort projection for the error report: solve the consistent
-        # sub-system given by the keys the basis spans
-        span_keys = {k for col in cols for k in col}
-        target = {k: val for k, val in _field_vector(v).items() if k in span_keys}
-        part = _solve_exact(cols, target) or tuple(Fraction(0) for _ in cols)
         approx = v
-        for c, f in zip(part, basis.fields):
+        for c, f in zip(part or tuple(Fraction(0) for _ in cols), basis.fields):
             approx = approx.plus(f.scaled(-c))
         raise NotInSpanError(f"field is not in the span of basis {basis.name!r}", approx)
     return sol
@@ -361,27 +373,23 @@ class StructureTable(NamedTuple):
 def structure_table(basis: LieBasis, names: Sequence[str] | None = None) -> StructureTable:
     """Brackets of all basis pairs decomposed exactly in the basis.
 
-    One ``rref`` of the basis columns, augmented with every bracket [B_i, B_j]
-    for i < j, gives all the coordinates at once.  Raises NotInSpanError,
-    with the residual of the first such bracket, if the span is not closed
-    under the bracket.
+    One ``_solve_exact`` of the basis columns, augmented with every bracket
+    [B_i, B_j] for i < j, gives all the coordinates at once.  Raises
+    NotInSpanError, with the residual of the first such bracket, if the
+    span is not closed under the bracket.
     """
     n = basis.dim
     names = tuple(names) if names else tuple(f"B{i + 1}" for i in range(n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     brackets = [commutator(basis.fields[i], basis.fields[j]) for i, j in pairs]
-    cols = [_field_vector(f) for f in basis.fields] + [_field_vector(b) for b in brackets]
-    keys = sorted({k for col in cols for k in col})
-    rows, pivots = rref([[col.get(k, Fraction(0)) for col in cols] for k in keys], n)
+    solved, _ = _solve_exact([_field_vector(f) for f in basis.fields],
+                             [_field_vector(b) for b in brackets])
     zero = tuple(Fraction(0) for _ in range(n))
     c: list[list[tuple[Fraction, ...]]] = [[zero] * n for _ in range(n)]
-    for b, (i, j) in enumerate(pairs, start=n):
-        if any(row[b] != 0 for row in rows[len(pivots):]):
-            decompose(brackets[b - n], basis)  # raises with the residual
-        co = [Fraction(0)] * n
-        for row, p in zip(rows, pivots):
-            co[p] = row[b]
-        c[i][j] = tuple(co)
+    for (i, j), co, bracket in zip(pairs, solved, brackets):
+        if co is None:
+            decompose(bracket, basis)  # raises with the residual
+        c[i][j] = co
         c[j][i] = tuple(-x for x in co)
     return StructureTable(basis, tuple(tuple(row) for row in c), names)
 
@@ -412,15 +420,11 @@ class AdjointMatrix(Frozen, fields=("generator", "names", "entries")):
         object.__setattr__(self, "entries", entries)
 
     def eval_at(self, eps: float) -> Rows:
-        flat = self._compiled(float(eps))
-        n = len(self.names)
-        return tuple(flat[k:k + n] for k in range(0, n * n, n))
+        return self._compiled(eps)
 
     @cached_property
     def _compiled(self):
-        """All n*n entries, row by row, as one compiled function of eps."""
-        return compile_evaluator(tuple(e for row in self.entries for e in row),
-                                 [EPS_NAME])
+        return compile_rows(self.entries, EPS_NAME)
 
     def apply(self, eps: float, a: Sequence[float]) -> tuple[float, ...]:
         """A(eps) a, equal to ``matvec(self.eval_at(eps), a)`` up to the sign

@@ -46,7 +46,8 @@ from .expr import (
     to_text,
 )
 from .fields import (
-    E4, Rows, VectorField, exp_closed_form, identity, matmul, matvec, max_abs_diff,
+    E4, Rows, VectorField, compile_rows, exp_closed_form, identity, matmul, matvec,
+    max_abs_diff,
 )
 from .jets import SPATIAL, jet_indices, s2_of, s2_of_hessian, s2_weight
 from .normalize import (
@@ -144,18 +145,18 @@ class AffineFlow(Frozen, fields=("L",)):
 
     @cached_property
     def _compiled(self):
-        return compile_evaluator(tuple(e for row in self.entries for e in row), ["t"])
+        return compile_rows(self.entries, "t")
 
     def matrix(self, t: float) -> Rows:
         """exp(t L) evaluated from the closed forms, as rows of floats."""
-        flat = self._compiled(float(t))
-        n = len(self.L)
-        return tuple(flat[k:k + n] for k in range(0, n * n, n))
+        return self._compiled(t)
 
-    def spatial_preimage(self, t: float) -> tuple[Rows, tuple[float, ...]]:
-        """(B, c) with x_source = B x_target + c, from the inverse flow."""
-        M = self.matrix(-t)
-        return tuple(row[:3] for row in M[:3]), tuple(row[4] for row in M[:3])
+
+def _preimage_map(M_inverse: Rows) -> tuple[Rows, tuple[float, ...]]:
+    """(B, c) with x_source = B x_target + c for the group element whose
+    inverse has flow matrix ``M_inverse``: exp(t L) at -t for time t."""
+    return (tuple(row[:3] for row in M_inverse[:3]),
+            tuple(row[4] for row in M_inverse[:3]))
 
 
 def flow_of(v: VectorField) -> AffineFlow:
@@ -342,13 +343,13 @@ def verify_case(case: CaseSpec, *, n_points: int = 20, seed: int = DEFAULT_SEED,
             max_abs_diff(D, L) / (1.0 + max(abs(v) for row in L for v in row)),
             1, GENERATOR_TOL))
 
-        # the group element (M, B, c) at each time the checks below use,
-        # evaluated once
+        # the group element (M, B, c) at each time +-t the checks below use:
+        # M(t) and M(-t) evaluated once, each the other's inverse
         element: dict[float, tuple[Rows, Rows, tuple[float, ...]]] = {}
         for t in T_VALUES:
-            for st in (t, -t):
-                if st not in element:
-                    element[st] = (flw.matrix(st), *flw.spatial_preimage(st))
+            forward, backward = flw.matrix(t), flw.matrix(-t)
+            element[t] = (forward, *_preimage_map(backward))
+            element[-t] = (backward, *_preimage_map(forward))
 
         # finite equivariance on polynomial profiles
         worst_equi = 0.0
@@ -510,7 +511,7 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
         raise EvalDomainError(f"the S2 factor exp({rate}*t) overflows at t = {t:g}") from None
 
     M = flw.matrix(t)
-    B, c = flw.spatial_preimage(t)
+    B, c = _preimage_map(flw.matrix(-t))
     pre_texts = tuple(_affine_text(B[i], c[i]) for i in range(3))
     scale = M[3][3]
     linear = M[3][:3]

@@ -27,7 +27,7 @@ from .expr import (
     pow_, substitute, sym,
 )
 from .fields import VectorField
-from .normalize import DEFAULT_SEED, SymmetryCheck, as_polynomial, normalize, signed_uniform
+from .normalize import DEFAULT_SEED, SymmetryCheck, as_polynomial, normalize, sample_point
 from .parse import parse
 
 __all__ = [
@@ -232,18 +232,12 @@ _UXX, _UXY, _UXZ, _UYY, _UYZ, _UZZ = (_PIECE_VARS.index(f"u_{idx}")
                                       for idx in jet_indices(2))
 
 
-def _draw(rng: random.Random) -> tuple[float, ...]:
-    """One candidate point: a value for each of ``_PIECE_VARS``, u_yy's to
-    be replaced by the solved one."""
-    return tuple([signed_uniform(rng) for _ in _PIECE_VARS])
-
-
 def _variety_point(draw: Callable[[], tuple[float, ...]],
                    f_at: Callable[[float, float, float], float]) -> list[float]:
     """A jet point on S2[u] = f(x, y, z), over ``_PIECE_VARS``: the first
-    candidate from ``draw`` whose trace pivot u_xx + u_zz is at least
-    ``_GUARD`` away from zero and where f has a value, with u_yy solved.
-    After ``_MAX_ATTEMPTS`` candidates it gives up."""
+    candidate from ``draw`` (one value per name) whose trace pivot u_xx +
+    u_zz is at least ``_GUARD`` away from zero and where f has a value,
+    with u_yy solved.  After ``_MAX_ATTEMPTS`` candidates it gives up."""
     for _ in range(_MAX_ATTEMPTS):
         vals = draw()
         uxx, uzz = vals[_UXX], vals[_UZZ]
@@ -305,7 +299,7 @@ def check_symmetry(v: VectorField, f_expr: Expr,
     binding = OpaqueBinding(("x", "y", "z"), f_expr, inner)
     pieces_at = _symmetry_pieces(v)({"f": binding})
 
-    draw = partial(_draw, random.Random(seed))
+    draw = partial(sample_point, _PIECE_VARS, random.Random(seed))
     worst = 0.0
     worst_args: list[float] | None = None
     for _ in range(n):

@@ -44,7 +44,7 @@ from .expr import (
 __all__ = [
     "normalize", "print_canonical", "is_zero", "as_polynomial", "as_rational",
     "ProvedZero", "NumericallyZero", "NonZero", "Unproved", "Verdict", "SymmetryCheck",
-    "worst_check", "NormalizeError", "DEFAULT_SEED", "sample_point", "signed_uniform",
+    "worst_check", "NormalizeError", "DEFAULT_SEED", "sample_point",
     "clear_canonical_table", "uniform", "signed", "integer", "choice", "subset",
     "valid_samples",
 ]
@@ -594,15 +594,10 @@ def subset(rng: random.Random, seq: Sequence, k: int) -> list:
     return pool[:k]
 
 
-def signed_uniform(rng: random.Random) -> float:
-    """Magnitude uniform in [0.1, 2] with a random sign."""
-    return signed(rng, 0.1, 2.0)
-
-
-def sample_point(names: Sequence[str], rng: random.Random) -> dict[str, float]:
-    """Magnitudes uniform in [0.1, 2] with random sign, keeping samples away
-    from zero."""
-    return {v: signed_uniform(rng) for v in names}
+def sample_point(names: Sequence[str], rng: random.Random) -> tuple[float, ...]:
+    """One value for each of ``names``, in their order: magnitudes uniform
+    in [0.1, 2] with random sign, keeping samples away from zero."""
+    return tuple([signed(rng, 0.1, 2.0) for _ in names])
 
 
 def valid_samples(n: int, draw: Callable[[], object],
@@ -720,10 +715,10 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
     at = compile_with_scale(e, names, bindings)
     rng = random.Random(seed)
     max_ratio = 0.0
-    for env, (v, s) in valid_samples(n, lambda: sample_point(names, rng),
-                                     lambda env: at(*env.values())):
+    for point, (v, s) in valid_samples(n, lambda: sample_point(names, rng),
+                                       lambda point: at(*point)):
         ratio = abs(v) / (1.0 + s)
         if ratio > tol:
-            return NonZero(witness=env, residual=ratio)
+            return NonZero(witness=dict(zip(names, point)), residual=ratio)
         max_ratio = max(max_ratio, ratio)
     return NumericallyZero(max_residual=max_ratio, n_points=n)

@@ -38,7 +38,7 @@ from hessym.expr import (
     Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE, sym,
 )
 from hessym.jets import SPATIAL, jet_indices
-from hessym.normalize import Poly, _padd, _pdiff, _pmul, _poly_to_expr, signed_uniform
+from hessym.normalize import Poly, _padd, _pdiff, _pmul, _poly_to_expr, signed
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
@@ -158,9 +158,9 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
     stays well-scaled.
     """
     for _ in range(max_attempts):
-        pt = {s: signed_uniform(rng) for s in ("x", "y", "z", "u")}
+        pt = {s: signed(rng, 0.1, 2.0) for s in ("x", "y", "z", "u")}
         for idx in jet_indices(1) + jet_indices(2):
-            pt[f"u_{idx}"] = signed_uniform(rng)
+            pt[f"u_{idx}"] = signed(rng, 0.1, 2.0)
         if abs(pt["u_xx"] + pt["u_zz"]) < 0.25:
             continue
         try:

@@ -19,12 +19,13 @@ from hessym.classify import (
     verify_principal,
     verify_reflection,
 )
-from hessym.expr import Opaque, Sym, children, diff, num, substitute, sym
+from hessym.expr import Opaque, Sym, children, diff, eval_numeric, num, substitute, sym
 from hessym.fields import E4, P4, LieBasis, vf
 from hessym.jets import check_symmetry
 from hessym.normalize import (
     NonZero, ProvedZero, is_zero, normalize, sample_point,
 )
+from hessym.optimal import classify_vector
 from hessym.parse import parse
 from hessym.report import run_suite
 
@@ -40,6 +41,21 @@ def row_checks():
 def test_row_passes(row_checks, row_id):
     rc = row_checks[row_id]
     assert rc.passed, f"{row_id}: ansatz={rc.ansatz_verdicts} sym={rc.symmetry.max_residual:.2e}"
+
+
+def test_each_row_generator_reduces_to_the_pattern_its_id_names():
+    # the row id names its optimal-system pattern (A6a and A6b are A6):
+    # the generator, at each sign and every parameter at 1, matches that
+    # pattern with that sign, so the row needs no pattern column
+    seen = 0
+    for row in classification_rows():
+        for sign in ((1, -1) if row.sign_param else (1,)):
+            vec = [eval_numeric(c, {}) for c in row.generator_coeffs(row.values(sign, 1))]
+            pattern, got_sign, _ = classify_vector(vec)
+            assert pattern == row.row_id.rstrip("ab"), (row.row_id, sign, vec)
+            assert got_sign == (sign if row.sign_param else None), (row.row_id, sign)
+            seen += 1
+    assert seen == 23
 
 
 @pytest.mark.parametrize("row_id", [r.row_id for r in classification_rows()])
@@ -217,7 +233,7 @@ def test_numeric_rank_matches_numpy_on_invariant_gradients():
         fns = classify._invariant_gradients([parse(t) for t in ds.invariants], ds.params)
         for _ in range(30):
             pt = sample_point(P4.variables, rng)
-            mat = [[fn(*(pt[v] for v in P4.variables)) for fn in row] for row in fns]
+            mat = [[fn(*pt) for fn in row] for row in fns]
             assert numeric_rank(mat) == np.linalg.matrix_rank(np.array(mat), tol=1e-8) == 3
             # a row that depends on the others adds nothing
             mat.append([a - 2 * b for a, b in zip(mat[0], mat[2])])

@@ -1063,6 +1063,84 @@ def test_every_private_function_has_a_reader():
     assert unread == set(UNREAD_PRIVATE_FUNCTIONS)
 
 
+# what yields each catalog record: its accessors and the tables behind
+# them; a CaseSpec's ``row`` property yields its ClassificationRow
+RECORD_SOURCES = {
+    "classification_rows": "ClassificationRow", "row_by_id": "ClassificationRow",
+    "_ROWS": "ClassificationRow", "flow_cases": "CaseSpec", "case_by_id": "CaseSpec",
+    "_CASES": "CaseSpec", "invariant_datasets": "InvariantDataset",
+    "_INVARIANTS": "InvariantDataset",
+}
+
+
+def _record_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(record, attribute) of each attribute read on a value the AST shows
+    to hold a catalog record: ``self`` in the record's methods, a parameter
+    annotated with it, and a name bound by ``for`` or ``=`` to one of
+    ``RECORD_SOURCES`` or to a case's ``row``.  A read of the same name on
+    any other value, a ReductionTrace's ``pattern`` say, does not count."""
+    reads = set()
+    units = [(m, stmt.name) for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+             for m in stmt.body if isinstance(m, ast.FunctionDef)]
+    units += [(stmt, None) for stmt in tree.body if not isinstance(stmt, ast.ClassDef)]
+    for unit, owner in units:
+        args = unit.args.args if isinstance(unit, ast.FunctionDef) else []
+        scope = {arg.arg: word for arg in args if arg.annotation
+                 for word in ast.unparse(arg.annotation).split()
+                 if word in RECORD_SOURCES.values()}
+        if owner is not None and args:
+            scope[args[0].arg] = owner
+
+        def record_of(node):
+            node = node.func if isinstance(node, ast.Call) else node
+            if isinstance(node, ast.Name):
+                return scope.get(node.id) or RECORD_SOURCES.get(node.id)
+            if isinstance(node, ast.Attribute) and node.attr == "row":
+                return "ClassificationRow" if record_of(node.value) == "CaseSpec" else None
+            return None
+
+        for _ in range(2):  # a binding may read a name bound later in the walk
+            for node in ast.walk(unit):
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    target, value = node.target, node.iter
+                elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                else:
+                    continue
+                if isinstance(target, ast.Name) and record_of(value):
+                    scope[target.id] = record_of(value)
+        reads |= {(record_of(node.value), node.attr) for node in ast.walk(unit)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and record_of(node.value)}
+    return reads
+
+
+def test_the_record_field_lint_tells_a_row_from_other_values():
+    tree = ast.parse("def f(row: ClassificationRow, trace):\n"
+                     "    return row.row_id, trace.pattern, row.pattern_of()\n"
+                     "def g(case: CaseSpec | int):\n"
+                     "    for r in classification_rows():\n"
+                     "        r.f_text\n"
+                     "    return case.row.constraint\n")
+    assert _record_reads(tree) == {
+        ("ClassificationRow", "row_id"), ("ClassificationRow", "pattern_of"),
+        ("ClassificationRow", "f_text"), ("CaseSpec", "row"),
+        ("ClassificationRow", "constraint")}
+
+
+def test_every_catalog_record_field_has_a_reader():
+    # a field of a catalog record that nothing in hessym reads is a dead
+    # transcription: the column can go, or its reader is missing
+    from hessym import catalog
+
+    package = Path(hessym.__file__).resolve().parent
+    reads = set().union(*(_record_reads(ast.parse(path.read_text()))
+                          for path in sorted(package.rglob("*.py"))))
+    fields = {(record, name) for record in set(RECORD_SOURCES.values())
+              for name in getattr(catalog, record)._fields}
+    assert fields - reads == set()
+
+
 def _literal_field_calls(tree: ast.AST) -> list[str]:
     """Each call of ``vf`` or ``fields.vf`` that passes a string literal
     as a coefficient: a printed field written out."""

@@ -21,7 +21,8 @@ from hessym.jets import (
     s2_of, s2_weight, solve_uyy, total_derivative,
 )
 from hessym.normalize import (
-    DEFAULT_SEED, ProvedZero, SymmetryCheck, as_polynomial, is_zero, normalize, worst_check,
+    DEFAULT_SEED, ProvedZero, SymmetryCheck, as_polynomial, is_zero, normalize, sample_point,
+    worst_check,
 )
 from hessym.parse import parse
 
@@ -234,7 +235,7 @@ VARIETY_RHS = [
 
 class TestVarietySampling:
     def test_points_satisfy_equation(self):
-        draw = partial(jets._draw, random.Random(11))
+        draw = partial(sample_point, jets._PIECE_VARS, random.Random(11))
         f = VARIETY_RHS[0][0]
         for _ in range(20):
             pt = dict(zip(jets._PIECE_VARS, jets._variety_point(draw, f)))
@@ -255,7 +256,7 @@ class TestVarietySampling:
                 raise
 
         rng, ref_rng = random.Random(seed), random.Random(seed)
-        draw = partial(jets._draw, rng)
+        draw = partial(sample_point, jets._PIECE_VARS, rng)
         for _ in range(40):
             want = sample_on_variety(ref_rng, f_at)
             assert jets._variety_point(draw, counted) == [
@@ -269,7 +270,7 @@ class TestVarietySampling:
 
         rng, ref_rng = random.Random(5), random.Random(5)
         with pytest.raises(EvalDomainError, match="well-conditioned"):
-            jets._variety_point(partial(jets._draw, rng), nowhere)
+            jets._variety_point(partial(sample_point, jets._PIECE_VARS, rng), nowhere)
         with pytest.raises(EvalDomainError, match="well-conditioned"):
             sample_on_variety(ref_rng, nowhere)
         assert rng.getstate() == ref_rng.getstate()
