@@ -25,7 +25,7 @@ print(header)
 for i in range(table.dim):
     cells = []
     for j in range(table.dim):
-        text = format_combination(table.bracket_coeffs(i, j), Z_NAMES) or "0"
+        text = format_combination(table.c[i][j], Z_NAMES) or "0"
         cells.append(f"{text:>8}")
     print(f"{Z_NAMES[i]:>4}: " + "".join(cells))
 
@@ -33,7 +33,7 @@ for i in range(table.dim):
 mismatches = 0
 for i in range(8):
     for j in range(8):
-        got = format_combination(table.bracket_coeffs(i, j), Z_NAMES) or "0"
+        got = format_combination(table.c[i][j], Z_NAMES) or "0"
         want = PUBLISHED_BRACKETS[i][j]
         if got != want:
             mismatches += 1

@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
     for rep in reports:
         print(f"{rep.suite}: {rep.status} in {rep.wall_time:.2f}s",
               file=sys.stderr)
-    return 0 if all(rep.passed for rep in reports) else 1
+    return 0 if report.overall_status(reports) != check_status(False) else 1
 
 
 def cmd_reduce(args) -> int:
@@ -344,7 +344,7 @@ def cmd_invariants(args) -> int:
     text = (report.render_json(view) if args.format == "json"
             else report.render_markdown(view))
     _emit(text, args)
-    return 0 if view.passed else 1
+    return 0 if view.status != check_status(False) else 1
 
 
 def main(argv=None) -> int:

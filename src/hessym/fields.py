@@ -315,9 +315,6 @@ class StructureTable(NamedTuple):
     def dim(self) -> int:
         return self.basis.dim
 
-    def bracket_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.c[i][j]
-
     def ad_matrix(self, i: int) -> list[list[Fraction]]:
         """(ad B_i) in basis coordinates: column j holds [B_i, B_j]."""
         n = self.dim

@@ -158,18 +158,6 @@ def _ppow(a: Poly, n: int) -> Poly:
     return out
 
 
-def _pdiff(p: Poly, g: str) -> Poly:
-    """Exact derivative in the generator g, by lowering its exponent; distinct
-    monomials stay distinct, so no terms combine."""
-    out: Poly = {}
-    for m, c in p.items():
-        for i, (h, k) in enumerate(m):
-            if h == g:
-                out[m[:i] + (((g, k - 1),) if k > 1 else ()) + m[i + 1:]] = c * k
-                break
-    return out
-
-
 def _content_and_sign(p: Poly) -> Fraction:
     """Positive scale s with p/s integer, coprime; sign fixed by the leading
     (largest-monomial) coefficient being positive."""

@@ -78,11 +78,6 @@ class SuiteReport(NamedTuple):
     wall_time: float = 0.0      # console-only, never serialized
 
     @property
-    def passed(self) -> bool:
-        """Whether every check passed: the suite's status is not fail."""
-        return all(r.passed for r in self.records)
-
-    @property
     def status(self) -> str:
         return overall_status(self.records)
 

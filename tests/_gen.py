@@ -1,4 +1,5 @@
-"""Seeded random expression generator shared by the property tests."""
+"""Seeded random expression and polynomial profile generators shared by the
+property tests."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from fractions import Fraction
 from hessym.expr import (
     Expr, add, call, div, mul, num, opaque, pow_, sym,
 )
-from hessym.normalize import NormalizeError, ZERO, normalize
+from hessym.normalize import NormalizeError, ZERO, integer, normalize, subset
+from hessym.parse import parse
 
 VARS = ["x", "y", "z", "u"]
 CALLS = ["exp", "ln", "sin", "cos", "tan", "atan", "sqrt"]
@@ -56,3 +58,17 @@ def _nonzero(rng: random.Random, e: Expr, depth: int, allow_opaque: bool) -> Exp
             pass
         e = random_expr(rng, max(depth - 2, 0), allow_opaque)
     return sym("x")
+
+
+def sample_poly(rng: random.Random) -> Expr:
+    """Random polynomial profile in (x, y, z) of degree <= 4 with exact
+    coefficients and a nondegenerate Hessian."""
+    terms = []
+    monos = ["x^2", "y^2", "z^2", "x*y", "y*z", "x*z",
+             "x^3", "x^2*y", "y^2*z", "x*y*z", "x^4", "y^3*z", "x^2*z^2"]
+    for m in subset(rng, monos, 7):
+        c = Fraction(integer(rng, -8, 8), integer(rng, 1, 4))
+        if c:
+            terms.append(mul(num(c), parse(m)))
+    terms.append(parse("x^2 + y^2 + z^2"))  # keep the Hessian nondegenerate
+    return add(*terms)

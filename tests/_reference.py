@@ -38,7 +38,7 @@ from hessym.expr import (
     Num, Opaque, OpaqueBinding, Pow, Sym, _NONFINITE, sym,
 )
 from hessym.jets import SPATIAL, jet_indices
-from hessym.normalize import Poly, _padd, _pdiff, _pmul, _poly_to_expr, signed
+from hessym.normalize import Poly, _padd, _pmul, _poly_to_expr, signed
 
 
 def eval_numeric(e: Expr, env: Mapping[str, float],
@@ -171,6 +171,18 @@ def sample_on_variety(rng: random.Random, f_at: Callable[[float, float, float], 
                       + pt["u_yz"] ** 2 + pt["u_xz"] ** 2) / (pt["u_xx"] + pt["u_zz"])
         return pt
     raise EvalDomainError("could not sample a well-conditioned variety point")
+
+
+def _pdiff(p: Poly, g: str) -> Poly:
+    """Exact derivative in the generator g, by lowering its exponent; distinct
+    monomials stay distinct, so no terms combine."""
+    out: Poly = {}
+    for m, c in p.items():
+        for i, (h, k) in enumerate(m):
+            if h == g:
+                out[m[:i] + (((g, k - 1),) if k > 1 else ()) + m[i + 1:]] = c * k
+                break
+    return out
 
 
 def s2_numerator_minors(p: Poly) -> Poly:

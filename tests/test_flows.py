@@ -19,11 +19,9 @@ from hessym.flows import (
     AffineFlow,
     W_BODY,
     _affine,
-    _poly_hessian,
     _preimage_map,
     _pushed_hessian,
     _pushforward_at,
-    _sample_poly,
     apply_case,
     equivariance_weight,
     field_matrix,
@@ -33,8 +31,10 @@ from hessym.flows import (
     verify_case,
 )
 from hessym.jets import jet_indices, s2_of_hessian
-from hessym.normalize import as_polynomial, normalize
+from hessym.normalize import normalize
 from hessym.parse import parse
+
+from _gen import sample_poly
 
 CASE_IDS = list(range(1, 16))
 PRINCIPAL = {1, 2, 3, 4}
@@ -403,10 +403,11 @@ def _flows_and_times():
 
 
 def _chain_rule_s2(u, M, B, c, pt):
-    """S2 of the pushforward of the polynomial profile u at pt, from u's
-    exact Hessian at the preimage, with the scale of its terms."""
-    h = _poly_hessian(as_polynomial(u)[0])(*_affine(B, c, pt))
-    return s2_of_hessian(_pushed_hessian(h, M[3][3], B))
+    """S2 of the pushforward of the profile u at pt, from u's compiled
+    second derivatives at the preimage, with the scale of its terms."""
+    second = compile_evaluator([diff(diff(u, i), j) for i, j in jet_indices(2)],
+                               ["x", "y", "z"])
+    return s2_of_hessian(_pushed_hessian(second(*_affine(B, c, pt)), M[3][3], B))
 
 
 def _close(got, want):
@@ -418,7 +419,7 @@ def test_s2_of_pushforward_matches_tree_route():
     # of S2 of the pushforward built as a tree, at seeded points
     rng = random.Random(4)
     for cid, M, B, c in _flows_and_times():
-        u = _sample_poly(rng)
+        u = sample_poly(rng)
         tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
         for _ in range(5):
             pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
@@ -432,7 +433,7 @@ def test_chain_rule_s2_of_dyadic_affine_maps():
         M, B, c = (np.array([rng.randint(-64, 64) / 2 ** rng.randint(0, 9) or 0.5
                              for _ in range(k)]).reshape(shape)
                    for k, shape in ((25, (5, 5)), (9, (3, 3)), (3, (3,))))
-        u = _sample_poly(rng)
+        u = sample_poly(rng)
         tree = compile_evaluator(s2_of(_tree_pushforward(u, M, B, c)), ["x", "y", "z"])
         pt = [rng.uniform(-2, 2) for _ in range(3)]
         # relative to the scale of S2's terms, as _equivariance_gap measures:
@@ -457,19 +458,6 @@ def test_chain_rule_of_compiled_second_derivatives():
             assert _close(got, tree(*pt)), (cid, pt)
 
 
-def test_poly_hessian_s2_is_the_compiled_s2_of():
-    # the base side: S2 from the exact Hessian of a sampled profile against
-    # the compiled canonical form of s2_of
-    rng = random.Random(6)
-    for _ in range(100):
-        u = _sample_poly(rng)
-        hessian_at = _poly_hessian(as_polynomial(u)[0])
-        compiled = compile_evaluator(s2_of(u), ["x", "y", "z"])
-        for _ in range(2):
-            pt = [rng.uniform(0.2, 1.8) * rng.choice([-1, 1]) for _ in range(3)]
-            assert _close(s2_of_hessian(hessian_at(*pt))[0], compiled(*pt))
-
-
 def test_verify_case_differentiates_no_profile(monkeypatch):
     # s2_of is the one place an S2 argument is differentiated; jets.diff
     # itself also serves the weight of the case's field
@@ -481,15 +469,16 @@ def test_verify_case_differentiates_no_profile(monkeypatch):
     assert verify_case(case_by_id(7), n_points=4).passed
 
 
-def test_a_wrong_weight_fails_the_equivariance(monkeypatch):
+@pytest.mark.parametrize("case_id", CASE_IDS)
+def test_a_wrong_weight_fails_the_equivariance(monkeypatch, case_id):
     # the chain rule's gap, taken at the scale of S2's terms, still sees a
-    # factor exp(w t) off by a tenth in w
+    # factor exp(w t) off by a tenth in w, in the suite and in transform
     real = equivariance_weight
     monkeypatch.setattr("hessym.flows.equivariance_weight",
                         lambda v: real(v) + Fraction(1, 10))
-    chk = verify_case(case_by_id(7), n_points=4)
+    chk = verify_case(case_by_id(case_id), n_points=4)
     assert not chk.passed and chk.equivariance.max_residual > 1e-3
-    assert not apply_case(14, 0.5, parse("x^2 + y^2*z + exp(z)")).check.passed
+    assert not apply_case(case_id, 0.5, parse("x^2 + y^2*z + exp(z)")).check.passed
 
 
 def test_apply_case_builds_no_canonical_s2(monkeypatch):

@@ -14,7 +14,7 @@ from hessym.expr import (
     pow_, substitute, sym,
 )
 from hessym.fields import BaseSpace, E4, VectorField, commutator, vf
-from hessym.flows import _sample_poly, verify_case
+from hessym.flows import verify_case
 from hessym.jets import (
     JetOrderError, S2_JET_DERIVATIVES, SPATIAL, check_symmetry, hessian2,
     invariance_residual, jet_indices, jet_order, jet_symbol, prolong2,
@@ -26,6 +26,7 @@ from hessym.normalize import (
 )
 from hessym.parse import parse
 
+from _gen import sample_poly
 from _reference import eval_numeric, s2_of_poly, sample_on_variety
 
 
@@ -369,7 +370,7 @@ class TestS2Routes:
 
     def test_sparse_route_matches_tree_on_sampled_profiles(self):
         rng = random.Random(11)
-        profiles = [_sample_poly(rng) for _ in range(200)]
+        profiles = [sample_poly(rng) for _ in range(200)]
         assert [s2_of(u) for u in profiles] == [_sparse(u) for u in profiles]
 
     @pytest.mark.parametrize("text", [
@@ -384,7 +385,7 @@ class TestS2Routes:
 
     def test_seeded_parameter_profiles(self):
         rng = random.Random(5)
-        profiles = [add(_sample_poly(rng),
+        profiles = [add(sample_poly(rng),
                         mul(num(Fraction(rng.randint(-9, 9), rng.randint(1, 7))),
                             sym("t1"), parse(rng.choice(["x^2*y", "y*z", "z^3", "x"]))))
                     for _ in range(30)]

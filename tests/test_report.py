@@ -584,3 +584,17 @@ def test_verify_all_statuses_match_the_golden_file(seed, capsys):
     out = json.loads(capsys.readouterr().out)
     got = {s["suite"]: [[c["id"], c["status"]] for c in s["checks"]] for s in out["suites"]}
     assert got == json.loads(GOLDEN_STATUSES.read_text())[seed]
+
+
+# perfbench/run.py refuses a `verify` run whose id -> status map of any suite
+# differs from this file's, so a new or renamed record needs it updated too
+BENCHMARK_STATUSES = Path(__file__).parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("seed", ["7", "11", "12345"])
+def test_golden_statuses_are_the_benchmarks_pinned_statuses(seed):
+    golden = json.loads(GOLDEN_STATUSES.read_text())[seed]
+    pinned = json.loads(BENCHMARK_STATUSES.read_text())["statuses"]
+    # the suites in `verify all` order, as run.py also checks
+    assert [(suite, dict(map(tuple, checks))) for suite, checks in golden.items()] \
+        == list(pinned.items())
