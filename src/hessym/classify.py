@@ -195,14 +195,6 @@ class BilaCheck(NamedTuple):
     dimension: int
     flags: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return (self.main_residual.zero_like
-                and self.auxiliary_residual.zero_like
-                and all(ok for _, ok in self.step2)
-                and all(ok for name, ok in self.step3 if not name.startswith("psi"))
-                and self.dimension == len(EQUIVALENCE_CONSTANTS))
-
 
 def verify_bila_procedure() -> BilaCheck:
     cand = equivalence_candidate()
@@ -251,7 +243,6 @@ class ReflectionCheck(NamedTuple):
     the reading with the flip fails and is flagged.
     """
 
-    profile: str
     with_sign_flip: Verdict
     without_sign_flip: Verdict
     flags: tuple[str, ...]
@@ -273,7 +264,7 @@ def verify_reflection(seed: int = DEFAULT_SEED) -> tuple[ReflectionCheck, ...]:
         plain = is_zero(normalize(add(S2_ref, neg(_reflect(F)))), mode="auto", seed=seed)
         flags = ("printed-reflection-f-sign",) if (plain.zero_like
                                                    and not flipped.zero_like) else ()
-        out.append(ReflectionCheck(text, flipped, plain, flags))
+        out.append(ReflectionCheck(flipped, plain, flags))
     return tuple(out)
 
 

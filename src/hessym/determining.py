@@ -131,12 +131,11 @@ def general_candidate() -> VectorField:
 class DeterminingSystem(NamedTuple):
     """Exact solution of the linear determining system.
 
-    ``dim`` is the nullspace dimension; ``basis`` holds one candidate field
-    per nullspace vector with the constants substituted in.
+    ``dim`` is the nullspace dimension; ``fields`` gives one candidate
+    field per nullspace vector with the constants substituted in.
     """
 
     constants: tuple[str, ...]
-    n_equations: int
     dim: int
     vectors: tuple[tuple[Fraction, ...], ...]
 
@@ -185,7 +184,7 @@ def determining_system(with_condition: bool) -> DeterminingSystem:
     mat = [[row.get(k, Fraction(0)) for k in GENERAL_CONSTANTS]
            for row in rows.values()]
     vectors = _nullspace(mat, len(GENERAL_CONSTANTS))
-    return DeterminingSystem(GENERAL_CONSTANTS, len(mat), len(vectors), tuple(vectors))
+    return DeterminingSystem(GENERAL_CONSTANTS, len(vectors), tuple(vectors))
 
 
 def _nullspace(mat: list[list[Fraction]], n: int) -> list[tuple[Fraction, ...]]:

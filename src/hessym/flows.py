@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .catalog import FLAG_NOTES, CaseSpec, case_by_id, flow_cases
@@ -52,7 +52,7 @@ from .fields import (
 from .jets import SPATIAL, jet_indices, s2_of, s2_of_hessian, s2_weight
 from .normalize import (
     DEFAULT_SEED, NormalizeError, SymmetryCheck, as_polynomial, normalize, sample_point,
-    signed, uniform, valid_samples, worst_check,
+    uniform, valid_sample, worst_check,
 )
 from .parse import parse
 
@@ -389,7 +389,7 @@ def _reading_check(printed_fn: Callable[..., float],
     for t in T_VALUES:
         M, B, c = element[sigma * t]
         for _ in range(per_time):
-            pt = [signed(rng, 0.2, 1.6) for _ in range(3)]
+            pt = sample_point(SPATIAL, rng)
             want = printed_fn(*pt, t)
             got = _pushforward_at(M, B, c, u0_fn, pt)
             worst = max(worst, abs(want - got) / (1.0 + abs(want) + abs(got)))
@@ -453,10 +453,10 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
     """Push a solution through the case's time-t group element and check
     the equivariance of S2 numerically on random points.
 
-    A point where u at the preimage or either S2 value is undefined (a
-    restricted domain such as sqrt or ln) is drawn again, at most
-    10*n_points draws in all; EvalDomainError when they run out, when the
-    S2 factor overflows, and ValueError for a parameter the case lacks, a
+    Each of the ``n_points`` points is redrawn by ``valid_sample`` where u
+    at the preimage or either S2 value is undefined (a restricted domain
+    such as sqrt or ln); EvalDomainError when its draws run out or the S2
+    factor overflows, and ValueError for a parameter the case lacks, a
     sign other than 1 or -1, or an ``n_points`` below 1."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
@@ -491,11 +491,11 @@ def apply_case(case: CaseSpec | int, t: float, u_expr: Expr, *,
         (u_expr, *[diff(diff(u_expr, idx[0]), idx[1]) for idx in jet_indices(2)]),
         SPATIAL, inner)
 
-    rng = random.Random(seed)
-    gaps = valid_samples(
-        n_points, lambda: [signed(rng, 0.2, 1.6) for _ in range(3)],
-        lambda pt: _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor))
-    worst = max(0.0, *(gap for _, gap in gaps))
+    def gap(pt: Sequence[float]) -> float:
+        return _equivariance_gap(u_and_hessian(*_affine(B, c, pt))[1:], scale, B, factor)
+
+    draw = partial(sample_point, SPATIAL, random.Random(seed))
+    worst = max(valid_sample(draw, gap)[1] for _ in range(n_points))
 
     terms = [(scale, _times(scale, f"u({', '.join(pre_texts)})"))]
     terms += [(lj, _times(lj, f"({px})"))

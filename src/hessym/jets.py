@@ -27,7 +27,9 @@ from .expr import (
     pow_, substitute, sym,
 )
 from .fields import VectorField
-from .normalize import DEFAULT_SEED, SymmetryCheck, as_polynomial, normalize, sample_point
+from .normalize import (
+    DEFAULT_SEED, SymmetryCheck, as_polynomial, normalize, sample_point, valid_sample,
+)
 from .parse import parse
 
 __all__ = [
@@ -223,7 +225,6 @@ def invariance_residual(prl: Prolongation, rhs_variation: Expr) -> Expr:
 # numeric checks on the solution variety
 
 _GUARD = 0.25          # least |u_xx + u_zz| of a sampled point
-_MAX_ATTEMPTS = 100    # draws per point before sampling gives up
 
 # the jet coordinates of a sampled point, in the order they are drawn
 _PIECE_VARS = ("x", "y", "z", "u") + tuple(f"u_{idx}"
@@ -237,21 +238,20 @@ def _variety_point(draw: Callable[[], tuple[float, ...]],
     """A jet point on S2[u] = f(x, y, z), over ``_PIECE_VARS``: the first
     candidate from ``draw`` (one value per name) whose trace pivot u_xx +
     u_zz is at least ``_GUARD`` away from zero and where f has a value,
-    with u_yy solved.  After ``_MAX_ATTEMPTS`` candidates it gives up."""
-    for _ in range(_MAX_ATTEMPTS):
-        vals = draw()
+    with u_yy solved.  ``normalize.valid_sample`` draws the candidates."""
+    def solved(vals: tuple[float, ...]) -> list[float]:
         uxx, uzz = vals[_UXX], vals[_UZZ]
         if abs(uxx + uzz) < _GUARD:
-            continue
+            raise EvalDomainError("trace pivot u_xx + u_zz too close to 0")
         try:
             fv = f_at(vals[0], vals[1], vals[2])
-        except (ArithmeticError, EvalDomainError):
-            continue  # f undefined here (sqrt, ln): draw another point
+        except ArithmeticError as exc:  # a plain, uncompiled f
+            raise EvalDomainError(str(exc)) from exc
         pt = list(vals)
         pt[_UYY] = (fv - uxx * uzz + vals[_UXY] ** 2 + vals[_UYZ] ** 2
                     + vals[_UXZ] ** 2) / (uxx + uzz)
         return pt
-    raise EvalDomainError("could not sample a well-conditioned variety point")
+    return valid_sample(draw, solved)[1]
 
 
 @lru_cache(maxsize=4)

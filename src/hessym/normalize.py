@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .expr import (
     MINUS_ONE, ZERO, Add, Call, Deriv, EvalDomainError, Expr,
@@ -46,7 +47,7 @@ __all__ = [
     "ProvedZero", "NumericallyZero", "NonZero", "Unproved", "Verdict", "SymmetryCheck",
     "worst_check", "NormalizeError", "DEFAULT_SEED", "sample_point",
     "clear_canonical_table", "uniform", "signed", "integer", "choice", "subset",
-    "valid_samples",
+    "valid_sample",
 ]
 
 Monomial = tuple[tuple[str, int], ...]
@@ -474,7 +475,8 @@ def _frac_to_expr(f: Frac, reg: Mapping[str, Expr]) -> Expr:
 # expression -> canonical form, for the expressions normalized so far in
 # this process.  normalize is a pure function of an immutable tree, so an
 # entry never goes stale.  Each canonical form is stored as its own, so
-# renormalizing one is a lookup and equal forms are one object.
+# renormalizing one is a lookup and equal forms are one object; that second
+# entry per form is why this is a table and not functools.lru_cache.
 _CANONICAL: dict[Expr, Expr] = {}
 _CANONICAL_MAX = 4096  # entries; the table starts over when it is full
 
@@ -588,24 +590,20 @@ def sample_point(names: Sequence[str], rng: random.Random) -> tuple[float, ...]:
     return tuple([signed(rng, 0.1, 2.0) for _ in names])
 
 
-def valid_samples(n: int, draw: Callable[[], object],
-                  at: Callable[[object], object]) -> Iterator[tuple]:
-    """Yield ``(point, at(point))`` for ``n`` points from ``draw()``.  A
-    point where ``at`` raises EvalDomainError is drawn again, at most 10*n
-    draws in all; EvalDomainError when they run out."""
-    done = attempts = 0
-    while done < n:
-        if attempts >= 10 * n:
-            raise EvalDomainError(
-                f"could not find {n} valid sample points in {attempts} attempts")
-        attempts += 1
+_MAX_ATTEMPTS = 100  # draws of one point before sampling gives up
+
+
+def valid_sample(draw: Callable[[], object], at: Callable[[object], object]) -> tuple:
+    """``(point, at(point))`` for the first point from ``draw()`` where
+    ``at`` raises no EvalDomainError: the one redraw rule of the sampled
+    checks.  EvalDomainError after ``_MAX_ATTEMPTS`` draws."""
+    for _ in range(_MAX_ATTEMPTS):
         point = draw()
         try:
-            value = at(point)
+            return point, at(point)
         except EvalDomainError:
-            continue
-        done += 1
-        yield point, value
+            pass
+    raise EvalDomainError(f"could not draw a valid sample point in {_MAX_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +686,9 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
     Numeric comparisons are relative: a point passes when
     |value| <= tol * (1 + scale) with scale the largest intermediate
     magnitude, both from ``compile_with_scale`` of ``e``, compiled once
-    per call.  Domain errors trigger resampling through ``valid_samples``;
-    ``n`` must be at least 1, so that no verdict rests on zero points.
+    per call.  Each of the ``n`` points is redrawn by ``valid_sample``
+    where ``e`` has no value; ``n`` must be at least 1, so that no verdict
+    rests on zero points.
     """
     if mode not in ("auto", "symbolic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -701,10 +700,10 @@ def is_zero(e: Expr, mode: str = "auto", n: int = 50, tol: float = 1e-9,
         return Unproved()
     names = sorted(free_symbols(e))
     at = compile_with_scale(e, names, bindings)
-    rng = random.Random(seed)
+    draw = partial(sample_point, names, random.Random(seed))
     max_ratio = 0.0
-    for point, (v, s) in valid_samples(n, lambda: sample_point(names, rng),
-                                       lambda point: at(*point)):
+    for _ in range(n):
+        point, (v, s) = valid_sample(draw, lambda point: at(*point))
         ratio = abs(v) / (1.0 + s)
         if ratio > tol:
             return NonZero(witness=dict(zip(names, point)), residual=ratio)

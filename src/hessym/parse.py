@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .expr import (
     ELEMENTARY, Expr, ExprError, Opaque, add, call, deriv, div, mul, neg,
@@ -175,26 +176,17 @@ class _Parser:
         return opaque(name, *args)
 
 
-# text -> tree for the texts parsed so far; the tree is immutable and a
-# function of the text alone
-_PARSED: dict[str, Expr] = {}
-_PARSED_MAX = 4096  # entries; the table starts over when it is full
-
-
+# the tree is immutable and a function of the text alone, so it is memoized
+@lru_cache(maxsize=4096)
 def parse(text: str) -> Expr:
     """Parse text to an Expr.  Any non-reserved applied identifier becomes
     an opaque symbol, and a text parsed before gives the same tree again."""
-    node = _PARSED.get(text)
-    if node is None:
-        p = _Parser(text)
-        try:
-            node = p.expr()
-        except RecursionError:
-            raise ExprError("expression nested too deeply to parse") from None
-        kind, val, pos = p.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected trailing input {val!r}", pos)
-        if len(_PARSED) >= _PARSED_MAX:
-            _PARSED.clear()
-        _PARSED[text] = node
+    p = _Parser(text)
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ExprError("expression nested too deeply to parse") from None
+    kind, val, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {val!r}", pos)
     return node

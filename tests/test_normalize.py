@@ -390,6 +390,13 @@ class TestIsZero:
         v = is_zero(parse("exp(ln(x)) - x"), n=20)
         assert isinstance(v, NumericallyZero) and v.n_points == 20
 
+    def test_a_narrow_domain_is_redrawn_point_by_point(self):
+        # defined where x >= 1.8, about one draw in 19: each of the 50
+        # points has its own 100 draws, where 500 draws shared by all of
+        # them would find about 26 points
+        v = is_zero(parse("sqrt(x - 1.8)*(sin(y)^2 + cos(y)^2 - 1)"))
+        assert isinstance(v, NumericallyZero) and v.n_points == 50
+
     def test_bindings(self):
         H = OpaqueBinding(("a", "b"), parse("a*b"))
         v = is_zero(parse("H(x, y) - x*y"), bindings={"H": H})
